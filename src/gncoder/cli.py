@@ -16,9 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -48,8 +46,6 @@ from .solver import (
     radius_check,
     solve,
 )
-
-WORKER_ENV_VAR = "GN_CODER_THREADS"
 
 _SOLVE_DEFAULTS = {
     "activation": "sigmoid:1",
@@ -207,21 +203,10 @@ def _write_jsonl(path: Path, rows) -> None:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
-def _worker_count() -> int:
-    raw = os.environ.get(WORKER_ENV_VAR, "1")
-    try:
-        count = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{WORKER_ENV_VAR} must be an integer, got {raw!r}") from exc
-    return max(1, count)
-
-
-def _pmap(fn, items):
-    workers = _worker_count()
-    if workers == 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+def _require_count(cfg: dict, key: str) -> None:
+    """Refuse a run that would check nothing and still report a result."""
+    if cfg[key] < 1:
+        raise ConfigError(f"{key} must be >= 1, got {cfg[key]!r}")
 
 
 def synth_problem(cfg: dict) -> tuple[Params, GridFunction]:
@@ -348,6 +333,7 @@ def _run_solve(cfg: dict) -> int:
 
 
 def _run_independence(cfg: dict) -> int:
+    _require_count(cfg, "trials")
     grid = make_grid(cfg["dim"], cfg["points_per_axis"])
     activation = parse_activation(cfg["activation"])
 
@@ -367,7 +353,7 @@ def _run_independence(cfg: dict) -> int:
         row["trial"] = index
         return row
 
-    rows = _pmap(one_trial, range(cfg["trials"]))
+    rows = [one_trial(index) for index in range(cfg["trials"])]
     base = _out_base("independence", cfg)
     _write_jsonl(base.with_suffix(".reports.jsonl"), rows)
     degenerate = sum(1 for r in rows if r["degenerate"])
@@ -385,6 +371,8 @@ def _run_independence(cfg: dict) -> int:
 
 
 def _run_cone(cfg: dict) -> int:
+    if not cfg["t_values"]:
+        raise ConfigError("t_values must hold at least one perturbation size")
     grid = make_grid(cfg["dim"], cfg["points_per_axis"])
     activation = parse_activation(cfg["activation"])
     forward = parse_operator(cfg["operator"], grid)
@@ -423,6 +411,7 @@ def _run_cone(cfg: dict) -> int:
 
 
 def _run_mysovskii(cfg: dict) -> int:
+    _require_count(cfg, "probes")
     grid = make_grid(cfg["dim"], cfg["points_per_axis"])
     activation = parse_activation(cfg["activation"])
     forward = parse_operator(cfg["operator"], grid)
@@ -498,6 +487,7 @@ def _run_manifold(cfg: dict) -> int:
 
 
 def _run_check_derivatives(cfg: dict) -> int:
+    _require_count(cfg, "probes")
     grid = make_grid(cfg["dim"], cfg["points_per_axis"])
     activation = parse_activation(cfg["activation"])
     h1 = cfg["step_first"]

@@ -179,7 +179,7 @@ def cone_check(
     :class:`RankDeficiencyError` otherwise.
     """
     jac1 = jacobian(p1, activation, grid)
-    factors = weighted_qr(jac1.columns, rank_tol)
+    factors = weighted_qr(jac1.matrix, grid, rank_tol)
     if factors.rank < p1.n_star:
         raise RankDeficiencyError(
             f"derivative at p1 has rank {factors.rank} < {p1.n_star}",
@@ -192,12 +192,8 @@ def cone_check(
         transition[:, j] = pinv_apply(factors, jac2.column(j))
     dev = float(np.linalg.norm(transition - np.eye(n_star), 2))
 
-    fj1 = np.column_stack(
-        [forward.apply(col).values for col in jac1.columns]
-    )
-    fj2 = np.column_stack(
-        [forward.apply(col).values for col in jac2.columns]
-    )
+    fj1 = forward.apply_columns(jac1.matrix)
+    fj2 = forward.apply_columns(jac2.matrix)
     w_out = forward.out_grid.weights[:, None]
     defect = fj2 - fj1 @ transition
     num = math.sqrt(float(np.sum(w_out * defect * defect)))
@@ -253,10 +249,8 @@ def mysovskii_check(
     for s in s_values:
         if not 0.0 <= s <= 1.0:
             raise ValueError(f"s values must lie in [0, 1], got {s}")
-    cols = [
-        forward.apply(col) for col in jacobian(p, activation, grid).columns
-    ]
-    factors = weighted_qr(cols, rank_tol)
+    forward_jac = forward.apply_columns(jacobian(p, activation, grid).matrix)
+    factors = weighted_qr(forward_jac, forward.out_grid, rank_tol)
     if factors.rank < p.n_star:
         raise RankDeficiencyError(
             f"derivative at p has rank {factors.rank} < {p.n_star}",

@@ -21,7 +21,8 @@ MAX_NODES = 10**8
 
 
 def _frozen_array(values, dtype=float):
-    arr = np.ascontiguousarray(values, dtype=dtype)
+    """Read-only C-contiguous copy; the caller's array stays writeable."""
+    arr = np.array(values, dtype=dtype, order="C")
     arr.setflags(write=False)
     return arr
 

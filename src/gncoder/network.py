@@ -154,13 +154,6 @@ class Jacobian:
                 f"({self.grid.node_count}, {self.params.n_star})"
             )
 
-    @property
-    def columns(self) -> list:
-        return [
-            GridFunction(self.grid, self.matrix[:, i])
-            for i in range(self.matrix.shape[1])
-        ]
-
     def column(self, i: int) -> GridFunction:
         return GridFunction(self.grid, self.matrix[:, i])
 

@@ -28,7 +28,10 @@ class LinearOperator:
 
     Subclasses implement ``_apply_values`` / ``_adjoint_values`` on raw
     nodal arrays; ``apply`` and ``adjoint`` wrap them with grid checks.
-    ``injective`` records whether the discrete matrix has full column rank.
+    ``_apply_values`` acts along axis 0, so it maps a ``(node_count,)``
+    vector or every column of a ``(node_count, m)`` array, which
+    ``apply_columns`` exposes.  ``injective`` records whether the discrete
+    matrix has full column rank.
     """
 
     def __init__(self, descriptor: str, in_grid: Grid, out_grid: Grid,
@@ -52,6 +55,15 @@ class LinearOperator:
             )
         return GridFunction(self.out_grid, self._apply_values(u.values))
 
+    def apply_columns(self, matrix: np.ndarray) -> np.ndarray:
+        """Apply the operator to every column of a ``(node_count, m)`` array."""
+        if matrix.ndim != 2 or matrix.shape[0] != self.in_grid.node_count:
+            raise GridMismatchError(
+                f"expected {self.in_grid.node_count} rows, got shape "
+                f"{matrix.shape}"
+            )
+        return self._apply_values(matrix)
+
     def adjoint(self, v: GridFunction) -> GridFunction:
         if v.grid != self.out_grid:
             raise GridMismatchError(
@@ -71,13 +83,7 @@ class LinearOperator:
                 f"dense realization limited to {DENSE_LIMIT} nodes, "
                 f"grid has {count}"
             )
-        cols = np.empty((self.out_grid.node_count, count))
-        basis = np.zeros(count)
-        for j in range(count):
-            basis[j] = 1.0
-            cols[:, j] = self._apply_values(basis)
-            basis[j] = 0.0
-        return cols
+        return self._apply_values(np.eye(count))
 
     def singular_values(self) -> np.ndarray:
         return np.linalg.svd(self.matrix(), compute_uv=False)
@@ -103,9 +109,6 @@ class IdentityOperator(LinearOperator):
 
     _adjoint_values = _apply_values
 
-    def matrix(self):
-        return np.eye(self.in_grid.node_count)
-
 
 class VolterraOperator(LinearOperator):
     """Cumulative integration on [0,1]: ``(F u)(x) = integral_0^x u``.
@@ -123,14 +126,10 @@ class VolterraOperator(LinearOperator):
         super().__init__("volterra", grid, grid, injective=True)
 
     def _apply_values(self, values):
-        return np.cumsum(self.in_grid.weights * values)
+        return np.cumsum((values.T * self.in_grid.weights).T, axis=0)
 
     def _adjoint_values(self, values):
         return np.cumsum((self.in_grid.weights * values)[::-1])[::-1]
-
-    def matrix(self):
-        count = self.in_grid.node_count
-        return np.tril(np.ones((count, count))) * self.in_grid.weights[None, :]
 
 
 def _gaussian_kernel_matrix(m: int, width: float) -> np.ndarray:
@@ -190,8 +189,10 @@ class GaussianConvolutionOperator(LinearOperator):
         m = self.in_grid.points_per_axis
         if self.in_grid.dim == 1:
             return (self._factor @ values) / m
-        U = values.reshape(m, m)
-        return (self._factor @ U @ self._factor.T).reshape(-1) / (m * m)
+        # one m x m image per column, each smoothed along both axes
+        images = np.ascontiguousarray(values.T).reshape(-1, m, m)
+        out = self._factor @ images @ self._factor.T
+        return out.reshape(values.T.shape).T / (m * m)
 
     # symmetric kernel and uniform weights make the operator self-adjoint
     _adjoint_values = _apply_values

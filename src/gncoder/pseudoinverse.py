@@ -1,10 +1,11 @@
-"""Moore-Penrose machinery over function-valued columns.
+"""Moore-Penrose machinery over a matrix of function-valued columns.
 
 The engine is a quadrature-weighted modified Gram-Schmidt factorization of
-a family of grid functions.  From the factors we get the orthogonal
-projection onto the column span, the Moore-Penrose pseudoinverse applied to
-a grid function, and residuals of the four defining pseudoinverse
-identities (``LBL = L``, ``BLB = B``, ``BL = I - P``, ``LB = Q``).
+a ``(node_count, m)`` matrix whose columns are nodal values on one grid.
+From the factors we get the orthogonal projection onto the column span, the
+Moore-Penrose pseudoinverse applied to a grid function, and residuals of the
+four defining pseudoinverse identities (``LBL = L``, ``BLB = B``,
+``BL = I - P``, ``LB = Q``).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ _MP_PROBE_COUNT = 20
 
 @dataclass(frozen=True)
 class QRFactors:
-    """Weighted QR factorization of a list of grid-function columns.
+    """Weighted QR factorization of a column matrix on one grid.
 
     ``q_matrix`` holds the retained orthonormal columns (orthonormal in the
     weighted inner product), ``r_matrix`` the upper-trapezoidal coefficient
@@ -52,25 +53,19 @@ class QRFactors:
     def retained_indices(self) -> tuple:
         return tuple(k for k, d in enumerate(self.dependent) if not d)
 
-    @property
-    def q_columns(self) -> list:
-        return [
-            GridFunction(self.grid, self.q_matrix[:, i]) for i in range(self.rank)
-        ]
+
+def _check_rows(matrix: np.ndarray, grid: Grid) -> None:
+    if matrix.ndim != 2 or matrix.shape[0] != grid.node_count:
+        raise GridMismatchError(
+            f"expected a matrix with {grid.node_count} rows, got shape "
+            f"{matrix.shape}"
+        )
 
 
-def _column_matrix(columns):
-    if not columns:
-        raise ValueError("need at least one column")
-    grid = columns[0].grid
-    for c in columns[1:]:
-        if c.grid != grid:
-            raise GridMismatchError("columns live on different grids")
-    return grid, np.column_stack([c.values for c in columns])
-
-
-def weighted_qr(columns, rank_tol: float = DEFAULT_RANK_TOL) -> QRFactors:
-    """Orthonormalize grid-function columns in the weighted inner product.
+def weighted_qr(
+    matrix: np.ndarray, grid: Grid, rank_tol: float = DEFAULT_RANK_TOL
+) -> QRFactors:
+    """Orthonormalize the columns of ``matrix`` in the weighted inner product.
 
     Modified Gram-Schmidt with one reorthogonalization pass.  A column whose
     residual norm after projection falls below ``rank_tol`` times the
@@ -79,12 +74,19 @@ def weighted_qr(columns, rank_tol: float = DEFAULT_RANK_TOL) -> QRFactors:
 
     Raises
     ------
+    GridMismatchError
+        If ``matrix`` does not have one row per node of ``grid``.
     ZeroMatrixError
         If every column is identically zero.
     """
     if not rank_tol > 0:
         raise ValueError(f"rank_tol must be positive, got {rank_tol}")
-    grid, C = _column_matrix(columns)
+    _check_rows(matrix, grid)
+    if matrix.shape[1] == 0:
+        raise ValueError("need at least one column")
+    # row-major, so the axis-0 reductions below round the same way for every
+    # caller's memory layout
+    C = np.ascontiguousarray(matrix, dtype=float)
     w = grid.weights
     ncols = C.shape[1]
     col_norms = np.sqrt(np.sum(w[:, None] * C * C, axis=0))
@@ -180,21 +182,20 @@ class MPResiduals:
         return max(self.as_tuple())
 
 
-def mp_residuals(columns, factors: QRFactors) -> MPResiduals:
+def mp_residuals(matrix: np.ndarray, factors: QRFactors) -> MPResiduals:
     """Measure the four pseudoinverse identities on a fixed probe set.
 
-    Probes are 20 seeded random coefficient vectors and grid functions; each
-    residual is normalized by the scale of its input and the maximum over
-    the probes is reported.
+    ``matrix`` holds the factored columns.  Probes are 20 seeded random
+    coefficient vectors and grid functions; each residual is normalized by
+    the scale of its input and the maximum over the probes is reported.
     """
-    grid, C = _column_matrix(columns)
-    if grid != factors.grid:
-        raise GridMismatchError("columns and factors live on different grids")
+    grid = factors.grid
+    _check_rows(matrix, grid)
     w = grid.weights
-    ncols = C.shape[1]
+    ncols = matrix.shape[1]
 
     def apply_l(coeffs):
-        return GridFunction(grid, C @ coeffs)
+        return GridFunction(grid, matrix @ coeffs)
 
     def xnorm(values):
         return float(np.sqrt(np.sum(w * values * values)))

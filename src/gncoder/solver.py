@@ -4,11 +4,11 @@ The iteration solves ``F(psi(p)) = y`` for the network coefficients by
 
     p_{k+1} = p_k - pinv(J_k) (F(psi(p_k)) - y),
 
-where ``J_k`` stacks the forward-mapped derivative columns and ``pinv`` is
-applied through the weighted QR factors.  The loop is undamped on purpose:
-divergence outside the convergence radius is an expected, reportable
-outcome, and rank deficiency halts the run with a status instead of
-silently switching to minimum-norm steps.
+where ``J_k`` is the ``(node_count, n_star)`` matrix of forward-mapped
+derivative columns and ``pinv`` is applied through its weighted QR factors.
+The loop is undamped on purpose: divergence outside the convergence radius
+is an expected, reportable outcome, and rank deficiency halts the run with
+a status instead of silently switching to minimum-norm steps.
 
 A fixed-step gradient descent on the squared misfit serves as the baseline,
 and the two Tikhonov objectives (state-space prior and parameter-space
@@ -146,11 +146,6 @@ def _forward_map(p: Params, cfg: SolveConfig) -> GridFunction:
     return cfg.forward.apply(eval_psi(p, cfg.activation, cfg.grid))
 
 
-def _forward_jacobian_columns(p: Params, cfg: SolveConfig) -> list:
-    jac = jacobian(p, cfg.activation, cfg.grid)
-    return [cfg.forward.apply(col) for col in jac.columns]
-
-
 def _clamp_to_box(flat: np.ndarray, box) -> tuple[np.ndarray, bool]:
     lo, hi = box
     clipped = np.clip(flat, lo, hi)
@@ -166,7 +161,10 @@ def gauss_newton_step(p: Params, cfg: SolveConfig) -> tuple[Params, StepDiagnost
     """
     residual = _forward_map(p, cfg) - cfg.data
     res_norm = norm(residual)
-    factors = weighted_qr(_forward_jacobian_columns(p, cfg), cfg.rank_tol)
+    forward_jac = cfg.forward.apply_columns(
+        jacobian(p, cfg.activation, cfg.grid).matrix
+    )
+    factors = weighted_qr(forward_jac, cfg.forward.out_grid, cfg.rank_tol)
     if factors.rank < p.n_star:
         raise RankDeficiencyError(
             f"Jacobian rank {factors.rank} < {p.n_star}",

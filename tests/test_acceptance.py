@@ -188,10 +188,10 @@ def test_criterion_02_moore_penrose_identities():
                 break
             attempt += 1
             assert attempt < 100, "could not draw a well-conditioned Jacobian"
-        columns = jacobian(p, SIGMOID, grid).columns
-        factors = weighted_qr(columns)
+        matrix = jacobian(p, SIGMOID, grid).matrix
+        factors = weighted_qr(matrix, grid)
         assert factors.rank == p.n_star
-        worst_residual = max(worst_residual, mp_residuals(columns, factors).max())
+        worst_residual = max(worst_residual, mp_residuals(matrix, factors).max())
         probe_rng = np.random.default_rng(3000 + trial)
         x = probe_rng.standard_normal(grid.node_count)
         oracle = np.linalg.pinv(scaled) @ (np.sqrt(grid.weights) * x)

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from gncoder.cli import _SOLVE_DEFAULTS, main, synth_problem
 from gncoder.grids import norm
@@ -57,17 +58,13 @@ class TestDeterminism:
             assert run(["solve", "--seed", 19, "--out", out]) == 0
         assert files_in(a) == files_in(b)
 
-    def test_independence_rerun_and_worker_count_invariance(
-        self, tmp_path, monkeypatch
-    ):
-        a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
+    def test_independence_rerun_is_bitwise_identical(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
         args = ["independence", "--trials", 8, "--seed", 7,
                 "--points-per-axis", 32]
         assert run(args + ["--out", a]) == 0
         assert run(args + ["--out", b]) == 0
-        monkeypatch.setenv("GN_CODER_THREADS", "4")
-        assert run(args + ["--out", c]) == 0
-        assert files_in(a) == files_in(b) == files_in(c)
+        assert files_in(a) == files_in(b)
 
     def test_manifold_rerun_is_bitwise_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -144,6 +141,22 @@ class TestExitCodes:
         code = run(["mysovskii", "--config", config, "--out", tmp_path / "o"])
         assert code == 2
         assert "rank" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("independence", "trials", 0),
+        ("cone", "t_values", []),
+        ("mysovskii", "probes", 0),
+        ("check-derivatives", "probes", 0),
+    ])
+    def test_empty_run_exits_one_before_writing(
+        self, tmp_path, capsys, command, key, value
+    ):
+        config = tmp_path / "empty.json"
+        config.write_text(json.dumps({key: value}))
+        out = tmp_path / "out"
+        assert run([command, "--config", config, "--out", out]) == 1
+        assert key in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
 
 class TestManifoldCommand:

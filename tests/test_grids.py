@@ -129,6 +129,15 @@ def test_values_are_immutable():
         g.weights[0] = 1.0
 
 
+def test_caller_array_stays_writeable_and_detached():
+    g = make_grid(1, 4)
+    values = np.arange(4.0)
+    u = GridFunction(g, values)
+    assert values.flags.writeable
+    values[0] = 99.0
+    assert u.values.tolist() == [0.0, 1.0, 2.0, 3.0]
+
+
 def test_wrong_value_count_rejected():
     g = make_grid(1, 8)
     with pytest.raises(GridMismatchError):

@@ -74,6 +74,14 @@ class TestParams:
             else:
                 assert flat[i] == p.theta[s]
 
+    def test_caller_arrays_stay_writeable_and_detached(self):
+        alpha, w, theta = np.array([1.0, 2.0]), np.array([[3.0], [4.0]]), np.zeros(2)
+        p = Params(alpha, w, theta)
+        for arr in (alpha, w, theta):
+            assert arr.flags.writeable
+            arr += 10.0
+        assert p.flatten().tolist() == [1.0, 2.0, 3.0, 4.0, 0.0, 0.0]
+
     def test_shape_validation(self):
         with pytest.raises(ShapeError):
             Params([1.0], [[1.0], [2.0]], [1.0])

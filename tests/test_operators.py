@@ -142,6 +142,26 @@ def test_adjoint_identity_over_catalog():
                 assert gap <= 1e-10 * norm(u) * norm(v)
 
 
+def test_apply_columns_matches_apply_over_catalog():
+    # the block apply keeps each column's arithmetic, except that the 1-D
+    # convolution runs one matrix product instead of one per column
+    rng = np.random.default_rng(19)
+    for dim in (1, 2):
+        g = make_grid(dim, 12)
+        for F in catalog(g):
+            M = rng.standard_normal((g.node_count, 5))
+            block = F.apply_columns(M)
+            per_column = np.column_stack(
+                [F.apply(GridFunction(g, col)).values for col in M.T]
+            )
+            if dim == 1 and F.descriptor.startswith("gauss"):
+                assert np.allclose(block, per_column, rtol=1e-13, atol=1e-15)
+            else:
+                assert np.array_equal(block, per_column)
+            with pytest.raises(GridMismatchError):
+                F.apply_columns(M[:-1])
+
+
 def test_ill_posedness_witness():
     # smoothing members are badly conditioned; identity is not.  The
     # integration operator crosses the 1e2 mark between 64 and 256 nodes

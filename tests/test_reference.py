@@ -1,0 +1,163 @@
+"""Recorded reference runs that numerical refactors must reproduce.
+
+Each case runs one CLI subcommand with a fixed config and seed and compares
+what it writes with the files under ``tests/reference/``.  Strings, integers
+and flags (statuses, iteration counts, ranks) must match exactly.  Floats
+must agree to ``RTOL`` relative with an ``ATOL`` absolute floor: values near
+convergence (residuals around 1e-15, parameter errors around 1e-12) are
+rounding noise, and a change of summation order moves them freely.
+
+Rerunning is bitwise reproducible, so this gate only matters for changes
+that alter floating-point arithmetic on purpose.  After such a change has
+been checked, re-record the files with
+
+    PYTHONPATH=src python tests/test_reference.py
+"""
+
+import csv
+import json
+import math
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from gncoder.cli import main
+
+REFERENCE_DIR = Path(__file__).parent / "reference"
+
+RTOL = 1e-6
+ATOL = 1e-9
+
+#: Meta keys fitted through noise-level values: ``convergence_order`` is a
+#: log-log slope over parameter errors down to 1e-14, so rounding alone
+#: moves it in the second digit.
+SKIPPED_KEYS = frozenset({"convergence_order"})
+
+_SMALL_CONSTANTS = {"constants_samples": 4}
+
+#: case name -> (subcommand, config, seed)
+CASES = {
+    "solve_default_seed0": ("solve", {}, 0),
+    "solve_default_seed1": ("solve", {}, 1),
+    "solve_default_seed5": ("solve", {}, 5),
+    "solve_gauss2d": (
+        "solve",
+        {"dim": 2, "points_per_axis": 16, "operator": "gauss:0.1",
+         **_SMALL_CONSTANTS},
+        0,
+    ),
+    "solve_gauss1d": (
+        "solve",
+        {"points_per_axis": 64, "operator": "gauss:0.05", **_SMALL_CONSTANTS},
+        0,
+    ),
+    "cone_default": ("cone", {}, 0),
+    "cone_gauss2d": (
+        "cone", {"dim": 2, "points_per_axis": 8, "operator": "gauss:0.1"}, 0,
+    ),
+    "mysovskii_default": ("mysovskii", {}, 0),
+    "mysovskii_gauss1d": (
+        "mysovskii",
+        {"operator": "gauss:0.05", "probes": 5, **_SMALL_CONSTANTS},
+        0,
+    ),
+}
+
+#: Output suffixes of each subcommand.
+SUFFIXES = {
+    "solve": (".meta.json", ".trace.csv"),
+    "cone": (".meta.json", ".reports.jsonl"),
+    "mysovskii": (".meta.json", ".reports.jsonl"),
+}
+
+
+def run_case(name, work_dir):
+    """Run one case into ``work_dir``; return ``{suffix: path}``."""
+    command, config, seed = CASES[name]
+    config_path = work_dir / f"{name}.json"
+    config_path.write_text(json.dumps(config))
+    out = work_dir / name
+    code = main([command, "--config", str(config_path), "--seed", str(seed),
+                 "--out", str(out)])
+    assert code == 0, f"{name} exited {code}"
+    found = {}
+    for suffix in SUFFIXES[command]:
+        (path,) = out.glob(f"{command}_*_seed{seed}{suffix}")
+        found[suffix] = path
+    return found
+
+
+def read_output(path):
+    text = path.read_text()
+    if path.name.endswith(".json"):
+        return json.loads(text)
+    if path.name.endswith(".jsonl"):
+        return [json.loads(line) for line in text.splitlines()]
+    return [[_csv_field(f) for f in row] for row in csv.reader(text.splitlines())]
+
+
+def _csv_field(text):
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def assert_matches(actual, expected, where):
+    if isinstance(expected, dict):
+        assert isinstance(actual, dict) and actual.keys() == expected.keys(), where
+        for key in expected:
+            if key not in SKIPPED_KEYS:
+                assert_matches(actual[key], expected[key], f"{where}.{key}")
+    elif isinstance(expected, list):
+        assert isinstance(actual, list) and len(actual) == len(expected), where
+        for i, (a, e) in enumerate(zip(actual, expected)):
+            assert_matches(a, e, f"{where}[{i}]")
+    elif isinstance(expected, float):
+        assert isinstance(actual, float), f"{where}: {actual!r} != {expected!r}"
+        if math.isnan(expected):
+            assert math.isnan(actual), f"{where}: {actual!r} != nan"
+        else:
+            assert math.isclose(actual, expected, rel_tol=RTOL, abs_tol=ATOL), (
+                f"{where}: {actual!r} != {expected!r}"
+            )
+    else:
+        assert type(actual) is type(expected) and actual == expected, (
+            f"{where}: {actual!r} != {expected!r}"
+        )
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_outputs_match_reference(name, tmp_path):
+    for suffix, path in run_case(name, tmp_path).items():
+        reference = REFERENCE_DIR / f"{name}{suffix}"
+        assert_matches(read_output(path), read_output(reference), reference.name)
+
+
+def test_tolerance_catches_a_changed_number():
+    reference = read_output(REFERENCE_DIR / "solve_default_seed0.trace.csv")
+    residual = reference[1][1]
+    changed = [list(row) for row in reference]
+    changed[1][1] = residual * (1 + 10 * RTOL)
+    with pytest.raises(AssertionError):
+        assert_matches(changed, reference, "trace")
+    changed[1][1] = residual * (1 + 0.1 * RTOL)
+    assert_matches(changed, reference, "trace")
+
+
+def record(work_dir):
+    """Overwrite the reference files with the outputs of the current code."""
+    REFERENCE_DIR.mkdir(exist_ok=True)
+    for name in CASES:
+        for suffix, path in run_case(name, work_dir).items():
+            (REFERENCE_DIR / f"{name}{suffix}").write_bytes(path.read_bytes())
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        record(Path(tmp))
