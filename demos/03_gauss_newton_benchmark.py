@@ -25,17 +25,16 @@ from gncoder import (
     unit_direction,
 )
 from gncoder.activations import parse_activation
-from gncoder.cli import _SOLVE_DEFAULTS, _spawn_rngs, synth_problem
+from gncoder.cli import SolveOptions, _spawn_rngs, synth_problem
 from gncoder.operators import parse_operator
 
 SEED, RADIUS = 19, 0.3
 
-cfg = dict(_SOLVE_DEFAULTS)
-cfg.update(seed=SEED, p0_radius=RADIUS)
-grid = make_grid(cfg["dim"], cfg["points_per_axis"])
-act = parse_activation(cfg["activation"])
-forward = parse_operator(cfg["operator"], grid)
-p_true, y = synth_problem(cfg)
+opts = SolveOptions(seed=SEED, p0_radius=RADIUS)
+grid = make_grid(opts.dim, opts.points_per_axis)
+act = parse_activation(opts.activation)
+forward = parse_operator(opts.operator, grid)
+p_true, y = synth_problem(opts, act, forward)
 _, _, start_rng, const_seed = _spawn_rngs(SEED)
 p0 = Params.from_flat(
     p_true.flatten() + RADIUS * unit_direction(start_rng, p_true.n_star), 2, 1

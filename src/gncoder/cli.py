@@ -7,21 +7,25 @@ output filenames carry the hash of the resolved configuration plus that
 seed, and no output contains wall-clock data, so reruns are bitwise
 identical.
 
+Each subcommand's config keys, defaults, types, ranges and flags are the
+fields of one frozen options class.  Types and ranges are checked before
+anything is built, and a bad value exits 1 naming its key.
+
 Exit codes: 0 on completion (including reportable non-convergence), 1 on
 configuration errors, 2 on numeric failures.
 """
 
-from __future__ import annotations
-
 import argparse
 import hashlib
 import json
+import math
 import sys
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .activations import parse_activation
+from .activations import Activation, parse_activation
 from .diagnostics import (
     cone_check,
     independence_trial,
@@ -37,9 +41,11 @@ from .network import (
     lipschitz_constants,
     second_derivative_bilinear,
 )
-from .operators import DENSE_LIMIT, parse_operator
+from .operators import DENSE_LIMIT, LinearOperator, parse_operator
 from .sampling import sample_params, unit_direction
 from .solver import (
+    MODE_GAUSS_NEWTON,
+    MODE_GRADIENT_DESCENT,
     InsufficientDataError,
     SolveConfig,
     convergence_order,
@@ -47,97 +53,208 @@ from .solver import (
     solve,
 )
 
-_SOLVE_DEFAULTS = {
-    "activation": "sigmoid:1",
-    "dim": 1,
-    "points_per_axis": 64,
-    "operator": "volterra",
-    "units": 2,
-    "sampler_box": [-5.0, 5.0],
-    "alpha_band": 1.0,
-    "p0_radius": 0.3,
-    "noise": 0.0,
-    "seed": 0,
-    "max_iters": 25,
-    "tol_residual": 1e-14,
-    "tol_step": 1e-15,
-    "rank_tol": 1e-10,
-    "mode": "gauss_newton",
-    "step_size": 1e-2,
-    "param_box": [-10.0, 10.0],
-    "constants_samples": 24,
-    "constants_ball_factor": 2.0,
-    "out_dir": ".",
+Box = tuple[float, float]
+Floats = tuple[float, ...]
+Coefficients = dict | None
+
+
+def _option(default, **limits):
+    """A field limited by ``min`` (inclusive), ``above`` or ``choices``.
+
+    Field names and defaults are the config keys and defaults; a new field
+    changes every config hash, hence every output file name.  ``flags`` in
+    each class names the fields that also have a command-line flag.
+    """
+    return field(default=default, metadata=limits)
+
+
+@dataclass(frozen=True)
+class SolveOptions:
+    """Run one synthetic solve."""
+
+    flags = ("seed", "mode", "noise", "p0_radius", "max_iters")
+    activation: str = "sigmoid:1"
+    dim: int = _option(1, min=1)
+    points_per_axis: int = _option(64, min=2)
+    operator: str = "volterra"
+    units: int = _option(2, min=1)
+    sampler_box: Box = (-5.0, 5.0)
+    alpha_band: float = _option(1.0, min=0)
+    p0_radius: float = _option(0.3, min=0)
+    noise: float = _option(0.0, min=0)
+    seed: int = _option(0, min=0)
+    max_iters: int = _option(25, min=1)
+    tol_residual: float = _option(1e-14, above=0)
+    tol_step: float = _option(1e-15, above=0)
+    rank_tol: float = _option(1e-10, above=0)
+    mode: str = _option(MODE_GAUSS_NEWTON,
+                        choices=(MODE_GAUSS_NEWTON, MODE_GRADIENT_DESCENT))
+    step_size: float = _option(1e-2, above=0)
+    param_box: Box = (-10.0, 10.0)
+    constants_samples: int = _option(24, min=1)
+    constants_ball_factor: float = _option(2.0, above=0)
+    out_dir: str = "."
+
+
+@dataclass(frozen=True)
+class IndependenceOptions:
+    """Monte-Carlo independence trials."""
+
+    flags = ("seed", "trials", "activation", "units", "dim", "points_per_axis",
+             "allow_zero_alpha")
+    activation: str = "sigmoid:1"
+    units: int = _option(3, min=1)
+    dim: int = _option(2, min=1)
+    points_per_axis: int = _option(64, min=2)
+    box: Box = (-5.0, 5.0)
+    alpha_band: float = _option(0.05, min=0)
+    allow_zero_alpha: bool = False
+    rank_tol: float = _option(1e-10, above=0)
+    trials: int = _option(100, min=1)
+    seed: int = _option(0, min=0)
+    out_dir: str = "."
+
+
+@dataclass(frozen=True)
+class ConeOptions:
+    """Shrinking-perturbation cone check."""
+
+    flags = ("seed", "activation", "units", "dim", "points_per_axis", "operator")
+    activation: str = "sigmoid:1"
+    units: int = _option(2, min=1)
+    dim: int = _option(1, min=1)
+    points_per_axis: int = _option(6, min=2)
+    operator: str = "volterra"
+    box: Box = (-5.0, 5.0)
+    alpha_band: float = _option(1.0, min=0)
+    t_values: Floats = (1e-2, 1e-3, 1e-4)
+    rank_tol: float = _option(1e-10, above=0)
+    seed: int = _option(0, min=0)
+    out_dir: str = "."
+
+
+@dataclass(frozen=True)
+class MysovskiiOptions:
+    """Newton-Mysovskii quadratic-bound probes."""
+
+    flags = ("seed", "probes", "operator")
+    activation: str = "sigmoid:1"
+    units: int = _option(2, min=1)
+    dim: int = _option(1, min=1)
+    points_per_axis: int = _option(64, min=2)
+    operator: str = "volterra"
+    base_params: Coefficients = None
+    box: Box = (-5.0, 5.0)
+    alpha_band: float = _option(1.0, min=0)
+    probes: int = _option(20, min=1)
+    jitter: float = _option(0.05, min=0)
+    segment_radius: float = _option(0.2, min=0)
+    param_box: Box = (-15.0, 15.0)
+    constants_radius: float = _option(0.3, above=0)
+    constants_samples: int = _option(32, min=1)
+    rank_tol: float = _option(1e-10, above=0)
+    seed: int = _option(0, min=0)
+    out_dir: str = "."
+
+
+@dataclass(frozen=True)
+class ManifoldOptions:
+    """Degenerate-manifold sweep CSV."""
+
+    flags = ("seed", "extent", "resolution")
+    extent: float = _option(1.0, above=0)
+    resolution: int = _option(101, min=2)
+    seed: int = _option(0, min=0)
+    out_dir: str = "."
+
+
+@dataclass(frozen=True)
+class CheckDerivativesOptions:
+    """Finite-difference derivative check."""
+
+    flags = ("seed", "probes", "activation")
+    activation: str = "sigmoid:1"
+    units: int = _option(3, min=1)
+    dim: int = _option(2, min=1)
+    points_per_axis: int = _option(32, min=2)
+    box: Box = (-3.0, 3.0)
+    alpha_band: float = _option(0.5, min=0)
+    probes: int = _option(20, min=1)
+    step_first: float = _option(1e-5, above=0)
+    step_second: float = _option(1e-4, above=0)
+    seed: int = _option(0, min=0)
+    out_dir: str = "."
+
+
+def _is_number(value) -> bool:
+    """A finite JSON number; ``true`` and ``false`` are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, int) or math.isfinite(value)
+
+
+def _is_coefficients(value) -> bool:
+    if value is None:
+        return True
+    try:
+        Params.from_json_dict(value)
+    except (KeyError, TypeError, ValueError):
+        return False
+    return True
+
+
+def _numbers(value) -> bool:
+    return isinstance(value, (list, tuple)) and all(map(_is_number, value))
+
+
+#: field type -> (accepts the value, what the value must be)
+_KINDS = {
+    int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    float: (_is_number, "a finite number"),
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    Box: (lambda v: _numbers(v) and len(v) == 2 and v[0] < v[1],
+          "[low, high] with finite low < high"),
+    Floats: (lambda v: _numbers(v) and len(v) > 0,
+             "a non-empty list of finite numbers"),
+    Coefficients: (_is_coefficients, "null or coefficients {N, n, alpha, w, theta}"),
 }
 
-_INDEPENDENCE_DEFAULTS = {
-    "activation": "sigmoid:1",
-    "units": 3,
-    "dim": 2,
-    "points_per_axis": 64,
-    "box": [-5.0, 5.0],
-    "alpha_band": 0.05,
-    "allow_zero_alpha": False,
-    "rank_tol": 1e-10,
-    "trials": 100,
-    "seed": 0,
-    "out_dir": ".",
-}
 
-_CONE_DEFAULTS = {
-    "activation": "sigmoid:1",
-    "units": 2,
-    "dim": 1,
-    "points_per_axis": 6,
-    "operator": "volterra",
-    "box": [-5.0, 5.0],
-    "alpha_band": 1.0,
-    "t_values": [1e-2, 1e-3, 1e-4],
-    "rank_tol": 1e-10,
-    "seed": 0,
-    "out_dir": ".",
-}
+def _validated(opts):
+    """Check every option against its field type and limits.
 
-_MYSOVSKII_DEFAULTS = {
-    "activation": "sigmoid:1",
-    "units": 2,
-    "dim": 1,
-    "points_per_axis": 64,
-    "operator": "volterra",
-    "base_params": None,
-    "box": [-5.0, 5.0],
-    "alpha_band": 1.0,
-    "probes": 20,
-    "jitter": 0.05,
-    "segment_radius": 0.2,
-    "param_box": [-15.0, 15.0],
-    "constants_radius": 0.3,
-    "constants_samples": 32,
-    "rank_tol": 1e-10,
-    "seed": 0,
-    "out_dir": ".",
-}
+    Lists become tuples; every other value is kept exactly as given, so an
+    integer in a float field stays an integer in the metadata and the hash.
+    """
+    tuples = {}
+    for f in fields(opts):
+        value = getattr(opts, f.name)
+        accepts, expected = _KINDS[f.type]
+        if not accepts(value):
+            raise ConfigError(f"{f.name} must be {expected}, got {value!r}")
+        limits = f.metadata
+        if "min" in limits and value < limits["min"]:
+            raise ConfigError(f"{f.name} must be >= {limits['min']}, got {value!r}")
+        if "above" in limits and not value > limits["above"]:
+            raise ConfigError(f"{f.name} must be > {limits['above']}, got {value!r}")
+        if "choices" in limits and value not in limits["choices"]:
+            raise ConfigError(
+                f"{f.name} must be one of {limits['choices']}, got {value!r}")
+        if isinstance(value, list):
+            tuples[f.name] = tuple(value)
+    return replace(opts, **tuples)
 
-_MANIFOLD_DEFAULTS = {
-    "extent": 1.0,
-    "resolution": 101,
-    "seed": 0,
-    "out_dir": ".",
-}
 
-_CHECK_DEFAULTS = {
-    "activation": "sigmoid:1",
-    "units": 3,
-    "dim": 2,
-    "points_per_axis": 32,
-    "box": [-3.0, 3.0],
-    "alpha_band": 0.5,
-    "probes": 20,
-    "step_first": 1e-5,
-    "step_second": 1e-4,
-    "seed": 0,
-    "out_dir": ".",
-}
+def _options(cls, file_cfg: dict, args: dict):
+    """Defaults, overridden by the config file, overridden by the flags set
+    in the parsed ``args`` (unset ones are None)."""
+    names = {f.name for f in fields(cls)}
+    for key in file_cfg:
+        if key not in names:
+            raise ConfigError(f"unknown config key {key!r}")
+    given = {k: v for k, v in args.items() if k in names and v is not None}
+    return _validated(cls(**{**file_cfg, **given}))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -163,38 +280,35 @@ def _load_config_file(path: str | None) -> dict:
     return data
 
 
-def _resolve(defaults: dict, file_cfg: dict, overrides: dict) -> dict:
-    cfg = dict(defaults)
-    for key, value in file_cfg.items():
-        if key not in defaults:
-            raise ConfigError(f"unknown config key {key!r}")
-        cfg[key] = value
-    for key, value in overrides.items():
-        if value is not None:
-            cfg[key] = value
-    return cfg
+def _public_config(opts) -> dict:
+    """Config as recorded in metadata; file contents stay path independent."""
+    return {f.name: getattr(opts, f.name) for f in fields(opts)
+            if f.name != "out_dir"}
 
 
-def _config_hash(cfg: dict) -> str:
+def _config_hash(opts) -> str:
     # the output location is not part of the experiment's identity
-    hashed = {k: v for k, v in cfg.items() if k != "out_dir"}
-    canonical = json.dumps(hashed, sort_keys=True, separators=(",", ":"))
+    canonical = json.dumps(_public_config(opts), sort_keys=True,
+                           separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
-def _public_config(cfg: dict) -> dict:
-    """Config as recorded in metadata; file contents stay path independent."""
-    return {k: v for k, v in cfg.items() if k != "out_dir"}
-
-
-def _out_base(command: str, cfg: dict) -> Path:
-    out_dir = Path(cfg["out_dir"])
+def _out_base(command: str, opts) -> Path:
+    out_dir = Path(opts.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir / f"{command}_{_config_hash(cfg)}_seed{cfg['seed']}"
+    return out_dir / f"{command}_{_config_hash(opts)}_seed{opts.seed}"
 
 
-def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+def _write_meta(path: Path, command: str, opts, **summary) -> None:
+    """Write a run's summary JSON under the header every subcommand shares."""
+    meta = {
+        "command": command,
+        "config": _public_config(opts),
+        "config_hash": _config_hash(opts),
+        "seed": opts.seed,
+        **summary,
+    }
+    path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
 
 
 def _write_jsonl(path: Path, rows) -> None:
@@ -203,33 +317,34 @@ def _write_jsonl(path: Path, rows) -> None:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
-def _require_count(cfg: dict, key: str) -> None:
-    """Refuse a run that would check nothing and still report a result."""
-    if cfg[key] < 1:
-        raise ConfigError(f"{key} must be >= 1, got {cfg[key]!r}")
+def _named(key: str, build, *args):
+    """``build(*args)``, with a ValueError re-raised naming the config key."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
-def synth_problem(cfg: dict) -> tuple[Params, GridFunction]:
+def _grid_and_activation(opts):
+    grid = _named("points_per_axis", make_grid, opts.dim, opts.points_per_axis)
+    return grid, _named("activation", parse_activation, opts.activation)
+
+
+def synth_problem(
+    opts: SolveOptions, activation: Activation, forward: LinearOperator
+) -> tuple[Params, GridFunction]:
     """Draw a ground-truth coefficient vector and its (optionally noisy) data.
 
     The truth is sampled from the configured box with the output-weight
     band; the data is the exact forward image plus seeded additive Gaussian
     noise of the configured standard deviation per node.
     """
-    grid = make_grid(cfg["dim"], cfg["points_per_axis"])
-    activation = parse_activation(cfg["activation"])
-    forward = parse_operator(cfg["operator"], grid)
-    truth_rng, noise_rng, _, _ = _spawn_rngs(cfg["seed"])
-    p_true = sample_params(
-        truth_rng,
-        cfg["units"],
-        cfg["dim"],
-        box=tuple(cfg["sampler_box"]),
-        alpha_band=cfg["alpha_band"],
-    )
-    y = forward.apply(eval_psi(p_true, activation, grid))
-    if cfg["noise"] > 0:
-        values = y.values + cfg["noise"] * noise_rng.standard_normal(
+    truth_rng, noise_rng, _, _ = _spawn_rngs(opts.seed)
+    p_true = sample_params(truth_rng, opts.units, opts.dim,
+                           box=opts.sampler_box, alpha_band=opts.alpha_band)
+    y = forward.apply(eval_psi(p_true, activation, forward.in_grid))
+    if opts.noise > 0:
+        values = y.values + opts.noise * noise_rng.standard_normal(
             y.grid.node_count
         )
         y = GridFunction(y.grid, values)
@@ -246,33 +361,20 @@ def _spawn_rngs(seed: int):
     )
 
 
-def _run_solve(cfg: dict) -> int:
-    grid = make_grid(cfg["dim"], cfg["points_per_axis"])
-    activation = parse_activation(cfg["activation"])
-    forward = parse_operator(cfg["operator"], grid)
-    p_true, y = synth_problem(cfg)
-    _, _, start_rng, constants_seed = _spawn_rngs(cfg["seed"])
+def _run_solve(opts: SolveOptions) -> int:
+    grid, activation = _grid_and_activation(opts)
+    forward = _named("operator", parse_operator, opts.operator, grid)
+    p_true, y = synth_problem(opts, activation, forward)
+    _, _, start_rng, constants_seed = _spawn_rngs(opts.seed)
     direction = unit_direction(start_rng, p_true.n_star)
     p0 = Params.from_flat(
-        p_true.flatten() + cfg["p0_radius"] * direction,
-        cfg["units"],
-        cfg["dim"],
+        p_true.flatten() + opts.p0_radius * direction, opts.units, opts.dim
     )
-    solve_cfg = SolveConfig(
-        activation=activation,
-        grid=grid,
-        forward=forward,
-        initial=p0,
-        data=y,
-        max_iters=cfg["max_iters"],
-        tol_residual=cfg["tol_residual"],
-        tol_step=cfg["tol_step"],
-        rank_tol=cfg["rank_tol"],
-        mode=cfg["mode"],
-        step_size=cfg["step_size"],
-        seed=cfg["seed"],
-        param_box=tuple(cfg["param_box"]),
-    )
+    # the solver's own keys pass through unchanged
+    solve_cfg = SolveConfig(activation, grid, forward, p0, y, **{
+        key: getattr(opts, key) for key in (
+            "max_iters", "tol_residual", "tol_step", "rank_tol", "mode",
+            "step_size", "seed", "param_box")})
     trace = solve(solve_cfg, true_params=p_true)
 
     rho = float(np.linalg.norm(p0.flatten() - p_true.flatten()))
@@ -280,13 +382,10 @@ def _run_solve(cfg: dict) -> int:
     constants = None
     try:
         constants = lipschitz_constants(
-            p_true,
-            activation,
-            grid,
-            radius=cfg["constants_ball_factor"] * cfg["p0_radius"],
-            samples=cfg["constants_samples"],
-            seed=constants_seed,
-            box=tuple(cfg["param_box"]),
+            p_true, activation, grid,
+            radius=opts.constants_ball_factor * opts.p0_radius,
+            samples=opts.constants_samples, seed=constants_seed,
+            box=opts.param_box,
         ).with_radius(rho)
     except ValueError as exc:
         constants_err = str(exc)
@@ -299,207 +398,151 @@ def _run_solve(cfg: dict) -> int:
     else:
         order_err = None
 
-    cond = None
-    if grid.node_count <= DENSE_LIMIT:
-        cond = forward.condition_number()
+    cond = forward.condition_number() if grid.node_count <= DENSE_LIMIT else None
 
-    base = _out_base("solve", cfg)
+    base = _out_base("solve", opts)
     trace.write_csv(base.with_suffix(".trace.csv"))
-    meta = {
-        "command": "solve",
-        "config": _public_config(cfg),
-        "config_hash": _config_hash(cfg),
-        "seed": cfg["seed"],
-        "operator": forward.descriptor,
-        "operator_injective": forward.injective,
-        "operator_condition_number": cond,
-        "p_true": p_true.to_json_dict(),
-        "p0": p0.to_json_dict(),
-        "radius": rho,
-        "constants": constants.to_json_dict() if constants else None,
-        "constants_error": constants_err,
-        "radius_satisfied": radius_check(constants)[1] if constants else None,
-        "status": trace.status,
-        "iterations": trace.iterations,
-        "final_residual": trace.residuals[-1],
-        "final_param_error": trace.param_errors[-1],
-        "rank_deficit": trace.rank_deficit,
-        "boundary_events": trace.boundary_events,
-        "convergence_order": order,
-        "convergence_order_error": order_err,
-    }
-    _write_json(base.with_suffix(".meta.json"), meta)
-    return 0
-
-
-def _run_independence(cfg: dict) -> int:
-    _require_count(cfg, "trials")
-    grid = make_grid(cfg["dim"], cfg["points_per_axis"])
-    activation = parse_activation(cfg["activation"])
-
-    def one_trial(index: int) -> dict:
-        report = independence_trial(
-            activation,
-            cfg["units"],
-            cfg["dim"],
-            grid,
-            box=tuple(cfg["box"]),
-            seed=cfg["seed"] + index,
-            rank_tol=cfg["rank_tol"],
-            alpha_band=cfg["alpha_band"],
-            allow_zero_alpha=cfg["allow_zero_alpha"],
-        )
-        row = report.to_json_dict()
-        row["trial"] = index
-        return row
-
-    rows = [one_trial(index) for index in range(cfg["trials"])]
-    base = _out_base("independence", cfg)
-    _write_jsonl(base.with_suffix(".reports.jsonl"), rows)
-    degenerate = sum(1 for r in rows if r["degenerate"])
-    meta = {
-        "command": "independence",
-        "config": _public_config(cfg),
-        "config_hash": _config_hash(cfg),
-        "seed": cfg["seed"],
-        "trials": cfg["trials"],
-        "degenerate_count": degenerate,
-        "min_singular_value": min(r["min_singular_value"] for r in rows),
-    }
-    _write_json(base.with_suffix(".meta.json"), meta)
-    return 0
-
-
-def _run_cone(cfg: dict) -> int:
-    if not cfg["t_values"]:
-        raise ConfigError("t_values must hold at least one perturbation size")
-    grid = make_grid(cfg["dim"], cfg["points_per_axis"])
-    activation = parse_activation(cfg["activation"])
-    forward = parse_operator(cfg["operator"], grid)
-    rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"]))
-    p1 = sample_params(
-        rng, cfg["units"], cfg["dim"],
-        box=tuple(cfg["box"]), alpha_band=cfg["alpha_band"],
+    _write_meta(
+        base.with_suffix(".meta.json"), "solve", opts,
+        operator=forward.descriptor,
+        operator_injective=forward.injective,
+        operator_condition_number=cond,
+        p_true=p_true.to_json_dict(),
+        p0=p0.to_json_dict(),
+        radius=rho,
+        constants=constants.to_json_dict() if constants else None,
+        constants_error=constants_err,
+        radius_satisfied=radius_check(constants)[1] if constants else None,
+        status=trace.status,
+        iterations=trace.iterations,
+        final_residual=trace.residuals[-1],
+        final_param_error=trace.param_errors[-1],
+        rank_deficit=trace.rank_deficit,
+        boundary_events=trace.boundary_events,
+        convergence_order=order,
+        convergence_order_error=order_err,
     )
+    return 0
+
+
+def _run_independence(opts: IndependenceOptions) -> int:
+    grid, activation = _grid_and_activation(opts)
+    rows = [
+        dict(independence_trial(
+            activation, opts.units, opts.dim, grid, box=opts.box,
+            seed=opts.seed + index, rank_tol=opts.rank_tol,
+            alpha_band=opts.alpha_band, allow_zero_alpha=opts.allow_zero_alpha,
+        ).to_json_dict(), trial=index)
+        for index in range(opts.trials)
+    ]
+    base = _out_base("independence", opts)
+    _write_jsonl(base.with_suffix(".reports.jsonl"), rows)
+    _write_meta(
+        base.with_suffix(".meta.json"), "independence", opts,
+        trials=opts.trials,
+        degenerate_count=sum(1 for r in rows if r["degenerate"]),
+        min_singular_value=min(r["min_singular_value"] for r in rows),
+    )
+    return 0
+
+
+def _run_cone(opts: ConeOptions) -> int:
+    grid, activation = _grid_and_activation(opts)
+    forward = _named("operator", parse_operator, opts.operator, grid)
+    rng = np.random.default_rng(np.random.SeedSequence(opts.seed))
+    p1 = sample_params(rng, opts.units, opts.dim,
+                       box=opts.box, alpha_band=opts.alpha_band)
     direction = unit_direction(rng, p1.n_star)
-    rows = []
-    for t in cfg["t_values"]:
-        p2 = Params.from_flat(
-            p1.flatten() + t * direction, cfg["units"], cfg["dim"]
-        )
-        report = cone_check(
-            p1, p2, activation, grid, forward, rank_tol=cfg["rank_tol"]
-        )
-        row = report.to_json_dict()
-        row["t"] = t
-        rows.append(row)
-    base = _out_base("cone", cfg)
+    rows = [
+        dict(cone_check(
+            p1, Params.from_flat(p1.flatten() + t * direction, opts.units, opts.dim),
+            activation, grid, forward, rank_tol=opts.rank_tol,
+        ).to_json_dict(), t=t)
+        for t in opts.t_values
+    ]
+    base = _out_base("cone", opts)
     _write_jsonl(base.with_suffix(".reports.jsonl"), rows)
     ratios = [r["ratio"] for r in rows]
-    meta = {
-        "command": "cone",
-        "config": _public_config(cfg),
-        "config_hash": _config_hash(cfg),
-        "seed": cfg["seed"],
-        "max_decomposition_residual": max(
-            r["decomposition_residual"] for r in rows
-        ),
-        "ratio_spread": max(ratios) / min(ratios) if min(ratios) > 0 else None,
-    }
-    _write_json(base.with_suffix(".meta.json"), meta)
+    _write_meta(
+        base.with_suffix(".meta.json"), "cone", opts,
+        max_decomposition_residual=max(r["decomposition_residual"] for r in rows),
+        ratio_spread=max(ratios) / min(ratios) if min(ratios) > 0 else None,
+    )
     return 0
 
 
-def _run_mysovskii(cfg: dict) -> int:
-    _require_count(cfg, "probes")
-    grid = make_grid(cfg["dim"], cfg["points_per_axis"])
-    activation = parse_activation(cfg["activation"])
-    forward = parse_operator(cfg["operator"], grid)
-    rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"]))
-    if cfg["base_params"] is not None:
-        base_params = Params.from_json_dict(cfg["base_params"])
+def _run_mysovskii(opts: MysovskiiOptions) -> int:
+    grid, activation = _grid_and_activation(opts)
+    forward = _named("operator", parse_operator, opts.operator, grid)
+    rng = np.random.default_rng(np.random.SeedSequence(opts.seed))
+    if opts.base_params is not None:
+        base_params = Params.from_json_dict(opts.base_params)
     else:
-        base_params = sample_params(
-            rng, cfg["units"], cfg["dim"],
-            box=tuple(cfg["box"]), alpha_band=cfg["alpha_band"],
-        )
+        base_params = sample_params(rng, opts.units, opts.dim,
+                                    box=opts.box, alpha_band=opts.alpha_band)
     n_star = base_params.n_star
     rows = []
     max_ratio = 0.0
-    for index in range(cfg["probes"]):
+    for index in range(opts.probes):
         p = Params.from_flat(
-            base_params.flatten() + cfg["jitter"] * unit_direction(rng, n_star),
+            base_params.flatten() + opts.jitter * unit_direction(rng, n_star),
             base_params.units, base_params.input_dim,
         )
         q = Params.from_flat(
-            p.flatten() + cfg["segment_radius"] * unit_direction(rng, n_star),
+            p.flatten() + opts.segment_radius * unit_direction(rng, n_star),
             base_params.units, base_params.input_dim,
         )
         s = float(rng.uniform(0.05, 1.0))
         report = mysovskii_check(
-            p, q, (s,), activation, grid, forward, rank_tol=cfg["rank_tol"]
+            p, q, (s,), activation, grid, forward, rank_tol=opts.rank_tol
         )
         max_ratio = max(max_ratio, report.max_ratio)
-        row = report.to_json_dict()
-        row["probe"] = index
-        rows.append(row)
+        rows.append(dict(report.to_json_dict(), probe=index))
     constants = lipschitz_constants(
         base_params, activation, grid,
-        radius=cfg["constants_radius"],
-        samples=cfg["constants_samples"],
-        seed=cfg["seed"] + 10_001,
-        box=tuple(cfg["param_box"]),
+        radius=opts.constants_radius,
+        samples=opts.constants_samples,
+        seed=opts.seed + 10_001,
+        box=opts.param_box,
     )
     product = constants.derivative_bound * constants.lipschitz_bound
-    base = _out_base("mysovskii", cfg)
+    base = _out_base("mysovskii", opts)
     _write_jsonl(base.with_suffix(".reports.jsonl"), rows)
-    meta = {
-        "command": "mysovskii",
-        "config": _public_config(cfg),
-        "config_hash": _config_hash(cfg),
-        "seed": cfg["seed"],
-        "base_params": base_params.to_json_dict(),
-        "max_bound_ratio": max_ratio,
-        "constants": constants.to_json_dict(),
-        "bound_product": product,
-        "ratio_over_product": max_ratio / product if product > 0 else None,
-    }
-    _write_json(base.with_suffix(".meta.json"), meta)
+    _write_meta(
+        base.with_suffix(".meta.json"), "mysovskii", opts,
+        base_params=base_params.to_json_dict(),
+        max_bound_ratio=max_ratio,
+        constants=constants.to_json_dict(),
+        bound_product=product,
+        ratio_over_product=max_ratio / product if product > 0 else None,
+    )
     return 0
 
 
-def _run_manifold(cfg: dict) -> int:
-    rows = manifold_sweep(cfg["extent"], cfg["resolution"])
-    base = _out_base("manifold", cfg)
+def _run_manifold(opts: ManifoldOptions) -> int:
+    rows = manifold_sweep(opts.extent, opts.resolution)
+    base = _out_base("manifold", opts)
     with open(base.with_suffix(".csv"), "w") as fh:
         fh.write("x,y,f1,f2,det\n")
         for row in rows:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
-    meta = {
-        "command": "manifold",
-        "config": _public_config(cfg),
-        "config_hash": _config_hash(cfg),
-        "seed": cfg["seed"],
-        "rows": int(rows.shape[0]),
-    }
-    _write_json(base.with_suffix(".meta.json"), meta)
+    _write_meta(base.with_suffix(".meta.json"), "manifold", opts,
+                rows=int(rows.shape[0]))
     return 0
 
 
-def _run_check_derivatives(cfg: dict) -> int:
-    _require_count(cfg, "probes")
-    grid = make_grid(cfg["dim"], cfg["points_per_axis"])
-    activation = parse_activation(cfg["activation"])
-    h1 = cfg["step_first"]
-    h2 = cfg["step_second"]
+def _run_check_derivatives(opts: CheckDerivativesOptions) -> int:
+    grid, activation = _grid_and_activation(opts)
+    h1 = opts.step_first
+    h2 = opts.step_second
     worst_first = 0.0
     worst_second = 0.0
     w = grid.weights
-    for index in range(cfg["probes"]):
-        rng = np.random.default_rng(cfg["seed"] + index)
+    for index in range(opts.probes):
+        rng = np.random.default_rng(opts.seed + index)
         p = sample_params(
-            rng, cfg["units"], cfg["dim"],
-            box=tuple(cfg["box"]), alpha_band=cfg["alpha_band"],
+            rng, opts.units, opts.dim,
+            box=opts.box, alpha_band=opts.alpha_band,
         )
         flat = p.flatten()
 
@@ -532,101 +575,54 @@ def _run_check_derivatives(cfg: dict) -> int:
         if den > 0:
             worst_second = max(worst_second, num / den)
 
-    base = _out_base("check-derivatives", cfg)
-    meta = {
-        "command": "check-derivatives",
-        "config": _public_config(cfg),
-        "config_hash": _config_hash(cfg),
-        "seed": cfg["seed"],
-        "max_first_order_relative_error": worst_first,
-        "max_second_order_relative_error": worst_second,
-    }
-    _write_json(base.with_suffix(".report.json"), meta)
+    base = _out_base("check-derivatives", opts)
+    _write_meta(
+        base.with_suffix(".report.json"), "check-derivatives", opts,
+        max_first_order_relative_error=worst_first,
+        max_second_order_relative_error=worst_second,
+    )
     return 0
 
 
-def _add_common(sub, defaults):
-    sub.add_argument("--config", help="JSON config file")
-    sub.add_argument("--out", dest="out_dir", help="output directory")
-    if "seed" in defaults:
-        sub.add_argument("--seed", type=int)
+#: subcommand -> (options class, runner); the class docstring is the help
+_COMMANDS = {
+    "solve": (SolveOptions, _run_solve),
+    "independence": (IndependenceOptions, _run_independence),
+    "cone": (ConeOptions, _run_cone),
+    "mysovskii": (MysovskiiOptions, _run_mysovskii),
+    "manifold": (ManifoldOptions, _run_manifold),
+    "check-derivatives": (CheckDerivativesOptions, _run_check_derivatives),
+}
 
 
 def _build_parser() -> _Parser:
+    """One subparser per options class: ``--config``, ``--out`` and one flag
+    per name in its ``flags``, spelled and typed from the field."""
     parser = _Parser(prog="gncoder", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sp = subs.add_parser("solve", help="run one synthetic solve")
-    _add_common(sp, _SOLVE_DEFAULTS)
-    sp.add_argument("--mode", choices=["gauss_newton", "gradient_descent"])
-    sp.add_argument("--noise", type=float)
-    sp.add_argument("--p0-radius", dest="p0_radius", type=float)
-    sp.add_argument("--max-iters", dest="max_iters", type=int)
-
-    ip = subs.add_parser("independence", help="Monte-Carlo independence trials")
-    _add_common(ip, _INDEPENDENCE_DEFAULTS)
-    ip.add_argument("--trials", type=int)
-    ip.add_argument("--activation")
-    ip.add_argument("--units", type=int)
-    ip.add_argument("--dim", type=int)
-    ip.add_argument("--points-per-axis", dest="points_per_axis", type=int)
-    ip.add_argument("--allow-zero-alpha", dest="allow_zero_alpha",
-                    action="store_true", default=None)
-
-    cp = subs.add_parser("cone", help="shrinking-perturbation cone check")
-    _add_common(cp, _CONE_DEFAULTS)
-    cp.add_argument("--activation")
-    cp.add_argument("--units", type=int)
-    cp.add_argument("--dim", type=int)
-    cp.add_argument("--points-per-axis", dest="points_per_axis", type=int)
-    cp.add_argument("--operator")
-
-    mp = subs.add_parser("mysovskii", help="quadratic-bound probes")
-    _add_common(mp, _MYSOVSKII_DEFAULTS)
-    mp.add_argument("--probes", type=int)
-    mp.add_argument("--operator")
-
-    fp = subs.add_parser("manifold", help="degenerate-manifold sweep CSV")
-    _add_common(fp, _MANIFOLD_DEFAULTS)
-    fp.add_argument("--extent", type=float)
-    fp.add_argument("--resolution", type=int)
-
-    dp = subs.add_parser("check-derivatives",
-                         help="finite-difference derivative check")
-    _add_common(dp, _CHECK_DEFAULTS)
-    dp.add_argument("--probes", type=int)
-    dp.add_argument("--activation")
-
+    for command, (cls, _) in _COMMANDS.items():
+        sub = subs.add_parser(command, help=cls.__doc__)
+        sub.add_argument("--config", help="JSON config file")
+        sub.add_argument("--out", dest="out_dir", help="output directory")
+        schema = {f.name: f for f in fields(cls)}
+        for name in cls.flags:
+            flag = "--" + name.replace("_", "-")
+            if schema[name].type is bool:
+                sub.add_argument(flag, dest=name, action="store_true",
+                                 default=None)
+            else:
+                sub.add_argument(flag, dest=name, type=schema[name].type,
+                                 choices=schema[name].metadata.get("choices"))
     return parser
-
-
-_RUNNERS = {
-    "solve": (_SOLVE_DEFAULTS, _run_solve),
-    "independence": (_INDEPENDENCE_DEFAULTS, _run_independence),
-    "cone": (_CONE_DEFAULTS, _run_cone),
-    "mysovskii": (_MYSOVSKII_DEFAULTS, _run_mysovskii),
-    "manifold": (_MANIFOLD_DEFAULTS, _run_manifold),
-    "check-derivatives": (_CHECK_DEFAULTS, _run_check_derivatives),
-}
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        defaults, runner = _RUNNERS[args.command]
-        file_cfg = _load_config_file(args.config)
-        overrides = {
-            k: v
-            for k, v in vars(args).items()
-            if k in defaults and v is not None
-        }
-        cfg = _resolve(defaults, file_cfg, overrides)
-        return runner(cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+        cls, runner = _COMMANDS[args.command]
+        return runner(_options(cls, _load_config_file(args.config), vars(args)))
+    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (NumericError, RankDeficiencyError, FloatingPointError,

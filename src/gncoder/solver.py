@@ -152,14 +152,16 @@ def _clamp_to_box(flat: np.ndarray, box) -> tuple[np.ndarray, bool]:
     return clipped, bool(np.any(clipped != flat))
 
 
-def gauss_newton_step(p: Params, cfg: SolveConfig) -> tuple[Params, StepDiagnostics]:
-    """One undamped Gauss-Newton update.
+def gauss_newton_step(
+    p: Params, cfg: SolveConfig, residual: GridFunction
+) -> tuple[Params, StepDiagnostics]:
+    """One undamped Gauss-Newton update from the residual ``F(psi(p)) - y``.
 
+    The caller passes the residual it has already evaluated at ``p``.
     Raises :class:`RankDeficiencyError` when the forward-mapped Jacobian
     loses full column rank under ``cfg.rank_tol`` and :class:`NumericError`
     if the update produces non-finite values.
     """
-    residual = _forward_map(p, cfg) - cfg.data
     res_norm = norm(residual)
     forward_jac = cfg.forward.apply_columns(
         jacobian(p, cfg.activation, cfg.grid).matrix
@@ -195,18 +197,17 @@ def misfit_value_grad(p: Params, cfg: SolveConfig) -> tuple[float, np.ndarray]:
     return value, grad
 
 
-def _gradient_update(p: Params, cfg: SolveConfig) -> tuple[Params, bool]:
+def gradient_step(p: Params, cfg: SolveConfig) -> tuple[Params, bool]:
+    """One fixed-step descent update on the squared misfit.
+
+    Returns the new iterate and whether it was clamped to the parameter box.
+    """
     _, grad = misfit_value_grad(p, cfg)
     new_flat = p.flatten() - cfg.step_size * grad
     if not np.all(np.isfinite(new_flat)):
         raise NumericError("gradient update produced non-finite parameters")
     new_flat, clamped = _clamp_to_box(new_flat, cfg.param_box)
     return Params.from_flat(new_flat, p.units, p.input_dim), clamped
-
-
-def gradient_step(p: Params, cfg: SolveConfig) -> Params:
-    """One fixed-step descent update on the squared misfit."""
-    return _gradient_update(p, cfg)[0]
 
 
 def solve(cfg: SolveConfig, true_params: Params | None = None) -> IterationTrace:
@@ -225,7 +226,8 @@ def solve(cfg: SolveConfig, true_params: Params | None = None) -> IterationTrace
     pending_step_stop = False
     k = 0
     while True:
-        res_norm = norm(_forward_map(p, cfg) - cfg.data)
+        residual = _forward_map(p, cfg) - cfg.data
+        res_norm = norm(residual)
         trace.residuals.append(res_norm)
         trace.param_errors.append(
             float(np.linalg.norm(p.flatten() - true_flat))
@@ -245,7 +247,7 @@ def solve(cfg: SolveConfig, true_params: Params | None = None) -> IterationTrace
 
         if cfg.mode == MODE_GAUSS_NEWTON:
             try:
-                p_next, diag = gauss_newton_step(p, cfg)
+                p_next, diag = gauss_newton_step(p, cfg, residual)
             except RankDeficiencyError as exc:
                 trace.status = STATUS_RANK_DEFICIENT
                 trace.rank_deficit = exc.deficit
@@ -254,7 +256,7 @@ def solve(cfg: SolveConfig, true_params: Params | None = None) -> IterationTrace
             step_norm = diag.step_norm
             clamped = diag.clamped
         else:
-            p_next, clamped = _gradient_update(p, cfg)
+            p_next, clamped = gradient_step(p, cfg)
             step_norm = float(np.linalg.norm(p_next.flatten() - p.flatten()))
         if clamped:
             trace.boundary_events.append(k)

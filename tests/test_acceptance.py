@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from gncoder.activations import Activation, parse_activation
-from gncoder.cli import _SOLVE_DEFAULTS, _spawn_rngs, main, synth_problem
+from gncoder.cli import SolveOptions, _spawn_rngs, main, synth_problem
 from gncoder.diagnostics import (
     cone_check,
     independence_report,
@@ -98,17 +98,15 @@ BENCH_RADIUS = 0.3
 
 
 def benchmark_problem(seed=BENCH_SEED, radius=BENCH_RADIUS, **solve_overrides):
-    cfg = dict(_SOLVE_DEFAULTS)
-    cfg["seed"] = seed
-    cfg["p0_radius"] = radius
-    grid = make_grid(cfg["dim"], cfg["points_per_axis"])
-    activation = parse_activation(cfg["activation"])
-    forward = parse_operator(cfg["operator"], grid)
-    p_true, y = synth_problem(cfg)
+    opts = SolveOptions(seed=seed, p0_radius=radius)
+    grid = make_grid(opts.dim, opts.points_per_axis)
+    activation = parse_activation(opts.activation)
+    forward = parse_operator(opts.operator, grid)
+    p_true, y = synth_problem(opts, activation, forward)
     _, _, start_rng, constants_seed = _spawn_rngs(seed)
     p0 = Params.from_flat(
         p_true.flatten() + radius * unit_direction(start_rng, p_true.n_star),
-        cfg["units"], cfg["dim"],
+        opts.units, opts.dim,
     )
     kw = dict(max_iters=12, tol_residual=1e-14, tol_step=1e-15)
     kw.update(solve_overrides)

@@ -1,10 +1,34 @@
+import argparse
 import json
+import math
+import tempfile
+import time
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gncoder.cli import _SOLVE_DEFAULTS, main, synth_problem
-from gncoder.grids import norm
+from gncoder.activations import parse_activation
+from gncoder.cli import (
+    _COMMANDS,
+    Box,
+    Coefficients,
+    Floats,
+    SolveOptions,
+    _build_parser,
+    _config_hash,
+    _load_config_file,
+    _options,
+    _public_config,
+    main,
+    synth_problem,
+)
+from gncoder.grids import make_grid, norm
+from gncoder.network import eval_psi
+from gncoder.operators import parse_operator
 
 
 def run(args):
@@ -13,6 +37,12 @@ def run(args):
 
 def files_in(path):
     return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+
+def solve_parts(opts):
+    """The activation and forward operator a solve job builds once."""
+    grid = make_grid(opts.dim, opts.points_per_axis)
+    return parse_activation(opts.activation), parse_operator(opts.operator, grid)
 
 
 class TestSolveCommand:
@@ -185,35 +215,183 @@ class TestCheckDerivativesCommand:
 
 class TestSynthProblem:
     def test_noiseless_data_is_exact_forward_image(self):
-        cfg = dict(_SOLVE_DEFAULTS)
-        cfg["seed"] = 19
-        from gncoder.activations import parse_activation
-        from gncoder.grids import make_grid
-        from gncoder.network import eval_psi
-        from gncoder.operators import parse_operator
-
-        p_true, y = synth_problem(cfg)
-        grid = make_grid(cfg["dim"], cfg["points_per_axis"])
-        forward = parse_operator(cfg["operator"], grid)
+        opts = SolveOptions(seed=19)
+        p_true, y = synth_problem(opts, *solve_parts(opts))
+        grid = make_grid(opts.dim, opts.points_per_axis)
+        forward = parse_operator(opts.operator, grid)
         exact = forward.apply(
-            eval_psi(p_true, parse_activation(cfg["activation"]), grid)
+            eval_psi(p_true, parse_activation(opts.activation), grid)
         )
         assert norm(y - exact) == 0.0
 
     def test_noise_norm_matches_requested_level(self):
-        cfg = dict(_SOLVE_DEFAULTS)
-        cfg.update(seed=4, noise=0.01, dim=1, points_per_axis=1024)
-        p_true, y = synth_problem(cfg)
-        cfg_clean = dict(cfg)
-        cfg_clean["noise"] = 0.0
-        _, y_clean = synth_problem(cfg_clean)
+        opts = SolveOptions(seed=4, noise=0.01, dim=1, points_per_axis=1024)
+        parts = solve_parts(opts)
+        p_true, y = synth_problem(opts, *parts)
+        _, y_clean = synth_problem(replace(opts, noise=0.0), *parts)
         level = norm(y - y_clean)
         assert abs(level - 0.01) <= 0.15 * 0.01
 
     def test_same_seed_reproduces_problem(self):
-        cfg = dict(_SOLVE_DEFAULTS)
-        cfg["seed"] = 8
-        p1, y1 = synth_problem(cfg)
-        p2, y2 = synth_problem(cfg)
+        opts = SolveOptions(seed=8)
+        p1, y1 = synth_problem(opts, *solve_parts(opts))
+        p2, y2 = synth_problem(opts, *solve_parts(opts))
         assert np.array_equal(p1.flatten(), p2.flatten())
         assert np.array_equal(y1.values, y2.values)
+
+
+# Each row was reproduced at the commit before the typed options: a raw
+# traceback (TypeError, AttributeError, KeyError, ...), a bad value run as
+# if it were another one, or an exit 1 whose message did not name the key.
+BAD_CONFIGS = [
+    ("solve", "units", 2.5),
+    ("solve", "activation", 3),
+    ("solve", "tol_residual", "x"),
+    ("independence", "trials", 2.5),
+    ("cone", "t_values", 0.01),
+    ("cone", "t_values", [0.01, "a"]),
+    ("mysovskii", "base_params", {"N": 2}),
+    ("solve", "noise", math.nan),
+    ("solve", "noise", -1),
+    ("solve", "max_iters", True),
+    ("solve", "max_iters", 25.0),
+    ("independence", "allow_zero_alpha", "yes"),
+    ("manifold", "extent", math.nan),
+    ("check-derivatives", "step_first", 0),
+    ("solve", "seed", -3),
+    ("solve", "sampler_box", [5, -5]),
+    ("solve", "activation", "sigmoid:abc"),
+]
+
+
+class TestConfigSchema:
+    @pytest.mark.parametrize(
+        "command, key, value", BAD_CONFIGS,
+        ids=[f"{c}-{k}-{v!r}" for c, k, v in BAD_CONFIGS],
+    )
+    def test_bad_config_exits_one_naming_the_key(
+        self, tmp_path, capsys, command, key, value
+    ):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({key: value}))
+        out = tmp_path / "out"
+        assert run([command, "--config", config, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert key in err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_oversized_gaussian_kernel_is_refused_before_building(
+        self, tmp_path, capsys
+    ):
+        config = tmp_path / "wide.json"
+        config.write_text(json.dumps(
+            {"operator": "gauss:0.05", "points_per_axis": 16384}
+        ))
+        start = time.perf_counter()
+        code = run(["solve", "--config", config, "--out", tmp_path / "out"])
+        elapsed = time.perf_counter() - start
+        assert code == 1
+        assert "points_per_axis" in capsys.readouterr().err
+        assert elapsed < 1.0
+
+    def test_flag_surface_is_unchanged(self):
+        common = {"--config": str, "--out": str, "--seed": int}
+        expected = {
+            "solve": {"--mode": str, "--noise": float, "--p0-radius": float,
+                      "--max-iters": int},
+            "independence": {"--trials": int, "--activation": str,
+                             "--units": int, "--dim": int,
+                             "--points-per-axis": int,
+                             "--allow-zero-alpha": bool},
+            "cone": {"--activation": str, "--units": int, "--dim": int,
+                     "--points-per-axis": int, "--operator": str},
+            "mysovskii": {"--probes": int, "--operator": str},
+            "manifold": {"--extent": float, "--resolution": int},
+            "check-derivatives": {"--probes": int, "--activation": str},
+        }
+        subparsers = next(
+            a for a in _build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        assert set(subparsers.choices) == set(expected)
+        for command, sub in subparsers.choices.items():
+            found = {
+                a.option_strings[-1]: bool if a.nargs == 0 else (a.type or str)
+                for a in sub._actions if a.dest != "help"
+            }
+            assert found == {**common, **expected[command]}, command
+        mode = next(a for a in subparsers.choices["solve"]._actions
+                    if a.dest == "mode")
+        assert set(mode.choices) == {"gauss_newton", "gradient_descent"}
+
+    def test_default_config_hashes_are_unchanged(self):
+        # the hashes name every output file; a new or renamed key moves them
+        recorded = {
+            "solve": "f1a5e3fc647e",
+            "independence": "c04146245c90",
+            "cone": "4b13ec0c2648",
+            "mysovskii": "e0e6990a247f",
+            "manifold": "91cb7f7c4b09",
+            "check-derivatives": "ac41217a62b1",
+        }
+        for command, (cls, _) in _COMMANDS.items():
+            assert _config_hash(_options(cls, {}, {})) == recorded[command]
+
+    def test_readme_solve_defaults_match_the_schema(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        after = readme.split("Defaults (`SolveOptions`):", 1)[1]
+        block = after.split("```json", 1)[1].split("```", 1)[0]
+        schema = json.loads(json.dumps(_public_config(SolveOptions())))
+        assert json.loads(block) == schema
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), cls=st.sampled_from([c for c, _ in _COMMANDS.values()]))
+    def test_config_file_resolves_like_direct_construction(self, data, cls):
+        values = {
+            f.name: data.draw(_valid_values(f), label=f.name)
+            for f in fields(cls) if data.draw(st.booleans())
+        }
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(values))
+            resolved = _options(cls, _load_config_file(str(path)), {})
+        direct = cls(**{
+            k: tuple(v) if isinstance(v, list) else v for k, v in values.items()
+        })
+        assert resolved == direct
+        assert _config_hash(resolved) == _config_hash(cls(**values))
+        for key, value in values.items():
+            if isinstance(value, (int, float)):
+                assert type(getattr(resolved, key)) is type(value), key
+
+
+_COEFFICIENTS = {"N": 2, "n": 1, "alpha": [12.0, -12.0], "w": [[3.0], [-3.0]],
+                 "theta": [-0.9, 2.1]}
+
+
+def _valid_values(f):
+    """Values a config file may give for one options field."""
+    limits = f.metadata
+    if "choices" in limits:
+        return st.sampled_from(limits["choices"])
+    if f.type is Coefficients:
+        return st.sampled_from([None, _COEFFICIENTS])
+    if f.type is bool:
+        return st.booleans()
+    if f.type is str:
+        return st.text(max_size=8)
+    if f.type is int:
+        return st.integers(min_value=limits.get("min", -10**6), max_value=10**6)
+    low = limits.get("min", limits.get("above", -1e6))
+    numbers = st.one_of(
+        st.integers(min_value=math.floor(low) + 1, max_value=10**6),
+        st.floats(min_value=low, max_value=1e6, exclude_min="above" in limits),
+    )
+    if f.type is Floats:
+        return st.lists(numbers, min_size=1, max_size=4)
+    if f.type is Box:
+        return st.lists(numbers, min_size=2, max_size=2).filter(
+            lambda b: b[0] < b[1])
+    return numbers

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
 
-from gncoder.exceptions import GridMismatchError, UnsupportedDimensionError
+from gncoder.exceptions import (
+    ConfigError,
+    GridMismatchError,
+    UnsupportedDimensionError,
+)
 from gncoder.grids import GridFunction, constant, inner_product, make_grid, norm
 from gncoder.operators import (
+    KERNEL_BYTES_LIMIT,
     make_convolution,
     make_identity,
     make_integration,
@@ -185,6 +190,14 @@ def test_injectivity_claims():
     # a very wide kernel is numerically rank deficient and says so
     assert not make_convolution(g, 0.5).injective
     assert make_convolution(g, 0.01).injective
+
+
+def test_oversized_gaussian_kernel_is_refused_before_allocating():
+    # the build holds about four m x m float64 arrays; m = 4096 must fit
+    assert 4 * 8 * 4096**2 <= KERNEL_BYTES_LIMIT
+    for m in (5793, 16384):
+        with pytest.raises(ConfigError, match="points_per_axis"):
+            make_convolution(make_grid(1, m), 0.05)
 
 
 def test_grid_mismatch_rejected():
