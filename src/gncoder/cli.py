@@ -59,7 +59,10 @@ Coefficients = dict | None
 
 
 def _option(default, **limits):
-    """A field limited by ``min`` (inclusive), ``above`` or ``choices``.
+    """A field limited by ``min`` (inclusive), ``above`` or ``choices``, or
+    by other fields: ``band_of`` names the box whose largest ``|bound|`` the
+    value must stay below (the output-weight band of :func:`sample_params`),
+    ``sizes_of`` the ``(units, dim)`` fields that coefficients must match.
 
     Field names and defaults are the config keys and defaults; a new field
     changes every config hash, hence every output file name.  ``flags`` in
@@ -79,7 +82,7 @@ class SolveOptions:
     operator: str = "volterra"
     units: int = _option(2, min=1)
     sampler_box: Box = (-5.0, 5.0)
-    alpha_band: float = _option(1.0, min=0)
+    alpha_band: float = _option(1.0, min=0, band_of="sampler_box")
     p0_radius: float = _option(0.3, min=0)
     noise: float = _option(0.0, min=0)
     seed: int = _option(0, min=0)
@@ -107,7 +110,7 @@ class IndependenceOptions:
     dim: int = _option(2, min=1)
     points_per_axis: int = _option(64, min=2)
     box: Box = (-5.0, 5.0)
-    alpha_band: float = _option(0.05, min=0)
+    alpha_band: float = _option(0.05, min=0, band_of="box")
     allow_zero_alpha: bool = False
     rank_tol: float = _option(1e-10, above=0)
     trials: int = _option(100, min=1)
@@ -126,7 +129,7 @@ class ConeOptions:
     points_per_axis: int = _option(6, min=2)
     operator: str = "volterra"
     box: Box = (-5.0, 5.0)
-    alpha_band: float = _option(1.0, min=0)
+    alpha_band: float = _option(1.0, min=0, band_of="box")
     t_values: Floats = (1e-2, 1e-3, 1e-4)
     rank_tol: float = _option(1e-10, above=0)
     seed: int = _option(0, min=0)
@@ -143,9 +146,9 @@ class MysovskiiOptions:
     dim: int = _option(1, min=1)
     points_per_axis: int = _option(64, min=2)
     operator: str = "volterra"
-    base_params: Coefficients = None
+    base_params: Coefficients = _option(None, sizes_of=("units", "dim"))
     box: Box = (-5.0, 5.0)
-    alpha_band: float = _option(1.0, min=0)
+    alpha_band: float = _option(1.0, min=0, band_of="box")
     probes: int = _option(20, min=1)
     jitter: float = _option(0.05, min=0)
     segment_radius: float = _option(0.2, min=0)
@@ -178,7 +181,7 @@ class CheckDerivativesOptions:
     dim: int = _option(2, min=1)
     points_per_axis: int = _option(32, min=2)
     box: Box = (-3.0, 3.0)
-    alpha_band: float = _option(0.5, min=0)
+    alpha_band: float = _option(0.5, min=0, band_of="box")
     probes: int = _option(20, min=1)
     step_first: float = _option(1e-5, above=0)
     step_second: float = _option(1e-4, above=0)
@@ -243,7 +246,27 @@ def _validated(opts):
                 f"{f.name} must be one of {limits['choices']}, got {value!r}")
         if isinstance(value, list):
             tuples[f.name] = tuple(value)
+    for f in fields(opts):
+        _check_against_fields(opts, f.name, f.metadata)
     return replace(opts, **tuples)
+
+
+def _check_against_fields(opts, name: str, limits) -> None:
+    """The ``band_of`` and ``sizes_of`` limits, once every field is typed."""
+    value = getattr(opts, name)
+    if "band_of" in limits and not getattr(opts, "allow_zero_alpha", False):
+        box = limits["band_of"]
+        bound = max(abs(b) for b in getattr(opts, box))
+        if value >= bound:
+            raise ConfigError(
+                f"{name} must be < {bound}, the largest |bound| of {box}, "
+                f"got {value!r}")
+    if "sizes_of" in limits and value is not None:
+        units, dim = limits["sizes_of"]
+        if (value["N"], value["n"]) != (getattr(opts, units), getattr(opts, dim)):
+            raise ConfigError(
+                f"{name} has N={value['N']}, n={value['n']} but {units} is "
+                f"{getattr(opts, units)!r} and {dim} is {getattr(opts, dim)!r}")
 
 
 def _options(cls, file_cfg: dict, args: dict):
@@ -595,12 +618,19 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> _Parser:
-    """One subparser per options class: ``--config``, ``--out`` and one flag
-    per name in its ``flags``, spelled and typed from the field."""
+def _build_parser(commands=tuple(_COMMANDS)) -> _Parser:
+    """One subparser per options class named in ``commands``: ``--config``,
+    ``--out`` and one flag per name in its ``flags``, spelled and typed from
+    the field.  A parser for some of the subcommands still names all of them
+    in its usage line."""
     parser = _Parser(prog="gncoder", description=__doc__.splitlines()[0])
-    subs = parser.add_subparsers(dest="command", required=True)
-    for command, (cls, _) in _COMMANDS.items():
+    every = "{" + ",".join(_COMMANDS) + "}"
+    subs = parser.add_subparsers(
+        dest="command", required=True,
+        # with all of them, "required: command" keeps naming the dest
+        metavar=None if len(commands) == len(_COMMANDS) else every)
+    for command in commands:
+        cls = _COMMANDS[command][0]
         sub = subs.add_parser(command, help=cls.__doc__)
         sub.add_argument("--config", help="JSON config file")
         sub.add_argument("--out", dest="out_dir", help="output directory")
@@ -617,7 +647,10 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a run needs only its own subparser; help and usage errors need all
+    parser = _build_parser(
+        argv[:1] if argv and argv[0] in _COMMANDS else tuple(_COMMANDS))
     try:
         args = parser.parse_args(argv)
         cls, runner = _COMMANDS[args.command]

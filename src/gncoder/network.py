@@ -14,7 +14,6 @@ cross-checks in the test suite meaningful.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,116 +21,17 @@ import numpy as np
 from .activations import Activation
 from .exceptions import ShapeError
 from .grids import Grid, GridFunction, _frozen_array
+from .params import Params
 from .pseudoinverse import ConvergenceConstants
+from .sampling import sample_in_ball
 
 #: Default bounding box for network parameters; keeps sigmoid arguments in
 #: the numerically active region.
 DEFAULT_PARAM_BOX = (-10.0, 10.0)
 
-
-@dataclass(frozen=True, eq=False)
-class Params:
-    """Network coefficients ``(alpha, w, theta)`` for ``N`` units in ``n`` inputs.
-
-    The flattened layout is fixed and shared by every matrix in the
-    package: indices ``0..N-1`` hold ``alpha``; index ``N + s*n + t`` holds
-    ``w[s, t]``; indices ``N*(n+1) + s`` hold ``theta``.
-    """
-
-    alpha: np.ndarray  # (N,)
-    w: np.ndarray      # (N, n)
-    theta: np.ndarray  # (N,)
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", _frozen_array(self.alpha))
-        object.__setattr__(self, "w", _frozen_array(self.w))
-        object.__setattr__(self, "theta", _frozen_array(self.theta))
-        if self.alpha.ndim != 1 or self.theta.ndim != 1 or self.w.ndim != 2:
-            raise ShapeError(
-                "alpha and theta must be vectors and w a matrix; got shapes "
-                f"{self.alpha.shape}, {self.w.shape}, {self.theta.shape}"
-            )
-        units = self.alpha.shape[0]
-        if units < 1 or self.w.shape[0] != units or self.theta.shape[0] != units:
-            raise ShapeError(
-                f"inconsistent unit counts: alpha {self.alpha.shape}, "
-                f"w {self.w.shape}, theta {self.theta.shape}"
-            )
-        if self.w.shape[1] < 1:
-            raise ShapeError("input dimension must be at least 1")
-
-    @property
-    def units(self) -> int:
-        return self.alpha.shape[0]
-
-    @property
-    def input_dim(self) -> int:
-        return self.w.shape[1]
-
-    @property
-    def n_star(self) -> int:
-        return self.units * (self.input_dim + 2)
-
-    def flatten(self) -> np.ndarray:
-        return np.concatenate([self.alpha, self.w.reshape(-1), self.theta])
-
-    @classmethod
-    def from_flat(cls, vec, units: int, input_dim: int) -> "Params":
-        vec = np.asarray(vec, dtype=float)
-        expected = units * (input_dim + 2)
-        if vec.shape != (expected,):
-            raise ShapeError(
-                f"flat vector has shape {vec.shape}, expected ({expected},)"
-            )
-        alpha = vec[:units]
-        w = vec[units : units * (input_dim + 1)].reshape(units, input_dim)
-        theta = vec[units * (input_dim + 1) :]
-        return cls(alpha, w, theta)
-
-    def alpha_index(self, s: int) -> int:
-        return s
-
-    def w_index(self, s: int, t: int) -> int:
-        return self.units + s * self.input_dim + t
-
-    def theta_index(self, s: int) -> int:
-        return self.units * (self.input_dim + 1) + s
-
-    def describe_index(self, i: int):
-        """Inverse of the flattening: ``i -> (block, unit, axis-or-None)``."""
-        units, n = self.units, self.input_dim
-        if not 0 <= i < self.n_star:
-            raise IndexError(f"flat index {i} out of range for n_star {self.n_star}")
-        if i < units:
-            return ("alpha", i, None)
-        if i < units * (n + 1):
-            j = i - units
-            return ("w", j // n, j % n)
-        return ("theta", i - units * (n + 1), None)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "N": self.units,
-            "n": self.input_dim,
-            "alpha": self.alpha.tolist(),
-            "w": self.w.tolist(),
-            "theta": self.theta.tolist(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Params":
-        p = cls(np.asarray(data["alpha"]), np.asarray(data["w"]),
-                np.asarray(data["theta"]))
-        if p.units != data["N"] or p.input_dim != data["n"]:
-            raise ShapeError("declared N/n do not match the coefficient arrays")
-        return p
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "Params":
-        return cls.from_json_dict(json.loads(text))
+#: Byte cap on the stack of matrices that one batched SVD call of
+#: :func:`lipschitz_constants` takes; a call takes at least one matrix.
+SVD_CHUNK_BYTES = 8 * 2**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,10 +146,22 @@ def second_derivative_bilinear(
     return GridFunction(g, values)
 
 
-def _weighted_operator_norm(matrix: np.ndarray, weights: np.ndarray) -> float:
-    """Operator norm of a column stack as a map into the weighted space."""
-    scaled = np.sqrt(weights)[:, None] * matrix
-    return float(np.linalg.svd(scaled, compute_uv=False)[0])
+def _largest_singular_values(stack, sqrt_w, first, second=None) -> list:
+    """``sigma_max(sqrt_w * stack[i])``, or of ``stack[i] - stack[j]`` for
+    ``(i, j)`` in ``zip(first, second)``, as floats in index order.
+
+    Each batched SVD call takes as many matrices as fit in
+    :data:`SVD_CHUNK_BYTES`, so the temporaries stay within a few chunks.
+    """
+    per_call = max(1, SVD_CHUNK_BYTES // stack[0].nbytes)
+    values = []
+    for start in range(0, len(first), per_call):
+        batch = stack[first[start : start + per_call]]
+        if second is not None:
+            batch -= stack[second[start : start + per_call]]
+        batch *= sqrt_w
+        values += np.linalg.svd(batch, compute_uv=False)[:, 0].tolist()
+    return values
 
 
 def lipschitz_constants(
@@ -268,7 +180,9 @@ def lipschitz_constants(
     points and the maximum difference quotient over all point pairs.  Both
     are honest sampled estimates, reported together with the sample count;
     with a single sample no pair exists and the Lipschitz estimate is zero
-    with an ``"insufficient samples"`` flag.
+    with an ``"insufficient samples"`` flag.  Pairs of equal points are
+    skipped.  The operator norms come from batched SVDs of the weighted
+    Jacobians and of their pairwise differences.
 
     The ball must lie inside the parameter box.
     """
@@ -283,30 +197,25 @@ def lipschitz_constants(
             f"ball of radius {radius} leaves the parameter box [{lo}, {hi}]"
         )
     rng = np.random.default_rng(seed)
-    dim = p.n_star
-    points = []
-    matrices = []
-    for _ in range(samples):
-        u = rng.standard_normal(dim)
-        u /= np.linalg.norm(u)
-        r = radius * rng.uniform() ** (1.0 / dim)
-        q = center + r * u
-        points.append(q)
-        matrices.append(jacobian(Params.from_flat(q, p.units, p.input_dim), a, g).matrix)
+    points = np.array([sample_in_ball(rng, center, radius) for _ in range(samples)])
+    stack = np.empty((samples, g.node_count, p.n_star))
+    for k, q in enumerate(points):
+        stack[k] = jacobian(Params.from_flat(q, p.units, p.input_dim), a, g).matrix
+    sqrt_w = np.sqrt(g.weights)[:, None]
 
-    deriv_bound = max(_weighted_operator_norm(m, g.weights) for m in matrices)
+    deriv_bound = max(_largest_singular_values(stack, sqrt_w, np.arange(samples)))
     flags = ()
     lipschitz = 0.0
     if samples < 2:
         flags = ("insufficient samples",)
     else:
-        for i in range(samples):
-            for j in range(i + 1, samples):
-                dist = float(np.linalg.norm(points[i] - points[j]))
-                if dist == 0.0:
-                    continue
-                diff = _weighted_operator_norm(matrices[i] - matrices[j], g.weights)
-                lipschitz = max(lipschitz, diff / dist)
+        first, second = np.triu_indices(samples, 1)  # pairs i < j, row by row
+        gaps = points[first] - points[second]
+        # rounds as np.linalg.norm of each gap does; norm(axis=1) does not
+        dists = np.sqrt(np.vecdot(gaps, gaps))
+        apart = dists != 0.0
+        diffs = _largest_singular_values(stack, sqrt_w, first[apart], second[apart])
+        lipschitz = max([lipschitz, *np.divide(diffs, dists[apart]).tolist()])
     return ConvergenceConstants(
         derivative_bound=deriv_bound,
         lipschitz_bound=lipschitz,

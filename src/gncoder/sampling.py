@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .network import Params
+from .params import Params
 
 DEFAULT_BOX = (-10.0, 10.0)
 DEFAULT_ALPHA_BAND = 0.05
@@ -28,10 +28,15 @@ def sample_params(
     """Draw parameters uniformly from the box.
 
     Output-weight entries with magnitude below ``alpha_band`` are redrawn
-    (individually) unless ``allow_zero_alpha`` is set.  Draw order is fixed:
-    alpha, then w, then theta.
+    (individually) unless ``allow_zero_alpha`` is set; the band must then
+    lie below the box's largest ``|bound|``, or no draw could leave it.
+    Draw order is fixed: alpha, then w, then theta.
     """
     lo, hi = box
+    if not allow_zero_alpha and alpha_band >= max(abs(lo), abs(hi)):
+        raise ValueError(
+            f"alpha_band {alpha_band} leaves no output weight in the box [{lo}, {hi}]"
+        )
     alpha = rng.uniform(lo, hi, size=units)
     if not allow_zero_alpha:
         while True:

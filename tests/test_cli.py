@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gncoder.activations import parse_activation
@@ -17,6 +17,7 @@ from gncoder.cli import (
     Box,
     Coefficients,
     Floats,
+    IndependenceOptions,
     SolveOptions,
     _build_parser,
     _config_hash,
@@ -240,6 +241,74 @@ class TestSynthProblem:
         assert np.array_equal(y1.values, y2.values)
 
 
+_COMMAND_CHOICES = "{solve,independence,cone,mysovskii,manifold,check-derivatives}"
+_USAGE = f"usage: gncoder [-h]\n               {_COMMAND_CHOICES}\n               ...\n"
+
+#: argv -> (exit code, stdout, stderr) at 80 columns, as printed when every
+#: run built the parsers of all six subcommands.
+USAGE_TEXT = {
+    (): (1, "", _USAGE + "error: the following arguments are required: command\n"),
+    ("-h",): (
+        0,
+        _USAGE
+        + "\n"
+        "Batch experiment runner.\n"
+        "\n"
+        "positional arguments:\n"
+        f"  {_COMMAND_CHOICES}\n"
+        "    solve               Run one synthetic solve.\n"
+        "    independence        Monte-Carlo independence trials.\n"
+        "    cone                Shrinking-perturbation cone check.\n"
+        "    mysovskii           Newton-Mysovskii quadratic-bound probes.\n"
+        "    manifold            Degenerate-manifold sweep CSV.\n"
+        "    check-derivatives   Finite-difference derivative check.\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n",
+        "",
+    ),
+    ("bogus",): (
+        1,
+        "",
+        _USAGE
+        + "error: argument command: invalid choice: 'bogus' (choose from 'solve', "
+        "'independence', 'cone', 'mysovskii', 'manifold', 'check-derivatives')\n",
+    ),
+    ("solve", "--bogus"): (
+        1, "", _USAGE + "error: unrecognized arguments: --bogus\n",
+    ),
+    ("solve", "-h"): (
+        0,
+        "usage: gncoder solve [-h] [--config CONFIG] [--out OUT_DIR] [--seed SEED]\n"
+        "                     [--mode {gauss_newton,gradient_descent}] [--noise NOISE]\n"
+        "                     [--p0-radius P0_RADIUS] [--max-iters MAX_ITERS]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --config CONFIG       JSON config file\n"
+        "  --out OUT_DIR         output directory\n"
+        "  --seed SEED\n"
+        "  --mode {gauss_newton,gradient_descent}\n"
+        "  --noise NOISE\n"
+        "  --p0-radius P0_RADIUS\n"
+        "  --max-iters MAX_ITERS\n",
+        "",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(USAGE_TEXT),
+                         ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_usage_and_help_text_are_unchanged(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # -h exits from argparse
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out, err) == USAGE_TEXT[argv]
+
+
 # Each row was reproduced at the commit before the typed options: a raw
 # traceback (TypeError, AttributeError, KeyError, ...), a bad value run as
 # if it were another one, or an exit 1 whose message did not name the key.
@@ -261,6 +330,16 @@ BAD_CONFIGS = [
     ("solve", "seed", -3),
     ("solve", "sampler_box", [5, -5]),
     ("solve", "activation", "sigmoid:abc"),
+    # these hung in sample_params, redrawing output weights forever
+    ("solve", "alpha_band", 6),
+    ("independence", "alpha_band", 5),
+    ("cone", "alpha_band", 6.0),
+    ("mysovskii", "alpha_band", 6),
+    ("check-derivatives", "alpha_band", 3),
+    # n=2 against dim 1: exited 1 naming neither key
+    ("mysovskii", "base_params",
+     {"N": 2, "n": 2, "alpha": [1.0, -1.0], "w": [[1.0, 0.5], [-1.0, 0.5]],
+      "theta": [0.0, 0.5]}),
 ]
 
 
@@ -281,6 +360,21 @@ class TestConfigSchema:
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("sizes", [{"dim": 2}, {"units": 3}])
+    def test_base_params_disagreeing_with_sizes_names_both_keys(
+        self, tmp_path, capsys, sizes
+    ):
+        config = tmp_path / "mys.json"
+        config.write_text(json.dumps({"base_params": _COEFFICIENTS, **sizes}))
+        assert run(["mysovskii", "--config", config, "--out", tmp_path]) == 1
+        err = capsys.readouterr().err
+        assert "base_params" in err and next(iter(sizes)) in err
+
+    def test_band_check_is_off_when_zero_alpha_is_allowed(self):
+        opts = _options(IndependenceOptions,
+                        {"alpha_band": 6, "allow_zero_alpha": True}, {})
+        assert opts.alpha_band == 6
 
     def test_oversized_gaussian_kernel_is_refused_before_building(
         self, tmp_path, capsys
@@ -353,6 +447,7 @@ class TestConfigSchema:
             f.name: data.draw(_valid_values(f), label=f.name)
             for f in fields(cls) if data.draw(st.booleans())
         }
+        assume(_meets_cross_field_limits(cls(**values)))
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "config.json"
             path.write_text(json.dumps(values))
@@ -371,9 +466,25 @@ _COEFFICIENTS = {"N": 2, "n": 1, "alpha": [12.0, -12.0], "w": [[3.0], [-3.0]],
                  "theta": [-0.9, 2.1]}
 
 
+def _meets_cross_field_limits(opts):
+    """The limits that tie one field to others, stated again: the output
+    weight band lies below the sampling box, and coefficients match the
+    unit count and input dimension."""
+    box = getattr(opts, "sampler_box", getattr(opts, "box", None))
+    if hasattr(opts, "alpha_band") and not getattr(opts, "allow_zero_alpha", False):
+        if opts.alpha_band >= max(abs(b) for b in box):
+            return False
+    coefficients = getattr(opts, "base_params", None)
+    return coefficients is None or (
+        (coefficients["N"], coefficients["n"]) == (opts.units, opts.dim))
+
+
 def _valid_values(f):
     """Values a config file may give for one options field."""
     limits = f.metadata
+    if "band_of" in limits:
+        # mostly inside the sampling box, which is rarely narrower than 3
+        return st.one_of(st.integers(0, 2), st.floats(0, 3, exclude_max=True))
     if "choices" in limits:
         return st.sampled_from(limits["choices"])
     if f.type is Coefficients:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gncoder import network
 from gncoder.activations import Activation
 from gncoder.exceptions import ShapeError, SmoothnessError
 from gncoder.grids import constant, make_grid, norm
@@ -12,7 +13,7 @@ from gncoder.network import (
     lipschitz_constants,
     second_derivative_bilinear,
 )
-from gncoder.sampling import sample_params, unit_direction
+from gncoder.sampling import sample_in_ball, sample_params, unit_direction
 
 SIGMOID = Activation.sigmoid(1.0)
 TANH = Activation.tanh()
@@ -324,3 +325,101 @@ class TestLipschitzConstants:
         p = Params([1.0], [[0.0]], [0.0])
         c = lipschitz_constants(p, SIGMOID, g, radius=1e-9, samples=2, seed=3)
         assert c.derivative_bound >= norm(constant(g, 0.5)) * (1 - 1e-9)
+
+
+def ball_points(p, radius, samples, seed):
+    """The sampler ``lipschitz_constants`` had inline before it batched."""
+    rng = np.random.default_rng(seed)
+    center = p.flatten()
+    dim = p.n_star
+    points = []
+    for _ in range(samples):
+        u = rng.standard_normal(dim)
+        u /= np.linalg.norm(u)
+        r = radius * rng.uniform() ** (1.0 / dim)
+        points.append(center + r * u)
+    return points
+
+
+def pairwise_constants(p, a, g, points):
+    """One SVD per point and one per pair, folded with Python ``max``: the
+    loops the batched estimate replaced, kept as its exact oracle."""
+
+    def operator_norm(matrix):
+        scaled = np.sqrt(g.weights)[:, None] * matrix
+        return float(np.linalg.svd(scaled, compute_uv=False)[0])
+
+    matrices = [
+        jacobian(Params.from_flat(q, p.units, p.input_dim), a, g).matrix
+        for q in points
+    ]
+    deriv_bound = max(operator_norm(m) for m in matrices)
+    lipschitz = 0.0
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            dist = float(np.linalg.norm(points[i] - points[j]))
+            if dist == 0.0:
+                continue
+            diff = operator_norm(matrices[i] - matrices[j])
+            lipschitz = max(lipschitz, diff / dist)
+    return deriv_bound, lipschitz
+
+
+#: (params, grid, radius): the default solve's and a 2-D problem's.
+BATCH_CASES = [
+    (Params([1.5, -1.0], [[2.0], [-1.5]], [0.2, 0.8]), make_grid(1, 64), 0.6),
+    (Params([2.0, -1.0, 0.5], [[1.0, -2.0], [0.5, 1.5], [-1.0, 0.3]],
+            [0.1, -0.4, 0.9]), make_grid(2, 12), 0.3),
+]
+
+
+class TestBatchedLipschitzConstants:
+    @pytest.mark.parametrize("samples", [1, 2, 24, 32])
+    @pytest.mark.parametrize("case", range(len(BATCH_CASES)))
+    def test_equals_the_pairwise_loop_exactly(self, case, samples):
+        p, g, radius = BATCH_CASES[case]
+        c = lipschitz_constants(p, SIGMOID, g, radius=radius, samples=samples,
+                                seed=samples)
+        expected = pairwise_constants(
+            p, SIGMOID, g, ball_points(p, radius, samples, seed=samples))
+        assert (c.derivative_bound, c.lipschitz_bound) == expected
+
+    def test_pairs_of_equal_points_are_skipped(self, monkeypatch):
+        p, g, radius = BATCH_CASES[0]
+        drawn = []
+
+        def repeating(rng, center, radius):
+            drawn.append(sample_in_ball(rng, center, radius))
+            return drawn[0] if len(drawn) in (3, 5) else drawn[-1]
+
+        monkeypatch.setattr(network, "sample_in_ball", repeating)
+        with np.errstate(divide="raise", invalid="raise"):
+            c = lipschitz_constants(p, SIGMOID, g, radius=radius, samples=6, seed=2)
+        points = [drawn[0] if k in (2, 4) else q for k, q in enumerate(drawn)]
+        assert (c.derivative_bound, c.lipschitz_bound) == pairwise_constants(
+            p, SIGMOID, g, points)
+        assert c.lipschitz_bound > 0
+
+    @pytest.mark.parametrize("per_call", [1, 3])
+    def test_chunks_under_a_small_byte_cap_give_the_same_bounds(
+        self, monkeypatch, per_call
+    ):
+        p, g, radius = BATCH_CASES[1]
+        samples = 8
+        matrix_bytes = g.node_count * p.n_star * 8
+        monkeypatch.setattr(network, "SVD_CHUNK_BYTES", per_call * matrix_bytes)
+        batches = []
+        svd = np.linalg.svd
+
+        def counted(a, *args, **kwargs):
+            batches.append(a.shape[0])
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        c = lipschitz_constants(p, SIGMOID, g, radius=radius, samples=samples, seed=4)
+        monkeypatch.undo()
+        pairs = samples * (samples - 1) // 2
+        assert sum(batches) == samples + pairs
+        assert max(batches) == per_call and len(batches) > 2
+        assert (c.derivative_bound, c.lipschitz_bound) == pairwise_constants(
+            p, SIGMOID, g, ball_points(p, radius, samples, seed=4))

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from gncoder.sampling import sample_in_ball, sample_params, unit_direction
 
@@ -38,3 +39,12 @@ def test_sample_in_ball_stays_inside():
     for _ in range(100):
         q = sample_in_ball(rng, center, 0.7)
         assert np.linalg.norm(q - center) <= 0.7 * (1 + 1e-12)
+
+
+def test_band_outside_the_box_is_refused_instead_of_redrawn_forever():
+    rng = np.random.default_rng(4)
+    for box, band in (((-5, 5), 5.0), ((-5, 5), 6.0), ((1, 3), 3.0), ((-4, 2), 4)):
+        with pytest.raises(ValueError, match="alpha_band"):
+            sample_params(rng, 2, 1, box=box, alpha_band=band)
+    p = sample_params(rng, 2, 1, box=(1, 3), alpha_band=2.9)
+    assert np.all(p.alpha >= 2.9)
