@@ -29,9 +29,14 @@ from .sampling import sample_in_ball
 #: the numerically active region.
 DEFAULT_PARAM_BOX = (-10.0, 10.0)
 
-#: Byte cap on the stack of matrices that one batched SVD call of
-#: :func:`lipschitz_constants` takes; a call takes at least one matrix.
+#: Byte cap on the stack of matrices that one batched SVD call, or one chunk
+#: of the Frobenius screen, of :func:`lipschitz_constants` takes; a call
+#: takes at least one matrix.
 SVD_CHUNK_BYTES = 8 * 2**20
+
+#: Relative margin on the Frobenius screen of :func:`lipschitz_constants`,
+#: far above the rounding in the computed norms and singular values.
+SCREEN_SLACK = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,22 +151,73 @@ def second_derivative_bilinear(
     return GridFunction(g, values)
 
 
-def _largest_singular_values(stack, sqrt_w, first, second=None) -> list:
-    """``sigma_max(sqrt_w * stack[i])``, or of ``stack[i] - stack[j]`` for
-    ``(i, j)`` in ``zip(first, second)``, as floats in index order.
+def _weighted_batches(stack, sqrt_w, first, second=None):
+    """``sqrt_w * stack[i]`` for ``i`` in ``first``, or, given ``second``,
+    ``sqrt_w * (stack[i] - stack[j])`` for ``(i, j)`` in ``zip(first,
+    second)`` with ``first`` ascending; in index order.
 
-    Each batched SVD call takes as many matrices as fit in
-    :data:`SVD_CHUNK_BYTES`, so the temporaries stay within a few chunks.
+    Each batch holds as many matrices as fit in :data:`SVD_CHUNK_BYTES`, at
+    least one, so the temporaries stay within a few chunks.  Pairs are
+    batched per ``i``, which is broadcast rather than gathered.
     """
     per_call = max(1, SVD_CHUNK_BYTES // stack[0].nbytes)
-    values = []
-    for start in range(0, len(first), per_call):
-        batch = stack[first[start : start + per_call]]
-        if second is not None:
-            batch -= stack[second[start : start + per_call]]
-        batch *= sqrt_w
-        values += np.linalg.svd(batch, compute_uv=False)[:, 0].tolist()
-    return values
+    if second is None:
+        rows = [(None, first)]
+    else:
+        heads, starts = np.unique(first, return_index=True)
+        rows = zip(heads.tolist(), np.split(second, starts[1:]))
+    for i, picks in rows:
+        for start in range(0, len(picks), per_call):
+            chunk = picks[start : start + per_call]
+            batch = stack[chunk] if i is None else stack[i] - stack[chunk]
+            batch *= sqrt_w
+            yield batch
+
+
+def _frobenius_bounds(stack, sqrt_w, scale, first, second=None) -> np.ndarray:
+    """``|A|_F * (1 + SCREEN_SLACK) / scale`` of every matrix ``A`` of
+    :func:`_weighted_batches`: at least its computed
+    ``sigma_max(A) / scale``."""
+    norms = []
+    for batch in _weighted_batches(stack, sqrt_w, first, second):
+        flat = batch.reshape(len(batch), -1)
+        norms.append(np.sqrt(np.vecdot(flat, flat)))
+    return np.concatenate(norms) * (1.0 + SCREEN_SLACK) / scale
+
+
+def _screened_quotients(stack, sqrt_w, scale, first, second=None) -> list:
+    """``sigma_max(A) / scale`` of the matrices ``A`` of
+    :func:`_weighted_batches` that can still have the largest one, as
+    floats in index order.
+
+    Screen, then confirm.  ``sigma_max(A) <= |A|_F``, and the rounding in
+    the computed norm and singular value stays far below
+    :data:`SCREEN_SLACK`, so :func:`_frobenius_bounds` bound the computed
+    quotients; dividing by the same positive scale keeps the order.  One
+    exact SVD of the candidate with the largest bound sets a floor, and only
+    candidates whose bound is not ``<=`` the floor (NaN included) get an
+    SVD.  A pruned quotient is at most the floor, so the largest value, and
+    Python ``max`` over the list, equals the one over every candidate bit
+    for bit.
+    """
+    if len(first) == 0:
+        return []
+
+    def exact(pick):
+        pairs = None if second is None else second[pick]
+        batches = _weighted_batches(stack, sqrt_w, first[pick], pairs)
+        sigmas = [np.linalg.svd(b, compute_uv=False)[:, 0] for b in batches]
+        return np.concatenate(sigmas or [[]]) / scale[pick]
+
+    bounds = _frobenius_bounds(stack, sqrt_w, scale, first, second)
+    top = int(np.argmax(bounds))
+    values = np.empty(len(bounds))
+    values[[top]] = exact([top])
+    keep = ~(bounds <= values[top])
+    keep[top] = False
+    values[keep] = exact(np.flatnonzero(keep))
+    keep[top] = True  # in index order, Python max treats a NaN as before
+    return values[keep].tolist()
 
 
 def lipschitz_constants(
@@ -181,8 +237,16 @@ def lipschitz_constants(
     are honest sampled estimates, reported together with the sample count;
     with a single sample no pair exists and the Lipschitz estimate is zero
     with an ``"insufficient samples"`` flag.  Pairs of equal points are
-    skipped.  The operator norms come from batched SVDs of the weighted
-    Jacobians and of their pairwise differences.
+    skipped.
+
+    Each maximum is screened, then confirmed (:func:`_screened_quotients`).
+    The Frobenius norm of every weighted Jacobian, and of every weighted
+    pair difference divided by its distance, bounds that candidate's
+    operator norm (quotient) from above, with a margin of
+    :data:`SCREEN_SLACK` over rounding.  Exact batched SVDs run only on the
+    candidate with the largest bound and on those whose bound is not at or
+    below its value, so the two maxima are bitwise those of an SVD of every
+    candidate.
 
     The ball must lie inside the parameter box.
     """
@@ -203,7 +267,9 @@ def lipschitz_constants(
         stack[k] = jacobian(Params.from_flat(q, p.units, p.input_dim), a, g).matrix
     sqrt_w = np.sqrt(g.weights)[:, None]
 
-    deriv_bound = max(_largest_singular_values(stack, sqrt_w, np.arange(samples)))
+    deriv_bound = max(
+        _screened_quotients(stack, sqrt_w, np.ones(samples), np.arange(samples))
+    )
     flags = ()
     lipschitz = 0.0
     if samples < 2:
@@ -214,8 +280,10 @@ def lipschitz_constants(
         # rounds as np.linalg.norm of each gap does; norm(axis=1) does not
         dists = np.sqrt(np.vecdot(gaps, gaps))
         apart = dists != 0.0
-        diffs = _largest_singular_values(stack, sqrt_w, first[apart], second[apart])
-        lipschitz = max([lipschitz, *np.divide(diffs, dists[apart]).tolist()])
+        quotients = _screened_quotients(
+            stack, sqrt_w, dists[apart], first[apart], second[apart]
+        )
+        lipschitz = max([lipschitz, *quotients])
     return ConvergenceConstants(
         derivative_bound=deriv_bound,
         lipschitz_bound=lipschitz,

@@ -340,6 +340,8 @@ BAD_CONFIGS = [
     ("mysovskii", "base_params",
      {"N": 2, "n": 2, "alpha": [1.0, -1.0], "w": [[1.0, 0.5], [-1.0, 0.5]],
       "theta": [0.0, 0.5]}),
+    # a dense lattice of resolution**2 rows: a raw allocation traceback
+    ("manifold", "resolution", 20000),
 ]
 
 

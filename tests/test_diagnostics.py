@@ -5,6 +5,7 @@ import pytest
 
 from gncoder.activations import Activation
 from gncoder.diagnostics import (
+    LATTICE_BYTES_LIMIT,
     cone_check,
     independence_report,
     independence_trial,
@@ -14,7 +15,7 @@ from gncoder.diagnostics import (
     merge_mirrored,
     mysovskii_check,
 )
-from gncoder.exceptions import RankDeficiencyError, ResolutionError
+from gncoder.exceptions import ConfigError, RankDeficiencyError, ResolutionError
 from gncoder.grids import make_grid
 from gncoder.network import Params, jacobian
 from gncoder.operators import make_identity, make_integration
@@ -253,3 +254,10 @@ class TestManifoldDemo:
     def test_resolution_validation(self):
         with pytest.raises(ValueError):
             manifold_sweep(resolution=1)
+
+    def test_oversized_lattice_is_refused_before_allocating(self):
+        # about ten resolution**2 float64 arrays at the peak; 3663 must fit
+        assert 10 * 8 * 3663**2 <= LATTICE_BYTES_LIMIT
+        for resolution in (3664, 20000, 1000000):
+            with pytest.raises(ConfigError, match="resolution"):
+                manifold_sweep(resolution=resolution)

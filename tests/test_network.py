@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from gncoder import network
-from gncoder.activations import Activation
+from gncoder.activations import Activation, parse_activation
+from gncoder.cli import SolveOptions
 from gncoder.exceptions import ShapeError, SmoothnessError
 from gncoder.grids import constant, make_grid, norm
 from gncoder.network import (
+    Jacobian,
     Params,
     directional_derivative,
     eval_psi,
@@ -206,6 +208,16 @@ class TestJacobian:
         jac = jacobian(p, SIGMOID, g)
         direct = directional_derivative(p, SIGMOID, g, d)
         assert np.allclose(direct.values, jac.matrix @ d, rtol=1e-13, atol=1e-15)
+
+    def test_caller_matrix_is_copied_and_stays_writeable(self):
+        g = make_grid(1, 8)
+        p = Params([1.0], [[2.0]], [0.5])
+        matrix = jacobian(p, SIGMOID, g).matrix.copy()
+        jac = Jacobian(matrix, p, g)
+        assert matrix.flags.writeable and not jac.matrix.flags.writeable
+        assert not np.shares_memory(matrix, jac.matrix)
+        matrix += 1.0
+        assert np.array_equal(jac.matrix, jacobian(p, SIGMOID, g).matrix)
 
 
 class TestSecondDerivative:
@@ -408,18 +420,122 @@ class TestBatchedLipschitzConstants:
         samples = 8
         matrix_bytes = g.node_count * p.n_star * 8
         monkeypatch.setattr(network, "SVD_CHUNK_BYTES", per_call * matrix_bytes)
-        batches = []
-        svd = np.linalg.svd
+        chunks, batches = [], []
+        weighted_batches, svd = network._weighted_batches, np.linalg.svd
+
+        def recorded(*args):
+            for batch in weighted_batches(*args):
+                chunks.append(len(batch))
+                yield batch
 
         def counted(a, *args, **kwargs):
             batches.append(a.shape[0])
             return svd(a, *args, **kwargs)
 
+        monkeypatch.setattr(network, "_weighted_batches", recorded)
         monkeypatch.setattr(np.linalg, "svd", counted)
         c = lipschitz_constants(p, SIGMOID, g, radius=radius, samples=samples, seed=4)
         monkeypatch.undo()
         pairs = samples * (samples - 1) // 2
-        assert sum(batches) == samples + pairs
-        assert max(batches) == per_call and len(batches) > 2
+        # the screen builds every matrix once, the SVD only the survivors
+        assert sum(chunks) == samples + pairs + sum(batches)
+        assert max(chunks) == per_call and max(batches) <= per_call
+        assert sum(batches) < samples + pairs
         assert (c.derivative_bound, c.lipschitz_bound) == pairwise_constants(
             p, SIGMOID, g, ball_points(p, radius, samples, seed=4))
+
+
+def candidate_stack(p, a, g, radius, samples, seed):
+    """The Jacobian stack, root weights and pair distances of one estimate."""
+    points = np.array(ball_points(p, radius, samples, seed))
+    stack = np.array([
+        jacobian(Params.from_flat(q, p.units, p.input_dim), a, g).matrix
+        for q in points
+    ])
+    first, second = np.triu_indices(samples, 1)
+    gaps = points[first] - points[second]
+    return stack, np.sqrt(g.weights)[:, None], np.sqrt(np.vecdot(gaps, gaps))
+
+
+#: (params, activation, grid, radius, samples): near-duplicate points, a
+#: 2-D grid, tanh and relu, and many samples.
+SCREEN_CASES = [
+    (BATCH_CASES[0][0], SIGMOID, make_grid(1, 64), 1e-9, 12),
+    (BATCH_CASES[1][0], SIGMOID, make_grid(2, 12), 0.3, 16),
+    (BATCH_CASES[0][0], TANH, make_grid(1, 40), 0.5, 16),
+    (BATCH_CASES[1][0], Activation.relu(), make_grid(2, 8), 0.4, 16),
+    (BATCH_CASES[0][0], SIGMOID, make_grid(1, 32), 0.6, 60),
+]
+
+
+class TestFrobeniusScreen:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("case", range(len(SCREEN_CASES)))
+    def test_every_bound_is_at_least_its_exact_quotient(self, case, seed):
+        p, a, g, radius, samples = SCREEN_CASES[case]
+        stack, sqrt_w, dists = candidate_stack(p, a, g, radius, samples, seed)
+        first, second = np.triu_indices(samples, 1)
+
+        def exact(matrix):
+            return float(np.linalg.svd(sqrt_w * matrix, compute_uv=False)[0])
+
+        ones = np.ones(samples)
+        bounds = network._frobenius_bounds(stack, sqrt_w, ones, np.arange(samples))
+        assert all(b >= exact(m) for b, m in zip(bounds, stack))
+        bounds = network._frobenius_bounds(stack, sqrt_w, dists, first, second)
+        for b, i, j, d in zip(bounds, first, second, dists):
+            assert b >= exact(stack[i] - stack[j]) / d
+
+    @pytest.mark.parametrize("case", range(len(SCREEN_CASES)))
+    def test_equals_the_pairwise_loop_exactly(self, case):
+        p, a, g, radius, samples = SCREEN_CASES[case]
+        c = lipschitz_constants(p, a, g, radius=radius, samples=samples, seed=case)
+        points = ball_points(p, radius, samples, seed=case)
+        assert (c.derivative_bound, c.lipschitz_bound) == pairwise_constants(
+            p, a, g, points)
+
+    @pytest.mark.parametrize("case", range(len(SCREEN_CASES)))
+    def test_a_screen_that_prunes_nothing_gives_the_same_bounds(
+        self, monkeypatch, case
+    ):
+        p, a, g, radius, samples = SCREEN_CASES[case]
+        screened = lipschitz_constants(p, a, g, radius=radius, samples=samples,
+                                       seed=case)
+        matrices = []
+        svd = np.linalg.svd
+
+        def counted(m, *args, **kwargs):
+            matrices.append(m.shape[0])
+            return svd(m, *args, **kwargs)
+
+        monkeypatch.setattr(network, "SCREEN_SLACK", np.inf)
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        full = lipschitz_constants(p, a, g, radius=radius, samples=samples, seed=case)
+        monkeypatch.undo()
+        assert sum(matrices) == samples + samples * (samples - 1) // 2
+        assert (full.derivative_bound, full.lipschitz_bound) == (
+            screened.derivative_bound, screened.lipschitz_bound)
+
+    def test_few_matrices_reach_the_svd_on_default_solves(self, monkeypatch):
+        opts = SolveOptions()
+        activation = parse_activation(opts.activation)
+        g = make_grid(opts.dim, opts.points_per_axis)
+        radius = opts.constants_ball_factor * opts.p0_radius
+        samples = opts.constants_samples
+        svd = np.linalg.svd
+        matrices = []
+
+        def counted(m, *args, **kwargs):
+            matrices[-1] += m.shape[0]
+            return svd(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        for seed in range(50):
+            p = sample_params(np.random.default_rng(seed), opts.units, opts.dim,
+                              box=opts.sampler_box, alpha_band=opts.alpha_band)
+            matrices.append(0)
+            lipschitz_constants(p, activation, g, radius=radius, samples=samples,
+                                seed=seed, box=opts.param_box)
+        monkeypatch.undo()
+        assert samples + samples * (samples - 1) // 2 == 300
+        assert np.median(matrices) <= 30
