@@ -7,7 +7,7 @@ Usage, from anywhere:
 
 Pair ``k`` runs each tree's own ``bench/run.py --workload W --seed S
 --seconds 20 --trace 0`` as a subprocess from that tree's root, with the
-same seed ``S`` on both sides.  Even pairs run the parent first, odd pairs
+same seed ``S`` on both sides and the benchmark's fixed 20 s run length.  Even pairs run the parent first, odd pairs
 the change first.  The script prints every pair's end-to-end metrics, then
 per metric each side's q1/median/q3, the parent's IQR, the median change
 and the change's wins (ties count for neither side).  A gain holds when the
@@ -30,6 +30,9 @@ from pathlib import Path
 #: End-to-end metrics where a larger value is better; the rest are costs.
 HIGHER_IS_BETTER = {"jobs_per_s", "ok_frac"}
 
+#: Run length of every benchmark run, the same on both trees.
+SECONDS = 20
+
 
 def seed_range(text: str) -> list:
     first, _, last = text.partition("-")
@@ -39,11 +42,11 @@ def seed_range(text: str) -> list:
     return seeds
 
 
-def run_bench(tree: Path, workload: str, seed: int, seconds: int) -> dict:
+def run_bench(tree: Path, workload: str, seed: int) -> dict:
     """One ``bench/run.py`` run of ``tree``; its metrics as name -> value."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
         cwd=tree, capture_output=True, text=True, timeout=900,
     )
     lines = proc.stdout.strip().splitlines()
@@ -70,7 +73,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", required=True, type=seed_range,
                         help="inclusive range A-B, one pair per seed")
-    parser.add_argument("--seconds", type=int, default=20)
     args = parser.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for tree in trees.values():
@@ -81,8 +83,7 @@ def main(argv=None) -> int:
     for k, seed in enumerate(args.seeds):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         for side in order:
-            runs[side].append(run_bench(trees[side], args.workload, seed,
-                                        args.seconds))
+            runs[side].append(run_bench(trees[side], args.workload, seed))
         cells = "  ".join(
             f"{side} " + " ".join(f"{n}={v:.6g}" for n, v in runs[side][-1].items())
             for side in ("parent", "change"))

@@ -19,16 +19,9 @@ from .activations import Activation
 from .exceptions import ConfigError, RankDeficiencyError, ResolutionError
 from .grids import Grid
 from .network import Params, directional_derivative, jacobian
-from .operators import LinearOperator
+from .operators import DENSE_BYTES_LIMIT, LinearOperator
 from .pseudoinverse import DEFAULT_RANK_TOL, pinv_apply, weighted_qr
 from .sampling import DEFAULT_ALPHA_BAND, DEFAULT_BOX, sample_params
-
-#: Largest memory, in bytes, that one :func:`manifold_sweep` may take.  The
-#: sweep holds about ten ``resolution**2`` float64 arrays at its peak,
-#: ``10 * 8 * resolution**2`` bytes: 0.8 MB at the default 101 and 1 GiB
-#: near 3663.  Larger lattices are refused before any allocation.
-LATTICE_BYTES_LIMIT = 2**30
-
 
 @dataclass(frozen=True)
 class IndependenceReport:
@@ -298,15 +291,17 @@ def manifold_sweep(extent: float = 1.0, resolution: int = 101) -> np.ndarray:
     ``resolution x resolution`` lattice on ``[-extent, extent]^2``.
 
     Raises :class:`ConfigError` when the sweep would take more than
-    :data:`LATTICE_BYTES_LIMIT` bytes.
+    :data:`~gncoder.operators.DENSE_BYTES_LIMIT` bytes.  It holds about ten
+    ``resolution**2`` float64 arrays at its peak: 0.8 MB at the default 101
+    and 1 GiB near 3663.
     """
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
     need = 10 * 8 * resolution**2  # two meshgrids, columns, temporaries, rows
-    if need > LATTICE_BYTES_LIMIT:
+    if need > DENSE_BYTES_LIMIT:
         raise ConfigError(
             f"resolution {resolution} needs a {need / 2**30:.1f} GiB lattice, "
-            f"over the {LATTICE_BYTES_LIMIT / 2**30:g} GiB limit"
+            f"over the {DENSE_BYTES_LIMIT / 2**30:g} GiB limit"
         )
     axis = np.linspace(-extent, extent, resolution)
     axis = 0.5 * (axis - axis[::-1])  # bitwise antisymmetric sampling

@@ -18,12 +18,11 @@ from .grids import Grid, GridFunction
 #: Above this node count no dense matrix realization is built.
 DENSE_LIMIT = 4096
 
-#: Largest memory, in bytes, that building one Gaussian kernel factor may
-#: take.  The ``m x m`` build holds about four ``m x m`` float64 arrays at
-#: once, ``4 * 8 * m**2`` bytes: 0.5 GiB at ``points_per_axis`` 4096, which
-#: is accepted, and 8 GiB at 16384.  Larger axes are refused before any
+#: Largest memory, in bytes, that one dense build may take: a Gaussian kernel
+#: factor here, a :func:`~gncoder.diagnostics.manifold_sweep` lattice there.
+#: Larger builds are refused with a :class:`ConfigError` before any
 #: allocation.
-KERNEL_BYTES_LIMIT = 2**30
+DENSE_BYTES_LIMIT = 2**30
 
 #: Grids up to this node count get an injectivity spot-check by SVD at
 #: construction time.
@@ -148,13 +147,15 @@ def _gaussian_kernel_matrix(m: int, width: float) -> np.ndarray:
     exactly one, so constants are preserved and the adjoint stays free.
 
     Raises :class:`ConfigError` when the build would take more than
-    :data:`KERNEL_BYTES_LIMIT` bytes.
+    :data:`DENSE_BYTES_LIMIT` bytes.  It holds about four ``m x m`` float64
+    arrays at once: 0.5 GiB at ``points_per_axis`` 4096, which is accepted,
+    and 8 GiB at 16384.
     """
     need = 4 * 8 * m * m
-    if need > KERNEL_BYTES_LIMIT:
+    if need > DENSE_BYTES_LIMIT:
         raise ConfigError(
             f"points_per_axis {m} needs a {need / 2**30:.1f} GiB Gaussian "
-            f"kernel, over the {KERNEL_BYTES_LIMIT / 2**30:g} GiB limit"
+            f"kernel, over the {DENSE_BYTES_LIMIT / 2**30:g} GiB limit"
         )
     coords = (np.arange(m) + 0.5) / m
     x = coords[:, None]

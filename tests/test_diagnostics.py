@@ -5,7 +5,6 @@ import pytest
 
 from gncoder.activations import Activation
 from gncoder.diagnostics import (
-    LATTICE_BYTES_LIMIT,
     cone_check,
     independence_report,
     independence_trial,
@@ -18,7 +17,7 @@ from gncoder.diagnostics import (
 from gncoder.exceptions import ConfigError, RankDeficiencyError, ResolutionError
 from gncoder.grids import make_grid
 from gncoder.network import Params, jacobian
-from gncoder.operators import make_identity, make_integration
+from gncoder.operators import DENSE_BYTES_LIMIT, make_identity, make_integration
 from gncoder.sampling import sample_params, unit_direction
 
 SIGMOID = Activation.sigmoid(1.0)
@@ -257,7 +256,7 @@ class TestManifoldDemo:
 
     def test_oversized_lattice_is_refused_before_allocating(self):
         # about ten resolution**2 float64 arrays at the peak; 3663 must fit
-        assert 10 * 8 * 3663**2 <= LATTICE_BYTES_LIMIT
+        assert 10 * 8 * 3663**2 <= DENSE_BYTES_LIMIT
         for resolution in (3664, 20000, 1000000):
             with pytest.raises(ConfigError, match="resolution"):
                 manifold_sweep(resolution=resolution)

@@ -8,7 +8,7 @@ from gncoder.exceptions import (
 )
 from gncoder.grids import GridFunction, constant, inner_product, make_grid, norm
 from gncoder.operators import (
-    KERNEL_BYTES_LIMIT,
+    DENSE_BYTES_LIMIT,
     make_convolution,
     make_identity,
     make_integration,
@@ -194,7 +194,7 @@ def test_injectivity_claims():
 
 def test_oversized_gaussian_kernel_is_refused_before_allocating():
     # the build holds about four m x m float64 arrays; m = 4096 must fit
-    assert 4 * 8 * 4096**2 <= KERNEL_BYTES_LIMIT
+    assert 4 * 8 * 4096**2 <= DENSE_BYTES_LIMIT
     for m in (5793, 16384):
         with pytest.raises(ConfigError, match="points_per_axis"):
             make_convolution(make_grid(1, m), 0.05)
