@@ -151,7 +151,7 @@ class MysovskiiOptions:
     alpha_band: float = _option(1.0, min=0, band_of="box")
     probes: int = _option(20, min=1)
     jitter: float = _option(0.05, min=0)
-    segment_radius: float = _option(0.2, min=0)
+    segment_radius: float = _option(0.2, above=0)
     param_box: Box = (-15.0, 15.0)
     constants_radius: float = _option(0.3, above=0)
     constants_samples: int = _option(32, min=1)
@@ -218,8 +218,8 @@ _KINDS = {
     str: (lambda v: isinstance(v, str), "a string"),
     Box: (lambda v: _numbers(v) and len(v) == 2 and v[0] < v[1],
           "[low, high] with finite low < high"),
-    Floats: (lambda v: _numbers(v) and len(v) > 0,
-             "a non-empty list of finite numbers"),
+    Floats: (lambda v: _numbers(v) and len(v) > 0 and 0 not in v,
+             "a non-empty list of finite non-zero numbers"),
     Coefficients: (_is_coefficients, "null or coefficients {N, n, alpha, w, theta}"),
 }
 

@@ -15,6 +15,8 @@ cross-checks in the test suite meaningful.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import iadd
 
 import numpy as np
 
@@ -29,13 +31,15 @@ from .sampling import sample_in_ball
 #: the numerically active region.
 DEFAULT_PARAM_BOX = (-10.0, 10.0)
 
-#: Byte cap on the stack of matrices that one batched SVD call, or one chunk
-#: of the Frobenius screen, of :func:`lipschitz_constants` takes; a call
-#: takes at least one matrix.
+#: Byte cap on the transient arrays of :func:`lipschitz_constants`: the stack
+#: of matrices one batched SVD call takes (at least one matrix), and the
+#: weighted row chunk of the Gram screen together with its transposed copy
+#: (at least one row).
 SVD_CHUNK_BYTES = 8 * 2**20
 
-#: Relative margin on the Frobenius screen of :func:`lipschitz_constants`,
-#: far above the rounding in the computed norms and singular values.
+#: Relative margin on the Gram screen of :func:`lipschitz_constants`, far
+#: above the rounding in the computed Gram blocks, norms and singular values
+#: (see :func:`_gram_bounds`).
 SCREEN_SLACK = 1e-6
 
 
@@ -174,31 +178,82 @@ def _weighted_batches(stack, sqrt_w, first, second=None):
             yield batch
 
 
-def _frobenius_bounds(stack, sqrt_w, scale, first, second=None) -> np.ndarray:
-    """``|A|_F * (1 + SCREEN_SLACK) / scale`` of every matrix ``A`` of
-    :func:`_weighted_batches`: at least its computed
-    ``sigma_max(A) / scale``."""
-    norms = []
-    for batch in _weighted_batches(stack, sqrt_w, first, second):
-        flat = batch.reshape(len(batch), -1)
-        norms.append(np.sqrt(np.vecdot(flat, flat)))
-    return np.concatenate(norms) * (1.0 + SCREEN_SLACK) / scale
+def _gram_blocks(stack, sqrt_w) -> np.ndarray:
+    """Gram blocks ``G[i, j] = A_i.T @ A_j`` of the weighted sample
+    Jacobians ``A_i = sqrt_w * stack[i]``, shape ``(samples, samples, n*,
+    n*)``.
+
+    Accumulates ``flat.T @ flat`` over row chunks, ``flat`` being the chunk
+    of every ``A_i`` side by side, ``(rows, samples * n*)``.  The weighted
+    chunk and its transposed copy fit together in :data:`SVD_CHUNK_BYTES`,
+    with at least one row per chunk.
+    """
+    samples, nodes, n_star = stack.shape
+    width = samples * n_star
+    rows = max(1, SVD_CHUNK_BYTES // (2 * width * stack.itemsize))
+
+    def square(start):
+        chunk = stack[:, start : start + rows] * sqrt_w[start : start + rows]
+        flat = chunk.transpose(1, 0, 2).reshape(-1, width)
+        return np.matmul(flat.T, flat)
+
+    gram = reduce(iadd, map(square, range(0, nodes, rows)))
+    return gram.reshape(samples, n_star, samples, n_star).swapaxes(1, 2)
 
 
-def _screened_quotients(stack, sqrt_w, scale, first, second=None) -> list:
+def _gram_bounds(blocks, scale, first, second=None) -> np.ndarray:
+    """``sqrt(|D|_F + SCREEN_SLACK * mass) * (1 + SCREEN_SLACK) / scale``
+    for every matrix ``A`` of :func:`_weighted_batches`, from the blocks
+    ``G`` of :func:`_gram_blocks`: at least its computed
+    ``sigma_max(A) / scale``.
+
+    ``D = G_ii`` and ``mass = tr G_ii = |A_i|_F^2`` for a sample ``i``;
+    ``D = G_ii + G_jj - G_ij - G_ji`` and ``mass = tr G_ii + tr G_jj`` for
+    a pair ``(i, j)``, whose ``A = A_i - A_j`` has ``A.T @ A = D`` in exact
+    arithmetic.  Why the bound holds, with ``u`` the unit roundoff, ``eps =
+    2u`` and ``K`` the node count:
+
+    - ``sigma_max(A)^2 = |A.T A|_2 <= |D'|_F + |D' - A.T A|_F`` for the
+      computed ``D'``.
+    - Each Gram entry is an inner product of length ``K``, wrong by at most
+      ``gamma_K = K u / (1 - K u)`` times the inner product of the absolute
+      values (Higham, *Accuracy and Stability of Numerical Algorithms*,
+      3.1), in any summation order and over any row chunking.  The sum of
+      four blocks adds its own rounding, and the exact SVD weights
+      ``stack[i] - stack[j]`` rather than subtracting ``A_j`` from ``A_i``.
+      Together the error term is at most ``2 (gamma_K + 6 eps) mass``:
+      about ``2.2e-8 mass`` at :data:`grids.MAX_NODES`, which
+      ``SCREEN_SLACK * mass`` covers about 45 times over.
+    - The factor ``1 + SCREEN_SLACK`` covers the rounding of the computed
+      singular value and of this bound's own norms and roots.
+
+    Near-duplicate pairs, where cancellation dominates ``D'``, just get a
+    loose bound and go to the SVD.  A NaN in a block gives a NaN bound.
+    """
+    squares = np.einsum("iiaa->i", blocks)  # tr G_ii = |A_i|_F^2
+    d, mass = blocks[first, first], squares[first]
+    if second is not None:  # one gathered block at a time
+        d += blocks[second, second]
+        d -= blocks[first, second]
+        d -= blocks[second, first]
+        mass = mass + squares[second]
+    flat = d.reshape(len(d), -1)
+    norm = np.sqrt(np.vecdot(flat, flat))
+    return np.sqrt(norm + SCREEN_SLACK * mass) * (1.0 + SCREEN_SLACK) / scale
+
+
+def _screened_quotients(stack, sqrt_w, blocks, scale, first, second=None) -> list:
     """``sigma_max(A) / scale`` of the matrices ``A`` of
     :func:`_weighted_batches` that can still have the largest one, as
     floats in index order.
 
-    Screen, then confirm.  ``sigma_max(A) <= |A|_F``, and the rounding in
-    the computed norm and singular value stays far below
-    :data:`SCREEN_SLACK`, so :func:`_frobenius_bounds` bound the computed
-    quotients; dividing by the same positive scale keeps the order.  One
-    exact SVD of the candidate with the largest bound sets a floor, and only
-    candidates whose bound is not ``<=`` the floor (NaN included) get an
-    SVD.  A pruned quotient is at most the floor, so the largest value, and
-    Python ``max`` over the list, equals the one over every candidate bit
-    for bit.
+    Screen, then confirm.  :func:`_gram_bounds` bound the computed
+    quotients from above, from the Gram ``blocks`` alone; dividing by the
+    same positive scale keeps the order.  One exact SVD of the candidate
+    with the largest bound sets a floor, and only candidates whose bound is
+    not ``<=`` the floor (NaN included) are built and get an SVD.  A pruned
+    quotient is at most the floor, so the largest value, and Python ``max``
+    over the list, equals the one over every candidate bit for bit.
     """
     if len(first) == 0:
         return []
@@ -209,7 +264,7 @@ def _screened_quotients(stack, sqrt_w, scale, first, second=None) -> list:
         sigmas = [np.linalg.svd(b, compute_uv=False)[:, 0] for b in batches]
         return np.concatenate(sigmas or [[]]) / scale[pick]
 
-    bounds = _frobenius_bounds(stack, sqrt_w, scale, first, second)
+    bounds = _gram_bounds(blocks, scale, first, second)
     top = int(np.argmax(bounds))
     values = np.empty(len(bounds))
     values[[top]] = exact([top])
@@ -240,13 +295,14 @@ def lipschitz_constants(
     skipped.
 
     Each maximum is screened, then confirmed (:func:`_screened_quotients`).
-    The Frobenius norm of every weighted Jacobian, and of every weighted
-    pair difference divided by its distance, bounds that candidate's
-    operator norm (quotient) from above, with a margin of
-    :data:`SCREEN_SLACK` over rounding.  Exact batched SVDs run only on the
-    candidate with the largest bound and on those whose bound is not at or
-    below its value, so the two maxima are bitwise those of an SVD of every
-    candidate.
+    One Gram matrix of the weighted sample Jacobians (:func:`_gram_blocks`)
+    gives every weighted Jacobian, and every weighted pair difference, its
+    ``A.T @ A``; the Frobenius norm of that, with a margin of
+    :data:`SCREEN_SLACK` over rounding, bounds the candidate's operator
+    norm (quotient) from above (:func:`_gram_bounds`).  Exact batched SVDs
+    run only on the candidate with the largest bound and on those whose
+    bound is not at or below its value, and only those matrices are built,
+    so the two maxima are bitwise those of an SVD of every candidate.
 
     The ball must lie inside the parameter box.
     """
@@ -266,10 +322,11 @@ def lipschitz_constants(
     for k, q in enumerate(points):
         stack[k] = jacobian(Params.from_flat(q, p.units, p.input_dim), a, g).matrix
     sqrt_w = np.sqrt(g.weights)[:, None]
+    blocks = _gram_blocks(stack, sqrt_w)
 
-    deriv_bound = max(
-        _screened_quotients(stack, sqrt_w, np.ones(samples), np.arange(samples))
-    )
+    deriv_bound = max(_screened_quotients(
+        stack, sqrt_w, blocks, np.ones(samples), np.arange(samples)
+    ))
     flags = ()
     lipschitz = 0.0
     if samples < 2:
@@ -281,7 +338,7 @@ def lipschitz_constants(
         dists = np.sqrt(np.vecdot(gaps, gaps))
         apart = dists != 0.0
         quotients = _screened_quotients(
-            stack, sqrt_w, dists[apart], first[apart], second[apart]
+            stack, sqrt_w, blocks, dists[apart], first[apart], second[apart]
         )
         lipschitz = max([lipschitz, *quotients])
     return ConvergenceConstants(

@@ -342,6 +342,10 @@ BAD_CONFIGS = [
       "theta": [0.0, 0.5]}),
     # a dense lattice of resolution**2 rows: a raw allocation traceback
     ("manifold", "resolution", 20000),
+    # a t of 0 wrote a bare NaN ratio that the spread then ignored
+    ("cone", "t_values", [0.01, 0.0]),
+    # a zero radius checked nothing and reported a ratio of 0.0
+    ("mysovskii", "segment_radius", 0),
 ]
 
 
@@ -503,7 +507,7 @@ def _valid_values(f):
         st.floats(min_value=low, max_value=1e6, exclude_min="above" in limits),
     )
     if f.type is Floats:
-        return st.lists(numbers, min_size=1, max_size=4)
+        return st.lists(numbers.filter(lambda v: v != 0), min_size=1, max_size=4)
     if f.type is Box:
         return st.lists(numbers, min_size=2, max_size=2).filter(
             lambda b: b[0] < b[1])

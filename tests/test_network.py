@@ -5,7 +5,7 @@ from gncoder import network
 from gncoder.activations import Activation, parse_activation
 from gncoder.cli import SolveOptions
 from gncoder.exceptions import ShapeError, SmoothnessError
-from gncoder.grids import constant, make_grid, norm
+from gncoder.grids import MAX_NODES, constant, make_grid, norm
 from gncoder.network import (
     Jacobian,
     Params,
@@ -385,6 +385,19 @@ BATCH_CASES = [
 ]
 
 
+def recorded_gram_rows(monkeypatch) -> list:
+    """The row count of every chunk the Gram screen multiplies, recorded
+    through ``np.matmul`` until the monkeypatch is undone."""
+    rows, matmul = [], np.matmul
+
+    def recorded(a, b):
+        rows.append(b.shape[0])
+        return matmul(a, b)
+
+    monkeypatch.setattr(np, "matmul", recorded)
+    return rows
+
+
 class TestBatchedLipschitzConstants:
     @pytest.mark.parametrize("samples", [1, 2, 24, 32])
     @pytest.mark.parametrize("case", range(len(BATCH_CASES)))
@@ -434,13 +447,14 @@ class TestBatchedLipschitzConstants:
 
         monkeypatch.setattr(network, "_weighted_batches", recorded)
         monkeypatch.setattr(np.linalg, "svd", counted)
+        gram_rows = recorded_gram_rows(monkeypatch)
         c = lipschitz_constants(p, SIGMOID, g, radius=radius, samples=samples, seed=4)
         monkeypatch.undo()
         pairs = samples * (samples - 1) // 2
-        # the screen builds every matrix once, the SVD only the survivors
-        assert sum(chunks) == samples + pairs + sum(batches)
-        assert max(chunks) == per_call and max(batches) <= per_call
-        assert sum(batches) < samples + pairs
+        # only the matrices the Gram screen keeps are built, all for the SVD
+        assert sum(chunks) == sum(batches) < samples + pairs
+        assert max(batches) <= per_call
+        assert len(gram_rows) > 1 and sum(gram_rows) == g.node_count
         assert (c.derivative_bound, c.lipschitz_bound) == pairwise_constants(
             p, SIGMOID, g, ball_points(p, radius, samples, seed=4))
 
@@ -458,33 +472,63 @@ def candidate_stack(p, a, g, radius, samples, seed):
 
 
 #: (params, activation, grid, radius, samples): near-duplicate points, a
-#: 2-D grid, tanh and relu, and many samples.
+#: 2-D grid, tanh and relu, many samples, and pair differences near the
+#: Gram's rounding, where the bound needs its ``SCREEN_SLACK * mass`` term.
 SCREEN_CASES = [
     (BATCH_CASES[0][0], SIGMOID, make_grid(1, 64), 1e-9, 12),
     (BATCH_CASES[1][0], SIGMOID, make_grid(2, 12), 0.3, 16),
     (BATCH_CASES[0][0], TANH, make_grid(1, 40), 0.5, 16),
     (BATCH_CASES[1][0], Activation.relu(), make_grid(2, 8), 0.4, 16),
     (BATCH_CASES[0][0], SIGMOID, make_grid(1, 32), 0.6, 60),
+    (BATCH_CASES[0][0], SIGMOID, make_grid(1, 64), 1e-7, 12),
 ]
 
 
+def assert_bounds_hold(stack, sqrt_w, dists):
+    """Every Gram bound is at least its candidate's exact quotient."""
+    samples = len(stack)
+    first, second = np.triu_indices(samples, 1)
+    blocks = network._gram_blocks(stack, sqrt_w)
+
+    def exact(matrix):
+        return float(np.linalg.svd(sqrt_w * matrix, compute_uv=False)[0])
+
+    ones = np.ones(samples)
+    bounds = network._gram_bounds(blocks, ones, np.arange(samples))
+    assert all(b >= exact(m) for b, m in zip(bounds, stack))
+    bounds = network._gram_bounds(blocks, dists, first, second)
+    for b, i, j, d in zip(bounds, first, second, dists):
+        assert b >= exact(stack[i] - stack[j]) / d
+
+
 class TestFrobeniusScreen:
+    """The screen bounds each ``sigma_max(A)^2`` by the Frobenius norm of
+    ``A.T @ A`` taken from one Gram matrix of the sample Jacobians."""
+
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("case", range(len(SCREEN_CASES)))
     def test_every_bound_is_at_least_its_exact_quotient(self, case, seed):
         p, a, g, radius, samples = SCREEN_CASES[case]
-        stack, sqrt_w, dists = candidate_stack(p, a, g, radius, samples, seed)
-        first, second = np.triu_indices(samples, 1)
+        assert_bounds_hold(*candidate_stack(p, a, g, radius, samples, seed))
 
-        def exact(matrix):
-            return float(np.linalg.svd(sqrt_w * matrix, compute_uv=False)[0])
+    def test_holds_on_a_tall_grid_over_many_row_chunks(self, monkeypatch):
+        p, g, radius = BATCH_CASES[1][0], make_grid(2, 64), 0.3
+        samples = 8
+        assert g.node_count == 4096
+        monkeypatch.setattr(network, "SVD_CHUNK_BYTES", 2**16)
+        gram_rows = recorded_gram_rows(monkeypatch)
+        c = lipschitz_constants(p, SIGMOID, g, radius=radius, samples=samples, seed=7)
+        assert len(gram_rows) > 10 and sum(gram_rows) == g.node_count
+        assert (c.derivative_bound, c.lipschitz_bound) == pairwise_constants(
+            p, SIGMOID, g, ball_points(p, radius, samples, seed=7))
+        assert_bounds_hold(*candidate_stack(p, SIGMOID, g, radius, samples, 7))
 
-        ones = np.ones(samples)
-        bounds = network._frobenius_bounds(stack, sqrt_w, ones, np.arange(samples))
-        assert all(b >= exact(m) for b, m in zip(bounds, stack))
-        bounds = network._frobenius_bounds(stack, sqrt_w, dists, first, second)
-        for b, i, j, d in zip(bounds, first, second, dists):
-            assert b >= exact(stack[i] - stack[j]) / d
+    def test_slack_covers_the_gram_rounding_at_the_node_cap(self):
+        # 2 (gamma_K + 6 eps) mass bounds the rounding of the Gram screen
+        eps = np.finfo(float).eps
+        ku = MAX_NODES * eps / 2
+        gamma = ku / (1 - ku)
+        assert 2 * (gamma + 6 * eps) < network.SCREEN_SLACK
 
     @pytest.mark.parametrize("case", range(len(SCREEN_CASES)))
     def test_equals_the_pairwise_loop_exactly(self, case):
@@ -538,4 +582,4 @@ class TestFrobeniusScreen:
                                 seed=seed, box=opts.param_box)
         monkeypatch.undo()
         assert samples + samples * (samples - 1) // 2 == 300
-        assert np.median(matrices) <= 30
+        assert np.median(matrices) <= 4
