@@ -410,6 +410,8 @@ def _run_solve(opts: SolveOptions) -> int:
             samples=opts.constants_samples, seed=constants_seed,
             box=opts.param_box,
         ).with_radius(rho)
+    except ConfigError:
+        raise
     except ValueError as exc:
         constants_err = str(exc)
 

@@ -21,8 +21,9 @@ from operator import iadd
 import numpy as np
 
 from .activations import Activation
-from .exceptions import ShapeError
+from .exceptions import ConfigError, ShapeError
 from .grids import Grid, GridFunction, _frozen_array
+from .operators import DENSE_BYTES_LIMIT
 from .params import Params
 from .pseudoinverse import ConvergenceConstants
 from .sampling import sample_in_ball
@@ -32,9 +33,10 @@ from .sampling import sample_in_ball
 DEFAULT_PARAM_BOX = (-10.0, 10.0)
 
 #: Byte cap on the transient arrays of :func:`lipschitz_constants`: the stack
-#: of matrices one batched SVD call takes (at least one matrix), and the
+#: of matrices one batched SVD call takes (at least one matrix), the
 #: weighted row chunk of the Gram screen together with its transposed copy
-#: (at least one row).
+#: (at least one row), and the ``n* x n*`` blocks gathered to bound a run of
+#: candidates (at least one candidate).
 SVD_CHUNK_BYTES = 8 * 2**20
 
 #: Relative margin on the Gram screen of :func:`lipschitz_constants`, far
@@ -162,7 +164,10 @@ def _weighted_batches(stack, sqrt_w, first, second=None):
 
     Each batch holds as many matrices as fit in :data:`SVD_CHUNK_BYTES`, at
     least one, so the temporaries stay within a few chunks.  Pairs are
-    batched per ``i``, which is broadcast rather than gathered.
+    batched per ``i``, which is broadcast rather than gathered: a batch
+    gathers one copy, of at most ``samples - 1`` matrices, even when the
+    screen keeps every pair (as it does when the Jacobian barely varies
+    over the ball and the ``SCREEN_SLACK`` margin dominates the bounds).
     """
     per_call = max(1, SVD_CHUNK_BYTES // stack[0].nbytes)
     if second is None:
@@ -201,17 +206,27 @@ def _gram_blocks(stack, sqrt_w) -> np.ndarray:
     return gram.reshape(samples, n_star, samples, n_star).swapaxes(1, 2)
 
 
+def _frobenius_norms(rows) -> np.ndarray:
+    """The 2-norm of each row, taken after scaling the row by a power of
+    two that brings its largest entry into ``[0.5, 1)``: exact, and no
+    square underflows or overflows.  A NaN row gives NaN."""
+    _, exponents = np.frexp(np.max(np.abs(rows), axis=1))
+    rows = np.ldexp(rows, -exponents[:, None])
+    return np.ldexp(np.sqrt(np.vecdot(rows, rows)), exponents)
+
+
 def _gram_bounds(blocks, scale, first, second=None) -> np.ndarray:
-    """``sqrt(|D|_F + SCREEN_SLACK * mass) * (1 + SCREEN_SLACK) / scale``
-    for every matrix ``A`` of :func:`_weighted_batches`, from the blocks
-    ``G`` of :func:`_gram_blocks`: at least its computed
+    """``sqrt(|D|_F + SCREEN_SLACK * mass + tiny) * (1 + SCREEN_SLACK) /
+    scale`` for every matrix ``A`` of :func:`_weighted_batches`, from the
+    blocks ``G`` of :func:`_gram_blocks`: at least its computed
     ``sigma_max(A) / scale``.
 
     ``D = G_ii`` and ``mass = tr G_ii = |A_i|_F^2`` for a sample ``i``;
     ``D = G_ii + G_jj - G_ij - G_ji`` and ``mass = tr G_ii + tr G_jj`` for
     a pair ``(i, j)``, whose ``A = A_i - A_j`` has ``A.T @ A = D`` in exact
-    arithmetic.  Why the bound holds, with ``u`` the unit roundoff, ``eps =
-    2u`` and ``K`` the node count:
+    arithmetic.  ``tiny`` is the smallest normal float.  Why the bound
+    holds, with ``u`` the unit roundoff, ``eps = 2u`` and ``K`` the node
+    count:
 
     - ``sigma_max(A)^2 = |A.T A|_2 <= |D'|_F + |D' - A.T A|_F`` for the
       computed ``D'``.
@@ -224,22 +239,42 @@ def _gram_bounds(blocks, scale, first, second=None) -> np.ndarray:
       Together the error term is at most ``2 (gamma_K + 6 eps) mass``:
       about ``2.2e-8 mass`` at :data:`grids.MAX_NODES`, which
       ``SCREEN_SLACK * mass`` covers about 45 times over.
+    - That model ignores underflow.  A product below ``tiny`` (Jacobian
+      entries below about ``1e-154``, as in saturated sigmoid units) is
+      off by up to half the subnormal spacing, ``2^-1075``, so a Gram entry
+      by at most ``K 2^-1075``, and ``|D' - A.T A|_F`` gains at most ``4
+      n* K 2^-1075``, which ``tiny = 2^-1022`` covers for any ``n* K``
+      below ``2^50``.
+    - ``|D'|_F`` itself is taken by :func:`_frobenius_norms`, which scales
+      before squaring, so Gram entries below about ``1e-154`` (Jacobian
+      entries below about ``1e-77``) still count: their squares do not
+      underflow to zero.
     - The factor ``1 + SCREEN_SLACK`` covers the rounding of the computed
       singular value and of this bound's own norms and roots.
 
     Near-duplicate pairs, where cancellation dominates ``D'``, just get a
     loose bound and go to the SVD.  A NaN in a block gives a NaN bound.
+    ``D`` is gathered for as many candidates at a time as three copies fit
+    in :data:`SVD_CHUNK_BYTES`, at least one.
     """
     squares = np.einsum("iiaa->i", blocks)  # tr G_ii = |A_i|_F^2
-    d, mass = blocks[first, first], squares[first]
-    if second is not None:  # one gathered block at a time
-        d += blocks[second, second]
-        d -= blocks[first, second]
-        d -= blocks[second, first]
+    per_call = max(1, SVD_CHUNK_BYTES // (3 * blocks[0, 0].nbytes))
+    norms = np.empty(len(first))
+    for start in range(0, len(first), per_call):
+        picks = slice(start, start + per_call)
+        i = first[picks]
+        d = blocks[i, i]
+        if second is not None:  # one gathered block at a time
+            j = second[picks]
+            d += blocks[j, j]
+            d -= blocks[i, j]
+            d -= blocks[j, i]
+        norms[picks] = _frobenius_norms(d.reshape(len(d), -1))
+    mass = squares[first]
+    if second is not None:
         mass = mass + squares[second]
-    flat = d.reshape(len(d), -1)
-    norm = np.sqrt(np.vecdot(flat, flat))
-    return np.sqrt(norm + SCREEN_SLACK * mass) * (1.0 + SCREEN_SLACK) / scale
+    tiny = np.finfo(float).tiny
+    return np.sqrt(norms + SCREEN_SLACK * mass + tiny) * (1.0 + SCREEN_SLACK) / scale
 
 
 def _screened_quotients(stack, sqrt_w, blocks, scale, first, second=None) -> list:
@@ -304,12 +339,23 @@ def lipschitz_constants(
     bound is not at or below its value, and only those matrices are built,
     so the two maxima are bitwise those of an SVD of every candidate.
 
-    The ball must lie inside the parameter box.
+    The ball must lie inside the parameter box.  Raises
+    :class:`ConfigError` when the Gram matrix would take more than
+    :data:`~gncoder.operators.DENSE_BYTES_LIMIT` bytes.  It holds about two
+    ``(samples * n*)^2`` float64 arrays, the sum and one row chunk's: 1.3 MB
+    at 24 samples of ``n* = 12``, and 1 GiB at about 680 of them.
     """
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
+    need = 2 * 8 * (samples * p.n_star) ** 2
+    if need > DENSE_BYTES_LIMIT:
+        raise ConfigError(
+            f"constants_samples {samples} needs a {need / 2**30:.1f} GiB Gram "
+            f"matrix for {p.n_star} parameters, over the "
+            f"{DENSE_BYTES_LIMIT / 2**30:g} GiB limit"
+        )
     lo, hi = box
     center = p.flatten()
     if center.min() - radius < lo or center.max() + radius > hi:

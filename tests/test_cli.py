@@ -346,6 +346,9 @@ BAD_CONFIGS = [
     ("cone", "t_values", [0.01, 0.0]),
     # a zero radius checked nothing and reported a ratio of 0.0
     ("mysovskii", "segment_radius", 0),
+    # a Gram screen of (samples * n*)**2 floats: gigabytes, unchecked
+    ("solve", "constants_samples", 3000),
+    ("mysovskii", "constants_samples", 3000),
 ]
 
 

@@ -472,8 +472,10 @@ def candidate_stack(p, a, g, radius, samples, seed):
 
 
 #: (params, activation, grid, radius, samples): near-duplicate points, a
-#: 2-D grid, tanh and relu, many samples, and pair differences near the
-#: Gram's rounding, where the bound needs its ``SCREEN_SLACK * mass`` term.
+#: 2-D grid, tanh and relu, many samples, pair differences near the Gram's
+#: rounding, where the bound needs its ``SCREEN_SLACK * mass`` term, and
+#: saturated sigmoid units, whose Jacobian entries (about 1e-90 and 1e-160)
+#: give Gram entries that underflow when squared, or underflow themselves.
 SCREEN_CASES = [
     (BATCH_CASES[0][0], SIGMOID, make_grid(1, 64), 1e-9, 12),
     (BATCH_CASES[1][0], SIGMOID, make_grid(2, 12), 0.3, 16),
@@ -481,6 +483,10 @@ SCREEN_CASES = [
     (BATCH_CASES[1][0], Activation.relu(), make_grid(2, 8), 0.4, 16),
     (BATCH_CASES[0][0], SIGMOID, make_grid(1, 32), 0.6, 60),
     (BATCH_CASES[0][0], SIGMOID, make_grid(1, 64), 1e-7, 12),
+    (Params([1.0, -1.0], [[-3.0], [-1.0]], [-3.0, -2.5]), Activation.sigmoid(0.01),
+     make_grid(1, 32), 0.3, 12),
+    (Params([1.0, -1.0], [[-0.5], [0.3]], [-4.2, -4.5]), Activation.sigmoid(0.01),
+     make_grid(1, 32), 0.2, 12),
 ]
 
 
@@ -523,6 +529,26 @@ class TestFrobeniusScreen:
             p, SIGMOID, g, ball_points(p, radius, samples, seed=7))
         assert_bounds_hold(*candidate_stack(p, SIGMOID, g, radius, samples, 7))
 
+    def test_bounds_taken_one_candidate_at_a_time_are_unchanged(
+        self, monkeypatch
+    ):
+        p, a, g, radius, samples = SCREEN_CASES[4]
+        stack, sqrt_w, dists = candidate_stack(p, a, g, radius, samples, 0)
+        first, second = np.triu_indices(samples, 1)
+        blocks = network._gram_blocks(stack, sqrt_w)
+        whole = network._gram_bounds(blocks, dists, first, second)
+        rows, norms = [], network._frobenius_norms
+
+        def recorded(d):
+            rows.append(len(d))
+            return norms(d)
+
+        monkeypatch.setattr(network, "SVD_CHUNK_BYTES", 1)
+        monkeypatch.setattr(network, "_frobenius_norms", recorded)
+        chunked = network._gram_bounds(blocks, dists, first, second)
+        assert max(rows) == 1 and sum(rows) == len(first)
+        assert np.array_equal(chunked, whole)
+
     def test_slack_covers_the_gram_rounding_at_the_node_cap(self):
         # 2 (gamma_K + 6 eps) mass bounds the rounding of the Gram screen
         eps = np.finfo(float).eps
@@ -554,7 +580,9 @@ class TestFrobeniusScreen:
 
         monkeypatch.setattr(network, "SCREEN_SLACK", np.inf)
         monkeypatch.setattr(np.linalg, "svd", counted)
-        full = lipschitz_constants(p, a, g, radius=radius, samples=samples, seed=case)
+        with np.errstate(invalid="ignore"):  # inf * a mass of 0 is NaN, kept
+            full = lipschitz_constants(p, a, g, radius=radius, samples=samples,
+                                       seed=case)
         monkeypatch.undo()
         assert sum(matrices) == samples + samples * (samples - 1) // 2
         assert (full.derivative_bound, full.lipschitz_bound) == (
