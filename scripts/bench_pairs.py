@@ -14,6 +14,10 @@ and the change's wins (ties count for neither side).  A gain holds when the
 change wins at least nine pairs in ten and the median moves by more than
 the parent's IQR.
 
+A run whose outputs fail the benchmark's checks keeps its pair: the pair
+line is followed by each side's failed-job count and failure notes, and the
+script exits 1 after the summary.
+
 Only ``bench/`` of each tree is run; nothing in either tree is written
 except what ``bench/run.py`` itself leaves under ``.bench_build/``.
 """
@@ -33,6 +37,9 @@ HIGHER_IS_BETTER = {"jobs_per_s", "ok_frac"}
 #: Run length of every benchmark run, the same on both trees.
 SECONDS = 20
 
+#: How ``bench/run.py`` begins the line it prints for each failed job.
+FAILURE_NOTES = ("job seed ", "traced job seed ")
+
 
 def seed_range(text: str) -> list:
     first, _, last = text.partition("-")
@@ -42,8 +49,9 @@ def seed_range(text: str) -> list:
     return seeds
 
 
-def run_bench(tree: Path, workload: str, seed: int) -> dict:
-    """One ``bench/run.py`` run of ``tree``; its metrics as name -> value."""
+def run_bench(tree: Path, workload: str, seed: int) -> tuple:
+    """One ``bench/run.py`` run of ``tree``: its metrics as name -> value,
+    its failed-job count and its failure notes."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
@@ -54,9 +62,9 @@ def run_bench(tree: Path, workload: str, seed: int) -> dict:
         sys.exit(f"error: {tree} seed {seed} exited {proc.returncode}\n"
                  f"{proc.stderr.strip()[-2000:]}")
     result = json.loads(lines[-1])
-    if not result["correct"]:
-        sys.exit(f"error: {tree} seed {seed}: {result['failed']} failed jobs")
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    notes = [line for line in lines[:-1] if line.startswith(FAILURE_NOTES)]
+    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    return metrics, result["failed"], notes
 
 
 def quartiles(values) -> tuple:
@@ -80,14 +88,25 @@ def main(argv=None) -> int:
             parser.error(f"no bench/run.py under {tree}")
 
     runs = {"parent": [], "change": []}
+    failed_runs = 0
     for k, seed in enumerate(args.seeds):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        failures = {}
         for side in order:
-            runs[side].append(run_bench(trees[side], args.workload, seed))
+            metrics, failed, notes = run_bench(trees[side], args.workload, seed)
+            runs[side].append(metrics)
+            failures[side] = (failed, notes)
         cells = "  ".join(
             f"{side} " + " ".join(f"{n}={v:.6g}" for n, v in runs[side][-1].items())
             for side in ("parent", "change"))
         print(f"pair {k + 1} seed {seed} ({order[0]} first): {cells}", flush=True)
+        if any(failed for failed, _ in failures.values()):
+            for side in ("parent", "change"):
+                failed, notes = failures[side]
+                failed_runs += failed > 0
+                print(f"  {side} failed jobs: {failed}")
+                for note in notes:
+                    print(f"    {note}")
 
     pairs = len(args.seeds)
     for name in runs["parent"][0]:
@@ -101,6 +120,10 @@ def main(argv=None) -> int:
         print(f"{name}: parent q1/median/q3 {p1:.6g}/{pm:.6g}/{p3:.6g} "
               f"(IQR {p3 - p1:.6g}); change {c1:.6g}/{cm:.6g}/{c3:.6g}; "
               f"median {shift}; change wins {wins}/{pairs}")
+    if failed_runs:
+        print(f"error: {failed_runs} of {2 * pairs} runs had failed jobs",
+              file=sys.stderr)
+        return 1
     return 0
 
 

@@ -32,7 +32,8 @@ from .sampling import sample_in_ball
 #: the numerically active region.
 DEFAULT_PARAM_BOX = (-10.0, 10.0)
 
-#: Byte cap on the transient arrays of :func:`lipschitz_constants`: the stack
+#: Byte cap on the transient arrays of :func:`lipschitz_constants`: a chunk
+#: of sample Jacobians built in one pass (at least one sample), the stack
 #: of matrices one batched SVD call takes (at least one matrix), the
 #: weighted row chunk of the Gram screen together with its transposed copy
 #: (at least one row), and the ``n* x n*`` blocks gathered to bound a run of
@@ -40,8 +41,8 @@ DEFAULT_PARAM_BOX = (-10.0, 10.0)
 SVD_CHUNK_BYTES = 8 * 2**20
 
 #: Relative margin on the Gram screen of :func:`lipschitz_constants`, far
-#: above the rounding in the computed Gram blocks, norms and singular values
-#: (see :func:`_gram_bounds`).
+#: above the rounding in the computed singular values and in the screen's own
+#: norms and roots (see :func:`_gram_bounds`).
 SCREEN_SLACK = 1e-6
 
 
@@ -96,17 +97,33 @@ def jacobian(p: Params, a: Activation, g: Grid) -> Jacobian:
     is ``alpha_s * act'(z_s)``.
     """
     _check_dims(p, g)
-    units, n = p.units, p.input_dim
-    z = _unit_arguments(p, g)
-    d1 = a.d1(z)
-    scaled = d1 * p.alpha  # (K, N)
-    M = np.empty((g.node_count, p.n_star))
-    M[:, :units] = a.value(z)
-    M[:, units : units * (n + 1)] = (
-        scaled[:, :, None] * g.nodes[:, None, :]
-    ).reshape(g.node_count, units * n)
-    M[:, units * (n + 1) :] = scaled
-    return Jacobian(M, p, g)
+    M = np.empty((1, g.node_count, p.n_star))
+    _jacobian_matrices(p.flatten()[None], p.units, p.input_dim, a, g, M)
+    return Jacobian(M[0], p, g)
+
+
+def _jacobian_matrices(flat, units: int, dim: int, a: Activation, g: Grid, out):
+    """Write the Jacobian at each row of ``flat``, a ``(rows, n*)`` stack of
+    flattened parameters, into ``out``, shape ``(rows, node_count, n*)``.
+
+    Each row's ``z = g.nodes @ w.T + theta`` is bitwise
+    :func:`_unit_arguments` at that point: ``matmul`` multiplies a stack one
+    matrix at a time, and the fresh C-ordered ``w`` stack gives each matrix
+    the strides of one ``Params.w.T``.  The rest is elementwise.
+    """
+    rows = len(flat)
+    alpha = flat[:, None, :units]
+    w_t = np.ascontiguousarray(
+        flat[:, units : units * (dim + 1)].reshape(rows, units, dim)
+    ).transpose(0, 2, 1)
+    theta = flat[:, None, units * (dim + 1) :]
+    z = g.nodes @ w_t + theta  # (rows, K, N)
+    scaled = a.d1(z) * alpha
+    out[:, :, :units] = a.value(z)
+    out[:, :, units : units * (dim + 1)] = (
+        scaled[..., None] * g.nodes[:, None, :]
+    ).reshape(rows, g.node_count, units * dim)
+    out[:, :, units * (dim + 1) :] = scaled
 
 
 def directional_derivative(p: Params, a: Activation, g: Grid, direction) -> GridFunction:
@@ -166,8 +183,8 @@ def _weighted_batches(stack, sqrt_w, first, second=None):
     least one, so the temporaries stay within a few chunks.  Pairs are
     batched per ``i``, which is broadcast rather than gathered: a batch
     gathers one copy, of at most ``samples - 1`` matrices, even when the
-    screen keeps every pair (as it does when the Jacobian barely varies
-    over the ball and the ``SCREEN_SLACK`` margin dominates the bounds).
+    screen keeps every pair (as it can when the pair differences are as
+    small as the rounding that :func:`_screen_margin` covers).
     """
     per_call = max(1, SVD_CHUNK_BYTES // stack[0].nbytes)
     if second is None:
@@ -215,11 +232,21 @@ def _frobenius_norms(rows) -> np.ndarray:
     return np.ldexp(np.sqrt(np.vecdot(rows, rows)), exponents)
 
 
-def _gram_bounds(blocks, scale, first, second=None) -> np.ndarray:
-    """``sqrt(|D|_F + SCREEN_SLACK * mass + tiny) * (1 + SCREEN_SLACK) /
-    scale`` for every matrix ``A`` of :func:`_weighted_batches`, from the
-    blocks ``G`` of :func:`_gram_blocks`: at least its computed
-    ``sigma_max(A) / scale``.
+def _screen_margin(nodes: int) -> float:
+    """Ten times ``2 (gamma_K + 6 eps)`` at ``K = nodes``: the factor on
+    ``mass`` that covers the rounding of the Gram screen (see
+    :func:`_gram_bounds`), about ``1.7e-13`` at 64 nodes."""
+    eps = np.finfo(float).eps
+    ku = nodes * eps / 2
+    return 10 * 2 * (ku / (1 - ku) + 6 * eps)
+
+
+def _gram_bounds(blocks, nodes, scale, first, second=None) -> np.ndarray:
+    """``sqrt(|D|_F + margin * mass + tiny) * (1 + SCREEN_SLACK) / scale``
+    for every matrix ``A`` of :func:`_weighted_batches`, from the blocks
+    ``G`` of :func:`_gram_blocks` over a grid of ``nodes`` nodes: at least
+    its computed ``sigma_max(A) / scale``.  ``margin`` is
+    :func:`_screen_margin` of ``nodes``.
 
     ``D = G_ii`` and ``mass = tr G_ii = |A_i|_F^2`` for a sample ``i``;
     ``D = G_ii + G_jj - G_ij - G_ji`` and ``mass = tr G_ii + tr G_jj`` for
@@ -236,9 +263,12 @@ def _gram_bounds(blocks, scale, first, second=None) -> np.ndarray:
       3.1), in any summation order and over any row chunking.  The sum of
       four blocks adds its own rounding, and the exact SVD weights
       ``stack[i] - stack[j]`` rather than subtracting ``A_j`` from ``A_i``.
-      Together the error term is at most ``2 (gamma_K + 6 eps) mass``:
-      about ``2.2e-8 mass`` at :data:`grids.MAX_NODES`, which
-      ``SCREEN_SLACK * mass`` covers about 45 times over.
+      Together the error term is at most ``2 (gamma_K + 6 eps) mass``,
+      which ``margin * mass`` covers ten times over.  The margin grows with
+      the node count, so it stays near the rounding it covers, about
+      ``1.7e-13 mass`` at 64 nodes and ``2.2e-7 mass`` at
+      :data:`grids.MAX_NODES`: a fixed one would dwarf the bounds of small
+      grids where the Jacobian barely varies, and prune nothing there.
     - That model ignores underflow.  A product below ``tiny`` (Jacobian
       entries below about ``1e-154``, as in saturated sigmoid units) is
       off by up to half the subnormal spacing, ``2^-1075``, so a Gram entry
@@ -274,7 +304,8 @@ def _gram_bounds(blocks, scale, first, second=None) -> np.ndarray:
     if second is not None:
         mass = mass + squares[second]
     tiny = np.finfo(float).tiny
-    return np.sqrt(norms + SCREEN_SLACK * mass + tiny) * (1.0 + SCREEN_SLACK) / scale
+    margin = _screen_margin(nodes)
+    return np.sqrt(norms + margin * mass + tiny) * (1.0 + SCREEN_SLACK) / scale
 
 
 def _screened_quotients(stack, sqrt_w, blocks, scale, first, second=None) -> list:
@@ -299,7 +330,7 @@ def _screened_quotients(stack, sqrt_w, blocks, scale, first, second=None) -> lis
         sigmas = [np.linalg.svd(b, compute_uv=False)[:, 0] for b in batches]
         return np.concatenate(sigmas or [[]]) / scale[pick]
 
-    bounds = _gram_bounds(blocks, scale, first, second)
+    bounds = _gram_bounds(blocks, stack.shape[1], scale, first, second)
     top = int(np.argmax(bounds))
     values = np.empty(len(bounds))
     values[[top]] = exact([top])
@@ -332,12 +363,17 @@ def lipschitz_constants(
     Each maximum is screened, then confirmed (:func:`_screened_quotients`).
     One Gram matrix of the weighted sample Jacobians (:func:`_gram_blocks`)
     gives every weighted Jacobian, and every weighted pair difference, its
-    ``A.T @ A``; the Frobenius norm of that, with a margin of
-    :data:`SCREEN_SLACK` over rounding, bounds the candidate's operator
-    norm (quotient) from above (:func:`_gram_bounds`).  Exact batched SVDs
-    run only on the candidate with the largest bound and on those whose
-    bound is not at or below its value, and only those matrices are built,
-    so the two maxima are bitwise those of an SVD of every candidate.
+    ``A.T @ A``; the Frobenius norm of that, with a margin over rounding
+    scaled to the node count (:func:`_screen_margin`), bounds the
+    candidate's operator norm (quotient) from above (:func:`_gram_bounds`).
+    Exact batched SVDs run only on the candidate with the largest bound and
+    on those whose bound is not at or below its value, and only those
+    matrices are built, so the two maxima are bitwise those of an SVD of
+    every candidate.
+    The sample Jacobians themselves are built by :func:`_jacobian_matrices`
+    straight into one stack, as many samples per pass as fit in
+    :data:`SVD_CHUNK_BYTES` (at least one), bitwise equal to
+    :func:`jacobian` at each point.
 
     The ball must lie inside the parameter box.  Raises
     :class:`ConfigError` when the Gram matrix would take more than
@@ -364,9 +400,12 @@ def lipschitz_constants(
         )
     rng = np.random.default_rng(seed)
     points = np.array([sample_in_ball(rng, center, radius) for _ in range(samples)])
+    _check_dims(p, g)
     stack = np.empty((samples, g.node_count, p.n_star))
-    for k, q in enumerate(points):
-        stack[k] = jacobian(Params.from_flat(q, p.units, p.input_dim), a, g).matrix
+    per_call = max(1, SVD_CHUNK_BYTES // stack[0].nbytes)
+    for start in range(0, samples, per_call):
+        chunk = slice(start, start + per_call)
+        _jacobian_matrices(points[chunk], p.units, p.input_dim, a, g, stack[chunk])
     sqrt_w = np.sqrt(g.weights)[:, None]
     blocks = _gram_blocks(stack, sqrt_w)
 

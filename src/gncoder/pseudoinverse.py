@@ -10,6 +10,7 @@ four defining pseudoinverse identities (``LBL = L``, ``BLB = B``,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -72,6 +73,14 @@ def weighted_qr(
     largest original column norm is flagged dependent and excluded from the
     orthonormal family; the retained count is the numerical rank.
 
+    Each retained ``q_i`` is kept beside its weighted copy ``w * q_i`` in
+    preallocated arrays, and every update runs in place, for matrices of
+    any size.  Each coefficient is ``sum((w * q_i) * v)`` and each norm
+    ``sqrt(sum((w * v) * v))``, the products and the pairwise sum that
+    ``np.sum(w * q_i * v)`` and ``np.sum(w * v * v)`` take, and the two
+    passes' coefficients are summed from zero in order, so the factors are
+    bitwise those of the same sweep over fresh column copies.
+
     Raises
     ------
     GridMismatchError
@@ -95,28 +104,39 @@ def weighted_qr(
         raise ZeroMatrixError("all columns are identically zero")
     threshold = rank_tol * max_norm
 
-    q_cols = []
+    # the retained q_i and their weighted copies w * q_i, one row each
+    q_rows = np.empty((ncols, C.shape[0]))
+    qs, wqs = list(q_rows), list(np.empty_like(q_rows))
+    v = np.empty(C.shape[0])
+    tmp = np.empty_like(v)
     r_rows = np.zeros((ncols, ncols))  # trimmed to the final rank below
     dependent = []
+    rank = 0
     for k in range(ncols):
-        v = C[:, k].copy()
+        v[:] = C[:, k]
+        coeffs = [0.0] * rank
         for _ in range(2):  # MGS sweep plus one reorthogonalization
-            for i, q in enumerate(q_cols):
-                coeff = float(np.sum(w * q * v))
-                r_rows[i, k] += coeff
-                v -= coeff * q
-        vnorm = float(np.sqrt(np.sum(w * v * v)))
+            for i in range(rank):
+                # sum(w * q_i * v), which multiplies (w * q_i) by v
+                coeff = float(np.add.reduce(np.multiply(wqs[i], v, out=tmp)))
+                coeffs[i] += coeff
+                np.subtract(v, np.multiply(qs[i], coeff, out=tmp), out=v)
+        r_rows[:rank, k] = coeffs
+        # sqrt(sum(w * v * v)); math.sqrt rounds as np.sqrt does
+        np.multiply(np.multiply(w, v, out=tmp), v, out=tmp)
+        vnorm = math.sqrt(np.add.reduce(tmp))
         if vnorm < threshold:
             dependent.append(True)
             continue
         dependent.append(False)
-        r_rows[len(q_cols), k] = vnorm
-        q_cols.append(v / vnorm)
+        r_rows[rank, k] = vnorm
+        np.divide(v, vnorm, out=qs[rank])
+        np.multiply(w, qs[rank], out=wqs[rank])
+        rank += 1
 
-    rank = len(q_cols)
     if rank == 0:
         raise ZeroMatrixError("all columns fell below the rank tolerance")
-    q_matrix = np.column_stack(q_cols)
+    q_matrix = q_rows[:rank].T.copy()  # C order, as column_stack gave
     return QRFactors(grid, q_matrix, r_rows[:rank, :], tuple(dependent), rank_tol)
 
 

@@ -459,6 +459,91 @@ class TestBatchedLipschitzConstants:
             p, SIGMOID, g, ball_points(p, radius, samples, seed=4))
 
 
+def pointwise_jacobian(p, a, g):
+    """The Jacobian matrix built from one ``Params`` at a time: the formula
+    the stacked build replaced, kept as its bitwise oracle."""
+    units, n = p.units, p.input_dim
+    z = g.nodes @ p.w.T + p.theta
+    scaled = a.d1(z) * p.alpha
+    M = np.empty((g.node_count, p.n_star))
+    M[:, :units] = a.value(z)
+    M[:, units : units * (n + 1)] = (
+        scaled[:, :, None] * g.nodes[:, None, :]
+    ).reshape(g.node_count, units * n)
+    M[:, units * (n + 1) :] = scaled
+    return M
+
+
+#: (activation, grid): sigmoid, a saturating sigmoid, tanh and relu in 1-D
+#: and 2-D.
+STACK_CASES = [
+    (a, g)
+    for a in (SIGMOID, Activation.sigmoid(0.01), TANH, Activation.relu())
+    for g in (make_grid(1, 64), make_grid(2, 12))
+]
+
+
+class TestStackedJacobians:
+    @pytest.mark.parametrize("units", [1, 3])
+    @pytest.mark.parametrize("case", range(len(STACK_CASES)))
+    def test_jacobian_equals_the_pointwise_formula(self, case, units):
+        a, g = STACK_CASES[case]
+        for seed in range(4):
+            p = sample_params(np.random.default_rng(seed), units, g.dim, box=(-5, 5))
+            expected = pointwise_jacobian(p, a, g)
+            matrix = jacobian(p, a, g).matrix
+            assert matrix.tobytes() == expected.tobytes()
+            assert matrix.strides == expected.strides
+
+    @pytest.mark.parametrize("per_call", [1, None])
+    @pytest.mark.parametrize("case", range(len(STACK_CASES)))
+    def test_lipschitz_stack_equals_pointwise_jacobians(
+        self, monkeypatch, case, per_call
+    ):
+        a, g = STACK_CASES[case]
+        p = sample_params(np.random.default_rng(case), 3, g.dim, box=(-5, 5))
+        samples, radius = 24, 0.5
+        if per_call is not None:
+            matrix_bytes = g.node_count * p.n_star * 8
+            monkeypatch.setattr(network, "SVD_CHUNK_BYTES", per_call * matrix_bytes)
+        stacks, passes = [], []
+        gram_blocks, build = network._gram_blocks, network._jacobian_matrices
+
+        def recorded_blocks(stack, sqrt_w):
+            stacks.append(stack.copy())
+            return gram_blocks(stack, sqrt_w)
+
+        def recorded_build(flat, *args):
+            passes.append(len(flat))
+            return build(flat, *args)
+
+        monkeypatch.setattr(network, "_gram_blocks", recorded_blocks)
+        monkeypatch.setattr(network, "_jacobian_matrices", recorded_build)
+        jacobians = []
+        monkeypatch.setattr(network, "jacobian", lambda *args: jacobians.append(args))
+        lipschitz_constants(p, a, g, radius=radius, samples=samples, seed=case)
+        monkeypatch.undo()
+        expected = np.array([
+            pointwise_jacobian(Params.from_flat(q, p.units, p.input_dim), a, g)
+            for q in ball_points(p, radius, samples, seed=case)
+        ])
+        assert stacks[0].tobytes() == expected.tobytes()
+        assert passes == ([samples] if per_call is None else [1] * samples)
+        assert jacobians == []  # no per-sample Jacobian objects
+
+    def test_step_activation_rejected(self):
+        p, g, radius = BATCH_CASES[0]
+        with pytest.raises(SmoothnessError):
+            lipschitz_constants(p, Activation.step(), g, radius=radius,
+                                samples=4, seed=0)
+
+    def test_dimension_mismatch_rejected(self):
+        p, _, radius = BATCH_CASES[0]
+        with pytest.raises(ShapeError):
+            lipschitz_constants(p, SIGMOID, make_grid(2, 8), radius=radius,
+                                samples=4, seed=0)
+
+
 def candidate_stack(p, a, g, radius, samples, seed):
     """The Jacobian stack, root weights and pair distances of one estimate."""
     points = np.array(ball_points(p, radius, samples, seed))
@@ -473,7 +558,7 @@ def candidate_stack(p, a, g, radius, samples, seed):
 
 #: (params, activation, grid, radius, samples): near-duplicate points, a
 #: 2-D grid, tanh and relu, many samples, pair differences near the Gram's
-#: rounding, where the bound needs its ``SCREEN_SLACK * mass`` term, and
+#: rounding, where the bound needs its ``margin * mass`` term, and
 #: saturated sigmoid units, whose Jacobian entries (about 1e-90 and 1e-160)
 #: give Gram entries that underflow when squared, or underflow themselves.
 SCREEN_CASES = [
@@ -500,9 +585,10 @@ def assert_bounds_hold(stack, sqrt_w, dists):
         return float(np.linalg.svd(sqrt_w * matrix, compute_uv=False)[0])
 
     ones = np.ones(samples)
-    bounds = network._gram_bounds(blocks, ones, np.arange(samples))
+    nodes = stack.shape[1]
+    bounds = network._gram_bounds(blocks, nodes, ones, np.arange(samples))
     assert all(b >= exact(m) for b, m in zip(bounds, stack))
-    bounds = network._gram_bounds(blocks, dists, first, second)
+    bounds = network._gram_bounds(blocks, nodes, dists, first, second)
     for b, i, j, d in zip(bounds, first, second, dists):
         assert b >= exact(stack[i] - stack[j]) / d
 
@@ -536,7 +622,7 @@ class TestFrobeniusScreen:
         stack, sqrt_w, dists = candidate_stack(p, a, g, radius, samples, 0)
         first, second = np.triu_indices(samples, 1)
         blocks = network._gram_blocks(stack, sqrt_w)
-        whole = network._gram_bounds(blocks, dists, first, second)
+        whole = network._gram_bounds(blocks, g.node_count, dists, first, second)
         rows, norms = [], network._frobenius_norms
 
         def recorded(d):
@@ -545,16 +631,18 @@ class TestFrobeniusScreen:
 
         monkeypatch.setattr(network, "SVD_CHUNK_BYTES", 1)
         monkeypatch.setattr(network, "_frobenius_norms", recorded)
-        chunked = network._gram_bounds(blocks, dists, first, second)
+        chunked = network._gram_bounds(blocks, g.node_count, dists, first, second)
         assert max(rows) == 1 and sum(rows) == len(first)
         assert np.array_equal(chunked, whole)
 
     def test_slack_covers_the_gram_rounding_at_the_node_cap(self):
-        # 2 (gamma_K + 6 eps) mass bounds the rounding of the Gram screen
+        # 2 (gamma_K + 6 eps) mass bounds the rounding of the Gram screen;
+        # the margin covers it ten times over at every grid size
         eps = np.finfo(float).eps
-        ku = MAX_NODES * eps / 2
-        gamma = ku / (1 - ku)
-        assert 2 * (gamma + 6 * eps) < network.SCREEN_SLACK
+        for nodes in (1, 64, 4096, 65536, MAX_NODES):
+            ku = nodes * eps / 2
+            gamma = ku / (1 - ku)
+            assert network._screen_margin(nodes) >= 10 * 2 * (gamma + 6 * eps)
 
     @pytest.mark.parametrize("case", range(len(SCREEN_CASES)))
     def test_equals_the_pairwise_loop_exactly(self, case):

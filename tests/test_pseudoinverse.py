@@ -115,6 +115,87 @@ class TestWeightedQR:
             weighted_qr(stack([constant(make_grid(1, 32), 1.0)]), GRID)
 
 
+def column_mgs(matrix, grid, rank_tol=1e-10):
+    """Modified Gram-Schmidt over a list of column copies, with ``np.sum``
+    and ``column_stack``: the loop ``weighted_qr`` replaced, kept as its
+    bitwise oracle.  Returns ``(q_matrix, r_matrix, dependent)``."""
+    C = np.ascontiguousarray(matrix, dtype=float)
+    w = grid.weights
+    ncols = C.shape[1]
+    col_norms = np.sqrt(np.sum(w[:, None] * C * C, axis=0))
+    threshold = rank_tol * float(col_norms.max())
+    q_cols = []
+    r_rows = np.zeros((ncols, ncols))
+    dependent = []
+    for k in range(ncols):
+        v = C[:, k].copy()
+        for _ in range(2):
+            for i, q in enumerate(q_cols):
+                coeff = float(np.sum(w * q * v))
+                r_rows[i, k] += coeff
+                v -= coeff * q
+        vnorm = float(np.sqrt(np.sum(w * v * v)))
+        if vnorm < threshold:
+            dependent.append(True)
+            continue
+        dependent.append(False)
+        r_rows[len(q_cols), k] = vnorm
+        q_cols.append(v / vnorm)
+    return np.column_stack(q_cols), r_rows[: len(q_cols), :], tuple(dependent)
+
+
+def oracle_matrix(kind, grid, ncols, seed):
+    """Columns with spread scales, shaped by ``kind``."""
+    rng = np.random.default_rng(seed)
+    matrix = rng.standard_normal((grid.node_count, ncols))
+    matrix *= 10.0 ** rng.uniform(-4, 4, ncols)
+    if kind == "duplicate":
+        matrix[:, 2] = matrix[:, 0]
+    elif kind == "below-tol":
+        matrix[:, 1] = 0.5 * matrix[:, 0] - 1e-13 * matrix[:, 3]
+    elif kind == "fortran":
+        matrix = np.asfortranarray(matrix)
+    return matrix
+
+
+ORACLE_CASES = [
+    (make_grid(1, 64), 6, "plain"),
+    (make_grid(1, 64), 6, "duplicate"),
+    (make_grid(1, 64), 6, "below-tol"),
+    (make_grid(1, 64), 6, "fortran"),
+    (make_grid(1, 64), 1, "plain"),
+    (make_grid(2, 64), 12, "plain"),
+    (make_grid(2, 64), 12, "duplicate"),
+    (make_grid(2, 64), 12, "below-tol"),
+    (make_grid(2, 64), 12, "fortran"),
+    (make_grid(2, 256), 12, "plain"),
+]
+
+
+class TestWeightedQRBitwise:
+    @pytest.mark.parametrize("case", range(len(ORACLE_CASES)))
+    def test_equals_the_column_loop_bit_for_bit(self, case):
+        grid, ncols, kind = ORACLE_CASES[case]
+        for seed in range(3 if grid.node_count <= 4096 else 1):
+            self.check_draw(oracle_matrix(kind, grid, ncols, seed), grid, kind)
+
+    @staticmethod
+    def check_draw(matrix, grid, kind):
+        before = matrix.copy()
+        f = weighted_qr(matrix, grid)
+        q, r, dependent = column_mgs(matrix, grid)
+        assert f.dependent == dependent
+        assert (kind in ("duplicate", "below-tol")) == any(dependent)
+        assert f.q_matrix.tobytes() == q.tobytes()
+        assert f.r_matrix.tobytes() == r.tobytes()
+        assert f.q_matrix.shape == q.shape and f.r_matrix.shape == r.shape
+        # matmul picks its kernel by strides, so the layout is part of the bits
+        assert f.q_matrix.strides == q.strides
+        assert f.q_matrix.flags.c_contiguous
+        assert matrix.tobytes() == before.tobytes() and matrix.flags.writeable
+        assert matrix.flags.c_contiguous == (kind != "fortran")
+
+
 class TestProject:
     def test_fixes_vectors_in_span(self):
         rng = np.random.default_rng(13)
