@@ -39,8 +39,8 @@ for i in range(p.n_star):
     up = eval_psi(Params.from_flat(flat + e, 2, 1), act, grid).values
     dn = eval_psi(Params.from_flat(flat - e, 2, 1), act, grid).values
     fd = (up - dn) / (2 * step)
-    err = np.sqrt(np.sum(grid.weights * (fd - jac.matrix[:, i]) ** 2))
-    scale = np.sqrt(np.sum(grid.weights * jac.matrix[:, i] ** 2))
+    err = np.sqrt(np.sum(grid.weights * (fd - jac[:, i]) ** 2))
+    scale = np.sqrt(np.sum(grid.weights * jac[:, i] ** 2))
     block, s, t = p.describe_index(i)
     label = f"{block}[{s}]" if t is None else f"{block}[{s},{t}]"
     print(f"  column {i:2d} ({label:<7}): relative error {err / scale:.2e}")
@@ -75,8 +75,8 @@ print(f"pure output-weight direction: max |value| = {np.max(np.abs(flatline.valu
 
 print("\n=== mirror symmetry of the sigmoid derivative ===")
 mirrored = Params(p.alpha, -p.w, -p.theta)
-col = jacobian(p, act, grid).matrix[:, p.theta_index(0)]
-col_m = jacobian(mirrored, act, grid).matrix[:, p.theta_index(0)]
+col = jacobian(p, act, grid)[:, p.theta_index(0)]
+col_m = jacobian(mirrored, act, grid)[:, p.theta_index(0)]
 print(f"theta-column at (alpha, w, theta) vs (alpha, -w, -theta): "
       f"max |difference| = {np.max(np.abs(col - col_m)):.2e}")
 

@@ -36,7 +36,6 @@ from .grids import (
     sample_function,
 )
 from .network import (
-    Jacobian,
     Params,
     directional_derivative,
     eval_psi,
@@ -84,7 +83,6 @@ __all__ = [
     "GridFunction",
     "IndependenceReport",
     "IterationTrace",
-    "Jacobian",
     "LinearOperator",
     "MPResiduals",
     "MysovskiiReport",

@@ -200,10 +200,10 @@ def _is_coefficients(value) -> bool:
     if value is None:
         return True
     try:
-        Params.from_json_dict(value)
+        p = Params.from_json_dict(value)
     except (KeyError, TypeError, ValueError):
         return False
-    return True
+    return bool(np.all(np.isfinite(p.flatten())))
 
 
 def _numbers(value) -> bool:
@@ -220,7 +220,8 @@ _KINDS = {
           "[low, high] with finite low < high"),
     Floats: (lambda v: _numbers(v) and len(v) > 0 and 0 not in v,
              "a non-empty list of finite non-zero numbers"),
-    Coefficients: (_is_coefficients, "null or coefficients {N, n, alpha, w, theta}"),
+    Coefficients: (_is_coefficients,
+                   "null or finite coefficients {N, n, alpha, w, theta}"),
 }
 
 
@@ -397,7 +398,7 @@ def _run_solve(opts: SolveOptions) -> int:
     solve_cfg = SolveConfig(activation, grid, forward, p0, y, **{
         key: getattr(opts, key) for key in (
             "max_iters", "tol_residual", "tol_step", "rank_tol", "mode",
-            "step_size", "seed", "param_box")})
+            "step_size", "param_box")})
     trace = solve(solve_cfg, true_params=p_true)
 
     rho = float(np.linalg.norm(p0.flatten() - p_true.flatten()))
@@ -452,6 +453,12 @@ def _run_solve(opts: SolveOptions) -> int:
 
 def _run_independence(opts: IndependenceOptions) -> int:
     grid, activation = _grid_and_activation(opts)
+    columns = opts.units * (opts.dim + 2)
+    if columns > grid.node_count:
+        raise ConfigError(
+            f"units {opts.units} at dim {opts.dim} give {columns} columns, "
+            f"more than the {grid.node_count} nodes at points_per_axis "
+            f"{opts.points_per_axis}: they cannot be independent")
     rows = [
         dict(independence_trial(
             activation, opts.units, opts.dim, grid, box=opts.box,
@@ -505,6 +512,14 @@ def _run_mysovskii(opts: MysovskiiOptions) -> int:
     else:
         base_params = sample_params(rng, opts.units, opts.dim,
                                     box=opts.box, alpha_band=opts.alpha_band)
+    # the constants estimate below needs its ball inside the box; say so
+    # before the probes run
+    center, radius = base_params.flatten(), opts.constants_radius
+    lo, hi = opts.param_box
+    if center.min() - radius < lo or center.max() + radius > hi:
+        raise ConfigError(
+            f"base_params with constants_radius {radius} leaves param_box "
+            f"[{lo}, {hi}]")
     n_star = base_params.n_star
     rows = []
     max_ratio = 0.0
@@ -576,7 +591,7 @@ def _run_check_derivatives(opts: CheckDerivativesOptions) -> int:
                 Params.from_flat(vec, p.units, p.input_dim), activation, grid
             ).values
 
-        matrix = jacobian(p, activation, grid).matrix
+        matrix = jacobian(p, activation, grid)
         for col in range(p.n_star):
             e = np.zeros(p.n_star)
             e[col] = h1

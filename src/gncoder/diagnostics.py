@@ -17,7 +17,7 @@ import numpy as np
 
 from .activations import Activation
 from .exceptions import ConfigError, RankDeficiencyError, ResolutionError
-from .grids import Grid
+from .grids import Grid, GridFunction
 from .network import Params, directional_derivative, jacobian
 from .operators import DENSE_BYTES_LIMIT, LinearOperator
 from .pseudoinverse import DEFAULT_RANK_TOL, pinv_apply, weighted_qr
@@ -70,8 +70,8 @@ def independence_report(
         raise ResolutionError(
             f"{p.n_star} columns cannot be independent on {grid.node_count} nodes"
         )
-    matrix = jacobian(p, activation, grid).matrix
-    scaled = np.sqrt(grid.weights)[:, None] * matrix
+    scaled = jacobian(p, activation, grid)
+    scaled *= np.sqrt(grid.weights)[:, None]  # in place: no second matrix
     sv = np.linalg.svd(scaled, compute_uv=False)
     smax = float(sv[0])
     smin = float(sv[-1])
@@ -178,7 +178,7 @@ def cone_check(
     :class:`RankDeficiencyError` otherwise.
     """
     jac1 = jacobian(p1, activation, grid)
-    factors = weighted_qr(jac1.matrix, grid, rank_tol)
+    factors = weighted_qr(jac1, grid, rank_tol)
     if factors.rank < p1.n_star:
         raise RankDeficiencyError(
             f"derivative at p1 has rank {factors.rank} < {p1.n_star}",
@@ -188,11 +188,11 @@ def cone_check(
     n_star = p1.n_star
     transition = np.empty((n_star, n_star))
     for j in range(n_star):
-        transition[:, j] = pinv_apply(factors, jac2.column(j))
+        transition[:, j] = pinv_apply(factors, GridFunction(grid, jac2[:, j]))
     dev = float(np.linalg.norm(transition - np.eye(n_star), 2))
 
-    fj1 = forward.apply_columns(jac1.matrix)
-    fj2 = forward.apply_columns(jac2.matrix)
+    fj1 = forward.apply_columns(jac1)
+    fj2 = forward.apply_columns(jac2)
     w_out = forward.out_grid.weights[:, None]
     defect = fj2 - fj1 @ transition
     num = math.sqrt(float(np.sum(w_out * defect * defect)))
@@ -222,10 +222,6 @@ class MysovskiiReport:
     def max_ratio(self) -> float:
         return max(self.bound_ratios, default=0.0)
 
-    @property
-    def entries(self) -> list:
-        return list(zip(self.s_values, self.lhs_values, self.bound_ratios))
-
     def to_json_dict(self) -> dict:
         return {
             "s_values": list(self.s_values),
@@ -248,7 +244,7 @@ def mysovskii_check(
     for s in s_values:
         if not 0.0 <= s <= 1.0:
             raise ValueError(f"s values must lie in [0, 1], got {s}")
-    forward_jac = forward.apply_columns(jacobian(p, activation, grid).matrix)
+    forward_jac = forward.apply_columns(jacobian(p, activation, grid))
     factors = weighted_qr(forward_jac, forward.out_grid, rank_tol)
     if factors.rank < p.n_star:
         raise RankDeficiencyError(

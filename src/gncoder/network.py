@@ -14,7 +14,6 @@ cross-checks in the test suite meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import iadd
 
@@ -22,7 +21,7 @@ import numpy as np
 
 from .activations import Activation
 from .exceptions import ConfigError, ShapeError
-from .grids import Grid, GridFunction, _frozen_array
+from .grids import Grid, GridFunction
 from .operators import DENSE_BYTES_LIMIT
 from .params import Params
 from .pseudoinverse import ConvergenceConstants
@@ -46,30 +45,6 @@ SVD_CHUNK_BYTES = 8 * 2**20
 SCREEN_SLACK = 1e-6
 
 
-@dataclass(frozen=True, eq=False)
-class Jacobian:
-    """Derivative columns of the synthesis operator at one parameter point.
-
-    Columns follow the :class:`Params` flattening order and all live on one
-    grid.  ``matrix`` is the dense ``(node_count, n_star)`` stack.
-    """
-
-    matrix: np.ndarray
-    params: Params
-    grid: Grid
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _frozen_array(self.matrix))
-        if self.matrix.shape != (self.grid.node_count, self.params.n_star):
-            raise ShapeError(
-                f"Jacobian matrix has shape {self.matrix.shape}, expected "
-                f"({self.grid.node_count}, {self.params.n_star})"
-            )
-
-    def column(self, i: int) -> GridFunction:
-        return GridFunction(self.grid, self.matrix[:, i])
-
-
 def _check_dims(p: Params, g: Grid):
     if p.input_dim != g.dim:
         raise ShapeError(
@@ -89,8 +64,9 @@ def eval_psi(p: Params, a: Activation, g: Grid) -> GridFunction:
     return GridFunction(g, a.value(z) @ p.alpha)
 
 
-def jacobian(p: Params, a: Activation, g: Grid) -> Jacobian:
-    """All first-derivative columns, in the flattening order.
+def jacobian(p: Params, a: Activation, g: Grid) -> np.ndarray:
+    """All first-derivative columns, in the flattening order, as a fresh
+    C-ordered ``(node_count, n_star)`` array the caller owns.
 
     Per unit ``s``: the alpha-column is ``act(z_s)``, the w-columns are
     ``alpha_s * act'(z_s) * x_t`` for each axis ``t``, and the theta-column
@@ -99,7 +75,7 @@ def jacobian(p: Params, a: Activation, g: Grid) -> Jacobian:
     _check_dims(p, g)
     M = np.empty((1, g.node_count, p.n_star))
     _jacobian_matrices(p.flatten()[None], p.units, p.input_dim, a, g, M)
-    return Jacobian(M[0], p, g)
+    return M[0]
 
 
 def _jacobian_matrices(flat, units: int, dim: int, a: Activation, g: Grid, out):

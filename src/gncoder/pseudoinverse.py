@@ -40,7 +40,6 @@ class QRFactors:
     q_matrix: np.ndarray   # (node_count, rank)
     r_matrix: np.ndarray   # (rank, column_count)
     dependent: tuple
-    rank_tol: float
 
     @property
     def rank(self) -> int:
@@ -137,7 +136,7 @@ def weighted_qr(
     if rank == 0:
         raise ZeroMatrixError("all columns fell below the rank tolerance")
     q_matrix = q_rows[:rank].T.copy()  # C order, as column_stack gave
-    return QRFactors(grid, q_matrix, r_rows[:rank, :], tuple(dependent), rank_tol)
+    return QRFactors(grid, q_matrix, r_rows[:rank, :], tuple(dependent))
 
 
 def _q_coefficients(factors: QRFactors, x: GridFunction) -> np.ndarray:

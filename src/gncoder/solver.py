@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import csv
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,7 +52,7 @@ TRACE_CSV_COLUMNS = ("iter", "residual", "step_norm", "param_error", "rank", "st
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Everything one solve run needs; deterministic given the seed."""
+    """Everything one solve run needs; the run is deterministic."""
 
     activation: Activation
     grid: Grid
@@ -66,7 +65,6 @@ class SolveConfig:
     rank_tol: float = 1e-10
     mode: str = MODE_GAUSS_NEWTON
     step_size: float = 1e-2
-    seed: int = 0
     param_box: tuple = DEFAULT_PARAM_BOX
 
     def __post_init__(self):
@@ -94,16 +92,13 @@ class IterationTrace:
 
     ``residuals`` and ``param_errors`` have one entry per visited iterate
     (``iterations + 1`` of them); ``step_norms`` one per completed step;
-    ``ranks`` one per Gauss-Newton step attempt.  ``timestamps`` are
-    wall-clock seconds since the start of the run and are deliberately not
-    serialized, so output files are bitwise reproducible.
+    ``ranks`` one per Gauss-Newton step attempt.
     """
 
     residuals: list = field(default_factory=list)
     step_norms: list = field(default_factory=list)
     param_errors: list = field(default_factory=list)
     ranks: list = field(default_factory=list)
-    timestamps: list = field(default_factory=list)
     boundary_events: list = field(default_factory=list)
     status: str = ""
     rank_deficit: int = 0
@@ -136,7 +131,6 @@ class IterationTrace:
 
 @dataclass
 class StepDiagnostics:
-    residual_norm: float
     step_norm: float
     rank: int
     clamped: bool
@@ -162,10 +156,7 @@ def gauss_newton_step(
     loses full column rank under ``cfg.rank_tol`` and :class:`NumericError`
     if the update produces non-finite values.
     """
-    res_norm = norm(residual)
-    forward_jac = cfg.forward.apply_columns(
-        jacobian(p, cfg.activation, cfg.grid).matrix
-    )
+    forward_jac = cfg.forward.apply_columns(jacobian(p, cfg.activation, cfg.grid))
     factors = weighted_qr(forward_jac, cfg.forward.out_grid, cfg.rank_tol)
     if factors.rank < p.n_star:
         raise RankDeficiencyError(
@@ -179,7 +170,7 @@ def gauss_newton_step(
     new_flat, clamped = _clamp_to_box(new_flat, cfg.param_box)
     step_norm = float(np.linalg.norm(new_flat - p.flatten()))
     p_next = Params.from_flat(new_flat, p.units, p.input_dim)
-    return p_next, StepDiagnostics(res_norm, step_norm, factors.rank, clamped)
+    return p_next, StepDiagnostics(step_norm, factors.rank, clamped)
 
 
 def misfit_value_grad(p: Params, cfg: SolveConfig) -> tuple[float, np.ndarray]:
@@ -193,7 +184,7 @@ def misfit_value_grad(p: Params, cfg: SolveConfig) -> tuple[float, np.ndarray]:
     value = 0.5 * norm(residual) ** 2
     back = cfg.forward.adjoint(residual)
     jac = jacobian(p, cfg.activation, cfg.grid)
-    grad = jac.matrix.T @ (cfg.grid.weights * back.values)
+    grad = jac.T @ (cfg.grid.weights * back.values)
     return value, grad
 
 
@@ -220,7 +211,6 @@ def solve(cfg: SolveConfig, true_params: Params | None = None) -> IterationTrace
     auditable.
     """
     trace = IterationTrace()
-    start = time.perf_counter()
     p = cfg.initial
     true_flat = true_params.flatten() if true_params is not None else None
     pending_step_stop = False
@@ -234,7 +224,6 @@ def solve(cfg: SolveConfig, true_params: Params | None = None) -> IterationTrace
             if true_flat is not None
             else math.nan
         )
-        trace.timestamps.append(time.perf_counter() - start)
         if res_norm <= cfg.tol_residual:
             trace.status = STATUS_CONVERGED_RESIDUAL
             break
@@ -312,7 +301,7 @@ def tikhonov_value_grad(
         deviation = image - obj.prior
         value = misfit + obj.lam * norm(deviation) ** 2
         grad = 2.0 * (
-            jac.matrix.T @ (w * (back.values + obj.lam * deviation.values))
+            jac.T @ (w * (back.values + obj.lam * deviation.values))
         )
         return value, grad
     weights = np.asarray(obj.penalty_weights, dtype=float)
@@ -322,7 +311,7 @@ def tikhonov_value_grad(
             f"penalty weights have shape {weights.shape}, expected {flat.shape}"
         )
     value = misfit + obj.lam * float(np.sum(weights * flat * flat))
-    grad = 2.0 * (jac.matrix.T @ (w * back.values)) + 2.0 * obj.lam * weights * flat
+    grad = 2.0 * (jac.T @ (w * back.values)) + 2.0 * obj.lam * weights * flat
     return value, grad
 
 

@@ -81,7 +81,7 @@ def fd_bilinear(p, activation, grid, h1, h2, step=1e-4):
 
 
 def weighted_column_matrix(p, activation, grid):
-    return jacobian(p, activation, grid).matrix * np.sqrt(grid.weights)[:, None]
+    return jacobian(p, activation, grid) * np.sqrt(grid.weights)[:, None]
 
 
 def column_rel_err(grid, approx, exact):
@@ -137,7 +137,7 @@ def test_criterion_01_derivative_fidelity():
             rng = np.random.default_rng(2000 + probe)
             p = sample_params(rng, 3, 2, box=(-3, 3), alpha_band=0.5)
             node = int(rng.integers(grid.node_count))
-            matrix = jacobian(p, activation, grid).matrix
+            matrix = jacobian(p, activation, grid)
             for i in range(p.n_star):
                 fd = fd_column(p, activation, grid, i, step=1e-5)
                 worst_first = max(
@@ -186,7 +186,7 @@ def test_criterion_02_moore_penrose_identities():
                 break
             attempt += 1
             assert attempt < 100, "could not draw a well-conditioned Jacobian"
-        matrix = jacobian(p, SIGMOID, grid).matrix
+        matrix = jacobian(p, SIGMOID, grid)
         factors = weighted_qr(matrix, grid)
         assert factors.rank == p.n_star
         worst_residual = max(worst_residual, mp_residuals(matrix, factors).max())

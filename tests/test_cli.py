@@ -349,6 +349,20 @@ BAD_CONFIGS = [
     # a Gram screen of (samples * n*)**2 floats: gigabytes, unchecked
     ("solve", "constants_samples", 3000),
     ("mysovskii", "constants_samples", 3000),
+    # a NaN reached scipy's "array must not contain infs or NaNs"; an
+    # Infinity overflowed and exited 2 as a rank deficiency
+    ("mysovskii", "base_params",
+     {"N": 2, "n": 1, "alpha": [math.nan, 1.0], "w": [[1.0], [-1.0]],
+      "theta": [0.0, 0.5]}),
+    ("mysovskii", "base_params",
+     {"N": 2, "n": 1, "alpha": [math.inf, 1.0], "w": [[1.0], [-1.0]],
+      "theta": [0.0, 0.5]}),
+    # a constants ball leaving param_box failed only after every probe
+    ("mysovskii", "base_params",
+     {"N": 2, "n": 1, "alpha": [14.9, 1.0], "w": [[1.0], [-1.0]],
+      "theta": [0.0, 0.5]}),
+    # 12 columns on 4 nodes failed inside the first trial, naming no key
+    ("independence", "points_per_axis", 2),
 ]
 
 

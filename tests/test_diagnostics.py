@@ -25,7 +25,7 @@ TANH = Activation.tanh()
 
 
 def svd_rank(p, activation, grid, rank_tol=1e-10):
-    matrix = jacobian(p, activation, grid).matrix * np.sqrt(grid.weights)[:, None]
+    matrix = jacobian(p, activation, grid) * np.sqrt(grid.weights)[:, None]
     sv = np.linalg.svd(matrix, compute_uv=False)
     return int(np.sum(sv > rank_tol * sv[0]))
 

@@ -7,7 +7,6 @@ from gncoder.cli import SolveOptions
 from gncoder.exceptions import ShapeError, SmoothnessError
 from gncoder.grids import MAX_NODES, constant, make_grid, norm
 from gncoder.network import (
-    Jacobian,
     Params,
     directional_derivative,
     eval_psi,
@@ -143,7 +142,7 @@ class TestJacobian:
         jac = jacobian(p, SIGMOID, g)
         z0 = g.nodes[:, 0] * 1.5 + 0.25
         expected = 2.0 * SIGMOID.d1(z0)
-        assert np.allclose(jac.matrix[:, p.theta_index(0)], expected,
+        assert np.allclose(jac[:, p.theta_index(0)], expected,
                            rtol=1e-14, atol=0)
 
     def test_zero_alpha_zeroes_inner_columns(self):
@@ -151,9 +150,9 @@ class TestJacobian:
         p = Params([0.0, 1.0], [[1.0, -1.0], [0.5, 0.5]], [0.0, 0.2])
         jac = jacobian(p, SIGMOID, g)
         for t in range(2):
-            assert np.all(jac.matrix[:, p.w_index(0, t)] == 0.0)
-        assert np.all(jac.matrix[:, p.theta_index(0)] == 0.0)
-        assert np.any(jac.matrix[:, p.alpha_index(0)] != 0.0)
+            assert np.all(jac[:, p.w_index(0, t)] == 0.0)
+        assert np.all(jac[:, p.theta_index(0)] == 0.0)
+        assert np.any(jac[:, p.alpha_index(0)] != 0.0)
 
     @pytest.mark.parametrize("act", [SIGMOID, TANH], ids=lambda a: a.descriptor)
     def test_columns_match_finite_differences(self, act):
@@ -164,7 +163,7 @@ class TestJacobian:
             jac = jacobian(p, act, g)
             for i in range(p.n_star):
                 fd = fd_jacobian_column(p, act, g, i)
-                assert weighted_rel_err(g, fd, jac.matrix[:, i]) < 1e-6
+                assert weighted_rel_err(g, fd, jac[:, i]) < 1e-6
 
     def test_column_order_matches_flattening(self):
         g = make_grid(1, 16)
@@ -172,15 +171,15 @@ class TestJacobian:
         jac = jacobian(p, SIGMOID, g)
         for i in range(p.n_star):
             fd = fd_jacobian_column(p, SIGMOID, g, i)
-            assert weighted_rel_err(g, fd, jac.matrix[:, i]) < 1e-6
+            assert weighted_rel_err(g, fd, jac[:, i]) < 1e-6
 
     def test_mirrored_theta_column_is_identical(self):
         g = make_grid(2, 8)
         rng = np.random.default_rng(29)
         p = sample_params(rng, 2, 2, box=(-3, 3))
         mirrored = Params(p.alpha, -p.w, -p.theta)
-        col = jacobian(p, SIGMOID, g).matrix[:, p.theta_index(1)]
-        col_m = jacobian(mirrored, SIGMOID, g).matrix[:, p.theta_index(1)]
+        col = jacobian(p, SIGMOID, g)[:, p.theta_index(1)]
+        col_m = jacobian(mirrored, SIGMOID, g)[:, p.theta_index(1)]
         assert np.allclose(col, col_m, rtol=1e-12, atol=1e-300)
 
     def test_degeneracy_surface_rank_drop(self):
@@ -189,7 +188,7 @@ class TestJacobian:
         rng = np.random.default_rng(31)
         p = sample_params(rng, 3, 2, box=(-3, 3))
         p = Params(np.concatenate([[0.0], p.alpha[1:]]), p.w, p.theta)
-        matrix = jacobian(p, SIGMOID, g).matrix * np.sqrt(g.weights)[:, None]
+        matrix = jacobian(p, SIGMOID, g) * np.sqrt(g.weights)[:, None]
         sv = np.linalg.svd(matrix, compute_uv=False)
         rank = int(np.sum(sv > 1e-10 * sv[0]))
         assert rank <= p.n_star - (p.input_dim + 1)
@@ -207,17 +206,29 @@ class TestJacobian:
         d = unit_direction(rng, p.n_star)
         jac = jacobian(p, SIGMOID, g)
         direct = directional_derivative(p, SIGMOID, g, d)
-        assert np.allclose(direct.values, jac.matrix @ d, rtol=1e-13, atol=1e-15)
+        assert np.allclose(direct.values, jac @ d, rtol=1e-13, atol=1e-15)
 
-    def test_caller_matrix_is_copied_and_stays_writeable(self):
+    def test_each_call_returns_a_fresh_owned_array(self):
+        g = make_grid(2, 8)
+        p = Params([1.0, -0.5], [[2.0, 0.5], [-1.0, 1.5]], [0.5, -0.25])
+        first = jacobian(p, SIGMOID, g)
+        second = jacobian(p, SIGMOID, g)
+        for matrix in (first, second):
+            assert matrix.shape == (g.node_count, p.n_star)
+            assert matrix.dtype == np.float64
+            assert matrix.flags.writeable and matrix.flags.c_contiguous
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, second)
+
+    def test_mutating_the_array_changes_no_later_evaluation(self):
         g = make_grid(1, 8)
         p = Params([1.0], [[2.0]], [0.5])
-        matrix = jacobian(p, SIGMOID, g).matrix.copy()
-        jac = Jacobian(matrix, p, g)
-        assert matrix.flags.writeable and not jac.matrix.flags.writeable
-        assert not np.shares_memory(matrix, jac.matrix)
+        psi = eval_psi(p, SIGMOID, g).values
+        expected = jacobian(p, SIGMOID, g)
+        matrix = jacobian(p, SIGMOID, g)
         matrix += 1.0
-        assert np.array_equal(jac.matrix, jacobian(p, SIGMOID, g).matrix)
+        assert np.array_equal(jacobian(p, SIGMOID, g), expected)
+        assert np.array_equal(eval_psi(p, SIGMOID, g).values, psi)
 
 
 class TestSecondDerivative:
@@ -303,7 +314,7 @@ class TestLipschitzConstants:
         p = Params([2.0, -1.5], [[2.0], [-1.0]], [0.3, 0.7])
         scaled = Params(2.0 * p.alpha, p.w, p.theta)
         # oracle: direct SVD of the inner-coordinate block at the base point
-        matrix = jacobian(p, SIGMOID, g).matrix * np.sqrt(g.weights)[:, None]
+        matrix = jacobian(p, SIGMOID, g) * np.sqrt(g.weights)[:, None]
         inner_block_norm = np.linalg.svd(matrix[:, p.units :], compute_uv=False)[0]
         c = lipschitz_constants(scaled, SIGMOID, g, radius=1e-9, samples=4, seed=1)
         assert c.derivative_bound >= 2.0 * inner_block_norm * (1 - 1e-6)
@@ -362,7 +373,7 @@ def pairwise_constants(p, a, g, points):
         return float(np.linalg.svd(scaled, compute_uv=False)[0])
 
     matrices = [
-        jacobian(Params.from_flat(q, p.units, p.input_dim), a, g).matrix
+        jacobian(Params.from_flat(q, p.units, p.input_dim), a, g)
         for q in points
     ]
     deriv_bound = max(operator_norm(m) for m in matrices)
@@ -491,7 +502,7 @@ class TestStackedJacobians:
         for seed in range(4):
             p = sample_params(np.random.default_rng(seed), units, g.dim, box=(-5, 5))
             expected = pointwise_jacobian(p, a, g)
-            matrix = jacobian(p, a, g).matrix
+            matrix = jacobian(p, a, g)
             assert matrix.tobytes() == expected.tobytes()
             assert matrix.strides == expected.strides
 
@@ -529,7 +540,7 @@ class TestStackedJacobians:
         ])
         assert stacks[0].tobytes() == expected.tobytes()
         assert passes == ([samples] if per_call is None else [1] * samples)
-        assert jacobians == []  # no per-sample Jacobian objects
+        assert jacobians == []  # no per-sample jacobian() calls
 
     def test_step_activation_rejected(self):
         p, g, radius = BATCH_CASES[0]
@@ -548,7 +559,7 @@ def candidate_stack(p, a, g, radius, samples, seed):
     """The Jacobian stack, root weights and pair distances of one estimate."""
     points = np.array(ball_points(p, radius, samples, seed))
     stack = np.array([
-        jacobian(Params.from_flat(q, p.units, p.input_dim), a, g).matrix
+        jacobian(Params.from_flat(q, p.units, p.input_dim), a, g)
         for q in points
     ])
     first, second = np.triu_indices(samples, 1)
