@@ -54,6 +54,7 @@ from .pseudoinverse import (
     ConvergenceConstants,
     MPResiduals,
     QRFactors,
+    full_rank_qr,
     mp_residuals,
     pinv_apply,
     project,
@@ -95,6 +96,7 @@ __all__ = [
     "convergence_order",
     "directional_derivative",
     "eval_psi",
+    "full_rank_qr",
     "gauss_newton_step",
     "gradient_step",
     "independence_report",

@@ -53,8 +53,10 @@ class Activation:
                 f"unknown activation kind {self.kind!r}; "
                 f"expected one of {sorted(_SMOOTHNESS)}"
             )
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError(
+                f"epsilon must be finite and positive, got {self.epsilon}"
+            )
 
     @classmethod
     def sigmoid(cls, epsilon: float = 1.0) -> "Activation":

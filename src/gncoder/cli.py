@@ -41,7 +41,7 @@ from .network import (
     lipschitz_constants,
     second_derivative_bilinear,
 )
-from .operators import DENSE_LIMIT, LinearOperator, parse_operator
+from .operators import LinearOperator, parse_operator
 from .sampling import sample_params, unit_direction
 from .solver import (
     MODE_GAUSS_NEWTON,
@@ -424,7 +424,8 @@ def _run_solve(opts: SolveOptions) -> int:
     else:
         order_err = None
 
-    cond = forward.condition_number() if grid.node_count <= DENSE_LIMIT else None
+    # a dense SVD, reported up to 4096 nodes
+    cond = forward.condition_number() if grid.node_count <= 4096 else None
 
     base = _out_base("solve", opts)
     trace.write_csv(base.with_suffix(".trace.csv"))

@@ -16,11 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activations import Activation
-from .exceptions import ConfigError, RankDeficiencyError, ResolutionError
+from .exceptions import ResolutionError
 from .grids import Grid, GridFunction
 from .network import Params, directional_derivative, jacobian
-from .operators import DENSE_BYTES_LIMIT, LinearOperator
-from .pseudoinverse import DEFAULT_RANK_TOL, pinv_apply, weighted_qr
+from .operators import LinearOperator, check_dense_bytes
+from .pseudoinverse import DEFAULT_RANK_TOL, full_rank_qr, pinv_apply
 from .sampling import DEFAULT_ALPHA_BAND, DEFAULT_BOX, sample_params
 
 @dataclass(frozen=True)
@@ -178,12 +178,7 @@ def cone_check(
     :class:`RankDeficiencyError` otherwise.
     """
     jac1 = jacobian(p1, activation, grid)
-    factors = weighted_qr(jac1, grid, rank_tol)
-    if factors.rank < p1.n_star:
-        raise RankDeficiencyError(
-            f"derivative at p1 has rank {factors.rank} < {p1.n_star}",
-            deficit=p1.n_star - factors.rank,
-        )
+    factors = full_rank_qr(jac1, grid, rank_tol, "derivative at p1")
     jac2 = jacobian(p2, activation, grid)
     n_star = p1.n_star
     transition = np.empty((n_star, n_star))
@@ -245,12 +240,8 @@ def mysovskii_check(
         if not 0.0 <= s <= 1.0:
             raise ValueError(f"s values must lie in [0, 1], got {s}")
     forward_jac = forward.apply_columns(jacobian(p, activation, grid))
-    factors = weighted_qr(forward_jac, forward.out_grid, rank_tol)
-    if factors.rank < p.n_star:
-        raise RankDeficiencyError(
-            f"derivative at p has rank {factors.rank} < {p.n_star}",
-            deficit=p.n_star - factors.rank,
-        )
+    factors = full_rank_qr(forward_jac, forward.out_grid, rank_tol,
+                           "derivative at p")
     d = p.flatten() - q.flatten()
     dist_sq = float(np.linalg.norm(d)) ** 2
     base = directional_derivative(q, activation, grid, d)
@@ -286,19 +277,14 @@ def manifold_sweep(extent: float = 1.0, resolution: int = 101) -> np.ndarray:
     Rows are ``(x, y, f1, f2, det)`` in lexicographic order over the
     ``resolution x resolution`` lattice on ``[-extent, extent]^2``.
 
-    Raises :class:`ConfigError` when the sweep would take more than
-    :data:`~gncoder.operators.DENSE_BYTES_LIMIT` bytes.  It holds about ten
-    ``resolution**2`` float64 arrays at its peak: 0.8 MB at the default 101
-    and 1 GiB near 3663.
+    Refused by :func:`~gncoder.operators.check_dense_bytes` before any
+    allocation.  It holds about ten ``resolution**2`` float64 arrays at its
+    peak: 0.8 MB at the default 101 and 1 GiB near 3663.
     """
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
-    need = 10 * 8 * resolution**2  # two meshgrids, columns, temporaries, rows
-    if need > DENSE_BYTES_LIMIT:
-        raise ConfigError(
-            f"resolution {resolution} needs a {need / 2**30:.1f} GiB lattice, "
-            f"over the {DENSE_BYTES_LIMIT / 2**30:g} GiB limit"
-        )
+    # two meshgrids, columns, temporaries, rows
+    check_dense_bytes(10 * 8 * resolution**2, f"resolution {resolution}", "lattice")
     axis = np.linspace(-extent, extent, resolution)
     axis = 0.5 * (axis - axis[::-1])  # bitwise antisymmetric sampling
     xs, ys = np.meshgrid(axis, axis, indexing="ij")

@@ -8,7 +8,6 @@ like square-integrable functions rather than raw coordinate vectors.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +32,7 @@ class Grid:
 
     Nodes are ordered lexicographically in the axis indices (last axis
     fastest).  This ordering is part of the contract: nodal value vectors
-    and serialized CSV rows both follow it.
+    follow it.
     """
 
     dim: int
@@ -164,48 +163,3 @@ def inner_product(u: GridFunction, v: GridFunction) -> float:
 def norm(u: GridFunction) -> float:
     """Weighted L2 norm, ``sqrt(inner_product(u, u))``."""
     return float(np.sqrt(np.sum(u.grid.weights * u.values * u.values)))
-
-
-def write_csv(u: GridFunction, path) -> None:
-    """Serialize nodal values as CSV with header ``index,x1,...,xn,value``.
-
-    Rows follow the grid's lexicographic node ordering; floats are written
-    with ``repr`` so files round-trip exactly.
-    """
-    grid = u.grid
-    header = ["index"] + [f"x{j + 1}" for j in range(grid.dim)] + ["value"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k in range(grid.node_count):
-            row = [str(k)]
-            row += [repr(float(c)) for c in grid.nodes[k]]
-            row.append(repr(float(u.values[k])))
-            writer.writerow(row)
-
-
-def read_csv(path) -> GridFunction:
-    """Read a grid function written by :func:`write_csv`.
-
-    The grid is reconstructed from the node coordinates and validated
-    against the midpoint-rule contract.
-    """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        dim = len(header) - 2
-        if dim < 1 or header[0] != "index" or header[-1] != "value":
-            raise ValueError(f"unrecognized grid-function header: {header}")
-        nodes = []
-        values = []
-        for row in reader:
-            nodes.append([float(c) for c in row[1:-1]])
-            values.append(float(row[-1]))
-    count = len(values)
-    m = round(count ** (1.0 / dim))
-    if m**dim != count:
-        raise ValueError(f"{count} rows do not form a tensor grid of dim {dim}")
-    grid = make_grid(dim, m)
-    if not np.allclose(grid.nodes, np.asarray(nodes), atol=1e-12):
-        raise ValueError("node coordinates do not match the midpoint grid")
-    return GridFunction(grid, np.asarray(values))

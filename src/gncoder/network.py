@@ -20,9 +20,9 @@ from operator import iadd
 import numpy as np
 
 from .activations import Activation
-from .exceptions import ConfigError, ShapeError
+from .exceptions import ShapeError
 from .grids import Grid, GridFunction
-from .operators import DENSE_BYTES_LIMIT
+from .operators import check_dense_bytes
 from .params import Params
 from .pseudoinverse import ConvergenceConstants
 from .sampling import sample_in_ball
@@ -351,23 +351,23 @@ def lipschitz_constants(
     :data:`SVD_CHUNK_BYTES` (at least one), bitwise equal to
     :func:`jacobian` at each point.
 
-    The ball must lie inside the parameter box.  Raises
-    :class:`ConfigError` when the Gram matrix would take more than
-    :data:`~gncoder.operators.DENSE_BYTES_LIMIT` bytes.  It holds about two
-    ``(samples * n*)^2`` float64 arrays, the sum and one row chunk's: 1.3 MB
-    at 24 samples of ``n* = 12``, and 1 GiB at about 680 of them.
+    The ball must lie inside the parameter box.  The Gram matrix and the
+    sample stack are each refused by
+    :func:`~gncoder.operators.check_dense_bytes` before any allocation.
+    The Gram holds about two ``(samples * n*)^2`` float64 arrays, the sum
+    and one row chunk's: 1.3 MB at 24 samples of ``n* = 12``, and 1 GiB at
+    about 680 of them.  The stack holds ``samples * node_count * n*``
+    float64s: 50 MB at 8 samples of ``n* = 12`` on 65536 nodes.
     """
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    need = 2 * 8 * (samples * p.n_star) ** 2
-    if need > DENSE_BYTES_LIMIT:
-        raise ConfigError(
-            f"constants_samples {samples} needs a {need / 2**30:.1f} GiB Gram "
-            f"matrix for {p.n_star} parameters, over the "
-            f"{DENSE_BYTES_LIMIT / 2**30:g} GiB limit"
-        )
+    who = f"constants_samples {samples}"
+    check_dense_bytes(2 * 8 * (samples * p.n_star) ** 2, who,
+                      f"Gram matrix for {p.n_star} parameters")
+    check_dense_bytes(8 * samples * g.node_count * p.n_star, who,
+                      f"sample stack on {g.node_count} nodes")
     lo, hi = box
     center = p.flatten()
     if center.min() - radius < lo or center.max() + radius > hi:

@@ -15,18 +15,28 @@ import numpy as np
 from .exceptions import ConfigError, GridMismatchError, UnsupportedDimensionError
 from .grids import Grid, GridFunction
 
-#: Above this node count no dense matrix realization is built.
-DENSE_LIMIT = 4096
-
 #: Largest memory, in bytes, that one dense build may take: a Gaussian kernel
 #: factor here, a :func:`~gncoder.diagnostics.manifold_sweep` lattice there.
-#: Larger builds are refused with a :class:`ConfigError` before any
+#: Larger builds are refused by :func:`check_dense_bytes` before any
 #: allocation.
 DENSE_BYTES_LIMIT = 2**30
 
 #: Grids up to this node count get an injectivity spot-check by SVD at
 #: construction time.
 _SPOT_CHECK_LIMIT = 2048
+
+
+def check_dense_bytes(need: int, who: str, what: str) -> None:
+    """Raise :class:`ConfigError` when a build of ``need`` bytes is too large.
+
+    The message reads ``"<who> needs a X GiB <what>, over the 1 GiB
+    limit"``; ``who`` names what set the size, a config value where one did.
+    """
+    if need > DENSE_BYTES_LIMIT:
+        raise ConfigError(
+            f"{who} needs a {need / 2**30:.1f} GiB {what}, over the "
+            f"{DENSE_BYTES_LIMIT / 2**30:g} GiB limit"
+        )
 
 
 class LinearOperator:
@@ -81,15 +91,18 @@ class LinearOperator:
     def matrix(self) -> np.ndarray:
         """Dense nodal matrix ``M`` with ``apply(u) = M @ u.values``.
 
-        Only available at desk scale (node count <= ``DENSE_LIMIT``).
+        Refused by :func:`check_dense_bytes`, before any allocation, when
+        three ``node_count x node_count`` float64 arrays (the identity it
+        maps, a temporary and the result) would pass the byte limit: 384
+        MiB at 4096 nodes is accepted, 6 GiB at 16384 is not.
         """
         count = self.in_grid.node_count
-        if count > DENSE_LIMIT:
-            raise ValueError(
-                f"dense realization limited to {DENSE_LIMIT} nodes, "
-                f"grid has {count}"
-            )
-        return self._apply_values(np.eye(count))
+        check_dense_bytes(3 * 8 * count * count,
+                          f"{self.descriptor} on {count} nodes", "dense matrix")
+        return self._dense_matrix()
+
+    def _dense_matrix(self) -> np.ndarray:
+        return self._apply_values(np.eye(self.in_grid.node_count))
 
     def singular_values(self) -> np.ndarray:
         return np.linalg.svd(self.matrix(), compute_uv=False)
@@ -146,17 +159,11 @@ def _gaussian_kernel_matrix(m: int, width: float) -> np.ndarray:
     symmetric diagonal (Sinkhorn) scaling then enforces weighted row sums of
     exactly one, so constants are preserved and the adjoint stays free.
 
-    Raises :class:`ConfigError` when the build would take more than
-    :data:`DENSE_BYTES_LIMIT` bytes.  It holds about four ``m x m`` float64
-    arrays at once: 0.5 GiB at ``points_per_axis`` 4096, which is accepted,
-    and 8 GiB at 16384.
+    Refused by :func:`check_dense_bytes` before any allocation.  It holds
+    about four ``m x m`` float64 arrays at once: 0.5 GiB at
+    ``points_per_axis`` 4096, which is accepted, and 8 GiB at 16384.
     """
-    need = 4 * 8 * m * m
-    if need > DENSE_BYTES_LIMIT:
-        raise ConfigError(
-            f"points_per_axis {m} needs a {need / 2**30:.1f} GiB Gaussian "
-            f"kernel, over the {DENSE_BYTES_LIMIT / 2**30:g} GiB limit"
-        )
+    check_dense_bytes(4 * 8 * m * m, f"points_per_axis {m}", "Gaussian kernel")
     coords = (np.arange(m) + 0.5) / m
     x = coords[:, None]
     y = coords[None, :]
@@ -190,8 +197,10 @@ class GaussianConvolutionOperator(LinearOperator):
             raise UnsupportedDimensionError(
                 f"convolution operator supports dims 1 and 2, got {grid.dim}"
             )
-        if not kernel_width > 0:
-            raise ValueError(f"kernel_width must be positive, got {kernel_width}")
+        if not 0 < kernel_width < np.inf:
+            raise ValueError(
+                f"kernel_width must be finite and positive, got {kernel_width}"
+            )
         self.kernel_width = float(kernel_width)
         self._factor = _gaussian_kernel_matrix(grid.points_per_axis, kernel_width)
         injective = True
@@ -214,15 +223,10 @@ class GaussianConvolutionOperator(LinearOperator):
     # symmetric kernel and uniform weights make the operator self-adjoint
     _adjoint_values = _apply_values
 
-    def matrix(self):
+    def _dense_matrix(self):
         m = self.in_grid.points_per_axis
         if self.in_grid.dim == 1:
             return self._factor / m
-        if self.in_grid.node_count > DENSE_LIMIT:
-            raise ValueError(
-                f"dense realization limited to {DENSE_LIMIT} nodes, "
-                f"grid has {self.in_grid.node_count}"
-            )
         return np.kron(self._factor, self._factor) / (m * m)
 
 

@@ -7,7 +7,6 @@ with :mod:`~gncoder.sampling` without an import cycle.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,10 +111,3 @@ class Params:
         if p.units != data["N"] or p.input_dim != data["n"]:
             raise ShapeError("declared N/n do not match the coefficient arrays")
         return p
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "Params":
-        return cls.from_json_dict(json.loads(text))

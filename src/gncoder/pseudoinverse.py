@@ -139,6 +139,23 @@ def weighted_qr(
     return QRFactors(grid, q_matrix, r_rows[:rank, :], tuple(dependent))
 
 
+def full_rank_qr(
+    matrix: np.ndarray, grid: Grid, rank_tol: float, what: str
+) -> QRFactors:
+    """:func:`weighted_qr` of a matrix that must keep full column rank.
+
+    Raises :class:`RankDeficiencyError` ``"<what> has rank r < n"``, with
+    ``deficit = n - r``, when any column is flagged dependent.
+    """
+    factors = weighted_qr(matrix, grid, rank_tol)
+    n = factors.column_count
+    if factors.rank < n:
+        raise RankDeficiencyError(
+            f"{what} has rank {factors.rank} < {n}", deficit=n - factors.rank
+        )
+    return factors
+
+
 def _q_coefficients(factors: QRFactors, x: GridFunction) -> np.ndarray:
     if x.grid != factors.grid:
         raise GridMismatchError("input lives on a different grid than the factors")

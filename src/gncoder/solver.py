@@ -34,7 +34,7 @@ from .exceptions import (
 from .grids import Grid, GridFunction, norm
 from .network import DEFAULT_PARAM_BOX, Params, eval_psi, jacobian
 from .operators import LinearOperator
-from .pseudoinverse import ConvergenceConstants, pinv_apply, weighted_qr
+from .pseudoinverse import ConvergenceConstants, full_rank_qr, pinv_apply
 
 MODE_GAUSS_NEWTON = "gauss_newton"
 MODE_GRADIENT_DESCENT = "gradient_descent"
@@ -157,12 +157,8 @@ def gauss_newton_step(
     if the update produces non-finite values.
     """
     forward_jac = cfg.forward.apply_columns(jacobian(p, cfg.activation, cfg.grid))
-    factors = weighted_qr(forward_jac, cfg.forward.out_grid, cfg.rank_tol)
-    if factors.rank < p.n_star:
-        raise RankDeficiencyError(
-            f"Jacobian rank {factors.rank} < {p.n_star}",
-            deficit=p.n_star - factors.rank,
-        )
+    factors = full_rank_qr(forward_jac, cfg.forward.out_grid, cfg.rank_tol,
+                           "Jacobian")
     delta = pinv_apply(factors, residual)
     new_flat = p.flatten() - delta
     if not np.all(np.isfinite(new_flat)):

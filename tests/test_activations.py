@@ -111,6 +111,12 @@ def test_epsilon_must_be_positive():
         Activation.sigmoid(0.0)
     with pytest.raises(ValueError):
         Activation.sigmoid(-1.0)
+    for text in ("sigmoid:inf", "sigmoid:nan", "sigmoid:-inf"):
+        with pytest.raises(ValueError, match="finite and positive"):
+            parse_activation(text)
+    # finite extremes stay accepted
+    assert parse_activation("sigmoid:1e-300").epsilon == 1e-300
+    assert parse_activation("sigmoid:1e300").epsilon == 1e300
 
 
 def test_unknown_kind_rejected():

@@ -173,6 +173,16 @@ class TestExitCodes:
         assert code == 2
         assert "rank" in capsys.readouterr().err
 
+    def test_duplicated_unit_exits_two_naming_the_rank(self, tmp_path, capsys):
+        config = tmp_path / "mys.json"
+        config.write_text(json.dumps({"base_params": {
+            "N": 2, "n": 1, "alpha": [1, 1], "w": [[1], [1]],
+            "theta": [0.5, 0.5]}}))
+        code = run(["mysovskii", "--config", config, "--out", tmp_path / "o"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "numeric error: derivative at p has rank 5 < 6\n")
+
     @pytest.mark.parametrize("command, key, value", [
         ("independence", "trials", 0),
         ("cone", "t_values", []),
@@ -363,6 +373,10 @@ BAD_CONFIGS = [
       "theta": [0.0, 0.5]}),
     # 12 columns on 4 nodes failed inside the first trial, naming no key
     ("independence", "points_per_axis", 2),
+    # an infinite width or scale gave an all-ones kernel or a constant
+    # activation, and the run exited 0 with an Infinity in its outputs
+    ("solve", "operator", "gauss:inf"),
+    ("independence", "activation", "sigmoid:inf"),
 ]
 
 

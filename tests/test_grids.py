@@ -10,9 +10,7 @@ from gncoder.grids import (
     inner_product,
     make_grid,
     norm,
-    read_csv,
     sample_function,
-    write_csv,
 )
 
 
@@ -142,16 +140,3 @@ def test_wrong_value_count_rejected():
     g = make_grid(1, 8)
     with pytest.raises(GridMismatchError):
         GridFunction(g, np.zeros(7))
-
-
-def test_csv_round_trip(tmp_path):
-    g = make_grid(2, 5)
-    rng = np.random.default_rng(23)
-    u = GridFunction(g, rng.standard_normal(g.node_count))
-    path = tmp_path / "fn.csv"
-    write_csv(u, path)
-    header = path.read_text().splitlines()[0]
-    assert header == "index,x1,x2,value"
-    v = read_csv(path)
-    assert v.grid == g
-    assert np.array_equal(v.values, u.values)

@@ -1,10 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
-from gncoder import network
+from gncoder import network, operators
 from gncoder.activations import Activation, parse_activation
 from gncoder.cli import SolveOptions
-from gncoder.exceptions import ShapeError, SmoothnessError
+from gncoder.exceptions import ConfigError, ShapeError, SmoothnessError
 from gncoder.grids import MAX_NODES, constant, make_grid, norm
 from gncoder.network import (
     Params,
@@ -92,7 +94,7 @@ class TestParams:
 
     def test_json_round_trip(self):
         p = Params([0.5, -1.5], [[2.0], [-3.0]], [0.1, 0.2])
-        q = Params.from_json(p.to_json())
+        q = Params.from_json_dict(json.loads(json.dumps(p.to_json_dict())))
         assert np.array_equal(q.flatten(), p.flatten())
         d = p.to_json_dict()
         assert d["N"] == 2 and d["n"] == 1
@@ -341,6 +343,21 @@ class TestLipschitzConstants:
             lipschitz_constants(p, SIGMOID, g, radius=0.5, samples=2, seed=0)
         with pytest.raises(ValueError):
             lipschitz_constants(p, SIGMOID, g, radius=-1.0, samples=2, seed=0)
+
+    def test_sample_stack_is_refused_before_allocating(self, monkeypatch):
+        g = make_grid(1, 64)
+        p = Params([1.0, -1.0], [[1.0], [2.0]], [0.0, 0.5])
+        gram = 2 * 8 * (2 * p.n_star) ** 2
+        stack = 8 * 2 * g.node_count * p.n_star
+        assert gram < stack
+        monkeypatch.setattr(operators, "DENSE_BYTES_LIMIT", stack - 1)
+        with pytest.raises(ConfigError, match="constants_samples 2 .* sample stack"):
+            lipschitz_constants(p, SIGMOID, g, radius=0.5, samples=2, seed=0)
+        monkeypatch.setattr(operators, "DENSE_BYTES_LIMIT", stack)
+        lipschitz_constants(p, SIGMOID, g, radius=0.5, samples=2, seed=0)
+        monkeypatch.setattr(operators, "DENSE_BYTES_LIMIT", gram - 1)
+        with pytest.raises(ConfigError, match="Gram matrix"):
+            lipschitz_constants(p, SIGMOID, g, radius=0.5, samples=2, seed=0)
 
     def test_constant_function_norm_sanity(self):
         # operator norm of the derivative dominates any single column norm

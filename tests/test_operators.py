@@ -1,3 +1,7 @@
+import hashlib
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -114,13 +118,18 @@ class TestConvolution:
     def test_rejects_nonpositive_width(self):
         with pytest.raises(ValueError):
             make_convolution(make_grid(1, 8), 0.0)
+        for width in ("inf", "nan", "-inf"):
+            with pytest.raises(ValueError, match="finite and positive"):
+                parse_operator(f"gauss:{width}", make_grid(1, 8))
 
     def test_two_dimensional_apply_matches_dense_matrix(self):
-        g = make_grid(2, 8)
-        F = make_convolution(g, 0.15)
-        rng = np.random.default_rng(9)
-        u = GridFunction(g, rng.standard_normal(g.node_count))
-        assert np.allclose(F.apply(u).values, F.matrix() @ u.values, atol=1e-13)
+        for m in (8, 64):  # 64 x 64 is the largest grid solve reports on
+            g = make_grid(2, m)
+            F = make_convolution(g, 0.15)
+            rng = np.random.default_rng(9)
+            u = GridFunction(g, rng.standard_normal(g.node_count))
+            assert np.allclose(F.apply(u).values, F.matrix() @ u.values,
+                               atol=1e-13)
 
 
 def test_linearity_over_catalog():
@@ -198,6 +207,38 @@ def test_oversized_gaussian_kernel_is_refused_before_allocating():
     for m in (5793, 16384):
         with pytest.raises(ConfigError, match="points_per_axis"):
             make_convolution(make_grid(1, m), 0.05)
+
+
+@pytest.mark.parametrize("build, dim, m", [
+    (make_identity, 1, 20000),
+    (make_integration, 1, 20000),
+    (lambda grid: make_convolution(grid, 0.05), 2, 128),
+], ids=["identity", "volterra", "gauss-2d"])
+def test_oversized_dense_matrix_is_refused_before_allocating(build, dim, m):
+    F = build(make_grid(dim, m))
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(ConfigError, match="GiB dense matrix, over the 1 GiB"):
+            F.matrix()
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("build, dim, m", [
+    (make_identity, 1, 4096),
+    (make_integration, 1, 4096),
+    (make_identity, 2, 64),
+], ids=["identity", "volterra", "identity-2d"])
+def test_dense_matrix_at_4096_nodes_maps_the_identity(build, dim, m):
+    F = build(make_grid(dim, m))
+    # digests, so that only one 128 MiB matrix is alive at a time
+    expected = hashlib.sha256(F._apply_values(np.eye(4096)).tobytes()).digest()
+    assert hashlib.sha256(F.matrix().tobytes()).digest() == expected
 
 
 def test_grid_mismatch_rejected():

@@ -1,19 +1,25 @@
 import numpy as np
 import pytest
 
+from gncoder.activations import Activation
+from gncoder.diagnostics import cone_check, merge_duplicate, mysovskii_check
 from gncoder.exceptions import (
     GridMismatchError,
     RankDeficiencyError,
     ZeroMatrixError,
 )
 from gncoder.grids import GridFunction, constant, inner_product, make_grid, norm
+from gncoder.network import Params, eval_psi
+from gncoder.operators import make_integration
 from gncoder.pseudoinverse import (
     ConvergenceConstants,
+    full_rank_qr,
     mp_residuals,
     pinv_apply,
     project,
     weighted_qr,
 )
+from gncoder.solver import SolveConfig, gauss_newton_step
 
 GRID = make_grid(1, 64)
 
@@ -292,6 +298,56 @@ class TestPinvApply:
             x = GridFunction(GRID, rng.standard_normal(GRID.node_count))
             via_pinv = GridFunction(GRID, C @ pinv_apply(f, x))
             assert norm(via_pinv - project(f, x)) <= 1e-8 * norm(x)
+
+
+class TestFullRankQR:
+    def test_full_rank_returns_the_weighted_qr_factors(self):
+        matrix = stack(random_columns(3, np.random.default_rng(43)))
+        f = full_rank_qr(matrix, GRID, 1e-10, "matrix")
+        g = weighted_qr(matrix, GRID, 1e-10)
+        assert f.rank == 3
+        assert f.q_matrix.tobytes() == g.q_matrix.tobytes()
+        assert f.r_matrix.tobytes() == g.r_matrix.tobytes()
+
+    def test_dependent_column_raises_with_rank_and_deficit(self):
+        base = random_columns(2, np.random.default_rng(47))
+        matrix = stack(base + [base[0] + base[1]])
+        with pytest.raises(RankDeficiencyError) as err:
+            full_rank_qr(matrix, GRID, 1e-10, "matrix")
+        assert str(err.value) == "matrix has rank 2 < 3"
+        assert err.value.deficit == 1
+
+
+def _gn_step(p, forward):
+    """A Gauss-Newton step at ``p`` toward zero data."""
+    sigmoid = Activation.sigmoid(1.0)
+    cfg = SolveConfig(sigmoid, GRID, forward, p, constant(GRID, 0.0))
+    return gauss_newton_step(p, cfg, forward.apply(eval_psi(p, sigmoid, GRID)))
+
+
+#: caller -> (call at p, its message at the duplicated point)
+GATED_CALLERS = {
+    "gauss_newton_step": (_gn_step, "Jacobian has rank 6 < 9"),
+    "cone_check": (
+        lambda p, forward: cone_check(
+            p, p, Activation.sigmoid(1.0), GRID, forward),
+        "derivative at p1 has rank 6 < 9"),
+    "mysovskii_check": (
+        lambda p, forward: mysovskii_check(
+            p, p, (0.5,), Activation.sigmoid(1.0), GRID, forward),
+        "derivative at p has rank 6 < 9"),
+}
+
+
+@pytest.mark.parametrize("caller", GATED_CALLERS)
+def test_every_caller_gates_on_full_column_rank(caller):
+    call, message = GATED_CALLERS[caller]
+    p = merge_duplicate(Params([1.5, -1.0], [[2.0], [-1.5]], [0.2, 0.8]))
+    with pytest.raises(RankDeficiencyError) as err:
+        call(p, make_integration(GRID))
+    # the copied unit repeats its alpha, w and theta columns verbatim
+    assert err.value.deficit == 3
+    assert str(err.value) == message
 
 
 class TestMPResiduals:
