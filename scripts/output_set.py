@@ -6,7 +6,8 @@ Usage, from the root of a checkout:
 
 The set is seeds 0-49 of all six subcommands at their defaults, seeds 0-49
 of the solve-desk, independence and probes (cone, mysovskii) configs of
-``bench/workloads.py``, and seeds 0-13 of its solve-wide config.  Each run
+``bench/workloads.py``, and seeds 0-13 of its solve-wide config, plus the
+seeds in ``REFUSED_SEEDS``, whose draws exit 2 as rank deficient.  Each run
 writes into ``OUT_DIR/<label>/``; ``OUT_DIR/runs.tsv`` records every run's
 label, seed, exit code and standard error.  A change that keeps every
 output bit is one with no difference in
@@ -38,6 +39,13 @@ COMMANDS = ("solve", "independence", "cone", "mysovskii", "manifold",
 SEEDS = range(50)
 WIDE_SEEDS = range(14)
 
+#: label -> extra seeds whose draw is refused with exit 2, "derivative at p
+#: has rank 5 < 6" (p1 for cone), so the set covers the full-rank gates
+REFUSED_SEEDS = {
+    "default-cone": (245,),
+    "probes-mysovskii": (110, 158, 234, 245, 297, 308, 362, 390, 399),
+}
+
 
 def _bench_workloads():
     spec = importlib.util.spec_from_file_location(
@@ -50,12 +58,14 @@ def _bench_workloads():
 
 def runs():
     """``(label, command, config, seeds)`` for every group of the set."""
-    for command in COMMANDS:
-        yield f"default-{command}", command, None, SEEDS
+    groups = [(f"default-{command}", command, None, SEEDS)
+              for command in COMMANDS]
     for name, workload in _bench_workloads().items():
         seeds = WIDE_SEEDS if name == "solve-wide" else SEEDS
-        for command, cfg in workload.commands:
-            yield f"{name}-{command}", command, cfg, seeds
+        groups += [(f"{name}-{command}", command, cfg, seeds)
+                   for command, cfg in workload.commands]
+    for label, command, cfg, seeds in groups:
+        yield label, command, cfg, [*seeds, *REFUSED_SEEDS.get(label, ())]
 
 
 def main(argv=None) -> int:

@@ -25,6 +25,7 @@ from .diagnostics import (
     merge_duplicate,
     merge_mirrored,
     mysovskii_check,
+    mysovskii_reports,
 )
 from .grids import (
     Grid,
@@ -40,6 +41,7 @@ from .network import (
     directional_derivative,
     eval_psi,
     jacobian,
+    jacobians,
     lipschitz_constants,
     second_derivative_bilinear,
 )
@@ -55,10 +57,12 @@ from .pseudoinverse import (
     MPResiduals,
     QRFactors,
     full_rank_qr,
+    full_rank_qr_stack,
     mp_residuals,
     pinv_apply,
     project,
     weighted_qr,
+    weighted_qr_stack,
 )
 from .sampling import sample_in_ball, sample_params, unit_direction
 from .solver import (
@@ -97,12 +101,14 @@ __all__ = [
     "directional_derivative",
     "eval_psi",
     "full_rank_qr",
+    "full_rank_qr_stack",
     "gauss_newton_step",
     "gradient_step",
     "independence_report",
     "independence_trial",
     "inner_product",
     "jacobian",
+    "jacobians",
     "lipschitz_constants",
     "make_convolution",
     "make_grid",
@@ -115,6 +121,7 @@ __all__ = [
     "misfit_value_grad",
     "mp_residuals",
     "mysovskii_check",
+    "mysovskii_reports",
     "norm",
     "parse_activation",
     "parse_operator",
@@ -129,4 +136,5 @@ __all__ = [
     "tikhonov_value_grad",
     "unit_direction",
     "weighted_qr",
+    "weighted_qr_stack",
 ]

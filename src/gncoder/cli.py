@@ -30,7 +30,7 @@ from .diagnostics import (
     cone_check,
     independence_trial,
     manifold_sweep,
-    mysovskii_check,
+    mysovskii_reports,
 )
 from .exceptions import ConfigError, NumericError, RankDeficiencyError
 from .grids import GridFunction, make_grid
@@ -317,10 +317,14 @@ def _config_hash(opts) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
+def _out_name(command: str, opts) -> Path:
+    return Path(opts.out_dir) / f"{command}_{_config_hash(opts)}_seed{opts.seed}"
+
+
 def _out_base(command: str, opts) -> Path:
-    out_dir = Path(opts.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir / f"{command}_{_config_hash(opts)}_seed{opts.seed}"
+    base = _out_name(command, opts)
+    base.parent.mkdir(parents=True, exist_ok=True)
+    return base
 
 
 def _write_meta(path: Path, command: str, opts, **summary) -> None:
@@ -336,9 +340,20 @@ def _write_meta(path: Path, command: str, opts, **summary) -> None:
 
 
 def _write_jsonl(path: Path, rows) -> None:
-    with open(path, "w") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+    """Write one JSON line per row as ``rows`` yields it, making the missing
+    directories of ``path``.  If that fails, remove the file and those
+    directories, so a failed run leaves nothing behind."""
+    made = [d for d in (path.parent, *path.parent.parents) if not d.exists()]
+    path.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        with open(path, "w") as fh:
+            for row in rows:
+                fh.write(json.dumps(row, sort_keys=True) + "\n")
+    except BaseException:
+        path.unlink(missing_ok=True)
+        for directory in made:  # deepest first
+            directory.rmdir()
+        raise
 
 
 def _named(key: str, build, *args):
@@ -394,13 +409,8 @@ def _run_solve(opts: SolveOptions) -> int:
     p0 = Params.from_flat(
         p_true.flatten() + opts.p0_radius * direction, opts.units, opts.dim
     )
-    # the solver's own keys pass through unchanged
-    solve_cfg = SolveConfig(activation, grid, forward, p0, y, **{
-        key: getattr(opts, key) for key in (
-            "max_iters", "tol_residual", "tol_step", "rank_tol", "mode",
-            "step_size", "param_box")})
-    trace = solve(solve_cfg, true_params=p_true)
-
+    # the constants before the solve: a config whose sample stack or Gram
+    # is refused exits 1 before any step
     rho = float(np.linalg.norm(p0.flatten() - p_true.flatten()))
     constants_err = None
     constants = None
@@ -415,6 +425,13 @@ def _run_solve(opts: SolveOptions) -> int:
         raise
     except ValueError as exc:
         constants_err = str(exc)
+
+    # the solver's own keys pass through unchanged
+    solve_cfg = SolveConfig(activation, grid, forward, p0, y, **{
+        key: getattr(opts, key) for key in (
+            "max_iters", "tol_residual", "tol_step", "rank_tol", "mode",
+            "step_size", "param_box")})
+    trace = solve(solve_cfg, true_params=p_true)
 
     try:
         order = convergence_order(trace)
@@ -486,13 +503,12 @@ def _run_cone(opts: ConeOptions) -> int:
     p1 = sample_params(rng, opts.units, opts.dim,
                        box=opts.box, alpha_band=opts.alpha_band)
     direction = unit_direction(rng, p1.n_star)
-    rows = [
-        dict(cone_check(
-            p1, Params.from_flat(p1.flatten() + t * direction, opts.units, opts.dim),
-            activation, grid, forward, rank_tol=opts.rank_tol,
-        ).to_json_dict(), t=t)
-        for t in opts.t_values
-    ]
+    p2s = [Params.from_flat(p1.flatten() + t * direction, opts.units, opts.dim)
+           for t in opts.t_values]
+    reports = cone_check(p1, p2s, activation, grid, forward,
+                         rank_tol=opts.rank_tol)
+    rows = [dict(report.to_json_dict(), t=t)
+            for report, t in zip(reports, opts.t_values)]
     base = _out_base("cone", opts)
     _write_jsonl(base.with_suffix(".reports.jsonl"), rows)
     ratios = [r["ratio"] for r in rows]
@@ -513,32 +529,14 @@ def _run_mysovskii(opts: MysovskiiOptions) -> int:
     else:
         base_params = sample_params(rng, opts.units, opts.dim,
                                     box=opts.box, alpha_band=opts.alpha_band)
-    # the constants estimate below needs its ball inside the box; say so
-    # before the probes run
+    # the constants need their ball inside the box; say so before the probes
     center, radius = base_params.flatten(), opts.constants_radius
     lo, hi = opts.param_box
     if center.min() - radius < lo or center.max() + radius > hi:
         raise ConfigError(
             f"base_params with constants_radius {radius} leaves param_box "
             f"[{lo}, {hi}]")
-    n_star = base_params.n_star
-    rows = []
-    max_ratio = 0.0
-    for index in range(opts.probes):
-        p = Params.from_flat(
-            base_params.flatten() + opts.jitter * unit_direction(rng, n_star),
-            base_params.units, base_params.input_dim,
-        )
-        q = Params.from_flat(
-            p.flatten() + opts.segment_radius * unit_direction(rng, n_star),
-            base_params.units, base_params.input_dim,
-        )
-        s = float(rng.uniform(0.05, 1.0))
-        report = mysovskii_check(
-            p, q, (s,), activation, grid, forward, rank_tol=opts.rank_tol
-        )
-        max_ratio = max(max_ratio, report.max_ratio)
-        rows.append(dict(report.to_json_dict(), probe=index))
+    # before the probes too, so a refused sample stack or Gram exits 1 first
     constants = lipschitz_constants(
         base_params, activation, grid,
         radius=opts.constants_radius,
@@ -546,9 +544,34 @@ def _run_mysovskii(opts: MysovskiiOptions) -> int:
         seed=opts.seed + 10_001,
         box=opts.param_box,
     )
+    n_star = base_params.n_star
+
+    def probes():  # drawn a chunk at a time, in the one-by-one draw order
+        for _ in range(opts.probes):
+            p = Params.from_flat(
+                base_params.flatten()
+                + opts.jitter * unit_direction(rng, n_star),
+                base_params.units, base_params.input_dim,
+            )
+            q = Params.from_flat(
+                p.flatten() + opts.segment_radius * unit_direction(rng, n_star),
+                base_params.units, base_params.input_dim,
+            )
+            yield p, q, (float(rng.uniform(0.05, 1.0)),)
+
+    max_ratio = 0.0
+
+    def rows():  # streamed, so memory stays flat in the probe count
+        nonlocal max_ratio
+        reports = mysovskii_reports(probes(), activation, grid, forward,
+                                    rank_tol=opts.rank_tol)
+        for index, report in enumerate(reports):
+            max_ratio = max(max_ratio, report.max_ratio)
+            yield dict(report.to_json_dict(), probe=index)
+
+    base = _out_name("mysovskii", opts)
+    _write_jsonl(base.with_suffix(".reports.jsonl"), rows())
     product = constants.derivative_bound * constants.lipschitz_bound
-    base = _out_base("mysovskii", opts)
-    _write_jsonl(base.with_suffix(".reports.jsonl"), rows)
     _write_meta(
         base.with_suffix(".meta.json"), "mysovskii", opts,
         base_params=base_params.to_json_dict(),

@@ -12,15 +12,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
+from . import network
 from .activations import Activation
 from .exceptions import ResolutionError
 from .grids import Grid, GridFunction
-from .network import Params, directional_derivative, jacobian
+from .network import Params, directional_derivative, jacobian, jacobians
 from .operators import LinearOperator, check_dense_bytes
-from .pseudoinverse import DEFAULT_RANK_TOL, full_rank_qr, pinv_apply
+from .pseudoinverse import (
+    DEFAULT_RANK_TOL,
+    full_rank_qr,
+    full_rank_qr_stack,
+    pinv_apply,
+)
 from .sampling import DEFAULT_ALPHA_BAND, DEFAULT_BOX, sample_params
 
 @dataclass(frozen=True)
@@ -164,39 +171,59 @@ class ConeReport:
         }
 
 
+def _chunks(items, item_bytes):
+    """Lists of consecutive ``items``, as many per list as fit in
+    :data:`~gncoder.network.CHUNK_BYTES` at ``item_bytes(item)`` bytes
+    each (taken at its first item), at least one; ``items`` is drawn from
+    only as each list is needed."""
+    items = iter(items)
+    for first in items:
+        per_chunk = max(1, network.CHUNK_BYTES // item_bytes(first))
+        yield [first, *islice(items, per_chunk - 1)]
+
+
 def cone_check(
     p1: Params,
-    p2: Params,
+    p2s,
     activation: Activation,
     grid: Grid,
     forward: LinearOperator,
     rank_tol: float = DEFAULT_RANK_TOL,
-) -> ConeReport:
-    """Measure how well the derivative at ``p2`` factors through ``p1``.
+) -> list[ConeReport]:
+    """Measure how well the derivative at each point of ``p2s`` factors
+    through ``p1``, one report per point in order.
 
-    Requires full column rank at ``p1``; raises
-    :class:`RankDeficiencyError` otherwise.
+    The Jacobian at ``p1`` is built, mapped and factored once for all of
+    them.  The Jacobians at ``p2s`` are built in chunks that fit in
+    :data:`~gncoder.network.CHUNK_BYTES` (:func:`~gncoder.network.jacobians`,
+    bitwise :func:`jacobian` at each point).  Requires full column rank at
+    ``p1``; raises :class:`RankDeficiencyError` otherwise.
     """
     jac1 = jacobian(p1, activation, grid)
     factors = full_rank_qr(jac1, grid, rank_tol, "derivative at p1")
-    jac2 = jacobian(p2, activation, grid)
-    n_star = p1.n_star
-    transition = np.empty((n_star, n_star))
-    for j in range(n_star):
-        transition[:, j] = pinv_apply(factors, GridFunction(grid, jac2[:, j]))
-    dev = float(np.linalg.norm(transition - np.eye(n_star), 2))
-
     fj1 = forward.apply_columns(jac1)
-    fj2 = forward.apply_columns(jac2)
     w_out = forward.out_grid.weights[:, None]
-    defect = fj2 - fj1 @ transition
-    num = math.sqrt(float(np.sum(w_out * defect * defect)))
-    den = math.sqrt(float(np.sum(w_out * fj2 * fj2)))
-    residual = num / den if den > 0 else 0.0
+    n_star = p1.n_star
+    reports = []
+    for chunk in _chunks(p2s, lambda p2: 8 * grid.node_count * p2.n_star):
+        for p2, jac2 in zip(chunk, jacobians(chunk, activation, grid)):
+            transition = np.empty((n_star, n_star))
+            for j in range(n_star):
+                transition[:, j] = pinv_apply(factors,
+                                              GridFunction(grid, jac2[:, j]))
+            dev = float(np.linalg.norm(transition - np.eye(n_star), 2))
 
-    dist = float(np.linalg.norm(p2.flatten() - p1.flatten()))
-    ratio = dev / dist if dist > 0 else math.nan
-    return ConeReport(p1, p2, transition, dev, residual, ratio)
+            fj2 = forward.apply_columns(jac2)
+            defect = fj2 - fj1 @ transition
+            num = math.sqrt(float(np.sum(w_out * defect * defect)))
+            den = math.sqrt(float(np.sum(w_out * fj2 * fj2)))
+            residual = num / den if den > 0 else 0.0
+
+            dist = float(np.linalg.norm(p2.flatten() - p1.flatten()))
+            ratio = dev / dist if dist > 0 else math.nan
+            reports.append(
+                ConeReport(p1, p2, transition, dev, residual, ratio))
+    return reports
 
 
 @dataclass(frozen=True)
@@ -227,37 +254,79 @@ class MysovskiiReport:
 
 
 def mysovskii_check(
-    p: Params,
-    q: Params,
-    s_values,
+    probes,
     activation: Activation,
     grid: Grid,
     forward: LinearOperator,
     rank_tol: float = DEFAULT_RANK_TOL,
-) -> MysovskiiReport:
-    """Probe the quadratic Newton-Mysovskii bound along ``[q, p]``."""
-    for s in s_values:
-        if not 0.0 <= s <= 1.0:
-            raise ValueError(f"s values must lie in [0, 1], got {s}")
-    forward_jac = forward.apply_columns(jacobian(p, activation, grid))
-    factors = full_rank_qr(forward_jac, forward.out_grid, rank_tol,
-                           "derivative at p")
-    d = p.flatten() - q.flatten()
-    dist_sq = float(np.linalg.norm(d)) ** 2
-    base = directional_derivative(q, activation, grid, d)
-    lhs_values = []
-    ratios = []
-    for s in s_values:
-        if dist_sq == 0.0 or s == 0.0:
-            lhs_values.append(0.0)
-            ratios.append(0.0)
-            continue
-        mid = Params.from_flat(q.flatten() + s * d, p.units, p.input_dim)
-        diff = directional_derivative(mid, activation, grid, d) - base
-        lhs = float(np.linalg.norm(pinv_apply(factors, forward.apply(diff))))
-        lhs_values.append(lhs)
-        ratios.append(lhs / (s * dist_sq))
-    return MysovskiiReport(tuple(s_values), tuple(lhs_values), tuple(ratios))
+) -> list[MysovskiiReport]:
+    """Probe the quadratic Newton-Mysovskii bound along ``[q, p]`` for each
+    ``(p, q, s_values)`` of ``probes``, one report per probe in order.
+
+    The Jacobians at every ``p`` are built in one vectorized pass
+    (:func:`~gncoder.network.jacobians`), mapped through ``forward`` one by
+    one and factored in one stacked sweep
+    (:func:`~gncoder.pseudoinverse.full_rank_qr_stack`); the rest runs per
+    probe.  A probe whose derivative at ``p`` lacks full column rank raises
+    :class:`RankDeficiencyError` when its turn comes, so every error
+    arises in probe order, as with one call per probe.  Memory grows with
+    the number of probes: :func:`mysovskii_reports` takes any number in
+    bounded memory.
+    """
+    probes = list(probes)
+    for _, _, s_values in probes:
+        for s in s_values:
+            if not 0.0 <= s <= 1.0:
+                raise ValueError(f"s values must lie in [0, 1], got {s}")
+    if not probes:
+        return []
+    jacs = jacobians([p for p, _, _ in probes], activation, grid)
+    mapped = np.empty((len(probes), forward.out_grid.node_count, jacs.shape[2]))
+    for jac, out in zip(jacs, mapped):
+        out[...] = forward.apply_columns(jac)
+    gated = full_rank_qr_stack(mapped, forward.out_grid, rank_tol,
+                               "derivative at p")
+    reports = []
+    for (p, q, s_values), factors in zip(probes, gated):
+        d = p.flatten() - q.flatten()
+        dist_sq = float(np.linalg.norm(d)) ** 2
+        base = directional_derivative(q, activation, grid, d)
+        lhs_values = []
+        ratios = []
+        for s in s_values:
+            if dist_sq == 0.0 or s == 0.0:
+                lhs_values.append(0.0)
+                ratios.append(0.0)
+                continue
+            mid = Params.from_flat(q.flatten() + s * d, p.units, p.input_dim)
+            diff = directional_derivative(mid, activation, grid, d) - base
+            lhs = float(np.linalg.norm(pinv_apply(factors, forward.apply(diff))))
+            lhs_values.append(lhs)
+            ratios.append(lhs / (s * dist_sq))
+        reports.append(
+            MysovskiiReport(tuple(s_values), tuple(lhs_values), tuple(ratios)))
+    return reports
+
+
+def mysovskii_reports(
+    probes,
+    activation: Activation,
+    grid: Grid,
+    forward: LinearOperator,
+    rank_tol: float = DEFAULT_RANK_TOL,
+):
+    """:func:`mysovskii_check` over an iterable of probes, any number of
+    them, in chunks that fit in :data:`~gncoder.network.CHUNK_BYTES`;
+    yields the reports in order.
+
+    ``probes`` is drawn from a chunk at a time, so a lazy iterable keeps the
+    memory flat in the probe count.  A chunk holds the Jacobian, its image
+    and the sweep's two slot rows per probe, about ``8 n* (node_count + 3
+    out_nodes)`` bytes: one probe per chunk on a 256 x 256 grid.
+    """
+    nodes = grid.node_count + 3 * forward.out_grid.node_count
+    for chunk in _chunks(probes, lambda probe: 8 * probe[0].n_star * nodes):
+        yield from mysovskii_check(chunk, activation, grid, forward, rank_tol)
 
 
 def manifold_demo(x: float, y: float) -> tuple[tuple[float, float], float]:

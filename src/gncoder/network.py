@@ -31,13 +31,14 @@ from .sampling import sample_in_ball
 #: the numerically active region.
 DEFAULT_PARAM_BOX = (-10.0, 10.0)
 
-#: Byte cap on the transient arrays of :func:`lipschitz_constants`: a chunk
-#: of sample Jacobians built in one pass (at least one sample), the stack
-#: of matrices one batched SVD call takes (at least one matrix), the
-#: weighted row chunk of the Gram screen together with its transposed copy
-#: (at least one row), and the ``n* x n*`` blocks gathered to bound a run of
-#: candidates (at least one candidate).
-SVD_CHUNK_BYTES = 8 * 2**20
+#: Byte cap on the transient arrays built for many points at once, at least
+#: one item per chunk.  In :func:`lipschitz_constants`: a chunk of sample
+#: Jacobians built in one pass, the stack of matrices one batched SVD call
+#: takes, the weighted row chunk of the Gram screen together with its
+#: transposed copy, and the ``n* x n*`` blocks gathered to bound a run of
+#: candidates.  In :mod:`~gncoder.diagnostics`: the cone's perturbed
+#: Jacobians and the Mysovskii probes factored in one sweep.
+CHUNK_BYTES = 8 * 2**20
 
 #: Relative margin on the Gram screen of :func:`lipschitz_constants`, far
 #: above the rounding in the computed singular values and in the screen's own
@@ -72,10 +73,24 @@ def jacobian(p: Params, a: Activation, g: Grid) -> np.ndarray:
     ``alpha_s * act'(z_s) * x_t`` for each axis ``t``, and the theta-column
     is ``alpha_s * act'(z_s)``.
     """
-    _check_dims(p, g)
-    M = np.empty((1, g.node_count, p.n_star))
-    _jacobian_matrices(p.flatten()[None], p.units, p.input_dim, a, g, M)
-    return M[0]
+    return jacobians([p], a, g)[0]
+
+
+def jacobians(points, a: Activation, g: Grid) -> np.ndarray:
+    """The Jacobians at a sequence of parameter points of one shape, as a
+    fresh ``(len(points), node_count, n_star)`` stack built in one
+    vectorized pass (:func:`_jacobian_matrices`): each matrix is bitwise
+    :func:`jacobian` at its point."""
+    first = points[0]
+    _check_dims(first, g)
+    shape = (first.units, first.input_dim)
+    if any((p.units, p.input_dim) != shape for p in points):
+        raise ShapeError(f"points must all have {shape[0]} units in dimension "
+                         f"{shape[1]}")
+    out = np.empty((len(points), g.node_count, first.n_star))
+    flat = np.array([p.flatten() for p in points])
+    _jacobian_matrices(flat, first.units, first.input_dim, a, g, out)
+    return out
 
 
 def _jacobian_matrices(flat, units: int, dim: int, a: Activation, g: Grid, out):
@@ -155,14 +170,14 @@ def _weighted_batches(stack, sqrt_w, first, second=None):
     ``sqrt_w * (stack[i] - stack[j])`` for ``(i, j)`` in ``zip(first,
     second)`` with ``first`` ascending; in index order.
 
-    Each batch holds as many matrices as fit in :data:`SVD_CHUNK_BYTES`, at
+    Each batch holds as many matrices as fit in :data:`CHUNK_BYTES`, at
     least one, so the temporaries stay within a few chunks.  Pairs are
     batched per ``i``, which is broadcast rather than gathered: a batch
     gathers one copy, of at most ``samples - 1`` matrices, even when the
     screen keeps every pair (as it can when the pair differences are as
     small as the rounding that :func:`_screen_margin` covers).
     """
-    per_call = max(1, SVD_CHUNK_BYTES // stack[0].nbytes)
+    per_call = max(1, CHUNK_BYTES // stack[0].nbytes)
     if second is None:
         rows = [(None, first)]
     else:
@@ -183,12 +198,12 @@ def _gram_blocks(stack, sqrt_w) -> np.ndarray:
 
     Accumulates ``flat.T @ flat`` over row chunks, ``flat`` being the chunk
     of every ``A_i`` side by side, ``(rows, samples * n*)``.  The weighted
-    chunk and its transposed copy fit together in :data:`SVD_CHUNK_BYTES`,
+    chunk and its transposed copy fit together in :data:`CHUNK_BYTES`,
     with at least one row per chunk.
     """
     samples, nodes, n_star = stack.shape
     width = samples * n_star
-    rows = max(1, SVD_CHUNK_BYTES // (2 * width * stack.itemsize))
+    rows = max(1, CHUNK_BYTES // (2 * width * stack.itemsize))
 
     def square(start):
         chunk = stack[:, start : start + rows] * sqrt_w[start : start + rows]
@@ -261,10 +276,10 @@ def _gram_bounds(blocks, nodes, scale, first, second=None) -> np.ndarray:
     Near-duplicate pairs, where cancellation dominates ``D'``, just get a
     loose bound and go to the SVD.  A NaN in a block gives a NaN bound.
     ``D`` is gathered for as many candidates at a time as three copies fit
-    in :data:`SVD_CHUNK_BYTES`, at least one.
+    in :data:`CHUNK_BYTES`, at least one.
     """
     squares = np.einsum("iiaa->i", blocks)  # tr G_ii = |A_i|_F^2
-    per_call = max(1, SVD_CHUNK_BYTES // (3 * blocks[0, 0].nbytes))
+    per_call = max(1, CHUNK_BYTES // (3 * blocks[0, 0].nbytes))
     norms = np.empty(len(first))
     for start in range(0, len(first), per_call):
         picks = slice(start, start + per_call)
@@ -348,7 +363,7 @@ def lipschitz_constants(
     every candidate.
     The sample Jacobians themselves are built by :func:`_jacobian_matrices`
     straight into one stack, as many samples per pass as fit in
-    :data:`SVD_CHUNK_BYTES` (at least one), bitwise equal to
+    :data:`CHUNK_BYTES` (at least one), bitwise equal to
     :func:`jacobian` at each point.
 
     The ball must lie inside the parameter box.  The Gram matrix and the
@@ -378,7 +393,7 @@ def lipschitz_constants(
     points = np.array([sample_in_ball(rng, center, radius) for _ in range(samples)])
     _check_dims(p, g)
     stack = np.empty((samples, g.node_count, p.n_star))
-    per_call = max(1, SVD_CHUNK_BYTES // stack[0].nbytes)
+    per_call = max(1, CHUNK_BYTES // stack[0].nbytes)
     for start in range(0, samples, per_call):
         chunk = slice(start, start + per_call)
         _jacobian_matrices(points[chunk], p.units, p.input_dim, a, g, stack[chunk])

@@ -1,7 +1,8 @@
 """Moore-Penrose machinery over a matrix of function-valued columns.
 
 The engine is a quadrature-weighted modified Gram-Schmidt factorization of
-a ``(node_count, m)`` matrix whose columns are nodal values on one grid.
+a ``(node_count, m)`` matrix whose columns are nodal values on one grid, or
+of a stack of such matrices in one sweep.
 From the factors we get the orthogonal projection onto the column span, the
 Moore-Penrose pseudoinverse applied to a grid function, and residuals of the
 four defining pseudoinverse identities (``LBL = L``, ``BLB = B``,
@@ -11,10 +12,11 @@ four defining pseudoinverse identities (``LBL = L``, ``BLB = B``,
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 from .exceptions import GridMismatchError, RankDeficiencyError, ZeroMatrixError
 from .grids import Grid, GridFunction
@@ -67,18 +69,11 @@ def weighted_qr(
 ) -> QRFactors:
     """Orthonormalize the columns of ``matrix`` in the weighted inner product.
 
-    Modified Gram-Schmidt with one reorthogonalization pass.  A column whose
-    residual norm after projection falls below ``rank_tol`` times the
-    largest original column norm is flagged dependent and excluded from the
-    orthonormal family; the retained count is the numerical rank.
-
-    Each retained ``q_i`` is kept beside its weighted copy ``w * q_i`` in
-    preallocated arrays, and every update runs in place, for matrices of
-    any size.  Each coefficient is ``sum((w * q_i) * v)`` and each norm
-    ``sqrt(sum((w * v) * v))``, the products and the pairwise sum that
-    ``np.sum(w * q_i * v)`` and ``np.sum(w * v * v)`` take, and the two
-    passes' coefficients are summed from zero in order, so the factors are
-    bitwise those of the same sweep over fresh column copies.
+    The one-matrix case of :func:`weighted_qr_stack`: modified Gram-Schmidt
+    with one reorthogonalization pass.  A column whose residual norm after
+    projection falls below ``rank_tol`` times the largest original column
+    norm is flagged dependent and excluded from the orthonormal family; the
+    retained count is the numerical rank.
 
     Raises
     ------
@@ -87,56 +82,156 @@ def weighted_qr(
     ZeroMatrixError
         If every column is identically zero.
     """
+    _check_rows(matrix, grid)
+    return next(weighted_qr_stack(matrix[None], grid, rank_tol))
+
+
+def weighted_qr_stack(
+    matrices: np.ndarray, grid: Grid, rank_tol: float = DEFAULT_RANK_TOL
+) -> Iterator[QRFactors]:
+    """:func:`weighted_qr` of every matrix of a ``(count, node_count, m)``
+    stack, in one sweep; an iterator over the factors in stack order.
+
+    The sweep runs before this returns.  Each matrix keeps its own rank and
+    dependent columns; the iterator raises :class:`ZeroMatrixError` when it
+    reaches a matrix whose columns are all zero (or all fall below the rank
+    tolerance), so a caller that handles the factors one by one meets every
+    error in the order of its matrices.  Each member's factors are bitwise
+    those of the sweep over that matrix alone (see :func:`_mgs_sweep`).
+    """
     if not rank_tol > 0:
         raise ValueError(f"rank_tol must be positive, got {rank_tol}")
-    _check_rows(matrix, grid)
-    if matrix.shape[1] == 0:
+    if matrices.ndim != 3 or matrices.shape[1] != grid.node_count:
+        raise GridMismatchError(
+            f"expected a stack of matrices with {grid.node_count} rows, got "
+            f"shape {matrices.shape}"
+        )
+    if matrices.shape[2] == 0:
         raise ValueError("need at least one column")
-    # row-major, so the axis-0 reductions below round the same way for every
+    # row-major, so the axis-1 reductions round the same way for every
     # caller's memory layout
-    C = np.ascontiguousarray(matrix, dtype=float)
-    w = grid.weights
-    ncols = C.shape[1]
-    col_norms = np.sqrt(np.sum(w[:, None] * C * C, axis=0))
-    max_norm = float(col_norms.max())
-    if max_norm == 0.0:
-        raise ZeroMatrixError("all columns are identically zero")
-    threshold = rank_tol * max_norm
+    stack = np.ascontiguousarray(matrices, dtype=float)
+    q_slots, r_stack, ranks, dependent, zero = _mgs_sweep(
+        stack, grid.weights, rank_tol)
 
-    # the retained q_i and their weighted copies w * q_i, one row each
-    q_rows = np.empty((ncols, C.shape[0]))
-    qs, wqs = list(q_rows), list(np.empty_like(q_rows))
-    v = np.empty(C.shape[0])
-    tmp = np.empty_like(v)
-    r_rows = np.zeros((ncols, ncols))  # trimmed to the final rank below
+    def factors(b):
+        if zero[b]:
+            raise ZeroMatrixError("all columns are identically zero")
+        rank = ranks[b]
+        if rank == 0:
+            raise ZeroMatrixError("all columns fell below the rank tolerance")
+        # C order for Q and R: matmul picks its kernel by strides, so the
+        # layout is part of the bits
+        return QRFactors(grid, q_slots[:rank, b].T.copy(), r_stack[b, :rank],
+                         dependent[b])
+
+    return map(factors, range(len(stack)))
+
+
+def _mgs_sweep(stack, w, rank_tol):
+    """Modified Gram-Schmidt with one reorthogonalization pass over every
+    matrix of a C-ordered ``(count, K, n)`` stack at once.
+
+    Returns ``(q_slots, r_stack, ranks, dependent, zero)``: matrix ``b``
+    keeps its ``ranks[b]`` orthonormal columns in ``q_slots[:ranks[b], b]``
+    (one ``(K,)`` row each) and its coefficients in ``r_stack[b]``, a C
+    ordered ``n x n`` array with zero rows from ``ranks[b]`` on;
+    ``dependent[b]`` is its tuple of flags, and ``zero[b]`` says that all
+    its columns are zero.
+
+    Column ``k`` of every matrix is processed by the same ufunc calls: each
+    call acts on the ``(count, K)`` rows of all the matrices, or, for one
+    matrix, on its ``(K,)`` row, with coefficients in 0-d views.  Each
+    coefficient is ``sum((w * q_i) * v)`` and each norm ``sqrt(sum((w * v) *
+    v))``, reduced along the contiguous last axis: per row the pairwise sum
+    of a 1-D reduce, and so per matrix the products and sums that
+    ``np.sum(w * q_i * v)`` and ``np.sum(w * v * v)`` take.  The two passes'
+    coefficients are kept apart and summed as ``(0.0 + first) + second``,
+    as a running sum from zero rounds them.  So each matrix's factors are
+    bitwise those of the same sweep over fresh copies of its columns.
+
+    While the matrices have equal ranks every slot ``i`` below the rank is
+    filled in every matrix.  Once they differ, a matrix with fewer retained
+    columns meets slots it has not filled.  They are zero, so for finite
+    entries their coefficients are ``+0`` (``np.add.reduce`` sums from
+    ``+0``) and their updates change no bit, but an infinite entry makes
+    them NaN: so those updates are skipped (``where``) and those
+    coefficients reset to zero.  A zero matrix gets an infinite threshold,
+    so all its columns are dependent.
+    """
+    count, nodes, ncols = stack.shape
+    col_norms = np.sqrt(np.sum(w[:, None] * stack * stack, axis=1))
+    max_norms = col_norms.max(axis=1).tolist()
+    zero = [m == 0.0 for m in max_norms]
+    limits = [math.inf if m == 0.0 else rank_tol * m for m in max_norms]
+    # one matrix drops the stack axis: (K,) rows and 0-d coefficients take
+    # the cheapest ufunc calls
+    one = count == 1
+    row = (nodes,) if one else (count, nodes)
+    lead = () if one else (count, 1)
+    limit = limits[0] if one else np.array(limits)[:, None]
+    q_slots = np.zeros((ncols,) + row)   # slot i of every matrix
+    wq_slots = np.zeros((ncols,) + row)  # and its weighted copy
+    qs, wqs = list(q_slots), list(wq_slots)
+    columns = stack.reshape(row + (ncols,))
+    v, tmp = np.empty(row), np.empty(row)
+    # coefficients by pass, slot and column; a retained column's norm goes
+    # to its slot in the first pass
+    coeffs = np.zeros((2, ncols, ncols) + lead)
+    passes = coeffs[0], coeffs[1]
     dependent = []
-    rank = 0
+    ranks = None  # the per-matrix ranks, once they differ
+    top = 0       # the largest rank so far
     for k in range(ncols):
-        v[:] = C[:, k]
-        coeffs = [0.0] * rank
-        for _ in range(2):  # MGS sweep plus one reorthogonalization
-            for i in range(rank):
-                # sum(w * q_i * v), which multiplies (w * q_i) by v
-                coeff = float(np.add.reduce(np.multiply(wqs[i], v, out=tmp)))
-                coeffs[i] += coeff
-                np.subtract(v, np.multiply(qs[i], coeff, out=tmp), out=v)
-        r_rows[:rank, k] = coeffs
-        # sqrt(sum(w * v * v)); math.sqrt rounds as np.sqrt does
-        np.multiply(np.multiply(w, v, out=tmp), v, out=tmp)
-        vnorm = math.sqrt(np.add.reduce(tmp))
-        if vnorm < threshold:
-            dependent.append(True)
+        v[...] = columns[..., k]
+        filled = None if ranks is None else ranks[:, None] > np.arange(top)
+        for coeff in passes:
+            for i in range(top):
+                c = coeff[i, k, ...]
+                np.add.reduce(np.multiply(wqs[i], v, tmp), -1, None, c, not one)
+                np.multiply(qs[i], c, tmp)
+                if filled is None:
+                    np.subtract(v, tmp, v)
+                else:
+                    np.subtract(v, tmp, v, where=filled[:, i, None])
+        if ranks is not None:  # slots a matrix has not filled stay zero
+            for b in range(count):
+                coeffs[:, ranks[b]:top, k, b] = 0.0
+        vnorm = passes[0][top, k, ...] if ranks is None else np.empty(lead)
+        np.add.reduce(np.multiply(np.multiply(w, v, tmp), v, tmp), -1, None,
+                      vnorm, not one)
+        np.sqrt(vnorm, vnorm)
+        below = ([float(vnorm) < limit] if one
+                 else (vnorm < limit)[:, 0].tolist())
+        dependent.append(below)
+        if ranks is None and not any(below):
+            np.divide(v, vnorm, qs[top])
+            np.multiply(w, qs[top], wqs[top])
+            top += 1
             continue
-        dependent.append(False)
-        r_rows[rank, k] = vnorm
-        np.divide(v, vnorm, out=qs[rank])
-        np.multiply(w, qs[rank], out=wqs[rank])
-        rank += 1
-
-    if rank == 0:
-        raise ZeroMatrixError("all columns fell below the rank tolerance")
-    q_matrix = q_rows[:rank].T.copy()  # C order, as column_stack gave
-    return QRFactors(grid, q_matrix, r_rows[:rank, :], tuple(dependent))
+        if ranks is None:
+            vnorm = vnorm.copy()
+            coeffs[0, top, k] = 0.0
+            if all(below):
+                continue
+            ranks = np.full(count, top)
+        for b in (b for b, flag in enumerate(below) if not flag):
+            slot = ranks[b]
+            np.divide(v[b], vnorm[b], q_slots[slot, b])
+            np.multiply(w, q_slots[slot, b], wq_slots[slot, b])
+            coeffs[0, slot, k, b] = vnorm[b]
+            ranks[b] += 1
+        top = int(ranks.max())
+        if (ranks == top).all():
+            ranks = None
+    r_stack = (0.0 + passes[0]) + passes[1]  # (slot, column) + lead
+    if one:
+        r_stack = r_stack[None]
+    else:
+        r_stack = np.ascontiguousarray(r_stack[..., 0].transpose(2, 0, 1))
+    ranks = [top] * count if ranks is None else ranks.tolist()
+    return (q_slots.reshape(ncols, count, nodes), r_stack, ranks,
+            list(zip(*dependent)), zero)
 
 
 def full_rank_qr(
@@ -147,7 +242,20 @@ def full_rank_qr(
     Raises :class:`RankDeficiencyError` ``"<what> has rank r < n"``, with
     ``deficit = n - r``, when any column is flagged dependent.
     """
-    factors = weighted_qr(matrix, grid, rank_tol)
+    return _full_rank(weighted_qr(matrix, grid, rank_tol), what)
+
+
+def full_rank_qr_stack(
+    matrices: np.ndarray, grid: Grid, rank_tol: float, what: str
+) -> Iterator[QRFactors]:
+    """:func:`full_rank_qr` of every matrix of a stack, in one sweep: the
+    iterator of :func:`weighted_qr_stack`, raising at the first matrix in
+    stack order that is zero or rank deficient, when it reaches it."""
+    return (_full_rank(f, what)
+            for f in weighted_qr_stack(matrices, grid, rank_tol))
+
+
+def _full_rank(factors: QRFactors, what: str) -> QRFactors:
     n = factors.column_count
     if factors.rank < n:
         raise RankDeficiencyError(
@@ -187,11 +295,37 @@ def pinv_apply(factors: QRFactors, x: GridFunction, strict: bool = True) -> np.n
         )
     beta = _q_coefficients(factors, x)
     retained = list(factors.retained_indices)
-    tri = factors.r_matrix[:, retained]
-    coeffs = solve_triangular(tri, beta, lower=False)
+    coeffs = _solve_upper(factors.r_matrix[:, retained], beta)
     out = np.zeros(factors.column_count)
     out[retained] = coeffs
     return out
+
+
+def _solve_upper(tri: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.solve_triangular(tri, beta)`` for an upper-triangular
+    float64 ``tri``: the LAPACK ``dtrtrs`` call it makes, with its finite
+    checks and errors, without its wrapper's per-call overhead.
+
+    ``dtrtrs`` takes Fortran order, so a C-ordered ``tri`` is passed
+    transposed, as the lower-triangular system of the transpose.
+
+    Raises
+    ------
+    ValueError
+        If ``tri`` or ``beta`` holds an infinity or a NaN.
+    numpy.linalg.LinAlgError
+        If a diagonal entry of ``tri`` is zero.
+    """
+    if not (np.isfinite(tri).all() and np.isfinite(beta).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    if tri.flags.f_contiguous:
+        x, info = dtrtrs(tri, beta)
+    else:
+        x, info = dtrtrs(tri.T, beta, lower=1, trans=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"singular matrix: resolution failed at diagonal {info - 1}")
+    return x
 
 
 @dataclass(frozen=True)

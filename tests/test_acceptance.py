@@ -294,7 +294,7 @@ def test_criterion_07_order_reversed_cone_condition():
         worst_residual = 0.0
         for t in (1e-2, 1e-3, 1e-4):
             p2 = Params.from_flat(p1.flatten() + t * direction, units, dim)
-            report = cone_check(p1, p2, SIGMOID, grid, make_integration(grid))
+            report, = cone_check(p1, [p2], SIGMOID, grid, make_integration(grid))
             worst_residual = max(worst_residual, report.decomposition_residual)
             ratios.append(report.ratio)
         spread = max(ratios) / min(ratios)
@@ -318,7 +318,7 @@ def test_criterion_08_mysovskii_bound():
             p.flatten() + 0.2 * unit_direction(rng, base.n_star), 2, 1
         )
         s = float(rng.uniform(0.05, 1.0))
-        report = mysovskii_check(p, q, (s,), SIGMOID, grid, forward)
+        report, = mysovskii_check([(p, q, (s,))], SIGMOID, grid, forward)
         max_ratio = max(max_ratio, report.max_ratio)
     constants = lipschitz_constants(
         base, SIGMOID, grid, radius=0.3, samples=32, seed=99, box=(-15, 15)

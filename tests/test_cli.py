@@ -3,6 +3,7 @@ import json
 import math
 import tempfile
 import time
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gncoder import diagnostics, network, solver
 from gncoder.activations import parse_activation
 from gncoder.cli import (
     _COMMANDS,
@@ -154,6 +156,109 @@ class TestMysovskiiCommand:
         assert meta["ratio_over_product"] < 1.2
         lines = list(out.glob("mysovskii_*.reports.jsonl"))[0].read_text()
         assert len(lines.splitlines()) == 6
+
+
+#: the benchmark's probes config of mysovskii
+PROBES_CONFIG = {"units": 2, "dim": 1, "points_per_axis": 64,
+                 "operator": "volterra", "constants_samples": 32}
+
+
+def write_config(tmp_path, name, cfg):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+class TestProbeChunks:
+    """The probes are checked in chunks under ``network.CHUNK_BYTES``;
+    the chunk size changes no output bit."""
+
+    RUNS = [
+        ("mysovskii", {}),
+        ("mysovskii", {"operator": "gauss:0.05", "probes": 7, "seed": 3}),
+        ("cone", {}),
+        ("cone", {"dim": 2, "points_per_axis": 8, "operator": "gauss:0.1",
+                  "t_values": [0.1, 0.01, 0.001, 1e-4, 1e-5]}),
+    ]
+
+    @pytest.mark.parametrize("run_index", range(len(RUNS)))
+    def test_outputs_do_not_depend_on_the_chunk_size(
+        self, tmp_path, monkeypatch, run_index
+    ):
+        command, cfg = self.RUNS[run_index]
+        config = write_config(tmp_path, "cfg", cfg)
+        outputs = []
+        for budget in (network.CHUNK_BYTES, 1, 2**40):
+            monkeypatch.setattr(network, "CHUNK_BYTES", budget)
+            out = tmp_path / f"out{budget}"
+            assert run([command, "--config", config, "--out", out]) == 0
+            outputs.append(files_in(out))
+        assert len(outputs[0]) == 2
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("budget", [None, 1])
+    def test_a_deficient_probe_mid_run_exits_two_and_writes_nothing(
+        self, tmp_path, monkeypatch, capsys, budget
+    ):
+        # seed 362 draws a rank-deficient probe at index 10 of 20: inside
+        # the one chunk, or after ten chunks of one were written into the
+        # new output directory
+        if budget is not None:
+            monkeypatch.setattr(network, "CHUNK_BYTES", budget)
+        config = write_config(tmp_path, "probes", PROBES_CONFIG)
+        out = tmp_path / "out"
+        code = run(["mysovskii", "--config", config, "--seed", 362,
+                    "--out", out])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "numeric error: derivative at p has rank 5 < 6\n")
+        assert not out.exists()
+
+    def test_memory_stays_flat_in_the_probe_count(self, tmp_path, monkeypatch):
+        # about twenty probes a chunk, so both runs hold chunks of one size
+        monkeypatch.setattr(network, "CHUNK_BYTES", 2**18)
+        peaks = []
+        for probes in (20, 2000):
+            tracemalloc.start()
+            try:
+                code = run(["mysovskii", "--probes", probes,
+                            "--out", tmp_path / str(probes)])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+        assert peaks[1] < 1.05 * peaks[0], peaks
+
+
+class TestConstantsRefusedFirst:
+    """A config whose Lipschitz sample stack is refused exits 1 before any
+    Gauss-Newton step or Mysovskii probe runs."""
+
+    @pytest.mark.parametrize("command", ["solve", "mysovskii"])
+    def test_refused_before_the_work(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(solver, "gauss_newton_step", counting(
+            "step", solver.gauss_newton_step))
+        monkeypatch.setattr(diagnostics, "mysovskii_check", counting(
+            "probe", diagnostics.mysovskii_check))
+        config = write_config(tmp_path, "big", {
+            "points_per_axis": 1_000_000, "constants_samples": 48})
+        out = tmp_path / "out"
+        assert run([command, "--config", config, "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            "error: constants_samples 48 needs a 2.1 GiB sample stack on "
+            "1000000 nodes, over the 1 GiB limit\n")
+        assert calls == []
+        assert not out.exists()
 
 
 class TestExitCodes:

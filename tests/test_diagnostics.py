@@ -137,7 +137,7 @@ class TestConeCheck:
     def test_same_point_gives_identity(self):
         grid, p1, _ = square_setup(seed=3)
         forward = make_integration(grid)
-        report = cone_check(p1, p1, SIGMOID, grid, forward)
+        report, = cone_check(p1, [p1], SIGMOID, grid, forward)
         assert report.dev < 1e-9
         assert report.decomposition_residual < 1e-10
         assert math.isnan(report.ratio)
@@ -148,7 +148,7 @@ class TestConeCheck:
         ratios = []
         for t in (1e-2, 1e-3, 1e-4):
             p2 = Params.from_flat(p1.flatten() + t * direction, 2, 1)
-            report = cone_check(p1, p2, SIGMOID, grid, forward)
+            report, = cone_check(p1, [p2], SIGMOID, grid, forward)
             assert report.decomposition_residual < 1e-8
             ratios.append(report.ratio)
         assert max(ratios) <= 2.0 * min(ratios)
@@ -162,7 +162,7 @@ class TestConeCheck:
         p2 = Params.from_flat(
             p1.flatten() + 0.5 * unit_direction(rng, p1.n_star), 2, 1
         )
-        report = cone_check(p1, p2, SIGMOID, grid, make_identity(grid))
+        report, = cone_check(p1, [p2], SIGMOID, grid, make_identity(grid))
         assert report.decomposition_residual > 1e-8
         assert np.isfinite(report.dev)
 
@@ -170,12 +170,12 @@ class TestConeCheck:
         grid = make_grid(1, 64)
         p1 = Params([0.0, 1.0], [[1.0], [2.0]], [0.1, 0.2])
         with pytest.raises(RankDeficiencyError):
-            cone_check(p1, p1, SIGMOID, grid, make_identity(grid))
+            cone_check(p1, [p1], SIGMOID, grid, make_identity(grid))
 
     def test_report_serializes(self):
         grid, p1, direction = square_setup(seed=5)
         p2 = Params.from_flat(p1.flatten() + 1e-3 * direction, 2, 1)
-        report = cone_check(p1, p2, SIGMOID, grid, make_integration(grid))
+        report, = cone_check(p1, [p2], SIGMOID, grid, make_integration(grid))
         d = report.to_json_dict()
         assert len(d["r_matrix"]) == p1.n_star
         assert d["ratio"] == report.ratio
@@ -193,11 +193,11 @@ class TestMysovskiiCheck:
             MYSOVSKII_BASE.flatten() + 0.05 * unit_direction(rng, 6), 2, 1
         )
         q = Params.from_flat(p.flatten() + 0.2 * unit_direction(rng, 6), 2, 1)
-        report = mysovskii_check(p, q, (0.0, 0.5), SIGMOID, grid, forward)
+        report, = mysovskii_check([(p, q, (0.0, 0.5))], SIGMOID, grid, forward)
         assert report.lhs_values[0] == 0.0
         assert report.bound_ratios[0] == 0.0
         assert report.lhs_values[1] > 0.0
-        same = mysovskii_check(p, p, (0.25, 1.0), SIGMOID, grid, forward)
+        same, = mysovskii_check([(p, p, (0.25, 1.0))], SIGMOID, grid, forward)
         assert same.lhs_values == (0.0, 0.0)
         assert same.max_ratio == 0.0
 
@@ -210,7 +210,7 @@ class TestMysovskiiCheck:
         )
         q = Params.from_flat(p.flatten() + 0.2 * unit_direction(rng, 6), 2, 1)
         s_values = (0.1, 0.25, 0.5, 0.75, 1.0)
-        report = mysovskii_check(p, q, s_values, SIGMOID, grid, forward)
+        report, = mysovskii_check([(p, q, s_values)], SIGMOID, grid, forward)
         dist_sq = float(np.linalg.norm(p.flatten() - q.flatten())) ** 2
         for s, lhs in zip(report.s_values, report.lhs_values):
             assert lhs <= s * report.max_ratio * dist_sq * (1 + 1e-12)
@@ -219,7 +219,7 @@ class TestMysovskiiCheck:
         grid = make_grid(1, 64)
         with pytest.raises(ValueError):
             mysovskii_check(
-                MYSOVSKII_BASE, MYSOVSKII_BASE, (1.5,), SIGMOID, grid,
+                [(MYSOVSKII_BASE, MYSOVSKII_BASE, (1.5,))], SIGMOID, grid,
                 make_identity(grid),
             )
 

@@ -460,7 +460,7 @@ class TestBatchedLipschitzConstants:
         p, g, radius = BATCH_CASES[1]
         samples = 8
         matrix_bytes = g.node_count * p.n_star * 8
-        monkeypatch.setattr(network, "SVD_CHUNK_BYTES", per_call * matrix_bytes)
+        monkeypatch.setattr(network, "CHUNK_BYTES", per_call * matrix_bytes)
         chunks, batches = [], []
         weighted_batches, svd = network._weighted_batches, np.linalg.svd
 
@@ -533,7 +533,7 @@ class TestStackedJacobians:
         samples, radius = 24, 0.5
         if per_call is not None:
             matrix_bytes = g.node_count * p.n_star * 8
-            monkeypatch.setattr(network, "SVD_CHUNK_BYTES", per_call * matrix_bytes)
+            monkeypatch.setattr(network, "CHUNK_BYTES", per_call * matrix_bytes)
         stacks, passes = [], []
         gram_blocks, build = network._gram_blocks, network._jacobian_matrices
 
@@ -635,7 +635,7 @@ class TestFrobeniusScreen:
         p, g, radius = BATCH_CASES[1][0], make_grid(2, 64), 0.3
         samples = 8
         assert g.node_count == 4096
-        monkeypatch.setattr(network, "SVD_CHUNK_BYTES", 2**16)
+        monkeypatch.setattr(network, "CHUNK_BYTES", 2**16)
         gram_rows = recorded_gram_rows(monkeypatch)
         c = lipschitz_constants(p, SIGMOID, g, radius=radius, samples=samples, seed=7)
         assert len(gram_rows) > 10 and sum(gram_rows) == g.node_count
@@ -657,7 +657,7 @@ class TestFrobeniusScreen:
             rows.append(len(d))
             return norms(d)
 
-        monkeypatch.setattr(network, "SVD_CHUNK_BYTES", 1)
+        monkeypatch.setattr(network, "CHUNK_BYTES", 1)
         monkeypatch.setattr(network, "_frobenius_norms", recorded)
         chunked = network._gram_bounds(blocks, g.node_count, dists, first, second)
         assert max(rows) == 1 and sum(rows) == len(first)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
+from gncoder import pseudoinverse
 from gncoder.activations import Activation
 from gncoder.diagnostics import cone_check, merge_duplicate, mysovskii_check
 from gncoder.exceptions import (
@@ -13,11 +15,14 @@ from gncoder.network import Params, eval_psi
 from gncoder.operators import make_integration
 from gncoder.pseudoinverse import (
     ConvergenceConstants,
+    QRFactors,
     full_rank_qr,
+    full_rank_qr_stack,
     mp_residuals,
     pinv_apply,
     project,
     weighted_qr,
+    weighted_qr_stack,
 )
 from gncoder.solver import SolveConfig, gauss_newton_step
 
@@ -202,6 +207,196 @@ class TestWeightedQRBitwise:
         assert matrix.flags.c_contiguous == (kind != "fortran")
 
 
+def stack_member(kind, grid, ncols, rng):
+    """One member of a test stack: ``oracle_matrix`` columns with spread
+    scales, plus ``"-0.0"`` (a run of rows of negative zeros, and one
+    column of them), ``"lead-0.0"`` (a first column of negative zeros, so
+    the member falls behind at once, and a non-positive second column with
+    negative zeros in it) and ``"zero"`` (all columns zero)."""
+    if kind in ("plain", "duplicate", "below-tol"):
+        return oracle_matrix(kind, grid, ncols, int(rng.integers(2**31)))
+    matrix = oracle_matrix("plain", grid, ncols, int(rng.integers(2**31)))
+    if kind == "-0.0":
+        matrix[1:4] = -0.0
+        matrix[:, ncols // 2] = -0.0
+    elif kind == "lead-0.0":
+        matrix[:, 0] = -0.0
+        matrix[:, 1] = -np.abs(matrix[:, 1])
+        matrix[1:4, 1] = -0.0
+    elif kind == "zero":
+        matrix[:] = 0.0
+    return matrix
+
+
+#: (grid, columns, member kinds, stack layout); odd node counts put the
+#: members' rows at every alignment
+STACK_CASES = [
+    (make_grid(1, 64), 6, ("plain",), "C"),
+    (make_grid(1, 64), 6, ("plain", "duplicate", "-0.0"), "C"),
+    (make_grid(1, 64), 6, ("plain", "lead-0.0", "duplicate"), "C"),
+    (make_grid(1, 64), 6, ("below-tol", "plain", "duplicate"), "F"),
+    (make_grid(1, 13), 5, ("duplicate", "-0.0", "plain"), "C"),
+    (make_grid(1, 6), 6, ("plain", "below-tol", "-0.0"), "F"),
+    (make_grid(2, 16), 12, ("duplicate", "plain", "below-tol"), "C"),
+    (make_grid(1, 64), 1, ("plain", "plain", "plain"), "C"),
+]
+
+
+class TestWeightedQRStackBitwise:
+    """Every member of a stacked sweep against the column loop alone."""
+
+    @staticmethod
+    def check_stack(matrices, grid):
+        before = matrices.copy()
+        factors = list(weighted_qr_stack(matrices, grid))
+        assert len(factors) == len(matrices)
+        for matrix, f in zip(matrices, factors):
+            q, r, dependent = column_mgs(matrix, grid)
+            assert f.dependent == dependent
+            assert f.q_matrix.tobytes() == q.tobytes()
+            assert f.r_matrix.tobytes() == r.tobytes()
+            assert f.q_matrix.shape == q.shape and f.r_matrix.shape == r.shape
+            assert f.q_matrix.strides == q.strides
+            assert f.r_matrix.flags.c_contiguous
+        assert matrices.tobytes() == before.tobytes()
+        return factors
+
+    @pytest.mark.parametrize("case", range(len(STACK_CASES)))
+    def test_stacks_of_one_three_and_twenty(self, case):
+        grid, ncols, kinds, layout = STACK_CASES[case]
+        rng = np.random.default_rng(case)
+        for count in (1, 3, 20):
+            members = [stack_member(kinds[b % len(kinds)], grid, ncols, rng)
+                       for b in range(count)]
+            matrices = np.stack(members)
+            if layout == "F":
+                matrices = np.asfortranarray(matrices)
+            factors = self.check_stack(matrices, grid)
+            if count > 1 and "plain" in kinds and len(set(kinds)) > 1:
+                assert len({f.rank for f in factors}) > 1  # mixed ranks
+
+    def test_a_member_behind_keeps_the_zeros_of_its_own_sweep(self):
+        # an infinite entry sets an infinite threshold: the member's finite
+        # columns are dependent and its third column comes in behind the
+        # others, with NaN products against the slots it has not filled
+        grid = make_grid(1, 64)
+        rng = np.random.default_rng(5)
+        members = [stack_member("plain", grid, 5, rng) for _ in range(3)]
+        members[1][7, 2] = np.inf
+        with np.errstate(all="ignore"):
+            factors = list(weighted_qr_stack(np.stack(members), grid))
+            expected = [column_mgs(m, grid) for m in members]
+        assert factors[1].dependent == (True, True, False, False, False)
+        for f, (q, r, dependent) in zip(factors, expected):
+            assert f.dependent == dependent
+            assert np.array_equal(f.q_matrix, q, equal_nan=True)
+            assert np.array_equal(f.r_matrix, r, equal_nan=True)
+
+    def test_tall_matrix_alone(self):
+        grid = make_grid(2, 256)
+        matrix = oracle_matrix("plain", grid, 12, 0)
+        self.check_stack(matrix[None], grid)
+
+    def test_weighted_qr_is_the_stack_of_one(self):
+        grid = make_grid(1, 64)
+        matrix = np.asfortranarray(oracle_matrix("duplicate", grid, 6, 1))
+        f = weighted_qr(matrix, grid)
+        g, = weighted_qr_stack(matrix[None], grid)
+        assert f.dependent == g.dependent
+        assert f.q_matrix.tobytes() == g.q_matrix.tobytes()
+        assert f.r_matrix.tobytes() == g.r_matrix.tobytes()
+
+    def test_a_zero_member_raises_when_it_is_reached(self):
+        grid = make_grid(1, 64)
+        rng = np.random.default_rng(2)
+        matrices = np.stack([stack_member(kind, grid, 4, rng)
+                             for kind in ("plain", "zero", "plain")])
+        factors = weighted_qr_stack(matrices, grid)
+        first = next(factors)
+        q, r, _ = column_mgs(matrices[0], grid)
+        assert first.r_matrix.tobytes() == r.tobytes()
+        with pytest.raises(ZeroMatrixError, match="identically zero"):
+            next(factors)
+
+    def test_rejects_a_matrix_for_a_stack(self):
+        with pytest.raises(GridMismatchError):
+            weighted_qr_stack(np.ones((64, 3)), GRID)
+        with pytest.raises(ValueError):
+            weighted_qr_stack(np.ones((2, 64, 3)), GRID, rank_tol=0.0)
+
+
+class TestFullRankQRStack:
+    def test_raises_at_the_first_deficient_matrix_in_stack_order(self):
+        rng = np.random.default_rng(53)
+        full = [stack(random_columns(3, rng)) for _ in range(4)]
+        base = random_columns(2, rng)
+        deficient = stack(base + [base[0] + base[1]])
+        matrices = np.stack(full[:2] + [deficient] + full[2:])
+        gated = full_rank_qr_stack(matrices, GRID, 1e-10, "derivative at p")
+        for matrix in full[:2]:
+            f = next(gated)
+            assert f.r_matrix.tobytes() == weighted_qr(
+                matrix, GRID).r_matrix.tobytes()
+        with pytest.raises(RankDeficiencyError) as err:
+            next(gated)
+        assert str(err.value) == "derivative at p has rank 2 < 3"
+        assert err.value.deficit == 1
+
+
+def upper_factors(n, rng, grid=GRID):
+    """Factors holding a random ``q``, not orthonormal, and a random
+    upper-triangular ``r``: all that ``pinv_apply`` reads."""
+    q = rng.standard_normal((grid.node_count, n))
+    r = np.triu(rng.standard_normal((n, n)) + 3.0 * np.eye(n))
+    return QRFactors(grid, q, r, (False,) * n)
+
+
+class TestTriangularSolve:
+    """``pinv_apply`` solves ``R c = Q^T W x`` by the LAPACK call that
+    ``scipy.linalg.solve_triangular`` makes."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_equals_solve_triangular_bit_for_bit(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(5):
+            f = upper_factors(n, rng)
+            x = GridFunction(GRID, rng.standard_normal(GRID.node_count))
+            beta = f.q_matrix.T @ (GRID.weights * x.values)
+            tri = f.r_matrix[:, list(range(n))]
+            expected = solve_triangular(tri, beta, lower=False)
+            assert pinv_apply(f, x).tobytes() == expected.tobytes()
+            for layout in (np.ascontiguousarray, np.asfortranarray):
+                tri = layout(f.r_matrix)
+                assert pseudoinverse._solve_upper(tri, beta).tobytes() == (
+                    solve_triangular(tri, beta, lower=False).tobytes())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_raises_value_error(self, bad):
+        f = upper_factors(3, np.random.default_rng(7))
+        values = np.ones(GRID.node_count)
+        values[5] = bad
+        with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+            pinv_apply(f, GridFunction(GRID, values))
+        r = f.r_matrix.copy()
+        r[0, 2] = bad
+        with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+            pinv_apply(QRFactors(GRID, f.q_matrix, r, f.dependent),
+                       GridFunction(GRID, np.ones(GRID.node_count)))
+
+    def test_zero_diagonal_raises_linalg_error(self):
+        f = upper_factors(4, np.random.default_rng(11))
+        r = f.r_matrix.copy()
+        r[2, 2] = 0.0
+        x = GridFunction(GRID, np.ones(GRID.node_count))
+        with pytest.raises(np.linalg.LinAlgError) as err:
+            pinv_apply(QRFactors(GRID, f.q_matrix, r, f.dependent), x)
+        with pytest.raises(np.linalg.LinAlgError) as expected:
+            solve_triangular(r[:, [0, 1, 2, 3]],
+                             f.q_matrix.T @ (GRID.weights * x.values))
+        assert str(err.value) == str(expected.value) == (
+            "singular matrix: resolution failed at diagonal 2")
+
+
 class TestProject:
     def test_fixes_vectors_in_span(self):
         rng = np.random.default_rng(13)
@@ -330,11 +525,11 @@ GATED_CALLERS = {
     "gauss_newton_step": (_gn_step, "Jacobian has rank 6 < 9"),
     "cone_check": (
         lambda p, forward: cone_check(
-            p, p, Activation.sigmoid(1.0), GRID, forward),
+            p, [p], Activation.sigmoid(1.0), GRID, forward),
         "derivative at p1 has rank 6 < 9"),
     "mysovskii_check": (
         lambda p, forward: mysovskii_check(
-            p, p, (0.5,), Activation.sigmoid(1.0), GRID, forward),
+            [(p, p, (0.5,))], Activation.sigmoid(1.0), GRID, forward),
         "derivative at p has rank 6 < 9"),
 }
 
