@@ -1,0 +1,167 @@
+"""Time the eight layers of a solve in two checkouts and print one table.
+
+Usage, from anywhere:
+
+    python3 scripts/layer_times.py PARENT_TREE CHANGE_TREE [--rounds 5]
+
+The stages are the ROADMAP's layer-by-layer list: ``eval_psi``,
+``jacobian``, the block apply (``forward.apply_columns`` of the Jacobian),
+``weighted_qr`` of the mapped Jacobian, ``pinv_apply`` of the residual,
+one Gauss-Newton step, ``lipschitz_constants`` and one independence SVD
+(the singular values of the weighted Jacobian, as ``independence_report``
+takes them).  Each runs at two shapes, the solve configs of the benchmark:
+
+- desk: 1-D, 64 nodes, N=2, ``volterra``, 24 constants samples;
+- wide: 2-D, 256x256 nodes, N=3, ``gauss:0.05``, 8 constants samples.
+
+Every round runs each tree in its own subprocess (this script in worker
+mode, with that tree's ``src/`` first on ``sys.path``): the parent first in
+even rounds, the change first in odd ones.  A worker times each stage with
+``timeit``, at a call count that takes at least 0.2 s, best of 3.  The
+table shows each stage's best per-call time over the rounds and the
+change's ratio to the parent.  Nothing is written to either tree.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+#: shape -> (dim, points_per_axis, units, operator, constants_samples)
+SHAPES = {
+    "desk": (1, 64, 2, "volterra", 24),
+    "wide": (2, 256, 3, "gauss:0.05", 8),
+}
+
+STAGES = ("eval_psi", "jacobian", "apply_columns", "weighted_qr",
+          "pinv_apply", "gauss_newton_step", "lipschitz_constants",
+          "independence_svd")
+
+
+def stage_calls(dim, points_per_axis, units, operator, samples):
+    """``{stage: zero-argument callable}`` at one shape, built with the
+    imported tree's public API the way ``gncoder solve`` builds its run."""
+    import numpy as np
+
+    from gncoder.activations import parse_activation
+    from gncoder.cli import SolveOptions, synth_problem
+    from gncoder.grids import make_grid
+    from gncoder.network import eval_psi, jacobian, lipschitz_constants
+    from gncoder.operators import parse_operator
+    from gncoder.params import Params
+    from gncoder.pseudoinverse import pinv_apply, weighted_qr
+    from gncoder.sampling import unit_direction
+    from gncoder.solver import SolveConfig, gauss_newton_step
+
+    opts = SolveOptions(units=units, dim=dim, points_per_axis=points_per_axis,
+                        operator=operator, constants_samples=samples)
+    grid = make_grid(dim, points_per_axis)
+    activation = parse_activation(opts.activation)
+    forward = parse_operator(operator, grid)
+    p_true, data = synth_problem(opts, activation, forward)
+    direction = unit_direction(np.random.default_rng(1), p_true.n_star)
+    p0 = Params.from_flat(p_true.flatten() + opts.p0_radius * direction,
+                          units, dim)
+    cfg = SolveConfig(activation, grid, forward, p0, data)
+    residual = forward.apply(eval_psi(p0, activation, grid)) - data
+    jac = jacobian(p0, activation, grid)
+    mapped = forward.apply_columns(jac)
+    factors = weighted_qr(mapped, forward.out_grid, cfg.rank_tol)
+    weighted = jac * np.sqrt(grid.weights)[:, None]
+    radius = opts.constants_ball_factor * opts.p0_radius
+    return {
+        "eval_psi": lambda: eval_psi(p0, activation, grid),
+        "jacobian": lambda: jacobian(p0, activation, grid),
+        "apply_columns": lambda: forward.apply_columns(jac),
+        "weighted_qr": lambda: weighted_qr(mapped, forward.out_grid, cfg.rank_tol),
+        "pinv_apply": lambda: pinv_apply(factors, residual),
+        "gauss_newton_step": lambda: gauss_newton_step(p0, cfg, residual),
+        "lipschitz_constants": lambda: lipschitz_constants(
+            p_true, activation, grid, radius=radius, samples=samples, seed=0,
+            box=opts.param_box),
+        "independence_svd": lambda: np.linalg.svd(weighted, compute_uv=False),
+    }
+
+
+def worker(src: Path) -> None:
+    """Print ``{shape: {stage: seconds per call}}`` for the tree at ``src``."""
+    import timeit
+
+    sys.path.insert(0, str(src))
+    import gncoder
+
+    if Path(gncoder.__file__).resolve().parent != (src / "gncoder").resolve():
+        sys.exit(f"error: imported gncoder from {gncoder.__file__}, not {src}")
+    times = {}
+    for shape, spec in SHAPES.items():
+        times[shape] = {}
+        for stage, call in stage_calls(*spec).items():
+            timer = timeit.Timer(call)
+            number, _ = timer.autorange()
+            times[shape][stage] = min(timer.repeat(3, number)) / number
+    print(json.dumps(times))
+
+
+def run_worker(tree: Path) -> dict:
+    proc = subprocess.run(
+        [sys.executable, __file__, "--worker", str(tree / "src")],
+        capture_output=True, text=True, timeout=1800,
+    )
+    if proc.returncode != 0:
+        sys.exit(f"error: worker for {tree} exited {proc.returncode}\n"
+                 f"{proc.stderr.strip()[-2000:]}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def fmt(seconds: float) -> str:
+    if seconds >= 1e-3:
+        return f"{seconds * 1e3:.2f} ms"
+    return f"{seconds * 1e6:.1f} us"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path, nargs="?", help="checkout of the parent")
+    parser.add_argument("change", type=Path, nargs="?", help="checkout of the change")
+    parser.add_argument("--rounds", type=int, default=5)
+    parser.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.worker is not None:
+        worker(args.worker.resolve())
+        return 0
+    if args.parent is None or args.change is None:
+        parser.error("PARENT_TREE and CHANGE_TREE are required")
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for tree in trees.values():
+        if not (tree / "src" / "gncoder").is_dir():
+            parser.error(f"no src/gncoder under {tree}")
+
+    best = {side: {} for side in trees}
+    for k in range(args.rounds):
+        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        for side in order:
+            for shape, stages in run_worker(trees[side]).items():
+                for stage, seconds in stages.items():
+                    key = (shape, stage)
+                    best[side][key] = min(seconds, best[side].get(key, seconds))
+        print(f"round {k + 1} of {args.rounds} done ({order[0]} first)",
+              file=sys.stderr, flush=True)
+
+    print(f"best of {args.rounds} interleaved rounds, per call")
+    print(f"{'shape':6} {'stage':20} {'parent':>12} {'change':>12} {'ratio':>7}")
+    for shape in SHAPES:
+        for stage in STAGES:
+            parent = best["parent"][(shape, stage)]
+            change = best["change"][(shape, stage)]
+            print(f"{shape:6} {stage:20} {fmt(parent):>12} {fmt(change):>12} "
+                  f"{change / parent:7.3f}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -80,7 +80,9 @@ def jacobians(points, a: Activation, g: Grid) -> np.ndarray:
     """The Jacobians at a sequence of parameter points of one shape, as a
     fresh ``(len(points), node_count, n_star)`` stack built in one
     vectorized pass (:func:`_jacobian_matrices`): each matrix is bitwise
-    :func:`jacobian` at its point."""
+    :func:`jacobian` at its point.  At least one point is needed."""
+    if len(points) == 0:
+        raise ValueError("jacobians needs at least one point")
     first = points[0]
     _check_dims(first, g)
     shape = (first.units, first.input_dim)
@@ -100,21 +102,32 @@ def _jacobian_matrices(flat, units: int, dim: int, a: Activation, g: Grid, out):
     Each row's ``z = g.nodes @ w.T + theta`` is bitwise
     :func:`_unit_arguments` at that point: ``matmul`` multiplies a stack one
     matrix at a time, and the fresh C-ordered ``w`` stack gives each matrix
-    the strides of one ``Params.w.T``.  The rest is elementwise.
+    the strides of one ``Params.w.T``.  The rest is elementwise, and runs
+    node-minor, so every inner loop is a run of nodes: ``+ theta`` writes
+    ``z`` transposed, ``(rows, N, node_count)``, and one
+    :meth:`~gncoder.activations.Activation.value_and_d1` pass over it fills
+    the alpha rows of a ``(rows, n*, node_count)`` scratch and gives the
+    slope for the others.  One transposing copy then writes ``out``.  Each
+    entry is the same single operation on the same operands as in the
+    node-major formula, so the layout changes no bit.
     """
-    rows = len(flat)
-    alpha = flat[:, None, :units]
+    rows, n_star = flat.shape
+    alpha = flat[:, :units, None]
     w_t = np.ascontiguousarray(
         flat[:, units : units * (dim + 1)].reshape(rows, units, dim)
     ).transpose(0, 2, 1)
-    theta = flat[:, None, units * (dim + 1) :]
-    z = g.nodes @ w_t + theta  # (rows, K, N)
-    scaled = a.d1(z) * alpha
-    out[:, :, :units] = a.value(z)
-    out[:, :, units : units * (dim + 1)] = (
-        scaled[..., None] * g.nodes[:, None, :]
-    ).reshape(rows, g.node_count, units * dim)
-    out[:, :, units * (dim + 1) :] = scaled
+    theta = flat[:, units * (dim + 1) :, None]
+    z_t = np.add((g.nodes @ w_t).transpose(0, 2, 1), theta,
+                 out=np.empty((rows, units, g.node_count)))
+    scratch = np.empty((rows, n_star, g.node_count))
+    _, slope = a.value_and_d1(z_t, out=scratch[:, :units])
+    scaled = np.multiply(slope, alpha, out=scratch[:, units * (dim + 1) :])
+    np.multiply(
+        scaled[:, :, None, :],
+        g.nodes.T,
+        out=scratch[:, units : units * (dim + 1)].reshape(rows, units, dim, -1),
+    )
+    out[...] = scratch.transpose(0, 2, 1)
 
 
 def directional_derivative(p: Params, a: Activation, g: Grid, direction) -> GridFunction:
@@ -126,7 +139,8 @@ def directional_derivative(p: Params, a: Activation, g: Grid, direction) -> Grid
     dp = Params.from_flat(h, p.units, p.input_dim)
     z = _unit_arguments(p, g)
     u = g.nodes @ dp.w.T + dp.theta
-    values = a.value(z) @ dp.alpha + (a.d1(z) * u) @ p.alpha
+    value, slope = a.value_and_d1(z)
+    values = value @ dp.alpha + (slope * u) @ p.alpha
     return GridFunction(g, values)
 
 
@@ -390,7 +404,9 @@ def lipschitz_constants(
             f"ball of radius {radius} leaves the parameter box [{lo}, {hi}]"
         )
     rng = np.random.default_rng(seed)
-    points = np.array([sample_in_ball(rng, center, radius) for _ in range(samples)])
+    points = np.empty((samples, p.n_star))
+    for row in points:
+        row[...] = sample_in_ball(rng, center, radius)
     _check_dims(p, g)
     stack = np.empty((samples, g.node_count, p.n_star))
     per_call = max(1, CHUNK_BYTES // stack[0].nbytes)

@@ -138,3 +138,49 @@ def test_vectorized_evaluation_shapes():
     ts = np.zeros((4, 3))
     assert a.value(ts).shape == (4, 3)
     assert isinstance(a.value(0.0), float)
+
+
+def one_pass_inputs(a):
+    """Signed zeros, infinities, the edges of ``expit``'s range at the
+    activation's scale, subnormals, and random arrays of the shapes the
+    Jacobian build passes: ``(K,)``, ``(K, N)`` and ``(rows, N, K)``."""
+    eps = a.epsilon
+    tiny = np.finfo(float).tiny
+    special = np.array([0.0, -0.0, np.inf, -np.inf, 745 * eps, -745 * eps,
+                        746 * eps, -746 * eps, 5e-324, -5e-324, tiny / 3,
+                        -tiny / 3, 1e-300, 36 * eps, -36 * eps])
+    rng = np.random.default_rng(11)
+    return [special, rng.uniform(-40, 40, 64) * eps,
+            rng.uniform(-40, 40, (64, 3)) * eps,
+            rng.uniform(-40, 40, (2, 3, 64)) * eps,
+            rng.uniform(-40, 40, (64, 3)).T]
+
+
+@pytest.mark.parametrize(
+    "a",
+    [Activation.sigmoid(1.0), Activation.sigmoid(0.25), Activation.sigmoid(4.0),
+     Activation.sigmoid(0.01), Activation.tanh(), Activation.relu()],
+    ids=lambda a: a.descriptor,
+)
+def test_value_and_d1_equals_value_and_d1_by_bytes(a):
+    for t in one_pass_inputs(a):
+        value, slope = a.value(t), a.d1(t)
+        got_value, got_slope = a.value_and_d1(t)
+        assert got_value.tobytes() == value.tobytes()
+        assert got_slope.tobytes() == slope.tobytes()
+        out = np.empty(t.shape)
+        into, got_slope = a.value_and_d1(t, out=out)
+        assert into is out
+        assert out.tobytes() == value.tobytes()
+        assert got_slope.tobytes() == slope.tobytes()
+    for t in (0.0, -0.0, 1.5, -745.0 * a.epsilon):
+        got = a.value_and_d1(t)
+        assert all(isinstance(x, float) for x in got)
+        assert np.array([got]).tobytes() == np.array([(a.value(t), a.d1(t))]).tobytes()
+
+
+def test_step_value_and_d1_raises_before_writing():
+    out = np.full(5, 7.0)
+    with pytest.raises(SmoothnessError):
+        Activation.step().value_and_d1(np.linspace(-1, 1, 5), out=out)
+    assert np.all(out == 7.0)

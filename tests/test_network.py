@@ -502,17 +502,18 @@ def pointwise_jacobian(p, a, g):
     return M
 
 
-#: (activation, grid): sigmoid, a saturating sigmoid, tanh and relu in 1-D
-#: and 2-D.
+#: (activation, grid): sigmoid at scales 1, 0.25 and 4, a saturating
+#: sigmoid, tanh and relu in 1-D and 2-D.
 STACK_CASES = [
     (a, g)
-    for a in (SIGMOID, Activation.sigmoid(0.01), TANH, Activation.relu())
+    for a in (SIGMOID, Activation.sigmoid(0.25), Activation.sigmoid(4.0),
+              Activation.sigmoid(0.01), TANH, Activation.relu())
     for g in (make_grid(1, 64), make_grid(2, 12))
 ]
 
 
 class TestStackedJacobians:
-    @pytest.mark.parametrize("units", [1, 3])
+    @pytest.mark.parametrize("units", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("case", range(len(STACK_CASES)))
     def test_jacobian_equals_the_pointwise_formula(self, case, units):
         a, g = STACK_CASES[case]
@@ -522,6 +523,47 @@ class TestStackedJacobians:
             matrix = jacobian(p, a, g)
             assert matrix.tobytes() == expected.tobytes()
             assert matrix.strides == expected.strides
+
+    @pytest.mark.parametrize("rows", [2, 5])
+    @pytest.mark.parametrize("units", [1, 3, 5])
+    @pytest.mark.parametrize("case", range(len(STACK_CASES)))
+    def test_stack_equals_the_pointwise_formula(self, case, units, rows):
+        a, g = STACK_CASES[case]
+        rng = np.random.default_rng(100 * case + units)
+        points = [sample_params(rng, units, g.dim, box=(-10, 10)) for _ in range(rows)]
+        stack = network.jacobians(points, a, g)
+        assert stack.shape == (rows, g.node_count, points[0].n_star)
+        assert stack.flags.c_contiguous
+        for p, matrix in zip(points, stack):
+            expected = pointwise_jacobian(p, a, g)
+            assert matrix.tobytes() == expected.tobytes()
+            assert matrix.strides == expected.strides
+
+    def test_wide_grid_equals_the_pointwise_formula(self):
+        g = make_grid(2, 256)
+        rng = np.random.default_rng(256)
+        points = [sample_params(rng, 3, 2, box=(-5, 5)) for _ in range(2)]
+        stack = network.jacobians(points, SIGMOID, g)
+        for p, matrix in zip(points, stack):
+            expected = pointwise_jacobian(p, SIGMOID, g)
+            assert matrix.tobytes() == expected.tobytes()
+            assert matrix.strides == expected.strides
+        single = jacobian(points[0], SIGMOID, g)
+        assert single.tobytes() == stack[0].tobytes()
+        assert single.strides == stack[0].strides
+
+    def test_no_points_is_a_value_error(self):
+        with pytest.raises(ValueError, match="at least one point"):
+            network.jacobians([], SIGMOID, make_grid(1, 8))
+
+    def test_step_activation_writes_nothing(self):
+        g = make_grid(2, 12)
+        p = sample_params(np.random.default_rng(5), 2, 2)
+        out = np.full((1, g.node_count, p.n_star), 7.0)
+        with pytest.raises(SmoothnessError):
+            network._jacobian_matrices(p.flatten()[None], p.units, p.input_dim,
+                                       Activation.step(), g, out)
+        assert np.all(out == 7.0)
 
     @pytest.mark.parametrize("per_call", [1, None])
     @pytest.mark.parametrize("case", range(len(STACK_CASES)))

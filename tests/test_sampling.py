@@ -48,3 +48,30 @@ def test_band_outside_the_box_is_refused_instead_of_redrawn_forever():
             sample_params(rng, 2, 1, box=box, alpha_band=band)
     p = sample_params(rng, 2, 1, box=(1, 3), alpha_band=2.9)
     assert np.all(p.alpha >= 2.9)
+
+
+def reference_direction(rng, size):
+    """The direction draw before it dropped ``np.linalg.norm``."""
+    u = rng.standard_normal(size)
+    return u / np.linalg.norm(u)
+
+
+def reference_ball_point(rng, center, radius):
+    """The per-point ball draw before it went lean: the normals, then one
+    ``uniform()``."""
+    u = reference_direction(rng, center.size)
+    r = radius * rng.uniform() ** (1.0 / center.size)
+    return center + r * u
+
+
+@pytest.mark.parametrize("size", range(1, 13))
+def test_draws_equal_the_reference_by_bytes(size):
+    center = np.linspace(-3.0, 2.0, size)
+    for seed in range(200):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            assert (unit_direction(ours, size).tobytes()
+                    == reference_direction(theirs, size).tobytes())
+            assert (sample_in_ball(ours, center, 0.4).tobytes()
+                    == reference_ball_point(theirs, center, 0.4).tobytes())
+        assert ours.random() == theirs.random()  # the streams stay in step
