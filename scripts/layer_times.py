@@ -1,10 +1,11 @@
-"""Time the eight layers of a solve in two checkouts and print one table.
+"""Time the layers of a solve, and the two probes, in two checkouts and
+print one table.
 
 Usage, from anywhere:
 
     python3 scripts/layer_times.py PARENT_TREE CHANGE_TREE [--rounds 5]
 
-The stages are the ROADMAP's layer-by-layer list: ``eval_psi``,
+The solve stages are the ROADMAP's layer-by-layer list: ``eval_psi``,
 ``jacobian``, the block apply (``forward.apply_columns`` of the Jacobian),
 ``weighted_qr`` of the mapped Jacobian, ``pinv_apply`` of the residual,
 one Gauss-Newton step, ``lipschitz_constants`` and one independence SVD
@@ -14,36 +15,38 @@ takes them).  Each runs at two shapes, the solve configs of the benchmark:
 - desk: 1-D, 64 nodes, N=2, ``volterra``, 24 constants samples;
 - wide: 2-D, 256x256 nodes, N=3, ``gauss:0.05``, 8 constants samples.
 
+A third shape, probes, times the whole ``cone_check`` and
+``mysovskii_check`` calls at the benchmark's probes configs (1-D, N=2,
+``volterra``; cone on 6 nodes with its three ``t_values``, mysovskii on 64
+nodes with its 20 probes), drawn as ``gncoder cone`` and ``gncoder
+mysovskii`` draw them at seed 0.  Only public functions whose signatures
+both trees share are called.
+
 Every round runs each tree in its own subprocess (this script in worker
 mode, with that tree's ``src/`` first on ``sys.path``): the parent first in
 even rounds, the change first in odd ones.  A worker times each stage with
 ``timeit``, at a call count that takes at least 0.2 s, best of 3.  The
-table shows each stage's best per-call time over the rounds and the
-change's ratio to the parent.  Nothing is written to either tree.
+table shows, per stage and tree, the best and the median per-call time over
+the rounds, and the change's ratio to the parent of each: a median ratio
+far from the best one marks a stage the host's noise moves.  Nothing is
+written to either tree.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
-#: shape -> (dim, points_per_axis, units, operator, constants_samples)
-SHAPES = {
-    "desk": (1, 64, 2, "volterra", 24),
-    "wide": (2, 256, 3, "gauss:0.05", 8),
-}
 
-STAGES = ("eval_psi", "jacobian", "apply_columns", "weighted_qr",
-          "pinv_apply", "gauss_newton_step", "lipschitz_constants",
-          "independence_svd")
-
-
-def stage_calls(dim, points_per_axis, units, operator, samples):
-    """``{stage: zero-argument callable}`` at one shape, built with the
-    imported tree's public API the way ``gncoder solve`` builds its run."""
+def solve_calls(dim, points_per_axis, units, operator, samples):
+    """``{stage: zero-argument callable}`` at one solve shape, built with
+    the imported tree's public API the way ``gncoder solve`` builds its
+    run."""
     import numpy as np
 
     from gncoder.activations import parse_activation
@@ -86,6 +89,63 @@ def stage_calls(dim, points_per_axis, units, operator, samples):
     }
 
 
+def probe_calls():
+    """``{stage: zero-argument callable}`` for the probes shape: the cone
+    and mysovskii checks at the benchmark's probes configs, their points
+    drawn at seed 0 as the ``cone`` and ``mysovskii`` subcommands draw
+    them."""
+    import numpy as np
+
+    from gncoder.activations import parse_activation
+    from gncoder.cli import ConeOptions, MysovskiiOptions
+    from gncoder.diagnostics import cone_check, mysovskii_check
+    from gncoder.grids import make_grid
+    from gncoder.operators import parse_operator
+    from gncoder.params import Params
+    from gncoder.sampling import sample_params, unit_direction
+
+    def parts(opts):
+        grid = make_grid(opts.dim, opts.points_per_axis)
+        rng = np.random.default_rng(np.random.SeedSequence(0))
+        return (grid, parse_activation(opts.activation),
+                parse_operator(opts.operator, grid), rng,
+                sample_params(rng, opts.units, opts.dim, box=opts.box,
+                              alpha_band=opts.alpha_band))
+
+    cone = ConeOptions(units=2, dim=1, points_per_axis=6, operator="volterra")
+    grid, act, forward, rng, p1 = parts(cone)
+    direction = unit_direction(rng, p1.n_star)
+    p2s = [Params.from_flat(p1.flatten() + t * direction, cone.units, cone.dim)
+           for t in cone.t_values]
+
+    mys = MysovskiiOptions(units=2, dim=1, points_per_axis=64,
+                           operator="volterra")
+    m_grid, m_act, m_forward, m_rng, base = parts(mys)
+    probes = []
+    for _ in range(mys.probes):
+        p = Params.from_flat(
+            base.flatten() + mys.jitter * unit_direction(m_rng, base.n_star),
+            mys.units, mys.dim)
+        q = Params.from_flat(
+            p.flatten() + mys.segment_radius * unit_direction(m_rng, base.n_star),
+            mys.units, mys.dim)
+        probes.append((p, q, (float(m_rng.uniform(0.05, 1.0)),)))
+    return {
+        "cone_check": lambda: cone_check(p1, p2s, act, grid, forward),
+        "mysovskii_check": lambda: mysovskii_check(probes, m_act, m_grid,
+                                                   m_forward),
+    }
+
+
+#: shape -> builder of its ``{stage: callable}``; the solve shapes take
+#: (dim, points_per_axis, units, operator, constants_samples)
+SHAPES = {
+    "desk": partial(solve_calls, 1, 64, 2, "volterra", 24),
+    "wide": partial(solve_calls, 2, 256, 3, "gauss:0.05", 8),
+    "probes": probe_calls,
+}
+
+
 def worker(src: Path) -> None:
     """Print ``{shape: {stage: seconds per call}}`` for the tree at ``src``."""
     import timeit
@@ -96,9 +156,9 @@ def worker(src: Path) -> None:
     if Path(gncoder.__file__).resolve().parent != (src / "gncoder").resolve():
         sys.exit(f"error: imported gncoder from {gncoder.__file__}, not {src}")
     times = {}
-    for shape, spec in SHAPES.items():
+    for shape, calls in SHAPES.items():
         times[shape] = {}
-        for stage, call in stage_calls(*spec).items():
+        for stage, call in calls().items():
             timer = timeit.Timer(call)
             number, _ = timer.autorange()
             times[shape][stage] = min(timer.repeat(3, number)) / number
@@ -141,25 +201,27 @@ def main(argv=None) -> int:
         if not (tree / "src" / "gncoder").is_dir():
             parser.error(f"no src/gncoder under {tree}")
 
-    best = {side: {} for side in trees}
+    times = {side: {} for side in trees}  # (shape, stage) -> per round
     for k in range(args.rounds):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         for side in order:
             for shape, stages in run_worker(trees[side]).items():
                 for stage, seconds in stages.items():
-                    key = (shape, stage)
-                    best[side][key] = min(seconds, best[side].get(key, seconds))
+                    times[side].setdefault((shape, stage), []).append(seconds)
         print(f"round {k + 1} of {args.rounds} done ({order[0]} first)",
               file=sys.stderr, flush=True)
 
-    print(f"best of {args.rounds} interleaved rounds, per call")
-    print(f"{'shape':6} {'stage':20} {'parent':>12} {'change':>12} {'ratio':>7}")
-    for shape in SHAPES:
-        for stage in STAGES:
-            parent = best["parent"][(shape, stage)]
-            change = best["change"][(shape, stage)]
-            print(f"{shape:6} {stage:20} {fmt(parent):>12} {fmt(change):>12} "
-                  f"{change / parent:7.3f}")
+    print(f"per call over {args.rounds} interleaved rounds: best and median")
+    print(f"{'shape':6} {'stage':20} {'parent best':>12} {'median':>10} "
+          f"{'change best':>12} {'median':>10} {'ratio':>7} {'median':>7}")
+    for shape, stage in times["parent"]:
+        parent = times["parent"][(shape, stage)]
+        change = times["change"][(shape, stage)]
+        best = min(parent), min(change)
+        median = statistics.median(parent), statistics.median(change)
+        print(f"{shape:6} {stage:20} {fmt(best[0]):>12} {fmt(median[0]):>10} "
+              f"{fmt(best[1]):>12} {fmt(median[1]):>10} "
+              f"{best[1] / best[0]:7.3f} {median[1] / median[0]:7.3f}")
     return 0
 
 

@@ -39,6 +39,7 @@ from .grids import (
 from .network import (
     Params,
     directional_derivative,
+    directional_derivatives,
     eval_psi,
     jacobian,
     jacobians,
@@ -60,6 +61,7 @@ from .pseudoinverse import (
     full_rank_qr_stack,
     mp_residuals,
     pinv_apply,
+    pinv_apply_columns,
     project,
     weighted_qr,
     weighted_qr_stack,
@@ -99,6 +101,7 @@ __all__ = [
     "constant",
     "convergence_order",
     "directional_derivative",
+    "directional_derivatives",
     "eval_psi",
     "full_rank_qr",
     "full_rank_qr_stack",
@@ -126,6 +129,7 @@ __all__ = [
     "parse_activation",
     "parse_operator",
     "pinv_apply",
+    "pinv_apply_columns",
     "project",
     "radius_check",
     "sample_function",

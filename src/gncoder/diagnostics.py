@@ -18,15 +18,16 @@ import numpy as np
 
 from . import network
 from .activations import Activation
-from .exceptions import ResolutionError
+from .exceptions import ResolutionError, ShapeError
 from .grids import Grid, GridFunction
-from .network import Params, directional_derivative, jacobian, jacobians
+from .network import Params, directional_derivatives, jacobian, jacobians
 from .operators import LinearOperator, check_dense_bytes
 from .pseudoinverse import (
     DEFAULT_RANK_TOL,
     full_rank_qr,
     full_rank_qr_stack,
     pinv_apply,
+    pinv_apply_columns,
 )
 from .sampling import DEFAULT_ALPHA_BAND, DEFAULT_BOX, sample_params
 
@@ -182,6 +183,15 @@ def _chunks(items, item_bytes):
         yield [first, *islice(items, per_chunk - 1)]
 
 
+def _check_same_shape(point: Params, name: str, base: Params, base_name: str):
+    """Raise :class:`ShapeError`, naming both, unless ``point`` has the unit
+    count and input dimension of ``base``."""
+    if (point.units, point.input_dim) != (base.units, base.input_dim):
+        raise ShapeError(
+            f"{name} has {point.units} units in dimension {point.input_dim}, "
+            f"{base_name} has {base.units} units in dimension {base.input_dim}")
+
+
 def cone_check(
     p1: Params,
     p2s,
@@ -193,12 +203,19 @@ def cone_check(
     """Measure how well the derivative at each point of ``p2s`` factors
     through ``p1``, one report per point in order.
 
+    Every point must have the unit count and input dimension of ``p1``;
+    :class:`ShapeError` says which does not, before any Jacobian is built.
     The Jacobian at ``p1`` is built, mapped and factored once for all of
     them.  The Jacobians at ``p2s`` are built in chunks that fit in
     :data:`~gncoder.network.CHUNK_BYTES` (:func:`~gncoder.network.jacobians`,
-    bitwise :func:`jacobian` at each point).  Requires full column rank at
-    ``p1``; raises :class:`RankDeficiencyError` otherwise.
+    bitwise :func:`jacobian` at each point), and each one's transition
+    matrix comes from one
+    :func:`~gncoder.pseudoinverse.pinv_apply_columns` call.  Requires full
+    column rank at ``p1``; raises :class:`RankDeficiencyError` otherwise.
     """
+    p2s = list(p2s)
+    for index, p2 in enumerate(p2s):
+        _check_same_shape(p2, f"point {index} of p2s", p1, "p1")
     jac1 = jacobian(p1, activation, grid)
     factors = full_rank_qr(jac1, grid, rank_tol, "derivative at p1")
     fj1 = forward.apply_columns(jac1)
@@ -207,10 +224,7 @@ def cone_check(
     reports = []
     for chunk in _chunks(p2s, lambda p2: 8 * grid.node_count * p2.n_star):
         for p2, jac2 in zip(chunk, jacobians(chunk, activation, grid)):
-            transition = np.empty((n_star, n_star))
-            for j in range(n_star):
-                transition[:, j] = pinv_apply(factors,
-                                              GridFunction(grid, jac2[:, j]))
+            transition = pinv_apply_columns(factors, jac2)
             dev = float(np.linalg.norm(transition - np.eye(n_star), 2))
 
             fj2 = forward.apply_columns(jac2)
@@ -263,21 +277,28 @@ def mysovskii_check(
     """Probe the quadratic Newton-Mysovskii bound along ``[q, p]`` for each
     ``(p, q, s_values)`` of ``probes``, one report per probe in order.
 
+    Each ``q`` must have the unit count and input dimension of its ``p``;
+    :class:`ShapeError` says which does not, before any Jacobian is built.
     The Jacobians at every ``p`` are built in one vectorized pass
     (:func:`~gncoder.network.jacobians`), mapped through ``forward`` one by
     one and factored in one stacked sweep
-    (:func:`~gncoder.pseudoinverse.full_rank_qr_stack`); the rest runs per
-    probe.  A probe whose derivative at ``p`` lacks full column rank raises
+    (:func:`~gncoder.pseudoinverse.full_rank_qr_stack`).  The derivatives
+    along ``d = p - q`` at every ``q`` and every segment point ``q + s d``
+    with ``s > 0`` and ``d != 0`` come from one
+    :func:`~gncoder.network.directional_derivatives` pass; the forward map,
+    pseudoinverse and norm of each difference run per probe.  A probe whose
+    derivative at ``p`` lacks full column rank raises
     :class:`RankDeficiencyError` when its turn comes, so every error
     arises in probe order, as with one call per probe.  Memory grows with
     the number of probes: :func:`mysovskii_reports` takes any number in
     bounded memory.
     """
     probes = list(probes)
-    for _, _, s_values in probes:
+    for index, (p, q, s_values) in enumerate(probes):
         for s in s_values:
             if not 0.0 <= s <= 1.0:
                 raise ValueError(f"s values must lie in [0, 1], got {s}")
+        _check_same_shape(q, f"q of probe {index}", p, "its p")
     if not probes:
         return []
     jacs = jacobians([p for p, _, _ in probes], activation, grid)
@@ -286,11 +307,26 @@ def mysovskii_check(
         out[...] = forward.apply_columns(jac)
     gated = full_rank_qr_stack(mapped, forward.out_grid, rank_tol,
                                "derivative at p")
+
+    bases = np.array([q.flatten() for _, q, _ in probes])
+    steps = np.array([p.flatten() for p, _, _ in probes]) - bases
+    dists_sq = [float(np.linalg.norm(d)) ** 2 for d in steps]
+    owners, scales = [], []  # the probe and s of each live segment point
+    for index, (_, _, s_values) in enumerate(probes):
+        if dists_sq[index] != 0.0:
+            live = [s for s in s_values if s != 0.0]
+            owners += [index] * len(live)
+            scales += live
+    first = probes[0][0]
+    derivs = directional_derivatives(
+        np.concatenate([bases, bases[owners]
+                        + np.array(scales)[:, None] * steps[owners]]),
+        np.concatenate([steps, steps[owners]]),
+        first.units, first.input_dim, activation, grid)
+    diffs = iter(derivs[len(probes):] - derivs[owners])
+
     reports = []
-    for (p, q, s_values), factors in zip(probes, gated):
-        d = p.flatten() - q.flatten()
-        dist_sq = float(np.linalg.norm(d)) ** 2
-        base = directional_derivative(q, activation, grid, d)
+    for (_, _, s_values), factors, dist_sq in zip(probes, gated, dists_sq):
         lhs_values = []
         ratios = []
         for s in s_values:
@@ -298,8 +334,7 @@ def mysovskii_check(
                 lhs_values.append(0.0)
                 ratios.append(0.0)
                 continue
-            mid = Params.from_flat(q.flatten() + s * d, p.units, p.input_dim)
-            diff = directional_derivative(mid, activation, grid, d) - base
+            diff = GridFunction(grid, next(diffs))
             lhs = float(np.linalg.norm(pinv_apply(factors, forward.apply(diff))))
             lhs_values.append(lhs)
             ratios.append(lhs / (s * dist_sq))
@@ -320,12 +355,20 @@ def mysovskii_reports(
     yields the reports in order.
 
     ``probes`` is drawn from a chunk at a time, so a lazy iterable keeps the
-    memory flat in the probe count.  A chunk holds the Jacobian, its image
-    and the sweep's two slot rows per probe, about ``8 n* (node_count + 3
-    out_nodes)`` bytes: one probe per chunk on a 256 x 256 grid.
+    memory flat in the probe count.  A chunk holds, per probe, the Jacobian,
+    its image and the sweep's two slot rows, about ``8 n* (node_count + 3
+    out_nodes)`` bytes, and the directional-derivative pass at ``q`` and at
+    its ``k`` segment points, about ``8 (k + 1) node_count (3 N + 2)``
+    bytes; that is one probe per chunk on a 256 x 256 grid.
     """
     nodes = grid.node_count + 3 * forward.out_grid.node_count
-    for chunk in _chunks(probes, lambda probe: 8 * probe[0].n_star * nodes):
+
+    def probe_bytes(probe):
+        p, _, s_values = probe
+        tail = (len(s_values) + 1) * grid.node_count * (3 * p.units + 2)
+        return 8 * (p.n_star * nodes + tail)
+
+    for chunk in _chunks(probes, probe_bytes):
         yield from mysovskii_check(chunk, activation, grid, forward, rank_tol)
 
 

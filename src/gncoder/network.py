@@ -101,8 +101,8 @@ def _jacobian_matrices(flat, units: int, dim: int, a: Activation, g: Grid, out):
 
     Each row's ``z = g.nodes @ w.T + theta`` is bitwise
     :func:`_unit_arguments` at that point: ``matmul`` multiplies a stack one
-    matrix at a time, and the fresh C-ordered ``w`` stack gives each matrix
-    the strides of one ``Params.w.T``.  The rest is elementwise, and runs
+    matrix at a time, each with the strides of one ``Params.w.T``
+    (:func:`_w_transposed`).  The rest is elementwise, and runs
     node-minor, so every inner loop is a run of nodes: ``+ theta`` writes
     ``z`` transposed, ``(rows, N, node_count)``, and one
     :meth:`~gncoder.activations.Activation.value_and_d1` pass over it fills
@@ -113,11 +113,9 @@ def _jacobian_matrices(flat, units: int, dim: int, a: Activation, g: Grid, out):
     """
     rows, n_star = flat.shape
     alpha = flat[:, :units, None]
-    w_t = np.ascontiguousarray(
-        flat[:, units : units * (dim + 1)].reshape(rows, units, dim)
-    ).transpose(0, 2, 1)
     theta = flat[:, units * (dim + 1) :, None]
-    z_t = np.add((g.nodes @ w_t).transpose(0, 2, 1), theta,
+    z_t = np.add((g.nodes @ _w_transposed(flat, units, dim)).transpose(0, 2, 1),
+                 theta,
                  out=np.empty((rows, units, g.node_count)))
     scratch = np.empty((rows, n_star, g.node_count))
     _, slope = a.value_and_d1(z_t, out=scratch[:, :units])
@@ -130,18 +128,66 @@ def _jacobian_matrices(flat, units: int, dim: int, a: Activation, g: Grid, out):
     out[...] = scratch.transpose(0, 2, 1)
 
 
+def _w_transposed(flat, units: int, dim: int) -> np.ndarray:
+    """The ``w.T`` of each row of a ``(rows, n*)`` stack of flattened
+    parameters, shape ``(rows, dim, units)``: a transposed view of a fresh
+    C-ordered ``w`` stack, so each matrix has the strides of one
+    ``Params.w.T`` and ``g.nodes @`` it rounds as at one point."""
+    rows = len(flat)
+    return np.ascontiguousarray(
+        flat[:, units : units * (dim + 1)].reshape(rows, units, dim)
+    ).transpose(0, 2, 1)
+
+
 def directional_derivative(p: Params, a: Activation, g: Grid, direction) -> GridFunction:
-    """Derivative of the synthesis operator along one flattened direction."""
-    _check_dims(p, g)
+    """Derivative of the synthesis operator along one flattened direction:
+    the one-point case of :func:`directional_derivatives`."""
     h = np.asarray(direction, dtype=float)
     if h.shape != (p.n_star,):
         raise ShapeError(f"direction has shape {h.shape}, expected ({p.n_star},)")
-    dp = Params.from_flat(h, p.units, p.input_dim)
-    z = _unit_arguments(p, g)
-    u = g.nodes @ dp.w.T + dp.theta
+    values = directional_derivatives(p.flatten()[None], h[None], p.units,
+                                     p.input_dim, a, g)
+    return GridFunction(g, values[0])
+
+
+def directional_derivatives(
+    flat_points, flat_directions, units: int, dim: int, a: Activation, g: Grid
+) -> np.ndarray:
+    """The derivative of the synthesis operator at each row of
+    ``flat_points`` along the same row of ``flat_directions``, both
+    ``(rows, n*)`` stacks of flattened parameters of ``units`` units in
+    dimension ``dim``; a fresh ``(rows, node_count)`` array.
+
+    One stacked pass: ``z = g.nodes @ w.T + theta`` and ``u = g.nodes @
+    dw.T + dtheta`` over ``(rows, node_count, units)`` stacks (each matrix
+    rounds as at one point, see :func:`_w_transposed`), one
+    :meth:`~gncoder.activations.Activation.value_and_d1` pass over ``z``,
+    then ``value @ dalpha + (slope * u) @ alpha`` as one matrix-vector
+    product per row.  So each row is bitwise the formula at its point
+    alone.  At its peak the pass holds about three ``rows * node_count *
+    units`` float64 arrays.
+    """
+    n_star = units * (dim + 2)
+    points = np.ascontiguousarray(flat_points, dtype=float)
+    directions = np.ascontiguousarray(flat_directions, dtype=float)
+    if points.ndim != 2 or points.shape[1] != n_star or (
+            directions.shape != points.shape):
+        raise ShapeError(
+            f"points {points.shape} and directions {directions.shape} must "
+            f"both have shape (rows, {n_star})")
+    if dim != g.dim:
+        raise ShapeError(f"params expect input dimension {dim}, grid has {g.dim}")
+    tail = slice(units * (dim + 1), None)
+    z = g.nodes @ _w_transposed(points, units, dim)
+    z += points[:, None, tail]
     value, slope = a.value_and_d1(z)
-    values = value @ dp.alpha + (slope * u) @ p.alpha
-    return GridFunction(g, values)
+    del z
+    u = g.nodes @ _w_transposed(directions, units, dim)
+    u += directions[:, None, tail]
+    slope *= u
+    values = np.matmul(value, directions[:, :units, None])
+    values += np.matmul(slope, points[:, :units, None])
+    return values[:, :, 0]
 
 
 def second_derivative_bilinear(

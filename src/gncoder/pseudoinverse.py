@@ -26,6 +26,9 @@ DEFAULT_RANK_TOL = 1e-10
 _MP_PROBE_SEED = 7081
 _MP_PROBE_COUNT = 20
 
+#: The message of ``scipy.linalg.solve_triangular``'s finite check.
+_NON_FINITE = "array must not contain infs or NaNs"
+
 
 @dataclass(frozen=True)
 class QRFactors:
@@ -264,15 +267,15 @@ def _full_rank(factors: QRFactors, what: str) -> QRFactors:
     return factors
 
 
-def _q_coefficients(factors: QRFactors, x: GridFunction) -> np.ndarray:
+def _check_grid(factors: QRFactors, x: GridFunction) -> None:
     if x.grid != factors.grid:
         raise GridMismatchError("input lives on a different grid than the factors")
-    return factors.q_matrix.T @ (factors.grid.weights * x.values)
 
 
 def project(factors: QRFactors, x: GridFunction) -> GridFunction:
     """Orthogonal projection of ``x`` onto the span of the columns."""
-    beta = _q_coefficients(factors, x)
+    _check_grid(factors, x)
+    beta = factors.q_matrix.T @ (factors.grid.weights * x.values)
     return GridFunction(factors.grid, factors.q_matrix @ beta)
 
 
@@ -284,7 +287,26 @@ def pinv_apply(factors: QRFactors, x: GridFunction, strict: bool = True) -> np.n
     projection of ``x`` in the original columns.  With ``strict=True`` a
     rank-deficient factorization raises :class:`RankDeficiencyError`; with
     ``strict=False`` coefficients at excluded (dependent) column positions
-    are zero, the minimum-norm convention on the retained columns.
+    are zero, the minimum-norm convention on the retained columns.  The
+    one-column case of :func:`pinv_apply_columns`.
+    """
+    _check_grid(factors, x)
+    return pinv_apply_columns(factors, x.values[:, None], strict)[:, 0]
+
+
+def pinv_apply_columns(
+    factors: QRFactors, matrix: np.ndarray, strict: bool = True
+) -> np.ndarray:
+    """:func:`pinv_apply` of every column of a ``(node_count, m)`` array of
+    nodal values on the factors' grid; a fresh C-ordered ``(column_count,
+    m)`` array whose column ``j`` is bitwise :func:`pinv_apply` of column
+    ``j``.
+
+    The triangle ``R[:, retained]`` and its finite check are prepared once.
+    Each column still gets its own ``Q.T @ (w * x)`` and its own
+    back-substitution (:func:`_solve_upper`): one solve with many right-hand
+    sides rounds differently.  The errors are those of :func:`pinv_apply`,
+    raised at the first column that meets one.
     """
     deficit = factors.column_count - factors.rank
     if deficit > 0 and strict:
@@ -293,18 +315,28 @@ def pinv_apply(factors: QRFactors, x: GridFunction, strict: bool = True) -> np.n
             f"({factors.rank} of {factors.column_count})",
             deficit=deficit,
         )
-    beta = _q_coefficients(factors, x)
+    _check_rows(matrix, factors.grid)
     retained = list(factors.retained_indices)
-    coeffs = _solve_upper(factors.r_matrix[:, retained], beta)
-    out = np.zeros(factors.column_count)
-    out[retained] = coeffs
+    tri = factors.r_matrix[:, retained]
+    columns = matrix.shape[1]
+    if columns and not np.isfinite(tri).all():
+        raise ValueError(_NON_FINITE)
+    q_t, w = factors.q_matrix.T, factors.grid.weights
+    solved = np.empty((factors.rank, columns))
+    for j in range(columns):
+        solved[:, j] = _solve_upper(tri, q_t @ (w * matrix[:, j]))
+    if factors.rank == factors.column_count:
+        return solved
+    out = np.zeros((factors.column_count, columns))
+    out[retained] = solved
     return out
 
 
 def _solve_upper(tri: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """``scipy.linalg.solve_triangular(tri, beta)`` for an upper-triangular
-    float64 ``tri``: the LAPACK ``dtrtrs`` call it makes, with its finite
-    checks and errors, without its wrapper's per-call overhead.
+    float64 ``tri`` whose entries the caller has checked finite: the LAPACK
+    ``dtrtrs`` call it makes, with its errors, without its wrapper's
+    per-call overhead.
 
     ``dtrtrs`` takes Fortran order, so a C-ordered ``tri`` is passed
     transposed, as the lower-triangular system of the transpose.
@@ -312,12 +344,12 @@ def _solve_upper(tri: np.ndarray, beta: np.ndarray) -> np.ndarray:
     Raises
     ------
     ValueError
-        If ``tri`` or ``beta`` holds an infinity or a NaN.
+        If ``beta`` holds an infinity or a NaN.
     numpy.linalg.LinAlgError
         If a diagonal entry of ``tri`` is zero.
     """
-    if not (np.isfinite(tri).all() and np.isfinite(beta).all()):
-        raise ValueError("array must not contain infs or NaNs")
+    if not np.isfinite(beta).all():
+        raise ValueError(_NON_FINITE)
     if tri.flags.f_contiguous:
         x, info = dtrtrs(tri, beta)
     else:

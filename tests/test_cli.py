@@ -30,7 +30,7 @@ from gncoder.cli import (
     synth_problem,
 )
 from gncoder.grids import make_grid, norm
-from gncoder.network import eval_psi
+from gncoder.network import Params, eval_psi
 from gncoder.operators import parse_operator
 
 
@@ -176,9 +176,14 @@ class TestProbeChunks:
     RUNS = [
         ("mysovskii", {}),
         ("mysovskii", {"operator": "gauss:0.05", "probes": 7, "seed": 3}),
+        ("mysovskii", {"units": 1, "probes": 25, "seed": 4}),
+        ("mysovskii", {"activation": "tanh", "dim": 2, "points_per_axis": 8,
+                       "operator": "identity", "probes": 9, "seed": 5}),
         ("cone", {}),
         ("cone", {"dim": 2, "points_per_axis": 8, "operator": "gauss:0.1",
                   "t_values": [0.1, 0.01, 0.001, 1e-4, 1e-5]}),
+        ("cone", {"activation": "tanh", "units": 3, "points_per_axis": 16,
+                  "operator": "identity", "t_values": [0.5, 0.1, 0.01]}),
     ]
 
     @pytest.mark.parametrize("run_index", range(len(RUNS)))
@@ -228,6 +233,35 @@ class TestProbeChunks:
                 tracemalloc.stop()
             assert code == 0
         assert peaks[1] < 1.05 * peaks[0], peaks
+
+    def test_a_chunk_stays_near_its_byte_budget(self, monkeypatch):
+        # eight segment points a probe: the stacked directional derivatives
+        # are most of a chunk, and a per-probe estimate that left them out
+        # would let a chunk hold about four times the budget
+        monkeypatch.setattr(network, "CHUNK_BYTES", 2**20)
+        grid = make_grid(1, 64)
+        forward = parse_operator("identity", grid)
+        activation = parse_activation("sigmoid:1")
+        base = np.array([3.0, 1.0, 0.1])
+        rng = np.random.default_rng(0)
+
+        def probes():
+            for _ in range(400):
+                p = base + 0.05 * rng.standard_normal(3)
+                q = p + 0.2 * rng.standard_normal(3)
+                yield (Params.from_flat(p, 1, 1), Params.from_flat(q, 1, 1),
+                       tuple(np.linspace(0.1, 1.0, 8)))
+
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            count = sum(1 for _ in diagnostics.mysovskii_reports(
+                probes(), activation, grid, forward))
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert count == 400
+        assert peak < 1.5 * network.CHUNK_BYTES, peak
 
 
 class TestConstantsRefusedFirst:

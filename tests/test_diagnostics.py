@@ -14,10 +14,22 @@ from gncoder.diagnostics import (
     merge_mirrored,
     mysovskii_check,
 )
-from gncoder.exceptions import ConfigError, RankDeficiencyError, ResolutionError
-from gncoder.grids import make_grid
-from gncoder.network import Params, jacobian
-from gncoder.operators import DENSE_BYTES_LIMIT, make_identity, make_integration
+from gncoder import diagnostics
+from gncoder.exceptions import (
+    ConfigError,
+    RankDeficiencyError,
+    ResolutionError,
+    ShapeError,
+)
+from gncoder.grids import GridFunction, make_grid
+from gncoder.network import Params, directional_derivative, jacobian
+from gncoder.operators import (
+    DENSE_BYTES_LIMIT,
+    make_identity,
+    make_integration,
+    parse_operator,
+)
+from gncoder.pseudoinverse import full_rank_qr, pinv_apply
 from gncoder.sampling import sample_params, unit_direction
 
 SIGMOID = Activation.sigmoid(1.0)
@@ -181,6 +193,72 @@ class TestConeCheck:
         assert d["ratio"] == report.ratio
 
 
+def cone_transitions(p1, p2s, activation, grid):
+    """The transition matrices of ``cone_check`` one column at a time, as
+    each was taken before the column-wise pseudoinverse: its oracle."""
+    factors = full_rank_qr(jacobian(p1, activation, grid), grid, 1e-10, "p1")
+    out = []
+    for p2 in p2s:
+        jac2 = jacobian(p2, activation, grid)
+        transition = np.empty((p1.n_star, p1.n_star))
+        for j in range(p1.n_star):
+            transition[:, j] = pinv_apply(factors, GridFunction(grid, jac2[:, j]))
+        out.append(transition)
+    return out
+
+
+#: (activation, grid, operator) of the tail oracles: volterra, a Gaussian
+#: blur and the identity, sigmoid and tanh, 1-D and 2-D.
+TAIL_CASES = [
+    (SIGMOID, make_grid(1, 64), "volterra"),
+    (TANH, make_grid(1, 64), "gauss:0.05"),
+    (Activation.sigmoid(0.25), make_grid(1, 32), "identity"),
+    (SIGMOID, make_grid(2, 8), "gauss:0.1"),
+    (TANH, make_grid(2, 8), "identity"),
+]
+
+
+def tail_points(grid, seed, count):
+    """``count`` perturbations of a full-rank base point in 2 units."""
+    rng = np.random.default_rng(seed)
+    base = Params([6.0, -4.0], np.array([[3.0, 1.0], [-2.0, 1.5]])[:, :grid.dim],
+                  [-0.9, 2.1])
+    return base, [
+        Params.from_flat(base.flatten() + 0.05 * unit_direction(rng, base.n_star),
+                         2, grid.dim)
+        for _ in range(count)]
+
+
+class TestConeTail:
+    @pytest.mark.parametrize("case", range(len(TAIL_CASES)))
+    def test_transitions_equal_the_column_loop(self, case):
+        activation, grid, operator = TAIL_CASES[case]
+        p1, p2s = tail_points(grid, case, 4)
+        reports = cone_check(p1, p2s + [p1], activation, grid,
+                             parse_operator(operator, grid))
+        expected = cone_transitions(p1, p2s + [p1], activation, grid)
+        for report, transition in zip(reports, expected):
+            assert report.r_matrix.tobytes() == transition.tobytes()
+            assert report.r_matrix.flags.c_contiguous
+
+    def test_mismatched_point_is_a_shape_error_before_any_jacobian(
+        self, monkeypatch
+    ):
+        grid = make_grid(1, 64)
+        p1 = MYSOVSKII_BASE
+        wider = Params([1.0, 2.0, 3.0], [[1.0], [2.0], [3.0]], [0.0, 0.1, 0.2])
+        built = []
+        monkeypatch.setattr(diagnostics, "jacobian",
+                            lambda *args: built.append(args))
+        monkeypatch.setattr(diagnostics, "jacobians",
+                            lambda *args: built.append(args))
+        with pytest.raises(ShapeError) as err:
+            cone_check(p1, [p1, wider], SIGMOID, grid, make_identity(grid))
+        assert str(err.value) == ("point 1 of p2s has 3 units in dimension 1, "
+                                  "p1 has 2 units in dimension 1")
+        assert built == []
+
+
 MYSOVSKII_BASE = Params([12.0, -12.0], [[3.0], [-3.0]], [-0.9, 2.1])
 
 
@@ -222,6 +300,77 @@ class TestMysovskiiCheck:
                 [(MYSOVSKII_BASE, MYSOVSKII_BASE, (1.5,))], SIGMOID, grid,
                 make_identity(grid),
             )
+
+
+def mysovskii_loop(probes, activation, grid, forward):
+    """``mysovskii_check``'s tail one probe and one segment point at a
+    time, as it ran before the stacked directional derivatives: its
+    oracle, as ``(lhs_values, bound_ratios)`` per probe."""
+    out = []
+    for p, q, s_values in probes:
+        factors = full_rank_qr(forward.apply_columns(jacobian(p, activation, grid)),
+                               forward.out_grid, 1e-10, "p")
+        d = p.flatten() - q.flatten()
+        dist_sq = float(np.linalg.norm(d)) ** 2
+        base = directional_derivative(q, activation, grid, d)
+        lhs_values, ratios = [], []
+        for s in s_values:
+            if dist_sq == 0.0 or s == 0.0:
+                lhs_values.append(0.0)
+                ratios.append(0.0)
+                continue
+            mid = Params.from_flat(q.flatten() + s * d, p.units, p.input_dim)
+            diff = directional_derivative(mid, activation, grid, d) - base
+            lhs = float(np.linalg.norm(pinv_apply(factors, forward.apply(diff))))
+            lhs_values.append(lhs)
+            ratios.append(lhs / (s * dist_sq))
+        out.append((tuple(lhs_values), tuple(ratios)))
+    return out
+
+
+class TestMysovskiiTail:
+    S_VALUES = [(0.5,), (0.0, 0.25, 1.0), (), (0.05, 0.3, 0.0, 0.7, 1.0), (1,)]
+
+    @pytest.mark.parametrize("case", range(len(TAIL_CASES)))
+    def test_reports_equal_the_per_probe_loop(self, case):
+        activation, grid, operator = TAIL_CASES[case]
+        forward = parse_operator(operator, grid)
+        _, ps = tail_points(grid, 40 + case, 5)
+        _, qs = tail_points(grid, 50 + case, 5)
+        probes = [(p, q, s) for p, q, s in zip(ps, qs, self.S_VALUES)]
+        probes.append((ps[0], ps[0], (0.0, 0.5, 1.0)))  # p == q
+        probes.append((ps[1], qs[1], (0.0,)))           # only s = 0
+        reports = mysovskii_check(probes, activation, grid, forward)
+        expected = mysovskii_loop(probes, activation, grid, forward)
+        assert len(reports) == len(expected)
+        for report, (lhs_values, ratios), (_, _, s_values) in zip(
+                reports, expected, probes):
+            assert report.s_values == tuple(s_values)
+            assert np.array(report.lhs_values).tobytes() == (
+                np.array(lhs_values).tobytes())
+            assert np.array(report.bound_ratios).tobytes() == (
+                np.array(ratios).tobytes())
+        assert reports[-2].lhs_values == (0.0, 0.0, 0.0)
+        assert any(value > 0 for value in reports[3].lhs_values)
+
+    def test_mismatched_q_is_a_shape_error_before_any_jacobian(
+        self, monkeypatch
+    ):
+        grid = make_grid(1, 64)
+        p = MYSOVSKII_BASE
+        wider = Params([1.0, 2.0, 3.0], [[1.0], [2.0], [3.0]], [0.0, 0.1, 0.2])
+        planar = Params([1.0, 2.0], [[1.0, 0.0], [2.0, 1.0]], [0.0, 0.1])
+        built = []
+        monkeypatch.setattr(diagnostics, "jacobians",
+                            lambda *args: built.append(args))
+        for q, shape in ((wider, "3 units in dimension 1"),
+                         (planar, "2 units in dimension 2")):
+            with pytest.raises(ShapeError) as err:
+                mysovskii_check([(p, p, (0.5,)), (p, q, (0.5,))], SIGMOID,
+                                grid, make_identity(grid))
+            assert str(err.value) == (
+                f"q of probe 1 has {shape}, its p has 2 units in dimension 1")
+        assert built == []
 
 
 class TestManifoldDemo:

@@ -11,6 +11,7 @@ from gncoder.grids import MAX_NODES, constant, make_grid, norm
 from gncoder.network import (
     Params,
     directional_derivative,
+    directional_derivatives,
     eval_psi,
     jacobian,
     lipschitz_constants,
@@ -612,6 +613,76 @@ class TestStackedJacobians:
         with pytest.raises(ShapeError):
             lipschitz_constants(p, SIGMOID, make_grid(2, 8), radius=radius,
                                 samples=4, seed=0)
+
+
+def pointwise_directional_derivative(p, a, g, d):
+    """The derivative along ``d`` built from one ``Params`` at a time: the
+    formula the stacked pass replaced, kept as its bitwise oracle."""
+    dp = Params.from_flat(d, p.units, p.input_dim)
+    z = g.nodes @ p.w.T + p.theta
+    u = g.nodes @ dp.w.T + dp.theta
+    return a.value(z) @ dp.alpha + (a.d1(z) * u) @ p.alpha
+
+
+#: (activation, grid): sigmoid at scales 0.25, 1 and 4, tanh and relu, on
+#: 6 to 4096 nodes in 1-D and 2-D.
+DIRECTIONAL_CASES = [
+    (a, g)
+    for a in (Activation.sigmoid(0.25), SIGMOID, Activation.sigmoid(4.0),
+              TANH, Activation.relu())
+    for g in (make_grid(1, 6), make_grid(1, 64), make_grid(2, 12),
+              make_grid(1, 4096), make_grid(2, 64))
+]
+
+
+class TestStackedDirectionalDerivatives:
+    @pytest.mark.parametrize("units", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("case", range(len(DIRECTIONAL_CASES)))
+    def test_each_row_is_the_one_point_derivative(self, case, units):
+        a, g = DIRECTIONAL_CASES[case]
+        rng = np.random.default_rng(10 * case + units)
+        points = [sample_params(rng, units, g.dim, box=(-5, 5)) for _ in range(4)]
+        directions = rng.standard_normal((4, points[0].n_star))
+        flat = np.array([p.flatten() for p in points])
+        rows = directional_derivatives(flat, directions, units, g.dim, a, g)
+        assert rows.shape == (4, g.node_count)
+        for p, d, row in zip(points, directions, rows):
+            expected = pointwise_directional_derivative(p, a, g, d)
+            assert row.tobytes() == expected.tobytes()
+            one = directional_derivative(p, a, g, d).values
+            assert one.tobytes() == expected.tobytes()
+
+    def test_strided_inputs_round_as_contiguous_ones(self):
+        g = make_grid(2, 12)
+        rng = np.random.default_rng(3)
+        wide = rng.standard_normal((2 * 12, 3))
+        points, directions = wide[::2], wide[1::2]
+        expected = directional_derivatives(points.copy(), directions.copy(),
+                                           1, 1, SIGMOID, make_grid(1, 12))
+        rows = directional_derivatives(points, directions, 1, 1, SIGMOID,
+                                       make_grid(1, 12))
+        assert rows.tobytes() == expected.tobytes()
+        p = sample_params(rng, 2, 2)
+        strided = np.repeat(rng.standard_normal(p.n_star), 2)[::2]
+        assert directional_derivative(p, TANH, g, strided).values.tobytes() == (
+            pointwise_directional_derivative(p, TANH, g, strided).tobytes())
+
+    @pytest.mark.parametrize("points, directions, dim", [
+        (np.zeros((2, 6)), np.zeros((3, 6)), 1),
+        (np.zeros((2, 6)), np.zeros((2, 5)), 1),
+        (np.zeros(6), np.zeros(6), 1),
+        (np.zeros((2, 6)), np.zeros((2, 6)), 2),
+    ])
+    def test_mismatched_shapes_are_a_shape_error(self, points, directions, dim):
+        g = make_grid(dim, 8)
+        with pytest.raises(ShapeError):
+            directional_derivatives(points, directions, 2, 1, SIGMOID, g)
+
+    def test_step_activation_rejected(self):
+        g = make_grid(1, 8)
+        with pytest.raises(SmoothnessError):
+            directional_derivatives(np.ones((1, 3)), np.ones((1, 3)), 1, 1,
+                                    Activation.step(), g)
 
 
 def candidate_stack(p, a, g, radius, samples, seed):

@@ -20,6 +20,7 @@ from gncoder.pseudoinverse import (
     full_rank_qr_stack,
     mp_residuals,
     pinv_apply,
+    pinv_apply_columns,
     project,
     weighted_qr,
     weighted_qr_stack,
@@ -395,6 +396,95 @@ class TestTriangularSolve:
                              f.q_matrix.T @ (GRID.weights * x.values))
         assert str(err.value) == str(expected.value) == (
             "singular matrix: resolution failed at diagonal 2")
+
+
+def column_by_column(factors, matrix, strict=True):
+    """``pinv_apply`` of each column in turn: the loop the column-wise call
+    replaced, kept as its oracle; an error comes back as ``(type,
+    message)``."""
+    out = np.empty((factors.column_count, matrix.shape[1]))
+    try:
+        for j in range(matrix.shape[1]):
+            out[:, j] = pinv_apply(factors, GridFunction(factors.grid, matrix[:, j]),
+                                   strict)
+    except (ValueError, np.linalg.LinAlgError, RankDeficiencyError) as err:
+        return type(err), str(err)
+    return out
+
+
+def columns_outcome(factors, matrix, strict=True):
+    try:
+        return pinv_apply_columns(factors, matrix, strict)
+    except (ValueError, np.linalg.LinAlgError, RankDeficiencyError) as err:
+        return type(err), str(err)
+
+
+class TestPinvApplyColumns:
+    """``pinv_apply_columns`` is ``pinv_apply`` of each column, bit for bit,
+    error for error."""
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("n", [1, 3, 6, 12])
+    def test_equals_pinv_apply_of_each_column(self, n, layout):
+        rng = np.random.default_rng(200 + n)
+        f = weighted_qr(stack(random_columns(n, rng)), GRID)
+        for m in (1, n, 2 * n + 1):
+            matrix = rng.standard_normal((GRID.node_count, 2 * m))
+            matrix = {"C": np.ascontiguousarray(matrix[:, :m]),
+                      "F": np.asfortranarray(matrix[:, :m]),
+                      "strided": matrix[:, ::2]}[layout]
+            out = pinv_apply_columns(f, matrix)
+            expected = column_by_column(f, matrix)
+            assert out.tobytes() == expected.tobytes()
+            assert out.flags.c_contiguous and out.shape == (n, m)
+
+    def test_non_strict_on_a_deficient_factorization(self):
+        rng = np.random.default_rng(31)
+        base = random_columns(3, rng)
+        f = weighted_qr(stack(base + [base[0] - base[2]] + base[1:2]), GRID)
+        assert f.rank == 3
+        matrix = rng.standard_normal((GRID.node_count, 7))
+        out = pinv_apply_columns(f, matrix, strict=False)
+        assert out.tobytes() == column_by_column(f, matrix, False).tobytes()
+        assert not out[[3, 4]].any()
+        assert columns_outcome(f, matrix) == column_by_column(f, matrix) == (
+            RankDeficiencyError, "factorization is rank deficient by 2 (3 of 5)")
+
+    @pytest.mark.parametrize("bad_column", [None, 0, 2])
+    @pytest.mark.parametrize("defect", ["none", "non-finite r", "zero diagonal"])
+    def test_errors_are_those_of_the_column_loop(self, defect, bad_column):
+        f = upper_factors(4, np.random.default_rng(11))
+        r = f.r_matrix.copy()
+        if defect == "non-finite r":
+            r[1, 3] = np.inf
+        elif defect == "zero diagonal":
+            r[2, 2] = 0.0
+        f = QRFactors(GRID, f.q_matrix, r, f.dependent)
+        matrix = np.ones((GRID.node_count, 4))
+        if bad_column is not None:
+            matrix[9, bad_column] = np.nan
+        outcome = columns_outcome(f, matrix)
+        expected = column_by_column(f, matrix)
+        if isinstance(expected, tuple):
+            assert outcome == expected
+        else:
+            assert outcome.tobytes() == expected.tobytes()
+        # no column, no solve: nothing to raise, as with no pinv_apply call
+        assert pinv_apply_columns(f, matrix[:, :0]).shape == (4, 0)
+
+    def test_wrong_row_count_is_a_grid_mismatch(self):
+        f = upper_factors(2, np.random.default_rng(3))
+        for bad in (np.ones((GRID.node_count + 1, 2)), np.ones(GRID.node_count)):
+            with pytest.raises(GridMismatchError):
+                pinv_apply_columns(f, bad)
+
+    def test_input_is_not_written(self):
+        rng = np.random.default_rng(5)
+        f = weighted_qr(stack(random_columns(3, rng)), GRID)
+        matrix = rng.standard_normal((GRID.node_count, 3))
+        before = matrix.copy()
+        pinv_apply_columns(f, matrix)
+        assert np.array_equal(matrix, before)
 
 
 class TestProject:
