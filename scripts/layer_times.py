@@ -19,8 +19,11 @@ A third shape, probes, times the whole ``cone_check`` and
 ``mysovskii_check`` calls at the benchmark's probes configs (1-D, N=2,
 ``volterra``; cone on 6 nodes with its three ``t_values``, mysovskii on 64
 nodes with its 20 probes), drawn as ``gncoder cone`` and ``gncoder
-mysovskii`` draw them at seed 0.  Only public functions whose signatures
-both trees share are called.
+mysovskii`` draw them at seed 0.  Its ``mysovskii_refused`` stage times
+``mysovskii_check`` on the draw of seed 110, until it raises
+``RankDeficiencyError`` at the probe whose derivative at ``p`` has rank
+5 < 6 (one of ``scripts/output_set.py``'s refused seeds).  Only public
+functions whose signatures both trees share are called.
 
 Every round runs each tree in its own subprocess (this script in worker
 mode, with that tree's ``src/`` first on ``sys.path``): the parent first in
@@ -99,41 +102,57 @@ def probe_calls():
     from gncoder.activations import parse_activation
     from gncoder.cli import ConeOptions, MysovskiiOptions
     from gncoder.diagnostics import cone_check, mysovskii_check
+    from gncoder.exceptions import RankDeficiencyError
     from gncoder.grids import make_grid
     from gncoder.operators import parse_operator
     from gncoder.params import Params
     from gncoder.sampling import sample_params, unit_direction
 
-    def parts(opts):
+    def parts(opts, seed):
         grid = make_grid(opts.dim, opts.points_per_axis)
-        rng = np.random.default_rng(np.random.SeedSequence(0))
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
         return (grid, parse_activation(opts.activation),
                 parse_operator(opts.operator, grid), rng,
                 sample_params(rng, opts.units, opts.dim, box=opts.box,
                               alpha_band=opts.alpha_band))
 
     cone = ConeOptions(units=2, dim=1, points_per_axis=6, operator="volterra")
-    grid, act, forward, rng, p1 = parts(cone)
+    grid, act, forward, rng, p1 = parts(cone, 0)
     direction = unit_direction(rng, p1.n_star)
     p2s = [Params.from_flat(p1.flatten() + t * direction, cone.units, cone.dim)
            for t in cone.t_values]
 
     mys = MysovskiiOptions(units=2, dim=1, points_per_axis=64,
                            operator="volterra")
-    m_grid, m_act, m_forward, m_rng, base = parts(mys)
-    probes = []
-    for _ in range(mys.probes):
-        p = Params.from_flat(
-            base.flatten() + mys.jitter * unit_direction(m_rng, base.n_star),
-            mys.units, mys.dim)
-        q = Params.from_flat(
-            p.flatten() + mys.segment_radius * unit_direction(m_rng, base.n_star),
-            mys.units, mys.dim)
-        probes.append((p, q, (float(m_rng.uniform(0.05, 1.0)),)))
+
+    def mysovskii_draw(seed):
+        """``mysovskii_check`` with its arguments bound, on seed's draw."""
+        m_grid, m_act, m_forward, m_rng, base = parts(mys, seed)
+        probes = []
+        for _ in range(mys.probes):
+            p = Params.from_flat(
+                base.flatten() + mys.jitter * unit_direction(m_rng, base.n_star),
+                mys.units, mys.dim)
+            q = Params.from_flat(
+                p.flatten()
+                + mys.segment_radius * unit_direction(m_rng, base.n_star),
+                mys.units, mys.dim)
+            probes.append((p, q, (float(m_rng.uniform(0.05, 1.0)),)))
+        return partial(mysovskii_check, probes, m_act, m_grid, m_forward)
+
+    refused_check = mysovskii_draw(110)
+
+    def refused():
+        try:
+            refused_check()
+        except RankDeficiencyError:
+            return
+        raise AssertionError("the seed 110 draw was not refused")
+
     return {
         "cone_check": lambda: cone_check(p1, p2s, act, grid, forward),
-        "mysovskii_check": lambda: mysovskii_check(probes, m_act, m_grid,
-                                                   m_forward),
+        "mysovskii_check": mysovskii_draw(0),
+        "mysovskii_refused": refused,
     }
 
 

@@ -98,31 +98,22 @@ class Activation:
         return _match_input(t, out)
 
     def d1(self, t):
-        if self.kind == "step":
-            raise SmoothnessError("step activation is discontinuous; no derivative")
-        a = np.asarray(t, dtype=float)
-        if self.kind == "sigmoid":
-            # sigma'(t) = sigma(t) * sigma(-t) / eps; this form avoids the
-            # cancellation in 1 - sigma(t) and is even bitwise
-            out = expit(a / self.epsilon) * expit(-a / self.epsilon) / self.epsilon
-        elif self.kind == "tanh":
-            th = np.tanh(a)
-            out = 1.0 - th * th
-        else:  # relu, with d1(0) = 0
-            out = np.where(a > 0, 1.0, 0.0)
-        return _match_input(t, out)
+        """The slope that :meth:`value_and_d1` returns."""
+        return self.value_and_d1(t)[1]
 
     def value_and_d1(self, t, out=None):
-        """``(value(t), d1(t))``, each bitwise equal to its own method, with
-        one logistic pass shared between them.
+        """``(value(t), d1(t))``, the value bitwise :meth:`value`, from one
+        logistic pass.
 
         The value is written into ``out`` when it is given (an array of
-        ``t``'s shape) and returned; ``d1`` is a fresh array.  Sigmoid
+        ``t``'s shape) and returned; the slope is a fresh array.  Sigmoid
         takes ``q = t / eps`` once and ``expit(q)`` once, as the value and
-        as ``d1``'s first factor; ``expit(-q)`` is ``d1``'s
-        ``expit(-t / eps)``, since ``-(t / eps)`` is bitwise
-        ``(-t) / eps``.  Tanh takes one ``tanh`` pass for both.  Step
-        raises before ``out`` is touched.
+        as the slope's first factor, and ``sigma'(t) = sigma(t) *
+        sigma(-t) / eps`` with ``expit(-q)``: this form avoids the
+        cancellation in ``1 - sigma(t)`` and is even bitwise, and
+        ``-(t / eps)`` is bitwise ``(-t) / eps``.  Tanh takes one ``tanh``
+        pass for both.  ReLU's slope is ``1`` where ``t > 0`` and ``0``
+        elsewhere, ``d1(0) = 0``.  Step raises before ``out`` is touched.
         """
         if self.kind == "step":
             raise SmoothnessError("step activation is discontinuous; no derivative")
@@ -138,7 +129,7 @@ class Activation:
             slope = 1.0 - value * value
         else:  # relu
             value = np.maximum(0.0, a, out=out)
-            slope = self.d1(a)
+            slope = np.where(a > 0, 1.0, 0.0)
         return _match_input(t, value), _match_input(t, slope)
 
     def d2(self, t):

@@ -19,9 +19,9 @@ import numpy as np
 from . import network
 from .activations import Activation
 from .exceptions import ResolutionError, ShapeError
-from .grids import Grid, GridFunction
+from .grids import Grid, GridFunction, check_dense_bytes
 from .network import Params, directional_derivatives, jacobian, jacobians
-from .operators import LinearOperator, check_dense_bytes
+from .operators import LinearOperator
 from .pseudoinverse import (
     DEFAULT_RANK_TOL,
     full_rank_qr,
@@ -389,7 +389,7 @@ def manifold_sweep(extent: float = 1.0, resolution: int = 101) -> np.ndarray:
     Rows are ``(x, y, f1, f2, det)`` in lexicographic order over the
     ``resolution x resolution`` lattice on ``[-extent, extent]^2``.
 
-    Refused by :func:`~gncoder.operators.check_dense_bytes` before any
+    Refused by :func:`~gncoder.grids.check_dense_bytes` before any
     allocation.  It holds about ten ``resolution**2`` float64 arrays at its
     peak: 0.8 MB at the default 101 and 1 GiB near 3663.
     """

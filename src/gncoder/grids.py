@@ -12,11 +12,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import GridMismatchError
+from .exceptions import ConfigError, GridMismatchError
 
-#: Hard cap on the number of nodes; larger requests fail fast instead of
-#: exhausting memory.
-MAX_NODES = 10**8
+#: Largest memory, in bytes, that one dense build may take: a grid, a
+#: Jacobian stack, a Gaussian kernel factor, a
+#: :func:`~gncoder.diagnostics.manifold_sweep` lattice.  Larger builds are
+#: refused by :func:`check_dense_bytes` before any allocation.
+DENSE_BYTES_LIMIT = 2**30
+
+
+def check_dense_bytes(need: int, who: str, what: str) -> None:
+    """Raise :class:`ConfigError` when a build of ``need`` bytes is too large.
+
+    The message reads ``"<who> needs a X GiB <what>, over the 1 GiB
+    limit"``; ``who`` names what set the size, a config value where one did.
+    """
+    if need > DENSE_BYTES_LIMIT:
+        raise ConfigError(
+            f"{who} needs a {need / 2**30:.1f} GiB {what}, over the "
+            f"{DENSE_BYTES_LIMIT / 2**30:g} GiB limit"
+        )
 
 
 def _frozen_array(values, dtype=float):
@@ -76,8 +91,10 @@ def make_grid(dim: int, points_per_axis: int) -> Grid:
     Raises
     ------
     ValueError
-        If the dimensions are out of range or the node count would exceed
-        :data:`MAX_NODES`.
+        If the dimensions are out of range.
+    ConfigError
+        If the nodes and weights, ``8 (dim + 1)`` bytes a node, would pass
+        :data:`DENSE_BYTES_LIMIT`; raised before any allocation.
     """
     if not isinstance(dim, (int, np.integer)) or dim < 1:
         raise ValueError(f"dim must be a positive integer, got {dim!r}")
@@ -85,17 +102,19 @@ def make_grid(dim: int, points_per_axis: int) -> Grid:
         raise ValueError(
             f"points_per_axis must be an integer >= 2, got {points_per_axis!r}"
         )
-    count = int(points_per_axis) ** int(dim)
-    if count > MAX_NODES:
-        raise ValueError(
-            f"grid would have {count} nodes, exceeding the cap of {MAX_NODES}"
-        )
-    m = int(points_per_axis)
+    dim, m = int(dim), int(points_per_axis)
+    count = m**dim
+    check_dense_bytes(8 * (dim + 1) * count,
+                      f"points_per_axis {m} in dimension {dim}", "grid")
     axis = (np.arange(m) + 0.5) / m
-    mesh = np.meshgrid(*([axis] * dim), indexing="ij")
-    nodes = np.stack([c.reshape(-1) for c in mesh], axis=-1)
+    # the nodes are written once, from broadcast views of the axis
+    nodes = np.empty((count, dim))
+    np.stack(np.meshgrid(*([axis] * dim), indexing="ij", copy=False),
+             axis=-1, out=nodes.reshape((m,) * dim + (dim,)))
     weights = np.full(count, float(m) ** (-dim))
-    return Grid(int(dim), m, _frozen_array(nodes), _frozen_array(weights))
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return Grid(dim, m, nodes, weights)
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,8 +21,7 @@ import numpy as np
 
 from .activations import Activation
 from .exceptions import ShapeError
-from .grids import Grid, GridFunction
-from .operators import check_dense_bytes
+from .grids import Grid, GridFunction, check_dense_bytes
 from .params import Params
 from .pseudoinverse import ConvergenceConstants
 from .sampling import sample_in_ball
@@ -80,7 +79,11 @@ def jacobians(points, a: Activation, g: Grid) -> np.ndarray:
     """The Jacobians at a sequence of parameter points of one shape, as a
     fresh ``(len(points), node_count, n_star)`` stack built in one
     vectorized pass (:func:`_jacobian_matrices`): each matrix is bitwise
-    :func:`jacobian` at its point.  At least one point is needed."""
+    :func:`jacobian` at its point.  At least one point is needed.
+
+    The stack and the pass's scratch, ``8 (2 n* + 3 N)`` bytes a node and
+    point, are refused by :func:`~gncoder.grids.check_dense_bytes` before
+    any allocation."""
     if len(points) == 0:
         raise ValueError("jacobians needs at least one point")
     first = points[0]
@@ -89,6 +92,10 @@ def jacobians(points, a: Activation, g: Grid) -> np.ndarray:
     if any((p.units, p.input_dim) != shape for p in points):
         raise ShapeError(f"points must all have {shape[0]} units in dimension "
                          f"{shape[1]}")
+    check_dense_bytes(
+        8 * len(points) * g.node_count * (2 * first.n_star + 3 * first.units),
+        f"points_per_axis {g.points_per_axis} in dimension {g.dim}",
+        f"{len(points)}-point Jacobian stack")
     out = np.empty((len(points), g.node_count, first.n_star))
     flat = np.array([p.flatten() for p in points])
     _jacobian_matrices(flat, first.units, first.input_dim, a, g, out)
@@ -317,9 +324,10 @@ def _gram_bounds(blocks, nodes, scale, first, second=None) -> np.ndarray:
       Together the error term is at most ``2 (gamma_K + 6 eps) mass``,
       which ``margin * mass`` covers ten times over.  The margin grows with
       the node count, so it stays near the rounding it covers, about
-      ``1.7e-13 mass`` at 64 nodes and ``2.2e-7 mass`` at
-      :data:`grids.MAX_NODES`: a fixed one would dwarf the bounds of small
-      grids where the Jacobian barely varies, and prune nothing there.
+      ``1.7e-13 mass`` at 64 nodes and ``1.5e-7 mass`` at ``2**26``, the
+      largest node count a grid within :data:`grids.DENSE_BYTES_LIMIT` has:
+      a fixed one would dwarf the bounds of small grids where the Jacobian
+      barely varies, and prune nothing there.
     - That model ignores underflow.  A product below ``tiny`` (Jacobian
       entries below about ``1e-154``, as in saturated sigmoid units) is
       off by up to half the subnormal spacing, ``2^-1075``, so a Gram entry
@@ -428,7 +436,7 @@ def lipschitz_constants(
 
     The ball must lie inside the parameter box.  The Gram matrix and the
     sample stack are each refused by
-    :func:`~gncoder.operators.check_dense_bytes` before any allocation.
+    :func:`~gncoder.grids.check_dense_bytes` before any allocation.
     The Gram holds about two ``(samples * n*)^2`` float64 arrays, the sum
     and one row chunk's: 1.3 MB at 24 samples of ``n* = 12``, and 1 GiB at
     about 680 of them.  The stack holds ``samples * node_count * n*``

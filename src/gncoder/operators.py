@@ -12,31 +12,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import ConfigError, GridMismatchError, UnsupportedDimensionError
-from .grids import Grid, GridFunction
-
-#: Largest memory, in bytes, that one dense build may take: a Gaussian kernel
-#: factor here, a :func:`~gncoder.diagnostics.manifold_sweep` lattice there.
-#: Larger builds are refused by :func:`check_dense_bytes` before any
-#: allocation.
-DENSE_BYTES_LIMIT = 2**30
+from .exceptions import GridMismatchError, UnsupportedDimensionError
+from .grids import Grid, GridFunction, check_dense_bytes
 
 #: Grids up to this node count get an injectivity spot-check by SVD at
 #: construction time.
 _SPOT_CHECK_LIMIT = 2048
-
-
-def check_dense_bytes(need: int, who: str, what: str) -> None:
-    """Raise :class:`ConfigError` when a build of ``need`` bytes is too large.
-
-    The message reads ``"<who> needs a X GiB <what>, over the 1 GiB
-    limit"``; ``who`` names what set the size, a config value where one did.
-    """
-    if need > DENSE_BYTES_LIMIT:
-        raise ConfigError(
-            f"{who} needs a {need / 2**30:.1f} GiB {what}, over the "
-            f"{DENSE_BYTES_LIMIT / 2**30:g} GiB limit"
-        )
 
 
 class LinearOperator:

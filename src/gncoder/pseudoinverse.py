@@ -95,12 +95,15 @@ def weighted_qr_stack(
     """:func:`weighted_qr` of every matrix of a ``(count, node_count, m)``
     stack, in one sweep; an iterator over the factors in stack order.
 
-    The sweep runs before this returns.  Each matrix keeps its own rank and
-    dependent columns; the iterator raises :class:`ZeroMatrixError` when it
-    reaches a matrix whose columns are all zero (or all fall below the rank
-    tolerance), so a caller that handles the factors one by one meets every
-    error in the order of its matrices.  Each member's factors are bitwise
-    those of the sweep over that matrix alone (see :func:`_mgs_sweep`).
+    The sweep keeps one rank shared by every matrix.  When the matrices
+    agree on every column's flag, the sweep runs before this returns.  When
+    one column is dependent in some matrices and not in others, the
+    iterator instead sweeps each matrix alone when it reaches it.  Either
+    way each member's factors are bitwise those of the sweep over that
+    matrix alone (see :func:`_mgs_sweep`), and the iterator raises
+    :class:`ZeroMatrixError` when it reaches a matrix whose columns are all
+    zero (or all fall below the rank tolerance), so a caller that handles
+    the factors one by one meets every error in the order of its matrices.
     """
     if not rank_tol > 0:
         raise ValueError(f"rank_tol must be positive, got {rank_tol}")
@@ -114,13 +117,14 @@ def weighted_qr_stack(
     # row-major, so the axis-1 reductions round the same way for every
     # caller's memory layout
     stack = np.ascontiguousarray(matrices, dtype=float)
-    q_slots, r_stack, ranks, dependent, zero = _mgs_sweep(
-        stack, grid.weights, rank_tol)
+    swept = _mgs_sweep(stack, grid.weights, rank_tol)
+    if swept is None:  # the ranks diverge: one sweep per matrix, lazily
+        return (next(weighted_qr_stack(m[None], grid, rank_tol)) for m in stack)
+    q_slots, r_stack, rank, dependent, zero = swept
 
     def factors(b):
         if zero[b]:
             raise ZeroMatrixError("all columns are identically zero")
-        rank = ranks[b]
         if rank == 0:
             raise ZeroMatrixError("all columns fell below the rank tolerance")
         # C order for Q and R: matmul picks its kernel by strides, so the
@@ -133,14 +137,16 @@ def weighted_qr_stack(
 
 def _mgs_sweep(stack, w, rank_tol):
     """Modified Gram-Schmidt with one reorthogonalization pass over every
-    matrix of a C-ordered ``(count, K, n)`` stack at once.
+    matrix of a C-ordered ``(count, K, n)`` stack at once, with one rank
+    shared by all of them.
 
-    Returns ``(q_slots, r_stack, ranks, dependent, zero)``: matrix ``b``
-    keeps its ``ranks[b]`` orthonormal columns in ``q_slots[:ranks[b], b]``
+    Returns ``(q_slots, r_stack, rank, dependent, zero)``: each matrix
+    ``b`` keeps its ``rank`` orthonormal columns in ``q_slots[:rank, b]``
     (one ``(K,)`` row each) and its coefficients in ``r_stack[b]``, a C
-    ordered ``n x n`` array with zero rows from ``ranks[b]`` on;
-    ``dependent[b]`` is its tuple of flags, and ``zero[b]`` says that all
-    its columns are zero.
+    ordered ``n x n`` array with zero rows from ``rank`` on; ``dependent[b]``
+    is its tuple of flags, and ``zero[b]`` says that all its columns are
+    zero.  Returns ``None`` as soon as a column is dependent in some
+    matrices and not in others.
 
     Column ``k`` of every matrix is processed by the same ufunc calls: each
     call acts on the ``(count, K)`` rows of all the matrices, or, for one
@@ -151,16 +157,9 @@ def _mgs_sweep(stack, w, rank_tol):
     ``np.sum(w * q_i * v)`` and ``np.sum(w * v * v)`` take.  The two passes'
     coefficients are kept apart and summed as ``(0.0 + first) + second``,
     as a running sum from zero rounds them.  So each matrix's factors are
-    bitwise those of the same sweep over fresh copies of its columns.
-
-    While the matrices have equal ranks every slot ``i`` below the rank is
-    filled in every matrix.  Once they differ, a matrix with fewer retained
-    columns meets slots it has not filled.  They are zero, so for finite
-    entries their coefficients are ``+0`` (``np.add.reduce`` sums from
-    ``+0``) and their updates change no bit, but an infinite entry makes
-    them NaN: so those updates are skipped (``where``) and those
-    coefficients reset to zero.  A zero matrix gets an infinite threshold,
-    so all its columns are dependent.
+    bitwise those of the same sweep over fresh copies of its columns.  A
+    zero matrix gets an infinite threshold, so all its columns are
+    dependent.
     """
     count, nodes, ncols = stack.shape
     col_norms = np.sqrt(np.sum(w[:, None] * stack * stack, axis=1))
@@ -183,57 +182,36 @@ def _mgs_sweep(stack, w, rank_tol):
     coeffs = np.zeros((2, ncols, ncols) + lead)
     passes = coeffs[0], coeffs[1]
     dependent = []
-    ranks = None  # the per-matrix ranks, once they differ
-    top = 0       # the largest rank so far
+    top = 0  # the rank so far
     for k in range(ncols):
         v[...] = columns[..., k]
-        filled = None if ranks is None else ranks[:, None] > np.arange(top)
         for coeff in passes:
             for i in range(top):
                 c = coeff[i, k, ...]
                 np.add.reduce(np.multiply(wqs[i], v, tmp), -1, None, c, not one)
                 np.multiply(qs[i], c, tmp)
-                if filled is None:
-                    np.subtract(v, tmp, v)
-                else:
-                    np.subtract(v, tmp, v, where=filled[:, i, None])
-        if ranks is not None:  # slots a matrix has not filled stay zero
-            for b in range(count):
-                coeffs[:, ranks[b]:top, k, b] = 0.0
-        vnorm = passes[0][top, k, ...] if ranks is None else np.empty(lead)
+                np.subtract(v, tmp, v)
+        vnorm = passes[0][top, k, ...]
         np.add.reduce(np.multiply(np.multiply(w, v, tmp), v, tmp), -1, None,
                       vnorm, not one)
         np.sqrt(vnorm, vnorm)
         below = ([float(vnorm) < limit] if one
                  else (vnorm < limit)[:, 0].tolist())
         dependent.append(below)
-        if ranks is None and not any(below):
+        if not any(below):
             np.divide(v, vnorm, qs[top])
             np.multiply(w, qs[top], wqs[top])
             top += 1
-            continue
-        if ranks is None:
-            vnorm = vnorm.copy()
-            coeffs[0, top, k] = 0.0
-            if all(below):
-                continue
-            ranks = np.full(count, top)
-        for b in (b for b, flag in enumerate(below) if not flag):
-            slot = ranks[b]
-            np.divide(v[b], vnorm[b], q_slots[slot, b])
-            np.multiply(w, q_slots[slot, b], wq_slots[slot, b])
-            coeffs[0, slot, k, b] = vnorm[b]
-            ranks[b] += 1
-        top = int(ranks.max())
-        if (ranks == top).all():
-            ranks = None
+        elif all(below):
+            vnorm[...] = 0.0
+        else:
+            return None
     r_stack = (0.0 + passes[0]) + passes[1]  # (slot, column) + lead
     if one:
         r_stack = r_stack[None]
     else:
         r_stack = np.ascontiguousarray(r_stack[..., 0].transpose(2, 0, 1))
-    ranks = [top] * count if ranks is None else ranks.tolist()
-    return (q_slots.reshape(ncols, count, nodes), r_stack, ranks,
+    return (q_slots.reshape(ncols, count, nodes), r_stack, top,
             list(zip(*dependent)), zero)
 
 
@@ -251,9 +229,11 @@ def full_rank_qr(
 def full_rank_qr_stack(
     matrices: np.ndarray, grid: Grid, rank_tol: float, what: str
 ) -> Iterator[QRFactors]:
-    """:func:`full_rank_qr` of every matrix of a stack, in one sweep: the
-    iterator of :func:`weighted_qr_stack`, raising at the first matrix in
-    stack order that is zero or rank deficient, when it reaches it."""
+    """:func:`full_rank_qr` of every matrix of a stack: the iterator of
+    :func:`weighted_qr_stack`, raising at the first matrix in stack order
+    that is zero or rank deficient, when it reaches it.  A deficient matrix
+    among full-rank ones makes the ranks diverge, so the matrices after it
+    are never swept."""
     return (_full_rank(f, what)
             for f in weighted_qr_stack(matrices, grid, rank_tol))
 
@@ -334,12 +314,9 @@ def pinv_apply_columns(
 
 def _solve_upper(tri: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """``scipy.linalg.solve_triangular(tri, beta)`` for an upper-triangular
-    float64 ``tri`` whose entries the caller has checked finite: the LAPACK
-    ``dtrtrs`` call it makes, with its errors, without its wrapper's
-    per-call overhead.
-
-    ``dtrtrs`` takes Fortran order, so a C-ordered ``tri`` is passed
-    transposed, as the lower-triangular system of the transpose.
+    F-ordered float64 ``tri`` whose entries the caller has checked finite:
+    the LAPACK ``dtrtrs`` call it makes, with its errors, without its
+    wrapper's per-call overhead.
 
     Raises
     ------
@@ -350,10 +327,7 @@ def _solve_upper(tri: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """
     if not np.isfinite(beta).all():
         raise ValueError(_NON_FINITE)
-    if tri.flags.f_contiguous:
-        x, info = dtrtrs(tri, beta)
-    else:
-        x, info = dtrtrs(tri.T, beta, lower=1, trans=1)
+    x, info = dtrtrs(tri, beta)
     if info > 0:
         raise np.linalg.LinAlgError(
             f"singular matrix: resolution failed at diagonal {info - 1}")

@@ -1,6 +1,7 @@
 import mpmath
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from gncoder.activations import (
     Activation,
@@ -163,8 +164,22 @@ def one_pass_inputs(a):
     ids=lambda a: a.descriptor,
 )
 def test_value_and_d1_equals_value_and_d1_by_bytes(a):
+    def d1_formula(t):
+        # the closed forms, each on its own, as the oracle of the one pass
+        # that ``d1`` now shares
+        x = np.asarray(t, dtype=float)
+        if a.kind == "sigmoid":
+            out = expit(x / a.epsilon) * expit(-x / a.epsilon) / a.epsilon
+        elif a.kind == "tanh":
+            th = np.tanh(x)
+            out = 1.0 - th * th
+        else:  # relu, with d1(0) = 0
+            out = np.where(x > 0, 1.0, 0.0)
+        return out if isinstance(t, np.ndarray) else float(out)
+
     for t in one_pass_inputs(a):
-        value, slope = a.value(t), a.d1(t)
+        value, slope = a.value(t), d1_formula(t)
+        assert a.d1(t).tobytes() == slope.tobytes()
         got_value, got_slope = a.value_and_d1(t)
         assert got_value.tobytes() == value.tobytes()
         assert got_slope.tobytes() == slope.tobytes()
@@ -176,7 +191,9 @@ def test_value_and_d1_equals_value_and_d1_by_bytes(a):
     for t in (0.0, -0.0, 1.5, -745.0 * a.epsilon):
         got = a.value_and_d1(t)
         assert all(isinstance(x, float) for x in got)
-        assert np.array([got]).tobytes() == np.array([(a.value(t), a.d1(t))]).tobytes()
+        assert np.array([got]).tobytes() == np.array(
+            [(a.value(t), d1_formula(t))]).tobytes()
+        assert isinstance(a.d1(t), float) and a.d1(t) == got[1]
 
 
 def test_step_value_and_d1_raises_before_writing():

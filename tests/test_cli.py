@@ -566,6 +566,23 @@ class TestConfigSchema:
         assert "points_per_axis" in capsys.readouterr().err
         assert elapsed < 1.0
 
+    def test_oversized_grid_is_refused_before_allocating(self, tmp_path, capsys):
+        # 144e6 nodes of 2-D nodes and weights take 3.2 GiB
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            code = run(["independence", "--points-per-axis", 12000, "--dim", 2,
+                        "--out", out])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: points_per_axis: points_per_axis 12000 in dimension 2 "
+            "needs a 3.2 GiB grid, over the 1 GiB limit\n")
+        assert peak < 2**20, peak
+        assert not out.exists()
+
     def test_flag_surface_is_unchanged(self):
         common = {"--config": str, "--out": str, "--seed": int}
         expected = {

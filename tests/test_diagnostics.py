@@ -21,10 +21,9 @@ from gncoder.exceptions import (
     ResolutionError,
     ShapeError,
 )
-from gncoder.grids import GridFunction, make_grid
+from gncoder.grids import DENSE_BYTES_LIMIT, GridFunction, make_grid
 from gncoder.network import Params, directional_derivative, jacobian
 from gncoder.operators import (
-    DENSE_BYTES_LIMIT,
     make_identity,
     make_integration,
     parse_operator,

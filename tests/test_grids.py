@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from gncoder.exceptions import GridMismatchError
+from gncoder import grids
+from gncoder.exceptions import ConfigError, GridMismatchError
 from gncoder.grids import (
     GridFunction,
     constant,
@@ -51,7 +52,19 @@ def test_make_grid_rejects_bad_sizes(dim, m):
 
 def test_make_grid_rejects_oversized_request():
     with pytest.raises(ValueError):
-        make_grid(5, 64)  # 64**5 > 1e8
+        make_grid(5, 64)  # 64**5 nodes take 48 GiB, over the byte budget
+
+
+def test_grid_is_refused_at_its_byte_estimate(monkeypatch):
+    # nodes and weights: 8 (dim + 1) bytes a node
+    need = 8 * 3 * 64
+    monkeypatch.setattr(grids, "DENSE_BYTES_LIMIT", need - 1)
+    with pytest.raises(ConfigError, match=(
+            "^points_per_axis 8 in dimension 2 needs a 0.0 GiB grid, over")):
+        make_grid(2, 8)
+    monkeypatch.setattr(grids, "DENSE_BYTES_LIMIT", need)
+    g = make_grid(2, 8)
+    assert g.nodes.nbytes + g.weights.nbytes == need
 
 
 def test_inner_product_of_constants():

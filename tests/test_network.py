@@ -3,11 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from gncoder import network, operators
+from gncoder import grids, network
 from gncoder.activations import Activation, parse_activation
 from gncoder.cli import SolveOptions
 from gncoder.exceptions import ConfigError, ShapeError, SmoothnessError
-from gncoder.grids import MAX_NODES, constant, make_grid, norm
+from gncoder.grids import DENSE_BYTES_LIMIT, constant, make_grid, norm
 from gncoder.network import (
     Params,
     directional_derivative,
@@ -351,12 +351,12 @@ class TestLipschitzConstants:
         gram = 2 * 8 * (2 * p.n_star) ** 2
         stack = 8 * 2 * g.node_count * p.n_star
         assert gram < stack
-        monkeypatch.setattr(operators, "DENSE_BYTES_LIMIT", stack - 1)
+        monkeypatch.setattr(grids, "DENSE_BYTES_LIMIT", stack - 1)
         with pytest.raises(ConfigError, match="constants_samples 2 .* sample stack"):
             lipschitz_constants(p, SIGMOID, g, radius=0.5, samples=2, seed=0)
-        monkeypatch.setattr(operators, "DENSE_BYTES_LIMIT", stack)
+        monkeypatch.setattr(grids, "DENSE_BYTES_LIMIT", stack)
         lipschitz_constants(p, SIGMOID, g, radius=0.5, samples=2, seed=0)
-        monkeypatch.setattr(operators, "DENSE_BYTES_LIMIT", gram - 1)
+        monkeypatch.setattr(grids, "DENSE_BYTES_LIMIT", gram - 1)
         with pytest.raises(ConfigError, match="Gram matrix"):
             lipschitz_constants(p, SIGMOID, g, radius=0.5, samples=2, seed=0)
 
@@ -556,6 +556,21 @@ class TestStackedJacobians:
     def test_no_points_is_a_value_error(self):
         with pytest.raises(ValueError, match="at least one point"):
             network.jacobians([], SIGMOID, make_grid(1, 8))
+
+    def test_stack_is_refused_before_allocating(self, monkeypatch):
+        # the stack and the pass's scratch: 8 (2 n* + 3 N) bytes a node
+        g = make_grid(2, 12)
+        points = [sample_params(np.random.default_rng(k), 3, 2) for k in range(2)]
+        need = 8 * 2 * g.node_count * (2 * 12 + 3 * 3)
+        monkeypatch.setattr(grids, "DENSE_BYTES_LIMIT", need - 1)
+        with pytest.raises(ConfigError, match=(
+                "^points_per_axis 12 in dimension 2 needs a 0.0 GiB 2-point "
+                "Jacobian stack, over the")):
+            network.jacobians(points, SIGMOID, g)
+        with pytest.raises(ConfigError):
+            jacobian(points[0], SIGMOID, make_grid(2, 24))
+        monkeypatch.setattr(grids, "DENSE_BYTES_LIMIT", need)
+        assert network.jacobians(points, SIGMOID, g).shape == (2, 144, 12)
 
     def test_step_activation_writes_nothing(self):
         g = make_grid(2, 12)
@@ -778,9 +793,10 @@ class TestFrobeniusScreen:
 
     def test_slack_covers_the_gram_rounding_at_the_node_cap(self):
         # 2 (gamma_K + 6 eps) mass bounds the rounding of the Gram screen;
-        # the margin covers it ten times over at every grid size
+        # the margin covers it ten times over at every grid size, up to the
+        # largest the byte budget admits: 1-D, 16 bytes a node
         eps = np.finfo(float).eps
-        for nodes in (1, 64, 4096, 65536, MAX_NODES):
+        for nodes in (1, 64, 4096, 65536, DENSE_BYTES_LIMIT // 16):
             ku = nodes * eps / 2
             gamma = ku / (1 - ku)
             assert network._screen_margin(nodes) >= 10 * 2 * (gamma + 6 * eps)

@@ -10,9 +10,15 @@ from gncoder.exceptions import (
     GridMismatchError,
     UnsupportedDimensionError,
 )
-from gncoder.grids import GridFunction, constant, inner_product, make_grid, norm
-from gncoder.operators import (
+from gncoder.grids import (
     DENSE_BYTES_LIMIT,
+    GridFunction,
+    constant,
+    inner_product,
+    make_grid,
+    norm,
+)
+from gncoder.operators import (
     make_convolution,
     make_identity,
     make_integration,

@@ -344,6 +344,68 @@ class TestFullRankQRStack:
         assert err.value.deficit == 1
 
 
+def spy_sweeps(monkeypatch):
+    """Record ``(count, shared)`` for every ``_mgs_sweep`` call: the stack
+    size, and whether the sweep kept one rank (``None`` means it gave up)."""
+    sweeps = []
+    sweep = pseudoinverse._mgs_sweep
+
+    def recorded(stack, w, rank_tol):
+        swept = sweep(stack, w, rank_tol)
+        sweeps.append((len(stack), swept is not None))
+        return swept
+
+    monkeypatch.setattr(pseudoinverse, "_mgs_sweep", recorded)
+    return sweeps
+
+
+class TestDivergentRanks:
+    """A stack whose members disagree on a column's flag is swept one
+    member at a time, when the iterator reaches it."""
+
+    def test_members_after_a_deficient_one_are_never_swept(self, monkeypatch):
+        rng = np.random.default_rng(61)
+        members = [stack(random_columns(4, rng)) for _ in range(20)]
+        members[2][:, 3] = members[2][:, 0] - 2.0 * members[2][:, 1]
+        expected = [weighted_qr(m, GRID) for m in members[:2]]
+        sweeps = spy_sweeps(monkeypatch)
+        gated = full_rank_qr_stack(np.stack(members), GRID, 1e-10,
+                                   "derivative at p")
+        assert sweeps == [(20, False)]
+        for alone in expected:
+            f = next(gated)
+            assert f.q_matrix.tobytes() == alone.q_matrix.tobytes()
+            assert f.r_matrix.tobytes() == alone.r_matrix.tobytes()
+            assert f.dependent == alone.dependent
+        assert sweeps == [(20, False), (1, True), (1, True)]
+        with pytest.raises(RankDeficiencyError,
+                           match="^derivative at p has rank 3 < 4$"):
+            next(gated)
+        assert sweeps == [(20, False), (1, True), (1, True), (1, True)]
+
+    def test_members_that_diverge_at_the_last_column(self, monkeypatch):
+        grid = make_grid(1, 13)
+        rng = np.random.default_rng(62)
+        members = [stack_member("plain", grid, 5, rng) for _ in range(3)]
+        members[1][:, 4] = 0.5 * members[1][:, 0] + 0.25 * members[1][:, 2]
+        sweeps = spy_sweeps(monkeypatch)
+        factors = TestWeightedQRStackBitwise.check_stack(np.stack(members), grid)
+        assert [f.rank for f in factors] == [5, 4, 5]
+        assert factors[1].dependent == (False,) * 4 + (True,)
+        assert sweeps == [(3, False)] + [(1, True)] * 3
+
+    def test_a_column_every_member_flags_keeps_the_shared_sweep(
+        self, monkeypatch
+    ):
+        grid = make_grid(1, 64)
+        rng = np.random.default_rng(63)
+        members = [stack_member("duplicate", grid, 6, rng) for _ in range(20)]
+        sweeps = spy_sweeps(monkeypatch)
+        factors = TestWeightedQRStackBitwise.check_stack(np.stack(members), grid)
+        assert {f.dependent for f in factors} == {(False, False, True) + (False,) * 3}
+        assert sweeps == [(20, True)]
+
+
 def upper_factors(n, rng, grid=GRID):
     """Factors holding a random ``q``, not orthonormal, and a random
     upper-triangular ``r``: all that ``pinv_apply`` reads."""
@@ -366,10 +428,9 @@ class TestTriangularSolve:
             tri = f.r_matrix[:, list(range(n))]
             expected = solve_triangular(tri, beta, lower=False)
             assert pinv_apply(f, x).tobytes() == expected.tobytes()
-            for layout in (np.ascontiguousarray, np.asfortranarray):
-                tri = layout(f.r_matrix)
-                assert pseudoinverse._solve_upper(tri, beta).tobytes() == (
-                    solve_triangular(tri, beta, lower=False).tobytes())
+            tri = np.asfortranarray(f.r_matrix)
+            assert pseudoinverse._solve_upper(tri, beta).tobytes() == (
+                solve_triangular(tri, beta, lower=False).tobytes())
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_input_raises_value_error(self, bad):
