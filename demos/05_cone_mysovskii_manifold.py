@@ -36,8 +36,7 @@ direction = unit_direction(rng, p1.n_star)
 forward = make_integration(grid)
 print(f"{'t':>8} {'decomposition residual':>24} {'|R - I| / t':>14}")
 t_values = (1e-2, 1e-3, 1e-4)
-p2s = [Params.from_flat(p1.flatten() + t * direction, units, dim)
-       for t in t_values]
+p2s = [p1.flatten() + t * direction for t in t_values]
 for t, report in zip(t_values, cone_check(p1, p2s, act, grid, forward)):
     print(f"{t:8.0e} {report.decomposition_residual:24.2e} {report.ratio:14.4f}")
 print("the residual is machine zero and the ratio settles: the derivative")
@@ -50,12 +49,12 @@ forward64 = make_integration(grid64)
 rng = np.random.default_rng(424242)
 probes = []
 for _ in range(20):
-    p = Params.from_flat(base.flatten() + 0.05 * unit_direction(rng, 6), 2, 1)
-    q = Params.from_flat(p.flatten() + 0.2 * unit_direction(rng, 6), 2, 1)
+    p = base.flatten() + 0.05 * unit_direction(rng, 6)
+    q = p + 0.2 * unit_direction(rng, 6)
     s = float(rng.uniform(0.05, 1.0))
     probes.append((p, q, (s,)))
 ratios = [report.max_ratio
-          for report in mysovskii_check(probes, act, grid64, forward64)]
+          for report in mysovskii_check(probes, 2, 1, act, grid64, forward64)]
 constants = lipschitz_constants(base, act, grid64, radius=0.3, samples=32,
                                 seed=99, box=(-15, 15))
 product = constants.derivative_bound * constants.lipschitz_bound

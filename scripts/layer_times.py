@@ -22,8 +22,13 @@ nodes with its 20 probes), drawn as ``gncoder cone`` and ``gncoder
 mysovskii`` draw them at seed 0.  Its ``mysovskii_refused`` stage times
 ``mysovskii_check`` on the draw of seed 110, until it raises
 ``RankDeficiencyError`` at the probe whose derivative at ``p`` has rank
-5 < 6 (one of ``scripts/output_set.py``'s refused seeds).  Only public
-functions whose signatures both trees share are called.
+5 < 6 (one of ``scripts/output_set.py``'s refused seeds).  The probes
+stages pass the perturbations as flattened ``(rows, n*)`` rows with the
+unit count and input dimension given once, so they run only in trees at
+or after that signature change; in an older tree a stage that raises
+``TypeError`` or ``AttributeError`` is reported as skipped and the others
+still run.  The desk and wide stages call only public functions whose
+signatures both trees share.
 
 Every round runs each tree in its own subprocess (this script in worker
 mode, with that tree's ``src/`` first on ``sys.path``): the parent first in
@@ -105,7 +110,6 @@ def probe_calls():
     from gncoder.exceptions import RankDeficiencyError
     from gncoder.grids import make_grid
     from gncoder.operators import parse_operator
-    from gncoder.params import Params
     from gncoder.sampling import sample_params, unit_direction
 
     def parts(opts, seed):
@@ -119,8 +123,7 @@ def probe_calls():
     cone = ConeOptions(units=2, dim=1, points_per_axis=6, operator="volterra")
     grid, act, forward, rng, p1 = parts(cone, 0)
     direction = unit_direction(rng, p1.n_star)
-    p2s = [Params.from_flat(p1.flatten() + t * direction, cone.units, cone.dim)
-           for t in cone.t_values]
+    p2s = np.array([p1.flatten() + t * direction for t in cone.t_values])
 
     mys = MysovskiiOptions(units=2, dim=1, points_per_axis=64,
                            operator="volterra")
@@ -130,15 +133,11 @@ def probe_calls():
         m_grid, m_act, m_forward, m_rng, base = parts(mys, seed)
         probes = []
         for _ in range(mys.probes):
-            p = Params.from_flat(
-                base.flatten() + mys.jitter * unit_direction(m_rng, base.n_star),
-                mys.units, mys.dim)
-            q = Params.from_flat(
-                p.flatten()
-                + mys.segment_radius * unit_direction(m_rng, base.n_star),
-                mys.units, mys.dim)
+            p = base.flatten() + mys.jitter * unit_direction(m_rng, base.n_star)
+            q = p + mys.segment_radius * unit_direction(m_rng, base.n_star)
             probes.append((p, q, (float(m_rng.uniform(0.05, 1.0)),)))
-        return partial(mysovskii_check, probes, m_act, m_grid, m_forward)
+        return partial(mysovskii_check, probes, mys.units, mys.dim, m_act,
+                       m_grid, m_forward)
 
     refused_check = mysovskii_draw(110)
 
@@ -166,7 +165,8 @@ SHAPES = {
 
 
 def worker(src: Path) -> None:
-    """Print ``{shape: {stage: seconds per call}}`` for the tree at ``src``."""
+    """Print ``{shape: {stage: seconds per call}}`` for the tree at ``src``,
+    ``None`` for a stage whose call does not fit this tree's signatures."""
     import timeit
 
     sys.path.insert(0, str(src))
@@ -179,7 +179,13 @@ def worker(src: Path) -> None:
         times[shape] = {}
         for stage, call in calls().items():
             timer = timeit.Timer(call)
-            number, _ = timer.autorange()
+            try:
+                number, _ = timer.autorange()
+            except (TypeError, AttributeError) as exc:
+                print(f"{shape} {stage} skipped: {type(exc).__name__}: {exc}",
+                      file=sys.stderr)
+                times[shape][stage] = None
+                continue
             times[shape][stage] = min(timer.repeat(3, number)) / number
     print(json.dumps(times))
 
@@ -192,6 +198,7 @@ def run_worker(tree: Path) -> dict:
     if proc.returncode != 0:
         sys.exit(f"error: worker for {tree} exited {proc.returncode}\n"
                  f"{proc.stderr.strip()[-2000:]}")
+    sys.stderr.write(proc.stderr)  # each skipped stage, with its error
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
@@ -236,6 +243,9 @@ def main(argv=None) -> int:
     for shape, stage in times["parent"]:
         parent = times["parent"][(shape, stage)]
         change = times["change"][(shape, stage)]
+        if None in parent or None in change:
+            print(f"{shape:6} {stage:20} {'skipped in a tree':>12}")
+            continue
         best = min(parent), min(change)
         median = statistics.median(parent), statistics.median(change)
         print(f"{shape:6} {stage:20} {fmt(best[0]):>12} {fmt(median[0]):>10} "

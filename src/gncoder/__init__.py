@@ -18,6 +18,7 @@ from .diagnostics import (
     IndependenceReport,
     MysovskiiReport,
     cone_check,
+    derivative_check,
     independence_report,
     independence_trial,
     manifold_demo,
@@ -37,10 +38,12 @@ from .grids import (
     sample_function,
 )
 from .network import (
+    ConvergenceConstants,
     Params,
     directional_derivative,
     directional_derivatives,
     eval_psi,
+    eval_psis,
     jacobian,
     jacobians,
     lipschitz_constants,
@@ -54,15 +57,11 @@ from .operators import (
     parse_operator,
 )
 from .pseudoinverse import (
-    ConvergenceConstants,
-    MPResiduals,
     QRFactors,
     full_rank_qr,
     full_rank_qr_stack,
-    mp_residuals,
     pinv_apply,
     pinv_apply_columns,
-    project,
     weighted_qr,
     weighted_qr_stack,
 )
@@ -91,18 +90,19 @@ __all__ = [
     "IndependenceReport",
     "IterationTrace",
     "LinearOperator",
-    "MPResiduals",
     "MysovskiiReport",
     "Params",
     "QRFactors",
     "SolveConfig",
     "TikhonovObjective",
     "cone_check",
+    "derivative_check",
     "constant",
     "convergence_order",
     "directional_derivative",
     "directional_derivatives",
     "eval_psi",
+    "eval_psis",
     "full_rank_qr",
     "full_rank_qr_stack",
     "gauss_newton_step",
@@ -122,7 +122,6 @@ __all__ = [
     "merge_duplicate",
     "merge_mirrored",
     "misfit_value_grad",
-    "mp_residuals",
     "mysovskii_check",
     "mysovskii_reports",
     "norm",
@@ -130,7 +129,6 @@ __all__ = [
     "parse_operator",
     "pinv_apply",
     "pinv_apply_columns",
-    "project",
     "radius_check",
     "sample_function",
     "sample_in_ball",

@@ -28,19 +28,14 @@ import numpy as np
 from .activations import Activation, parse_activation
 from .diagnostics import (
     cone_check,
+    derivative_check,
     independence_trial,
     manifold_sweep,
     mysovskii_reports,
 )
 from .exceptions import ConfigError, NumericError, RankDeficiencyError
-from .grids import GridFunction, make_grid
-from .network import (
-    Params,
-    eval_psi,
-    jacobian,
-    lipschitz_constants,
-    second_derivative_bilinear,
-)
+from .grids import GridFunction, _check_grid_bytes, make_grid
+from .network import Params, _check_jacobian_bytes, eval_psi, lipschitz_constants
 from .operators import LinearOperator, parse_operator
 from .sampling import sample_params, unit_direction
 from .solver import (
@@ -365,6 +360,11 @@ def _named(key: str, build, *args):
 
 
 def _grid_and_activation(opts):
+    """The grid and activation of a run that builds Jacobians.  A grid over
+    the byte budget is refused with its own message, then a one-point
+    Jacobian over it, both before anything is allocated."""
+    _named("points_per_axis", _check_grid_bytes, opts.dim, opts.points_per_axis)
+    _check_jacobian_bytes(1, opts.units, opts.dim, opts.points_per_axis)
     grid = _named("points_per_axis", make_grid, opts.dim, opts.points_per_axis)
     return grid, _named("activation", parse_activation, opts.activation)
 
@@ -503,8 +503,7 @@ def _run_cone(opts: ConeOptions) -> int:
     p1 = sample_params(rng, opts.units, opts.dim,
                        box=opts.box, alpha_band=opts.alpha_band)
     direction = unit_direction(rng, p1.n_star)
-    p2s = [Params.from_flat(p1.flatten() + t * direction, opts.units, opts.dim)
-           for t in opts.t_values]
+    p2s = [p1.flatten() + t * direction for t in opts.t_values]
     reports = cone_check(p1, p2s, activation, grid, forward,
                          rank_tol=opts.rank_tol)
     rows = [dict(report.to_json_dict(), t=t)
@@ -544,27 +543,19 @@ def _run_mysovskii(opts: MysovskiiOptions) -> int:
         seed=opts.seed + 10_001,
         box=opts.param_box,
     )
-    n_star = base_params.n_star
 
     def probes():  # drawn a chunk at a time, in the one-by-one draw order
         for _ in range(opts.probes):
-            p = Params.from_flat(
-                base_params.flatten()
-                + opts.jitter * unit_direction(rng, n_star),
-                base_params.units, base_params.input_dim,
-            )
-            q = Params.from_flat(
-                p.flatten() + opts.segment_radius * unit_direction(rng, n_star),
-                base_params.units, base_params.input_dim,
-            )
+            p = center + opts.jitter * unit_direction(rng, center.size)
+            q = p + opts.segment_radius * unit_direction(rng, center.size)
             yield p, q, (float(rng.uniform(0.05, 1.0)),)
 
     max_ratio = 0.0
 
     def rows():  # streamed, so memory stays flat in the probe count
         nonlocal max_ratio
-        reports = mysovskii_reports(probes(), activation, grid, forward,
-                                    rank_tol=opts.rank_tol)
+        reports = mysovskii_reports(probes(), opts.units, opts.dim, activation,
+                                    grid, forward, rank_tol=opts.rank_tol)
         for index, report in enumerate(reports):
             max_ratio = max(max_ratio, report.max_ratio)
             yield dict(report.to_json_dict(), probe=index)
@@ -597,47 +588,16 @@ def _run_manifold(opts: ManifoldOptions) -> int:
 
 def _run_check_derivatives(opts: CheckDerivativesOptions) -> int:
     grid, activation = _grid_and_activation(opts)
-    h1 = opts.step_first
-    h2 = opts.step_second
-    worst_first = 0.0
-    worst_second = 0.0
-    w = grid.weights
+    errors = [(0.0, 0.0)]
     for index in range(opts.probes):
         rng = np.random.default_rng(opts.seed + index)
-        p = sample_params(
-            rng, opts.units, opts.dim,
-            box=opts.box, alpha_band=opts.alpha_band,
-        )
-        flat = p.flatten()
-
-        def psi_at(vec):
-            return eval_psi(
-                Params.from_flat(vec, p.units, p.input_dim), activation, grid
-            ).values
-
-        matrix = jacobian(p, activation, grid)
-        for col in range(p.n_star):
-            e = np.zeros(p.n_star)
-            e[col] = h1
-            fd = (psi_at(flat + e) - psi_at(flat - e)) / (2 * h1)
-            num = np.sqrt(np.sum(w * (fd - matrix[:, col]) ** 2))
-            den = np.sqrt(np.sum(w * matrix[:, col] ** 2))
-            if den > 0:
-                worst_first = max(worst_first, num / den)
-
+        p = sample_params(rng, opts.units, opts.dim,
+                          box=opts.box, alpha_band=opts.alpha_band)
         d1 = unit_direction(rng, p.n_star)
         d2 = unit_direction(rng, p.n_star)
-        exact = second_derivative_bilinear(p, activation, grid, d1, d2).values
-        fd = (
-            psi_at(flat + h2 * (d1 + d2))
-            - psi_at(flat + h2 * (d1 - d2))
-            - psi_at(flat - h2 * (d1 - d2))
-            + psi_at(flat - h2 * (d1 + d2))
-        ) / (4 * h2 * h2)
-        num = np.sqrt(np.sum(w * (fd - exact) ** 2))
-        den = np.sqrt(np.sum(w * exact**2))
-        if den > 0:
-            worst_second = max(worst_second, num / den)
+        errors.append(derivative_check(p, activation, grid, d1, d2,
+                                       opts.step_first, opts.step_second))
+    worst_first, worst_second = map(max, zip(*errors))
 
     base = _out_base("check-derivatives", opts)
     _write_meta(

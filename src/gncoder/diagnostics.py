@@ -3,7 +3,8 @@
 These routines gather evidence, not proofs: Monte-Carlo trials of the
 linear independence of the derivative columns (with deliberate mirrored and
 duplicated degeneracies), the order-reversed tangential cone condition on
-shrinking perturbations, the Newton-Mysovskii quadratic bound, and a small
+shrinking perturbations, the Newton-Mysovskii quadratic bound, a
+finite-difference check of the hand-coded derivatives, and a small
 two-dimensional map whose Jacobian degenerates along the diagonals,
 illustrating how a parametrized manifold loses rank.
 """
@@ -20,7 +21,8 @@ from . import network
 from .activations import Activation
 from .exceptions import ResolutionError, ShapeError
 from .grids import Grid, GridFunction, check_dense_bytes
-from .network import Params, directional_derivatives, jacobian, jacobians
+from .network import (Params, _flat_stack, directional_derivatives, eval_psis,
+                      jacobian, jacobians, second_derivative_bilinear)
 from .operators import LinearOperator
 from .pseudoinverse import (
     DEFAULT_RANK_TOL,
@@ -145,7 +147,7 @@ def merge_duplicate(p: Params, unit: int = 0) -> Params:
 
 @dataclass(frozen=True)
 class ConeReport:
-    """Order-reversed tangential cone data for one parameter pair.
+    """Order-reversed tangential cone data for ``p1`` and a flattened ``p2``.
 
     ``r_matrix`` is the transition matrix expressing the derivative columns
     at ``p2`` in the column basis at ``p1``; ``dev`` its spectral distance
@@ -155,7 +157,7 @@ class ConeReport:
     """
 
     p1: Params
-    p2: Params
+    p2: np.ndarray
     r_matrix: np.ndarray
     dev: float
     decomposition_residual: float
@@ -164,7 +166,8 @@ class ConeReport:
     def to_json_dict(self) -> dict:
         return {
             "p1": self.p1.to_json_dict(),
-            "p2": self.p2.to_json_dict(),
+            "p2": Params.from_flat(self.p2, self.p1.units,
+                                   self.p1.input_dim).to_json_dict(),
             "r_matrix": self.r_matrix.tolist(),
             "dev": self.dev,
             "decomposition_residual": self.decomposition_residual,
@@ -183,15 +186,6 @@ def _chunks(items, item_bytes):
         yield [first, *islice(items, per_chunk - 1)]
 
 
-def _check_same_shape(point: Params, name: str, base: Params, base_name: str):
-    """Raise :class:`ShapeError`, naming both, unless ``point`` has the unit
-    count and input dimension of ``base``."""
-    if (point.units, point.input_dim) != (base.units, base.input_dim):
-        raise ShapeError(
-            f"{name} has {point.units} units in dimension {point.input_dim}, "
-            f"{base_name} has {base.units} units in dimension {base.input_dim}")
-
-
 def cone_check(
     p1: Params,
     p2s,
@@ -200,11 +194,12 @@ def cone_check(
     forward: LinearOperator,
     rank_tol: float = DEFAULT_RANK_TOL,
 ) -> list[ConeReport]:
-    """Measure how well the derivative at each point of ``p2s`` factors
-    through ``p1``, one report per point in order.
+    """Measure how well the derivative at each row of ``p2s`` factors
+    through ``p1``, one report per row in order.
 
-    Every point must have the unit count and input dimension of ``p1``;
-    :class:`ShapeError` says which does not, before any Jacobian is built.
+    ``p2s`` is a ``(rows, n*)`` stack of flattened points with the unit
+    count and input dimension of ``p1``; a stack of another width raises
+    :class:`ShapeError` naming both widths, before any Jacobian is built.
     The Jacobian at ``p1`` is built, mapped and factored once for all of
     them.  The Jacobians at ``p2s`` are built in chunks that fit in
     :data:`~gncoder.network.CHUNK_BYTES` (:func:`~gncoder.network.jacobians`,
@@ -213,17 +208,17 @@ def cone_check(
     :func:`~gncoder.pseudoinverse.pinv_apply_columns` call.  Requires full
     column rank at ``p1``; raises :class:`RankDeficiencyError` otherwise.
     """
-    p2s = list(p2s)
-    for index, p2 in enumerate(p2s):
-        _check_same_shape(p2, f"point {index} of p2s", p1, "p1")
+    units, dim = p1.units, p1.input_dim
+    p2s = _flat_stack(p2s, units, dim, "p2s").copy()  # the reports keep rows
     jac1 = jacobian(p1, activation, grid)
     factors = full_rank_qr(jac1, grid, rank_tol, "derivative at p1")
     fj1 = forward.apply_columns(jac1)
     w_out = forward.out_grid.weights[:, None]
+    flat1 = p1.flatten()
     n_star = p1.n_star
     reports = []
-    for chunk in _chunks(p2s, lambda p2: 8 * grid.node_count * p2.n_star):
-        for p2, jac2 in zip(chunk, jacobians(chunk, activation, grid)):
+    for chunk in _chunks(p2s, lambda _: 8 * grid.node_count * n_star):
+        for p2, jac2 in zip(chunk, jacobians(chunk, units, dim, activation, grid)):
             transition = pinv_apply_columns(factors, jac2)
             dev = float(np.linalg.norm(transition - np.eye(n_star), 2))
 
@@ -233,7 +228,7 @@ def cone_check(
             den = math.sqrt(float(np.sum(w_out * fj2 * fj2)))
             residual = num / den if den > 0 else 0.0
 
-            dist = float(np.linalg.norm(p2.flatten() - p1.flatten()))
+            dist = float(np.linalg.norm(p2 - flat1))
             ratio = dev / dist if dist > 0 else math.nan
             reports.append(
                 ConeReport(p1, p2, transition, dev, residual, ratio))
@@ -269,6 +264,8 @@ class MysovskiiReport:
 
 def mysovskii_check(
     probes,
+    units: int,
+    dim: int,
     activation: Activation,
     grid: Grid,
     forward: LinearOperator,
@@ -277,8 +274,9 @@ def mysovskii_check(
     """Probe the quadratic Newton-Mysovskii bound along ``[q, p]`` for each
     ``(p, q, s_values)`` of ``probes``, one report per probe in order.
 
-    Each ``q`` must have the unit count and input dimension of its ``p``;
-    :class:`ShapeError` says which does not, before any Jacobian is built.
+    ``p`` and ``q`` are flattened points of ``units`` units in dimension
+    ``dim``; a row of another shape raises :class:`ShapeError` naming both
+    shapes, before any Jacobian is built.
     The Jacobians at every ``p`` are built in one vectorized pass
     (:func:`~gncoder.network.jacobians`), mapped through ``forward`` one by
     one and factored in one stacked sweep
@@ -294,22 +292,28 @@ def mysovskii_check(
     bounded memory.
     """
     probes = list(probes)
+    n_star = units * (dim + 2)
     for index, (p, q, s_values) in enumerate(probes):
         for s in s_values:
             if not 0.0 <= s <= 1.0:
                 raise ValueError(f"s values must lie in [0, 1], got {s}")
-        _check_same_shape(q, f"q of probe {index}", p, "its p")
+        for name, point in (("p", p), ("q", q)):
+            if np.shape(point) != (n_star,):
+                raise ShapeError(
+                    f"{name} of probe {index} has shape {np.shape(point)}, "
+                    f"{units} units in dimension {dim} need ({n_star},)")
     if not probes:
         return []
-    jacs = jacobians([p for p, _, _ in probes], activation, grid)
+    points = np.array([p for p, _, _ in probes], dtype=float)
+    jacs = jacobians(points, units, dim, activation, grid)
     mapped = np.empty((len(probes), forward.out_grid.node_count, jacs.shape[2]))
     for jac, out in zip(jacs, mapped):
         out[...] = forward.apply_columns(jac)
     gated = full_rank_qr_stack(mapped, forward.out_grid, rank_tol,
                                "derivative at p")
 
-    bases = np.array([q.flatten() for _, q, _ in probes])
-    steps = np.array([p.flatten() for p, _, _ in probes]) - bases
+    bases = np.array([q for _, q, _ in probes], dtype=float)
+    steps = points - bases
     dists_sq = [float(np.linalg.norm(d)) ** 2 for d in steps]
     owners, scales = [], []  # the probe and s of each live segment point
     for index, (_, _, s_values) in enumerate(probes):
@@ -317,12 +321,10 @@ def mysovskii_check(
             live = [s for s in s_values if s != 0.0]
             owners += [index] * len(live)
             scales += live
-    first = probes[0][0]
     derivs = directional_derivatives(
         np.concatenate([bases, bases[owners]
                         + np.array(scales)[:, None] * steps[owners]]),
-        np.concatenate([steps, steps[owners]]),
-        first.units, first.input_dim, activation, grid)
+        np.concatenate([steps, steps[owners]]), units, dim, activation, grid)
     diffs = iter(derivs[len(probes):] - derivs[owners])
 
     reports = []
@@ -345,6 +347,8 @@ def mysovskii_check(
 
 def mysovskii_reports(
     probes,
+    units: int,
+    dim: int,
     activation: Activation,
     grid: Grid,
     forward: LinearOperator,
@@ -364,12 +368,50 @@ def mysovskii_reports(
     nodes = grid.node_count + 3 * forward.out_grid.node_count
 
     def probe_bytes(probe):
-        p, _, s_values = probe
-        tail = (len(s_values) + 1) * grid.node_count * (3 * p.units + 2)
-        return 8 * (p.n_star * nodes + tail)
+        tail = (len(probe[2]) + 1) * grid.node_count * (3 * units + 2)
+        return 8 * (units * (dim + 2) * nodes + tail)
 
     for chunk in _chunks(probes, probe_bytes):
-        yield from mysovskii_check(chunk, activation, grid, forward, rank_tol)
+        yield from mysovskii_check(chunk, units, dim, activation, grid, forward,
+                                   rank_tol)
+
+
+def derivative_check(p: Params, activation: Activation, grid: Grid, d1, d2,
+                     step_first: float, step_second: float) -> tuple[float, float]:
+    """Finite-difference errors of the hand-coded derivatives at ``p``: the
+    largest weighted relative error of the central difference with step
+    ``step_first`` against a :func:`jacobian` column of nonzero norm, and
+    that of the four-point difference with step ``step_second`` against
+    :func:`~gncoder.network.second_derivative_bilinear` along the flattened
+    directions ``d1`` and ``d2``; 0.0 where the norms are zero.
+
+    The ``2 n* + 4`` stencil points ``p ± step_first e_i`` and ``p ±
+    step_second (d1 ± d2)`` go through :func:`~gncoder.network.eval_psis`,
+    as many per pass as fit in :data:`~gncoder.network.CHUNK_BYTES`.  Each
+    weighted sum runs along the last axis of a C-ordered array, so it
+    rounds as the same sum over one column alone.
+    """
+    exact = second_derivative_bilinear(p, activation, grid, d1, d2).values
+    n_star, flat, w = p.n_star, p.flatten(), grid.weights
+    offsets = step_first * np.eye(n_star)
+    plus, minus = step_second * np.add(d1, d2), step_second * np.subtract(d1, d2)
+    stencil = np.concatenate([flat + offsets, flat - offsets,
+                              [flat + plus, flat + minus, flat - minus, flat - plus]])
+    chunks = _chunks(stencil, lambda _: 8 * grid.node_count * (3 * p.units + 1))
+    psi = np.concatenate([eval_psis(chunk, p.units, p.input_dim, activation, grid)
+                          for chunk in chunks])
+
+    columns = np.ascontiguousarray(jacobian(p, activation, grid).T)
+    fd = (psi[:n_star] - psi[n_star : 2 * n_star]) / (2 * step_first)
+    num = np.sqrt(np.sum(w * (fd - columns) ** 2, axis=1))
+    den = np.sqrt(np.sum(w * columns**2, axis=1))
+    first = max([0.0, *(num[den > 0] / den[den > 0]).tolist()])
+
+    up, mid_up, mid_down, down = psi[2 * n_star :]
+    fd = (up - mid_up - mid_down + down) / (4 * step_second * step_second)
+    num = np.sqrt(np.sum(w * (fd - exact) ** 2))
+    den = np.sqrt(np.sum(w * exact**2))
+    return first, float(num / den) if den > 0 else 0.0
 
 
 def manifold_demo(x: float, y: float) -> tuple[tuple[float, float], float]:

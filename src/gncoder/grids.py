@@ -104,8 +104,7 @@ def make_grid(dim: int, points_per_axis: int) -> Grid:
         )
     dim, m = int(dim), int(points_per_axis)
     count = m**dim
-    check_dense_bytes(8 * (dim + 1) * count,
-                      f"points_per_axis {m} in dimension {dim}", "grid")
+    _check_grid_bytes(dim, m)
     axis = (np.arange(m) + 0.5) / m
     # the nodes are written once, from broadcast views of the axis
     nodes = np.empty((count, dim))
@@ -115,6 +114,12 @@ def make_grid(dim: int, points_per_axis: int) -> Grid:
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return Grid(dim, m, nodes, weights)
+
+
+def _check_grid_bytes(dim: int, m: int) -> None:
+    """Refuse a grid of ``8 (dim + 1)`` bytes a node over the budget."""
+    check_dense_bytes(8 * (dim + 1) * m**dim,
+                      f"points_per_axis {m} in dimension {dim}", "grid")
 
 
 @dataclass(frozen=True, eq=False)

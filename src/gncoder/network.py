@@ -14,6 +14,7 @@ cross-checks in the test suite meaningful.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, replace
 from functools import reduce
 from operator import iadd
 
@@ -23,7 +24,6 @@ from .activations import Activation
 from .exceptions import ShapeError
 from .grids import Grid, GridFunction, check_dense_bytes
 from .params import Params
-from .pseudoinverse import ConvergenceConstants
 from .sampling import sample_in_ball
 
 #: Default bounding box for network parameters; keeps sigmoid arguments in
@@ -45,23 +45,67 @@ CHUNK_BYTES = 8 * 2**20
 SCREEN_SLACK = 1e-6
 
 
-def _check_dims(p: Params, g: Grid):
-    if p.input_dim != g.dim:
-        raise ShapeError(
-            f"params expect input dimension {p.input_dim}, grid has {g.dim}"
-        )
+def _check_dims(dim: int, g: Grid):
+    if dim != g.dim:
+        raise ShapeError(f"params expect input dimension {dim}, grid has {g.dim}")
 
 
-def _unit_arguments(p: Params, g: Grid) -> np.ndarray:
-    """Affine unit inputs ``w_s . x + theta_s`` at every node, shape (K, N)."""
-    return g.nodes @ p.w.T + p.theta
+def _flat_stack(flat, units: int, dim: int, what: str) -> np.ndarray:
+    """``flat`` as a C-ordered float ``(rows, n*)`` stack of flattened
+    parameters of ``units`` units in dimension ``dim``, an empty sequence
+    as no rows; a :class:`ShapeError` naming both widths for any other
+    shape."""
+    stack = np.ascontiguousarray(flat, dtype=float)
+    n_star = units * (dim + 2)
+    if stack.shape == (0,):  # an empty sequence: no rows
+        stack = stack.reshape(0, n_star)
+    if stack.ndim != 2 or stack.shape[1] != n_star:
+        raise ShapeError(f"{what} have shape {stack.shape}, {units} units in "
+                         f"dimension {dim} need (rows, {n_star})")
+    return stack
+
+
+def _check_jacobian_bytes(rows: int, units: int, dim: int, m: int) -> None:
+    """Refuse a ``rows``-point Jacobian stack on a grid of ``m`` points per
+    axis, with the pass's scratch ``8 (2 n* + 3 N)`` bytes a node and point,
+    by :func:`~gncoder.grids.check_dense_bytes`."""
+    n_star = units * (dim + 2)
+    check_dense_bytes(8 * rows * m**dim * (2 * n_star + 3 * units),
+                      f"points_per_axis {m} in dimension {dim}",
+                      f"{rows}-point Jacobian stack")
+
+
+def _unit_arguments(flat, units: int, dim: int, g: Grid) -> np.ndarray:
+    """Affine unit inputs ``w_s . x + theta_s`` at every node for each row
+    of a ``(rows, n*)`` stack of flattened parameters (or directions),
+    shape ``(rows, node_count, units)``; each matrix bitwise ``g.nodes @
+    w.T + theta`` at its row alone (see :func:`_w_transposed`)."""
+    z = g.nodes @ _w_transposed(flat, units, dim)
+    z += flat[:, None, units * (dim + 1) :]
+    return z
 
 
 def eval_psi(p: Params, a: Activation, g: Grid) -> GridFunction:
-    """Synthesize the network function on the grid."""
-    _check_dims(p, g)
-    z = _unit_arguments(p, g)
-    return GridFunction(g, a.value(z) @ p.alpha)
+    """Synthesize the network function on the grid: the one-row case of
+    :func:`eval_psis`."""
+    return GridFunction(g, eval_psis(p.flatten()[None], p.units, p.input_dim,
+                                     a, g)[0])
+
+
+def eval_psis(flat, units: int, dim: int, a: Activation, g: Grid) -> np.ndarray:
+    """The network function at each row of ``flat``, a ``(rows, n*)`` stack
+    of flattened parameters of ``units`` units in dimension ``dim``; a fresh
+    ``(rows, node_count)`` array.
+
+    One stacked pass: ``z`` over a ``(rows, node_count, units)`` stack
+    (:func:`_unit_arguments`), one activation pass, then ``value @ alpha``
+    as one matrix-vector product per row.  At its peak the pass holds about
+    three ``rows * node_count * units`` float64 arrays.
+    """
+    points = _flat_stack(flat, units, dim, "points")
+    _check_dims(dim, g)
+    z = _unit_arguments(points, units, dim, g)
+    return np.matmul(a.value(z), points[:, :units, None])[:, :, 0]
 
 
 def jacobian(p: Params, a: Activation, g: Grid) -> np.ndarray:
@@ -70,35 +114,27 @@ def jacobian(p: Params, a: Activation, g: Grid) -> np.ndarray:
 
     Per unit ``s``: the alpha-column is ``act(z_s)``, the w-columns are
     ``alpha_s * act'(z_s) * x_t`` for each axis ``t``, and the theta-column
-    is ``alpha_s * act'(z_s)``.
+    is ``alpha_s * act'(z_s)``.  The one-row case of :func:`jacobians`.
     """
-    return jacobians([p], a, g)[0]
+    return jacobians(p.flatten()[None], p.units, p.input_dim, a, g)[0]
 
 
-def jacobians(points, a: Activation, g: Grid) -> np.ndarray:
-    """The Jacobians at a sequence of parameter points of one shape, as a
-    fresh ``(len(points), node_count, n_star)`` stack built in one
-    vectorized pass (:func:`_jacobian_matrices`): each matrix is bitwise
-    :func:`jacobian` at its point.  At least one point is needed.
+def jacobians(flat, units: int, dim: int, a: Activation, g: Grid) -> np.ndarray:
+    """The Jacobians at the rows of ``flat``, a ``(rows, n*)`` stack of
+    flattened parameters of ``units`` units in dimension ``dim``, as a fresh
+    ``(rows, node_count, n*)`` stack built in one vectorized pass
+    (:func:`_jacobian_matrices`): each matrix is bitwise :func:`jacobian` at
+    its row.  A stack of another width raises :class:`ShapeError` naming
+    both widths.
 
     The stack and the pass's scratch, ``8 (2 n* + 3 N)`` bytes a node and
     point, are refused by :func:`~gncoder.grids.check_dense_bytes` before
     any allocation."""
-    if len(points) == 0:
-        raise ValueError("jacobians needs at least one point")
-    first = points[0]
-    _check_dims(first, g)
-    shape = (first.units, first.input_dim)
-    if any((p.units, p.input_dim) != shape for p in points):
-        raise ShapeError(f"points must all have {shape[0]} units in dimension "
-                         f"{shape[1]}")
-    check_dense_bytes(
-        8 * len(points) * g.node_count * (2 * first.n_star + 3 * first.units),
-        f"points_per_axis {g.points_per_axis} in dimension {g.dim}",
-        f"{len(points)}-point Jacobian stack")
-    out = np.empty((len(points), g.node_count, first.n_star))
-    flat = np.array([p.flatten() for p in points])
-    _jacobian_matrices(flat, first.units, first.input_dim, a, g, out)
+    points = _flat_stack(flat, units, dim, "points")
+    _check_dims(dim, g)
+    _check_jacobian_bytes(len(points), units, dim, g.points_per_axis)
+    out = np.empty((len(points), g.node_count, points.shape[1]))
+    _jacobian_matrices(points, units, dim, a, g, out)
     return out
 
 
@@ -106,8 +142,8 @@ def _jacobian_matrices(flat, units: int, dim: int, a: Activation, g: Grid, out):
     """Write the Jacobian at each row of ``flat``, a ``(rows, n*)`` stack of
     flattened parameters, into ``out``, shape ``(rows, node_count, n*)``.
 
-    Each row's ``z = g.nodes @ w.T + theta`` is bitwise
-    :func:`_unit_arguments` at that point: ``matmul`` multiplies a stack one
+    Each row's ``z = g.nodes @ w.T + theta`` is bitwise that of
+    :func:`_unit_arguments`: ``matmul`` multiplies a stack one
     matrix at a time, each with the strides of one ``Params.w.T``
     (:func:`_w_transposed`).  The rest is elementwise, and runs
     node-minor, so every inner loop is a run of nodes: ``+ theta`` writes
@@ -130,7 +166,8 @@ def _jacobian_matrices(flat, units: int, dim: int, a: Activation, g: Grid, out):
     np.multiply(
         scaled[:, :, None, :],
         g.nodes.T,
-        out=scratch[:, units : units * (dim + 1)].reshape(rows, units, dim, -1),
+        out=scratch[:, units : units * (dim + 1)].reshape(rows, units, dim,
+                                                          g.node_count),
     )
     out[...] = scratch.transpose(0, 2, 1)
 
@@ -149,11 +186,8 @@ def _w_transposed(flat, units: int, dim: int) -> np.ndarray:
 def directional_derivative(p: Params, a: Activation, g: Grid, direction) -> GridFunction:
     """Derivative of the synthesis operator along one flattened direction:
     the one-point case of :func:`directional_derivatives`."""
-    h = np.asarray(direction, dtype=float)
-    if h.shape != (p.n_star,):
-        raise ShapeError(f"direction has shape {h.shape}, expected ({p.n_star},)")
-    values = directional_derivatives(p.flatten()[None], h[None], p.units,
-                                     p.input_dim, a, g)
+    values = directional_derivatives(p.flatten()[None], np.asarray(direction)[None],
+                                     p.units, p.input_dim, a, g)
     return GridFunction(g, values[0])
 
 
@@ -166,32 +200,21 @@ def directional_derivatives(
     dimension ``dim``; a fresh ``(rows, node_count)`` array.
 
     One stacked pass: ``z = g.nodes @ w.T + theta`` and ``u = g.nodes @
-    dw.T + dtheta`` over ``(rows, node_count, units)`` stacks (each matrix
-    rounds as at one point, see :func:`_w_transposed`), one
+    dw.T + dtheta`` over ``(rows, node_count, units)`` stacks
+    (:func:`_unit_arguments`), one
     :meth:`~gncoder.activations.Activation.value_and_d1` pass over ``z``,
     then ``value @ dalpha + (slope * u) @ alpha`` as one matrix-vector
     product per row.  So each row is bitwise the formula at its point
     alone.  At its peak the pass holds about three ``rows * node_count *
     units`` float64 arrays.
     """
-    n_star = units * (dim + 2)
-    points = np.ascontiguousarray(flat_points, dtype=float)
-    directions = np.ascontiguousarray(flat_directions, dtype=float)
-    if points.ndim != 2 or points.shape[1] != n_star or (
-            directions.shape != points.shape):
-        raise ShapeError(
-            f"points {points.shape} and directions {directions.shape} must "
-            f"both have shape (rows, {n_star})")
-    if dim != g.dim:
-        raise ShapeError(f"params expect input dimension {dim}, grid has {g.dim}")
-    tail = slice(units * (dim + 1), None)
-    z = g.nodes @ _w_transposed(points, units, dim)
-    z += points[:, None, tail]
-    value, slope = a.value_and_d1(z)
-    del z
-    u = g.nodes @ _w_transposed(directions, units, dim)
-    u += directions[:, None, tail]
-    slope *= u
+    points = _flat_stack(flat_points, units, dim, "points")
+    directions = _flat_stack(flat_directions, units, dim, "directions")
+    if len(directions) != len(points):
+        raise ShapeError(f"{len(points)} points but {len(directions)} directions")
+    _check_dims(dim, g)
+    value, slope = a.value_and_d1(_unit_arguments(points, units, dim, g))
+    slope *= _unit_arguments(directions, units, dim, g)
     values = np.matmul(value, directions[:, :units, None])
     values += np.matmul(slope, points[:, :units, None])
     return values[:, :, 0]
@@ -210,7 +233,8 @@ def second_derivative_bilinear(
 
         sum_s act'(z_s) (da1_s u2_s + da2_s u1_s) + alpha_s act''(z_s) u1_s u2_s.
     """
-    _check_dims(p, g)
+    _check_dims(p.input_dim, g)
+    units, dim = p.units, p.input_dim
     h1 = np.asarray(h1, dtype=float)
     h2 = np.asarray(h2, dtype=float)
     if h1.shape != (p.n_star,) or h2.shape != (p.n_star,):
@@ -218,15 +242,11 @@ def second_derivative_bilinear(
             f"directions have shapes {h1.shape}, {h2.shape}, "
             f"expected ({p.n_star},)"
         )
-    d_1 = Params.from_flat(h1, p.units, p.input_dim)
-    d_2 = Params.from_flat(h2, p.units, p.input_dim)
-    z = _unit_arguments(p, g)
-    u1 = g.nodes @ d_1.w.T + d_1.theta
-    u2 = g.nodes @ d_2.w.T + d_2.theta
+    z, u1, u2 = _unit_arguments(np.stack([p.flatten(), h1, h2]), units, dim, g)
     d1z = a.d1(z)
     d2z = a.d2(z)
     values = np.sum(
-        d1z * (u2 * d_1.alpha + u1 * d_2.alpha) + d2z * (u1 * u2) * p.alpha,
+        d1z * (u2 * h1[:units] + u1 * h2[:units]) + d2z * (u1 * u2) * p.alpha,
         axis=1,
     )
     return GridFunction(g, values)
@@ -400,6 +420,51 @@ def _screened_quotients(stack, sqrt_w, blocks, scale, first, second=None) -> lis
     return values[keep].tolist()
 
 
+@dataclass(frozen=True)
+class ConvergenceConstants:
+    """Constants governing the local convergence of the Gauss-Newton loop.
+
+    ``derivative_bound`` bounds the operator norm of the synthesis-operator
+    derivative on the sampled neighborhood, ``lipschitz_bound`` the
+    Lipschitz constant of that derivative, ``cone_bound`` (optional) the
+    tangential-cone constant, and ``radius`` the distance from the starting
+    point to the solution.  ``contraction_factor`` combines them into the
+    quantity that must stay below one for quadratic convergence.
+    """
+
+    derivative_bound: float
+    lipschitz_bound: float
+    cone_bound: float | None = None
+    radius: float = 0.0
+    samples: int | None = None
+    flags: tuple = ()
+
+    def __post_init__(self):
+        for name in ("derivative_bound", "lipschitz_bound", "radius"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative")
+        if self.cone_bound is not None and self.cone_bound < 0:
+            raise ValueError("cone_bound must be nonnegative")
+
+    @property
+    def contraction_factor(self) -> float:
+        return 0.5 * self.radius * self.derivative_bound * self.lipschitz_bound
+
+    def with_radius(self, radius: float) -> "ConvergenceConstants":
+        return replace(self, radius=float(radius))
+
+    def to_json_dict(self) -> dict:
+        return {
+            "derivative_bound": self.derivative_bound,
+            "lipschitz_bound": self.lipschitz_bound,
+            "cone_bound": self.cone_bound,
+            "radius": self.radius,
+            "contraction_factor": self.contraction_factor,
+            "samples": self.samples,
+            "flags": list(self.flags),
+        }
+
+
 def lipschitz_constants(
     p: Params,
     a: Activation,
@@ -461,7 +526,7 @@ def lipschitz_constants(
     points = np.empty((samples, p.n_star))
     for row in points:
         row[...] = sample_in_ball(rng, center, radius)
-    _check_dims(p, g)
+    _check_dims(p.input_dim, g)
     stack = np.empty((samples, g.node_count, p.n_star))
     per_call = max(1, CHUNK_BYTES // stack[0].nbytes)
     for start in range(0, samples, per_call):

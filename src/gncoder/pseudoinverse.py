@@ -3,17 +3,15 @@
 The engine is a quadrature-weighted modified Gram-Schmidt factorization of
 a ``(node_count, m)`` matrix whose columns are nodal values on one grid, or
 of a stack of such matrices in one sweep.
-From the factors we get the orthogonal projection onto the column span, the
-Moore-Penrose pseudoinverse applied to a grid function, and residuals of the
-four defining pseudoinverse identities (``LBL = L``, ``BLB = B``,
-``BL = I - P``, ``LB = Q``).
+From the factors we get the Moore-Penrose pseudoinverse applied to a grid
+function, or to every column of a matrix of nodal values.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
@@ -22,9 +20,6 @@ from .exceptions import GridMismatchError, RankDeficiencyError, ZeroMatrixError
 from .grids import Grid, GridFunction
 
 DEFAULT_RANK_TOL = 1e-10
-
-_MP_PROBE_SEED = 7081
-_MP_PROBE_COUNT = 20
 
 #: The message of ``scipy.linalg.solve_triangular``'s finite check.
 _NON_FINITE = "array must not contain infs or NaNs"
@@ -247,18 +242,6 @@ def _full_rank(factors: QRFactors, what: str) -> QRFactors:
     return factors
 
 
-def _check_grid(factors: QRFactors, x: GridFunction) -> None:
-    if x.grid != factors.grid:
-        raise GridMismatchError("input lives on a different grid than the factors")
-
-
-def project(factors: QRFactors, x: GridFunction) -> GridFunction:
-    """Orthogonal projection of ``x`` onto the span of the columns."""
-    _check_grid(factors, x)
-    beta = factors.q_matrix.T @ (factors.grid.weights * x.values)
-    return GridFunction(factors.grid, factors.q_matrix @ beta)
-
-
 def pinv_apply(factors: QRFactors, x: GridFunction, strict: bool = True) -> np.ndarray:
     """Apply the Moore-Penrose pseudoinverse of the column family to ``x``.
 
@@ -270,7 +253,8 @@ def pinv_apply(factors: QRFactors, x: GridFunction, strict: bool = True) -> np.n
     are zero, the minimum-norm convention on the retained columns.  The
     one-column case of :func:`pinv_apply_columns`.
     """
-    _check_grid(factors, x)
+    if x.grid != factors.grid:
+        raise GridMismatchError("input lives on a different grid than the factors")
     return pinv_apply_columns(factors, x.values[:, None], strict)[:, 0]
 
 
@@ -332,119 +316,3 @@ def _solve_upper(tri: np.ndarray, beta: np.ndarray) -> np.ndarray:
         raise np.linalg.LinAlgError(
             f"singular matrix: resolution failed at diagonal {info - 1}")
     return x
-
-
-@dataclass(frozen=True)
-class MPResiduals:
-    """Relative residuals of the four Moore-Penrose identities.
-
-    ``lbl``  : reproduction of the forward map, ``L B L = L``.
-    ``blb``  : reproduction of the pseudoinverse, ``B L B = B``.
-    ``bl``   : ``B L`` against the identity on coefficient space (the
-    nullspace projection vanishes for an immersion; at rank deficiency this
-    residual is order one and is reported, not failed).
-    ``lb``   : ``L B`` against the orthogonal projection onto the span.
-    """
-
-    lbl: float
-    blb: float
-    bl: float
-    lb: float
-
-    def as_tuple(self):
-        return (self.lbl, self.blb, self.bl, self.lb)
-
-    def max(self) -> float:
-        return max(self.as_tuple())
-
-
-def mp_residuals(matrix: np.ndarray, factors: QRFactors) -> MPResiduals:
-    """Measure the four pseudoinverse identities on a fixed probe set.
-
-    ``matrix`` holds the factored columns.  Probes are 20 seeded random
-    coefficient vectors and grid functions; each residual is normalized by
-    the scale of its input and the maximum over the probes is reported.
-    """
-    grid = factors.grid
-    _check_rows(matrix, grid)
-    w = grid.weights
-    ncols = matrix.shape[1]
-
-    def apply_l(coeffs):
-        return GridFunction(grid, matrix @ coeffs)
-
-    def xnorm(values):
-        return float(np.sqrt(np.sum(w * values * values)))
-
-    rng = np.random.default_rng(_MP_PROBE_SEED)
-    r_lbl = r_blb = r_bl = r_lb = 0.0
-    for _ in range(_MP_PROBE_COUNT):
-        c = rng.standard_normal(ncols)
-        u = apply_l(c)
-        u_norm = xnorm(u.values)
-        bu = pinv_apply(factors, u, strict=False)
-        lblu = apply_l(bu)
-        if u_norm > 0:
-            r_lbl = max(r_lbl, xnorm(lblu.values - u.values) / u_norm)
-        r_bl = max(
-            r_bl,
-            float(np.linalg.norm(bu - c)) / float(np.linalg.norm(c)),
-        )
-
-        x = GridFunction(grid, rng.standard_normal(grid.node_count))
-        bx = pinv_apply(factors, x, strict=False)
-        bx_norm = float(np.linalg.norm(bx))
-        blbx = pinv_apply(factors, apply_l(bx), strict=False)
-        if bx_norm > 0:
-            r_blb = max(r_blb, float(np.linalg.norm(blbx - bx)) / bx_norm)
-        px = project(factors, x)
-        r_lb = max(
-            r_lb,
-            xnorm(apply_l(bx).values - px.values) / xnorm(x.values),
-        )
-    return MPResiduals(r_lbl, r_blb, r_bl, r_lb)
-
-
-@dataclass(frozen=True)
-class ConvergenceConstants:
-    """Constants governing the local convergence of the Gauss-Newton loop.
-
-    ``derivative_bound`` bounds the operator norm of the synthesis-operator
-    derivative on the sampled neighborhood, ``lipschitz_bound`` the
-    Lipschitz constant of that derivative, ``cone_bound`` (optional) the
-    tangential-cone constant, and ``radius`` the distance from the starting
-    point to the solution.  ``contraction_factor`` combines them into the
-    quantity that must stay below one for quadratic convergence.
-    """
-
-    derivative_bound: float
-    lipschitz_bound: float
-    cone_bound: float | None = None
-    radius: float = 0.0
-    samples: int | None = None
-    flags: tuple = ()
-
-    def __post_init__(self):
-        for name in ("derivative_bound", "lipschitz_bound", "radius"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        if self.cone_bound is not None and self.cone_bound < 0:
-            raise ValueError("cone_bound must be nonnegative")
-
-    @property
-    def contraction_factor(self) -> float:
-        return 0.5 * self.radius * self.derivative_bound * self.lipschitz_bound
-
-    def with_radius(self, radius: float) -> "ConvergenceConstants":
-        return replace(self, radius=float(radius))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "derivative_bound": self.derivative_bound,
-            "lipschitz_bound": self.lipschitz_bound,
-            "cone_bound": self.cone_bound,
-            "radius": self.radius,
-            "contraction_factor": self.contraction_factor,
-            "samples": self.samples,
-            "flags": list(self.flags),
-        }

@@ -32,9 +32,9 @@ from .exceptions import (
     ShapeError,
 )
 from .grids import Grid, GridFunction, norm
-from .network import DEFAULT_PARAM_BOX, Params, eval_psi, jacobian
+from .network import DEFAULT_PARAM_BOX, ConvergenceConstants, Params, eval_psi, jacobian
 from .operators import LinearOperator
-from .pseudoinverse import ConvergenceConstants, full_rank_qr, pinv_apply
+from .pseudoinverse import full_rank_qr, pinv_apply
 
 MODE_GAUSS_NEWTON = "gauss_newton"
 MODE_GRADIENT_DESCENT = "gradient_descent"
@@ -160,11 +160,12 @@ def gauss_newton_step(
     factors = full_rank_qr(forward_jac, cfg.forward.out_grid, cfg.rank_tol,
                            "Jacobian")
     delta = pinv_apply(factors, residual)
-    new_flat = p.flatten() - delta
+    flat = p.flatten()
+    new_flat = flat - delta
     if not np.all(np.isfinite(new_flat)):
         raise NumericError("Gauss-Newton update produced non-finite parameters")
     new_flat, clamped = _clamp_to_box(new_flat, cfg.param_box)
-    step_norm = float(np.linalg.norm(new_flat - p.flatten()))
+    step_norm = float(np.linalg.norm(new_flat - flat))
     p_next = Params.from_flat(new_flat, p.units, p.input_dim)
     return p_next, StepDiagnostics(step_norm, factors.rank, clamped)
 

@@ -30,7 +30,7 @@ from gncoder.network import (
     second_derivative_bilinear,
 )
 from gncoder.operators import make_identity, make_integration, parse_operator
-from gncoder.pseudoinverse import mp_residuals, pinv_apply, weighted_qr
+from gncoder.pseudoinverse import pinv_apply, weighted_qr
 from gncoder.sampling import sample_params, unit_direction
 from gncoder.solver import (
     STATUS_CONVERGED_RESIDUAL,
@@ -41,6 +41,7 @@ from gncoder.solver import (
     solve,
     tikhonov_value_grad,
 )
+from moore_penrose import mp_residuals
 
 SIGMOID = Activation.sigmoid(1.0)
 TANH = Activation.tanh()
@@ -293,8 +294,8 @@ def test_criterion_07_order_reversed_cone_condition():
         ratios = []
         worst_residual = 0.0
         for t in (1e-2, 1e-3, 1e-4):
-            p2 = Params.from_flat(p1.flatten() + t * direction, units, dim)
-            report, = cone_check(p1, [p2], SIGMOID, grid, make_integration(grid))
+            report, = cone_check(p1, [p1.flatten() + t * direction], SIGMOID,
+                                 grid, make_integration(grid))
             worst_residual = max(worst_residual, report.decomposition_residual)
             ratios.append(report.ratio)
         spread = max(ratios) / min(ratios)
@@ -311,14 +312,10 @@ def test_criterion_08_mysovskii_bound():
     rng = np.random.default_rng(424242)
     max_ratio = 0.0
     for _ in range(20):
-        p = Params.from_flat(
-            base.flatten() + 0.05 * unit_direction(rng, base.n_star), 2, 1
-        )
-        q = Params.from_flat(
-            p.flatten() + 0.2 * unit_direction(rng, base.n_star), 2, 1
-        )
+        p = base.flatten() + 0.05 * unit_direction(rng, base.n_star)
+        q = p + 0.2 * unit_direction(rng, base.n_star)
         s = float(rng.uniform(0.05, 1.0))
-        report, = mysovskii_check([(p, q, (s,))], SIGMOID, grid, forward)
+        report, = mysovskii_check([(p, q, (s,))], 2, 1, SIGMOID, grid, forward)
         max_ratio = max(max_ratio, report.max_ratio)
     constants = lipschitz_constants(
         base, SIGMOID, grid, radius=0.3, samples=32, seed=99, box=(-15, 15)

@@ -30,7 +30,7 @@ from gncoder.cli import (
     synth_problem,
 )
 from gncoder.grids import make_grid, norm
-from gncoder.network import Params, eval_psi
+from gncoder.network import eval_psi
 from gncoder.operators import parse_operator
 
 
@@ -249,14 +249,13 @@ class TestProbeChunks:
             for _ in range(400):
                 p = base + 0.05 * rng.standard_normal(3)
                 q = p + 0.2 * rng.standard_normal(3)
-                yield (Params.from_flat(p, 1, 1), Params.from_flat(q, 1, 1),
-                       tuple(np.linspace(0.1, 1.0, 8)))
+                yield p, q, tuple(np.linspace(0.1, 1.0, 8))
 
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
             count = sum(1 for _ in diagnostics.mysovskii_reports(
-                probes(), activation, grid, forward))
+                probes(), 1, 1, activation, grid, forward))
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
@@ -580,6 +579,30 @@ class TestConfigSchema:
         assert capsys.readouterr().err == (
             "error: points_per_axis: points_per_axis 12000 in dimension 2 "
             "needs a 3.2 GiB grid, over the 1 GiB limit\n")
+        assert peak < 2**20, peak
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, gib", [
+        ("solve", 5.9), ("independence", 8.9), ("cone", 5.9), ("mysovskii", 5.9),
+        ("check-derivatives", 8.9)])
+    def test_oversized_jacobian_is_refused_before_the_grid(
+        self, tmp_path, capsys, command, gib
+    ):
+        # 36e6 2-D nodes: the 0.80 GiB grid fits the budget, the one-point
+        # Jacobian of the default unit count does not
+        config = write_config(tmp_path, command,
+                              {"dim": 2, "points_per_axis": 6000})
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            code = run([command, "--config", config, "--out", out])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: points_per_axis 6000 in dimension 2 needs a {gib} GiB "
+            "1-point Jacobian stack, over the 1 GiB limit\n")
         assert peak < 2**20, peak
         assert not out.exists()
 

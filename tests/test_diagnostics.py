@@ -6,6 +6,7 @@ import pytest
 from gncoder.activations import Activation
 from gncoder.diagnostics import (
     cone_check,
+    derivative_check,
     independence_report,
     independence_trial,
     manifold_demo,
@@ -22,7 +23,14 @@ from gncoder.exceptions import (
     ShapeError,
 )
 from gncoder.grids import DENSE_BYTES_LIMIT, GridFunction, make_grid
-from gncoder.network import Params, directional_derivative, jacobian
+from gncoder import network
+from gncoder.network import (
+    Params,
+    directional_derivative,
+    eval_psi,
+    jacobian,
+    second_derivative_bilinear,
+)
 from gncoder.operators import (
     make_identity,
     make_integration,
@@ -148,7 +156,7 @@ class TestConeCheck:
     def test_same_point_gives_identity(self):
         grid, p1, _ = square_setup(seed=3)
         forward = make_integration(grid)
-        report, = cone_check(p1, [p1], SIGMOID, grid, forward)
+        report, = cone_check(p1, [p1.flatten()], SIGMOID, grid, forward)
         assert report.dev < 1e-9
         assert report.decomposition_residual < 1e-10
         assert math.isnan(report.ratio)
@@ -158,8 +166,8 @@ class TestConeCheck:
         forward = make_integration(grid)
         ratios = []
         for t in (1e-2, 1e-3, 1e-4):
-            p2 = Params.from_flat(p1.flatten() + t * direction, 2, 1)
-            report, = cone_check(p1, [p2], SIGMOID, grid, forward)
+            report, = cone_check(p1, [p1.flatten() + t * direction], SIGMOID,
+                                 grid, forward)
             assert report.decomposition_residual < 1e-8
             ratios.append(report.ratio)
         assert max(ratios) <= 2.0 * min(ratios)
@@ -170,26 +178,32 @@ class TestConeCheck:
         grid = make_grid(1, 64)
         rng = np.random.default_rng(8)
         p1 = sample_params(rng, 2, 1, box=(-5, 5), alpha_band=1.0)
-        p2 = Params.from_flat(
-            p1.flatten() + 0.5 * unit_direction(rng, p1.n_star), 2, 1
-        )
+        p2 = p1.flatten() + 0.5 * unit_direction(rng, p1.n_star)
         report, = cone_check(p1, [p2], SIGMOID, grid, make_identity(grid))
         assert report.decomposition_residual > 1e-8
         assert np.isfinite(report.dev)
+
+    def test_no_perturbations_give_no_reports(self):
+        grid, p1, _ = square_setup(seed=3)
+        forward = make_integration(grid)
+        assert cone_check(p1, [], SIGMOID, grid, forward) == []
+        assert cone_check(p1, np.empty((0, 6)), SIGMOID, grid, forward) == []
 
     def test_rank_deficient_base_point_rejected(self):
         grid = make_grid(1, 64)
         p1 = Params([0.0, 1.0], [[1.0], [2.0]], [0.1, 0.2])
         with pytest.raises(RankDeficiencyError):
-            cone_check(p1, [p1], SIGMOID, grid, make_identity(grid))
+            cone_check(p1, [p1.flatten()], SIGMOID, grid, make_identity(grid))
 
     def test_report_serializes(self):
         grid, p1, direction = square_setup(seed=5)
-        p2 = Params.from_flat(p1.flatten() + 1e-3 * direction, 2, 1)
+        p2 = p1.flatten() + 1e-3 * direction
         report, = cone_check(p1, [p2], SIGMOID, grid, make_integration(grid))
         d = report.to_json_dict()
         assert len(d["r_matrix"]) == p1.n_star
         assert d["ratio"] == report.ratio
+        assert d["p1"] == p1.to_json_dict()
+        assert d["p2"] == Params.from_flat(p2, 2, 1).to_json_dict()
 
 
 def cone_transitions(p1, p2s, activation, grid):
@@ -198,7 +212,8 @@ def cone_transitions(p1, p2s, activation, grid):
     factors = full_rank_qr(jacobian(p1, activation, grid), grid, 1e-10, "p1")
     out = []
     for p2 in p2s:
-        jac2 = jacobian(p2, activation, grid)
+        jac2 = jacobian(Params.from_flat(p2, p1.units, p1.input_dim), activation,
+                        grid)
         transition = np.empty((p1.n_star, p1.n_star))
         for j in range(p1.n_star):
             transition[:, j] = pinv_apply(factors, GridFunction(grid, jac2[:, j]))
@@ -233,9 +248,10 @@ class TestConeTail:
     def test_transitions_equal_the_column_loop(self, case):
         activation, grid, operator = TAIL_CASES[case]
         p1, p2s = tail_points(grid, case, 4)
-        reports = cone_check(p1, p2s + [p1], activation, grid,
+        p2s = np.array([p.flatten() for p in p2s + [p1]])
+        reports = cone_check(p1, p2s, activation, grid,
                              parse_operator(operator, grid))
-        expected = cone_transitions(p1, p2s + [p1], activation, grid)
+        expected = cone_transitions(p1, p2s, activation, grid)
         for report, transition in zip(reports, expected):
             assert report.r_matrix.tobytes() == transition.tobytes()
             assert report.r_matrix.flags.c_contiguous
@@ -251,10 +267,12 @@ class TestConeTail:
                             lambda *args: built.append(args))
         monkeypatch.setattr(diagnostics, "jacobians",
                             lambda *args: built.append(args))
-        with pytest.raises(ShapeError) as err:
-            cone_check(p1, [p1, wider], SIGMOID, grid, make_identity(grid))
-        assert str(err.value) == ("point 1 of p2s has 3 units in dimension 1, "
-                                  "p1 has 2 units in dimension 1")
+        for p2s, shape in (([wider.flatten()] * 2, "(2, 9)"),
+                           (p1.flatten(), "(6,)")):
+            with pytest.raises(ShapeError) as err:
+                cone_check(p1, p2s, SIGMOID, grid, make_identity(grid))
+            assert str(err.value) == (f"p2s have shape {shape}, 2 units in "
+                                      "dimension 1 need (rows, 6)")
         assert built == []
 
 
@@ -270,11 +288,13 @@ class TestMysovskiiCheck:
             MYSOVSKII_BASE.flatten() + 0.05 * unit_direction(rng, 6), 2, 1
         )
         q = Params.from_flat(p.flatten() + 0.2 * unit_direction(rng, 6), 2, 1)
-        report, = mysovskii_check([(p, q, (0.0, 0.5))], SIGMOID, grid, forward)
+        report, = mysovskii_check([(p.flatten(), q.flatten(), (0.0, 0.5))], 2, 1,
+                                  SIGMOID, grid, forward)
         assert report.lhs_values[0] == 0.0
         assert report.bound_ratios[0] == 0.0
         assert report.lhs_values[1] > 0.0
-        same, = mysovskii_check([(p, p, (0.25, 1.0))], SIGMOID, grid, forward)
+        same, = mysovskii_check([(p.flatten(), p.flatten(), (0.25, 1.0))], 2, 1,
+                                SIGMOID, grid, forward)
         assert same.lhs_values == (0.0, 0.0)
         assert same.max_ratio == 0.0
 
@@ -287,7 +307,8 @@ class TestMysovskiiCheck:
         )
         q = Params.from_flat(p.flatten() + 0.2 * unit_direction(rng, 6), 2, 1)
         s_values = (0.1, 0.25, 0.5, 0.75, 1.0)
-        report, = mysovskii_check([(p, q, s_values)], SIGMOID, grid, forward)
+        report, = mysovskii_check([(p.flatten(), q.flatten(), s_values)], 2, 1,
+                                  SIGMOID, grid, forward)
         dist_sq = float(np.linalg.norm(p.flatten() - q.flatten())) ** 2
         for s, lhs in zip(report.s_values, report.lhs_values):
             assert lhs <= s * report.max_ratio * dist_sq * (1 + 1e-12)
@@ -295,10 +316,9 @@ class TestMysovskiiCheck:
     def test_invalid_s_rejected(self):
         grid = make_grid(1, 64)
         with pytest.raises(ValueError):
-            mysovskii_check(
-                [(MYSOVSKII_BASE, MYSOVSKII_BASE, (1.5,))], SIGMOID, grid,
-                make_identity(grid),
-            )
+            base = MYSOVSKII_BASE.flatten()
+            mysovskii_check([(base, base, (1.5,))], 2, 1, SIGMOID, grid,
+                            make_identity(grid))
 
 
 def mysovskii_loop(probes, activation, grid, forward):
@@ -339,7 +359,8 @@ class TestMysovskiiTail:
         probes = [(p, q, s) for p, q, s in zip(ps, qs, self.S_VALUES)]
         probes.append((ps[0], ps[0], (0.0, 0.5, 1.0)))  # p == q
         probes.append((ps[1], qs[1], (0.0,)))           # only s = 0
-        reports = mysovskii_check(probes, activation, grid, forward)
+        flat = [(p.flatten(), q.flatten(), s) for p, q, s in probes]
+        reports = mysovskii_check(flat, 2, grid.dim, activation, grid, forward)
         expected = mysovskii_loop(probes, activation, grid, forward)
         assert len(reports) == len(expected)
         for report, (lhs_values, ratios), (_, _, s_values) in zip(
@@ -356,20 +377,81 @@ class TestMysovskiiTail:
         self, monkeypatch
     ):
         grid = make_grid(1, 64)
-        p = MYSOVSKII_BASE
+        p = MYSOVSKII_BASE.flatten()
         wider = Params([1.0, 2.0, 3.0], [[1.0], [2.0], [3.0]], [0.0, 0.1, 0.2])
         planar = Params([1.0, 2.0], [[1.0, 0.0], [2.0, 1.0]], [0.0, 0.1])
         built = []
         monkeypatch.setattr(diagnostics, "jacobians",
                             lambda *args: built.append(args))
-        for q, shape in ((wider, "3 units in dimension 1"),
-                         (planar, "2 units in dimension 2")):
+        for probe, shape in (((p, wider.flatten()), "q of probe 1 has shape (9,)"),
+                             ((p, planar.flatten()), "q of probe 1 has shape (8,)"),
+                             ((p[None], p), "p of probe 1 has shape (1, 6)")):
             with pytest.raises(ShapeError) as err:
-                mysovskii_check([(p, p, (0.5,)), (p, q, (0.5,))], SIGMOID,
+                mysovskii_check([(p, p, (0.5,)), (*probe, (0.5,))], 2, 1, SIGMOID,
                                 grid, make_identity(grid))
             assert str(err.value) == (
-                f"q of probe 1 has {shape}, its p has 2 units in dimension 1")
+                f"{shape}, 2 units in dimension 1 need (6,)")
         assert built == []
+
+
+def derivative_loop(p, activation, grid, d1, d2, h1, h2):
+    """``derivative_check`` one column and one ``eval_psi`` at a time, as
+    the ``check-derivatives`` runner computed it before the stacked pass:
+    its oracle."""
+    w = grid.weights
+    flat = p.flatten()
+
+    def psi_at(vec):
+        return eval_psi(Params.from_flat(vec, p.units, p.input_dim), activation,
+                        grid).values
+
+    matrix = jacobian(p, activation, grid)
+    first = 0.0
+    for col in range(p.n_star):
+        e = np.zeros(p.n_star)
+        e[col] = h1
+        fd = (psi_at(flat + e) - psi_at(flat - e)) / (2 * h1)
+        num = np.sqrt(np.sum(w * (fd - matrix[:, col]) ** 2))
+        den = np.sqrt(np.sum(w * matrix[:, col] ** 2))
+        if den > 0:
+            first = max(first, num / den)
+    exact = second_derivative_bilinear(p, activation, grid, d1, d2).values
+    fd = (psi_at(flat + h2 * (d1 + d2)) - psi_at(flat + h2 * (d1 - d2))
+          - psi_at(flat - h2 * (d1 - d2)) + psi_at(flat - h2 * (d1 + d2))
+          ) / (4 * h2 * h2)
+    num = np.sqrt(np.sum(w * (fd - exact) ** 2))
+    den = np.sqrt(np.sum(w * exact**2))
+    return first, num / den if den > 0 else 0.0
+
+
+class TestDerivativeCheck:
+    @pytest.mark.parametrize("per_pass", [1, None])
+    @pytest.mark.parametrize("activation, dim, points, units", [
+        (SIGMOID, 2, 32, 3), (Activation.sigmoid(0.25), 1, 64, 2),
+        (TANH, 2, 16, 4), (Activation.sigmoid(4.0), 1, 8, 1)])
+    def test_equals_the_column_loop_bitwise(
+        self, monkeypatch, activation, dim, points, units, per_pass
+    ):
+        grid = make_grid(dim, points)
+        if per_pass is not None:  # one stencil point per eval_psis pass
+            monkeypatch.setattr(network, "CHUNK_BYTES", 1)
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            p = sample_params(rng, units, dim, box=(-3, 3), alpha_band=0.5)
+            d1 = unit_direction(rng, p.n_star)
+            d2 = unit_direction(rng, p.n_star)
+            for h1, h2 in ((1e-5, 1e-4), (1e-6, 1e-3)):
+                got = derivative_check(p, activation, grid, d1, d2, h1, h2)
+                want = derivative_loop(p, activation, grid, d1, d2, h1, h2)
+                assert got == want
+                assert 0 < got[0] < 1e-3 and 0 < got[1] < 1e-2
+
+    def test_zero_norms_give_zero(self):
+        grid = make_grid(1, 16)
+        p = Params([0.0], [[1.0]], [0.5])  # alpha 0: only the alpha column lives
+        zero = np.zeros(3)
+        first, second = derivative_check(p, SIGMOID, grid, zero, zero, 1e-5, 1e-4)
+        assert first > 0 and second == 0.0
 
 
 class TestManifoldDemo:

@@ -48,6 +48,11 @@ def fd_bilinear(p, a, g, h1, h2, step=1e-4):
     ) / (4.0 * step * step)
 
 
+def flat_rows(points):
+    """The ``(rows, n*)`` stack of flattened ``Params``."""
+    return np.array([p.flatten() for p in points])
+
+
 def weighted_rel_err(g, approx, exact):
     num = np.sqrt(np.sum(g.weights * (approx - exact) ** 2))
     den = np.sqrt(np.sum(g.weights * exact**2))
@@ -532,7 +537,7 @@ class TestStackedJacobians:
         a, g = STACK_CASES[case]
         rng = np.random.default_rng(100 * case + units)
         points = [sample_params(rng, units, g.dim, box=(-10, 10)) for _ in range(rows)]
-        stack = network.jacobians(points, a, g)
+        stack = network.jacobians(flat_rows(points), units, g.dim, a, g)
         assert stack.shape == (rows, g.node_count, points[0].n_star)
         assert stack.flags.c_contiguous
         for p, matrix in zip(points, stack):
@@ -544,7 +549,7 @@ class TestStackedJacobians:
         g = make_grid(2, 256)
         rng = np.random.default_rng(256)
         points = [sample_params(rng, 3, 2, box=(-5, 5)) for _ in range(2)]
-        stack = network.jacobians(points, SIGMOID, g)
+        stack = network.jacobians(flat_rows(points), 3, 2, SIGMOID, g)
         for p, matrix in zip(points, stack):
             expected = pointwise_jacobian(p, SIGMOID, g)
             assert matrix.tobytes() == expected.tobytes()
@@ -553,9 +558,19 @@ class TestStackedJacobians:
         assert single.tobytes() == stack[0].tobytes()
         assert single.strides == stack[0].strides
 
-    def test_no_points_is_a_value_error(self):
-        with pytest.raises(ValueError, match="at least one point"):
-            network.jacobians([], SIGMOID, make_grid(1, 8))
+    def test_no_points_give_an_empty_stack(self):
+        for flat in (np.empty((0, 3)), []):
+            stack = network.jacobians(flat, 1, 1, SIGMOID, make_grid(1, 8))
+            assert stack.shape == (0, 8, 3)
+
+    @pytest.mark.parametrize("flat, shape", [
+        (np.zeros((2, 9)), "(2, 9)"), (np.zeros(6), "(6,)"),
+        (np.zeros((1, 2, 6)), "(1, 2, 6)")])
+    def test_wrong_width_is_a_shape_error_naming_both(self, flat, shape):
+        with pytest.raises(ShapeError) as err:
+            network.jacobians(flat, 2, 1, SIGMOID, make_grid(1, 8))
+        assert str(err.value) == (f"points have shape {shape}, 2 units in "
+                                  "dimension 1 need (rows, 6)")
 
     def test_stack_is_refused_before_allocating(self, monkeypatch):
         # the stack and the pass's scratch: 8 (2 n* + 3 N) bytes a node
@@ -566,11 +581,12 @@ class TestStackedJacobians:
         with pytest.raises(ConfigError, match=(
                 "^points_per_axis 12 in dimension 2 needs a 0.0 GiB 2-point "
                 "Jacobian stack, over the")):
-            network.jacobians(points, SIGMOID, g)
+            network.jacobians(flat_rows(points), 3, 2, SIGMOID, g)
         with pytest.raises(ConfigError):
             jacobian(points[0], SIGMOID, make_grid(2, 24))
         monkeypatch.setattr(grids, "DENSE_BYTES_LIMIT", need)
-        assert network.jacobians(points, SIGMOID, g).shape == (2, 144, 12)
+        assert network.jacobians(flat_rows(points), 3, 2, SIGMOID, g).shape == (
+            2, 144, 12)
 
     def test_step_activation_writes_nothing(self):
         g = make_grid(2, 12)
@@ -666,6 +682,39 @@ class TestStackedDirectionalDerivatives:
             assert row.tobytes() == expected.tobytes()
             one = directional_derivative(p, a, g, d).values
             assert one.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("units", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("case", range(len(DIRECTIONAL_CASES)))
+    def test_each_psi_row_is_the_one_point_formula(self, case, units):
+        a, g = DIRECTIONAL_CASES[case]
+        rng = np.random.default_rng(20 * case + units)
+        points = [sample_params(rng, units, g.dim, box=(-5, 5)) for _ in range(4)]
+        rows = network.eval_psis(flat_rows(points), units, g.dim, a, g)
+        assert rows.shape == (4, g.node_count)
+        for p, row in zip(points, rows):
+            expected = a.value(g.nodes @ p.w.T + p.theta) @ p.alpha
+            assert row.tobytes() == expected.tobytes()
+            assert eval_psi(p, a, g).values.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("units", [1, 3])
+    @pytest.mark.parametrize("case", [
+        k for k, (a, _) in enumerate(DIRECTIONAL_CASES) if a.kind != "relu"])
+    def test_second_derivative_is_the_per_direction_params_formula(
+        self, case, units
+    ):
+        # the formula that built one Params per direction, as its oracle
+        a, g = DIRECTIONAL_CASES[case]
+        rng = np.random.default_rng(30 * case + units)
+        p = sample_params(rng, units, g.dim, box=(-5, 5))
+        h1, h2 = rng.standard_normal((2, p.n_star))
+        d1, d2 = perturbed(p, h1), perturbed(p, h2)
+        z = g.nodes @ p.w.T + p.theta
+        u1 = g.nodes @ d1.w.T + d1.theta
+        u2 = g.nodes @ d2.w.T + d2.theta
+        expected = np.sum(a.d1(z) * (u2 * d1.alpha + u1 * d2.alpha)
+                          + a.d2(z) * (u1 * u2) * p.alpha, axis=1)
+        out = second_derivative_bilinear(p, a, g, h1, h2).values
+        assert out.tobytes() == expected.tobytes()
 
     def test_strided_inputs_round_as_contiguous_ones(self):
         g = make_grid(2, 12)

@@ -11,21 +11,19 @@ from gncoder.exceptions import (
     ZeroMatrixError,
 )
 from gncoder.grids import GridFunction, constant, inner_product, make_grid, norm
-from gncoder.network import Params, eval_psi
+from gncoder.network import ConvergenceConstants, Params, eval_psi
 from gncoder.operators import make_integration
 from gncoder.pseudoinverse import (
-    ConvergenceConstants,
     QRFactors,
     full_rank_qr,
     full_rank_qr_stack,
-    mp_residuals,
     pinv_apply,
     pinv_apply_columns,
-    project,
     weighted_qr,
     weighted_qr_stack,
 )
 from gncoder.solver import SolveConfig, gauss_newton_step
+from moore_penrose import mp_residuals, project
 
 GRID = make_grid(1, 64)
 
@@ -676,11 +674,12 @@ GATED_CALLERS = {
     "gauss_newton_step": (_gn_step, "Jacobian has rank 6 < 9"),
     "cone_check": (
         lambda p, forward: cone_check(
-            p, [p], Activation.sigmoid(1.0), GRID, forward),
+            p, [p.flatten()], Activation.sigmoid(1.0), GRID, forward),
         "derivative at p1 has rank 6 < 9"),
     "mysovskii_check": (
         lambda p, forward: mysovskii_check(
-            [(p, p, (0.5,))], Activation.sigmoid(1.0), GRID, forward),
+            [(p.flatten(), p.flatten(), (0.5,))], p.units, p.input_dim,
+            Activation.sigmoid(1.0), GRID, forward),
         "derivative at p has rank 6 < 9"),
 }
 

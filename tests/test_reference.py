@@ -62,6 +62,7 @@ CASES = {
         {"operator": "gauss:0.05", "probes": 5, **_SMALL_CONSTANTS},
         0,
     ),
+    "check_derivatives_default_seed0": ("check-derivatives", {}, 0),
 }
 
 #: Output suffixes of each subcommand.
@@ -69,6 +70,7 @@ SUFFIXES = {
     "solve": (".meta.json", ".trace.csv"),
     "cone": (".meta.json", ".reports.jsonl"),
     "mysovskii": (".meta.json", ".reports.jsonl"),
+    "check-derivatives": (".report.json",),
 }
 
 

@@ -283,7 +283,7 @@ class TestTikhonov:
 
 class TestRadiusCheck:
     def test_arithmetic(self):
-        from gncoder.pseudoinverse import ConvergenceConstants
+        from gncoder.network import ConvergenceConstants
 
         c = ConvergenceConstants(1.0, 1.0).with_radius(1.0)
         h, ok = radius_check(c)
