@@ -10,7 +10,11 @@ The solve stages are the ROADMAP's layer-by-layer list: ``eval_psi``,
 ``weighted_qr`` of the mapped Jacobian, ``pinv_apply`` of the residual,
 one Gauss-Newton step, ``lipschitz_constants`` and one independence SVD
 (the singular values of the weighted Jacobian, as ``independence_report``
-takes them).  Each runs at two shapes, the solve configs of the benchmark:
+takes them).  Two more time the apply and the factorization the way the
+step runs them, on node-minor rows: ``rows_apply`` (``forward.apply_rows``
+of the Jacobian's rows) and ``rows_qr`` (``weighted_qr`` of a transposed
+view of the mapped rows).  A tree without ``apply_rows`` reports both as
+skipped.  Each runs at two shapes, the solve configs of the benchmark:
 
 - desk: 1-D, 64 nodes, N=2, ``volterra``, 24 constants samples;
 - wide: 2-D, 256x256 nodes, N=3, ``gauss:0.05``, 8 constants samples.
@@ -28,7 +32,9 @@ unit count and input dimension given once, so they run only in trees at
 or after that signature change; in an older tree a stage that raises
 ``TypeError`` or ``AttributeError`` is reported as skipped and the others
 still run.  The desk and wide stages call only public functions whose
-signatures both trees share.
+signatures both trees share, except ``rows_apply`` and ``rows_qr``.  A
+stage skipped in one tree prints ``skipped in a tree`` on that side, the
+other side's times, and no ratios.
 
 Every round runs each tree in its own subprocess (this script in worker
 mode, with that tree's ``src/`` first on ``sys.path``): the parent first in
@@ -81,6 +87,9 @@ def solve_calls(dim, points_per_axis, units, operator, samples):
     jac = jacobian(p0, activation, grid)
     mapped = forward.apply_columns(jac)
     factors = weighted_qr(mapped, forward.out_grid, cfg.rank_tol)
+    rows = np.ascontiguousarray(jac.T)
+    apply_rows = getattr(forward, "apply_rows", None)
+    mapped_rows = None if apply_rows is None else apply_rows(rows)
     weighted = jac * np.sqrt(grid.weights)[:, None]
     radius = opts.constants_ball_factor * opts.p0_radius
     return {
@@ -88,6 +97,9 @@ def solve_calls(dim, points_per_axis, units, operator, samples):
         "jacobian": lambda: jacobian(p0, activation, grid),
         "apply_columns": lambda: forward.apply_columns(jac),
         "weighted_qr": lambda: weighted_qr(mapped, forward.out_grid, cfg.rank_tol),
+        "rows_apply": lambda: forward.apply_rows(rows),
+        "rows_qr": lambda: weighted_qr(mapped_rows.T, forward.out_grid,
+                                       cfg.rank_tol),
         "pinv_apply": lambda: pinv_apply(factors, residual),
         "gauss_newton_step": lambda: gauss_newton_step(p0, cfg, residual),
         "lipschitz_constants": lambda: lipschitz_constants(
@@ -241,16 +253,16 @@ def main(argv=None) -> int:
     print(f"{'shape':6} {'stage':20} {'parent best':>12} {'median':>10} "
           f"{'change best':>12} {'median':>10} {'ratio':>7} {'median':>7}")
     for shape, stage in times["parent"]:
-        parent = times["parent"][(shape, stage)]
-        change = times["change"][(shape, stage)]
-        if None in parent or None in change:
-            print(f"{shape:6} {stage:20} {'skipped in a tree':>12}")
-            continue
-        best = min(parent), min(change)
-        median = statistics.median(parent), statistics.median(change)
-        print(f"{shape:6} {stage:20} {fmt(best[0]):>12} {fmt(median[0]):>10} "
-              f"{fmt(best[1]):>12} {fmt(median[1]):>10} "
-              f"{best[1] / best[0]:7.3f} {median[1] / median[0]:7.3f}")
+        sides = times["parent"][(shape, stage)], times["change"][(shape, stage)]
+        cells = ""
+        for side in sides:  # a side that skipped the stage prints no times
+            cells += (f" {'skipped':>12} {'in a tree':>10}" if None in side else
+                      f" {fmt(min(side)):>12} {fmt(statistics.median(side)):>10}")
+        if None not in sides[0] + sides[1]:
+            best = [min(side) for side in sides]
+            median = [statistics.median(side) for side in sides]
+            cells += f" {best[1] / best[0]:7.3f} {median[1] / median[0]:7.3f}"
+        print(f"{shape:6} {stage:20}{cells}")
     return 0
 
 

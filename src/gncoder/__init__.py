@@ -45,6 +45,7 @@ from .network import (
     eval_psi,
     eval_psis,
     jacobian,
+    jacobian_rows,
     jacobians,
     lipschitz_constants,
     second_derivative_bilinear,
@@ -111,6 +112,7 @@ __all__ = [
     "independence_trial",
     "inner_product",
     "jacobian",
+    "jacobian_rows",
     "jacobians",
     "lipschitz_constants",
     "make_convolution",

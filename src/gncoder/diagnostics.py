@@ -22,7 +22,8 @@ from .activations import Activation
 from .exceptions import ResolutionError, ShapeError
 from .grids import Grid, GridFunction, check_dense_bytes
 from .network import (Params, _flat_stack, directional_derivatives, eval_psis,
-                      jacobian, jacobians, second_derivative_bilinear)
+                      jacobian, jacobian_rows, jacobians,
+                      second_derivative_bilinear)
 from .operators import LinearOperator
 from .pseudoinverse import (
     DEFAULT_RANK_TOL,
@@ -74,15 +75,17 @@ def independence_report(
     the columns as functions, not as coordinate vectors.  ``degenerate`` is
     a relative test: the smallest singular value below ``rank_tol`` times
     the largest.  The Gram-matrix condition number is the squared singular
-    value ratio.
+    value ratio.  The SVD takes a transposed view of the weighted
+    :func:`~gncoder.network.jacobian_rows`, bitwise the node-major matrix's.
     """
     if p.n_star > grid.node_count:
         raise ResolutionError(
             f"{p.n_star} columns cannot be independent on {grid.node_count} nodes"
         )
-    scaled = jacobian(p, activation, grid)
-    scaled *= np.sqrt(grid.weights)[:, None]  # in place: no second matrix
-    sv = np.linalg.svd(scaled, compute_uv=False)
+    scaled = jacobian_rows(p.flatten()[None], p.units, p.input_dim,
+                           activation, grid)[0]
+    scaled *= np.sqrt(grid.weights)  # in place: no second matrix
+    sv = np.linalg.svd(scaled.T, compute_uv=False)
     smax = float(sv[0])
     smin = float(sv[-1])
     threshold = rank_tol * smax
@@ -277,9 +280,9 @@ def mysovskii_check(
     ``p`` and ``q`` are flattened points of ``units`` units in dimension
     ``dim``; a row of another shape raises :class:`ShapeError` naming both
     shapes, before any Jacobian is built.
-    The Jacobians at every ``p`` are built in one vectorized pass
-    (:func:`~gncoder.network.jacobians`), mapped through ``forward`` one by
-    one and factored in one stacked sweep
+    The Jacobians at every ``p`` are built as rows in one vectorized pass
+    (:func:`~gncoder.network.jacobian_rows`), mapped through ``forward`` in
+    one ``apply_rows`` call and factored in one stacked sweep
     (:func:`~gncoder.pseudoinverse.full_rank_qr_stack`).  The derivatives
     along ``d = p - q`` at every ``q`` and every segment point ``q + s d``
     with ``s > 0`` and ``d != 0`` come from one
@@ -305,12 +308,10 @@ def mysovskii_check(
     if not probes:
         return []
     points = np.array([p for p, _, _ in probes], dtype=float)
-    jacs = jacobians(points, units, dim, activation, grid)
-    mapped = np.empty((len(probes), forward.out_grid.node_count, jacs.shape[2]))
-    for jac, out in zip(jacs, mapped):
-        out[...] = forward.apply_columns(jac)
-    gated = full_rank_qr_stack(mapped, forward.out_grid, rank_tol,
-                               "derivative at p")
+    mapped = forward.apply_rows(jacobian_rows(points, units, dim, activation,
+                                              grid))
+    gated = full_rank_qr_stack(mapped.transpose(0, 2, 1), forward.out_grid,
+                               rank_tol, "derivative at p")
 
     bases = np.array([q for _, q, _ in probes], dtype=float)
     steps = points - bases
@@ -401,7 +402,7 @@ def derivative_check(p: Params, activation: Activation, grid: Grid, d1, d2,
     psi = np.concatenate([eval_psis(chunk, p.units, p.input_dim, activation, grid)
                           for chunk in chunks])
 
-    columns = np.ascontiguousarray(jacobian(p, activation, grid).T)
+    columns = jacobian_rows(flat[None], p.units, p.input_dim, activation, grid)[0]
     fd = (psi[:n_star] - psi[n_star : 2 * n_star]) / (2 * step_first)
     num = np.sqrt(np.sum(w * (fd - columns) ** 2, axis=1))
     den = np.sqrt(np.sum(w * columns**2, axis=1))

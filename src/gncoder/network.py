@@ -33,7 +33,7 @@ DEFAULT_PARAM_BOX = (-10.0, 10.0)
 #: Byte cap on the transient arrays built for many points at once, at least
 #: one item per chunk.  In :func:`lipschitz_constants`: a chunk of sample
 #: Jacobians built in one pass, the stack of matrices one batched SVD call
-#: takes, the weighted row chunk of the Gram screen together with its
+#: takes, the weighted node chunk of the Gram screen together with its
 #: transposed copy, and the ``n* x n*`` blocks gathered to bound a run of
 #: candidates.  In :mod:`~gncoder.diagnostics`: the cone's perturbed
 #: Jacobians and the Mysovskii probes factored in one sweep.
@@ -67,8 +67,9 @@ def _flat_stack(flat, units: int, dim: int, what: str) -> np.ndarray:
 
 def _check_jacobian_bytes(rows: int, units: int, dim: int, m: int) -> None:
     """Refuse a ``rows``-point Jacobian stack on a grid of ``m`` points per
-    axis, with the pass's scratch ``8 (2 n* + 3 N)`` bytes a node and point,
-    by :func:`~gncoder.grids.check_dense_bytes`."""
+    axis, with the transposed copy :func:`jacobians` makes and the pass's
+    scratch, ``8 (2 n* + 3 N)`` bytes a node and point, by
+    :func:`~gncoder.grids.check_dense_bytes`."""
     n_star = units * (dim + 2)
     check_dense_bytes(8 * rows * m**dim * (2 * n_star + 3 * units),
                       f"points_per_axis {m} in dimension {dim}",
@@ -122,25 +123,34 @@ def jacobian(p: Params, a: Activation, g: Grid) -> np.ndarray:
 def jacobians(flat, units: int, dim: int, a: Activation, g: Grid) -> np.ndarray:
     """The Jacobians at the rows of ``flat``, a ``(rows, n*)`` stack of
     flattened parameters of ``units`` units in dimension ``dim``, as a fresh
-    ``(rows, node_count, n*)`` stack built in one vectorized pass
-    (:func:`_jacobian_matrices`): each matrix is bitwise :func:`jacobian` at
-    its row.  A stack of another width raises :class:`ShapeError` naming
-    both widths.
+    C-ordered ``(rows, node_count, n*)`` stack: one transposing copy of
+    :func:`jacobian_rows`, so each matrix is bitwise :func:`jacobian` at its
+    row.  A stack of another width raises :class:`ShapeError` naming both
+    widths."""
+    return np.ascontiguousarray(
+        jacobian_rows(flat, units, dim, a, g).transpose(0, 2, 1))
 
-    The stack and the pass's scratch, ``8 (2 n* + 3 N)`` bytes a node and
-    point, are refused by :func:`~gncoder.grids.check_dense_bytes` before
-    any allocation."""
+
+def jacobian_rows(flat, units: int, dim: int, a: Activation, g: Grid) -> np.ndarray:
+    """The Jacobians at the rows of ``flat``, a ``(rows, n*)`` stack of
+    flattened parameters of ``units`` units in dimension ``dim``, as a fresh
+    C-ordered ``(rows, n*, node_count)`` stack, one row of nodal values per
+    column, built in one pass (:func:`_jacobian_matrices`): each matrix is
+    bitwise :func:`jacobian` at its row, transposed.  A stack of another
+    width raises :class:`ShapeError` naming both widths; an oversized one is
+    refused (:func:`_check_jacobian_bytes`) before any allocation."""
     points = _flat_stack(flat, units, dim, "points")
     _check_dims(dim, g)
     _check_jacobian_bytes(len(points), units, dim, g.points_per_axis)
-    out = np.empty((len(points), g.node_count, points.shape[1]))
+    out = np.empty((len(points), points.shape[1], g.node_count))
     _jacobian_matrices(points, units, dim, a, g, out)
     return out
 
 
 def _jacobian_matrices(flat, units: int, dim: int, a: Activation, g: Grid, out):
     """Write the Jacobian at each row of ``flat``, a ``(rows, n*)`` stack of
-    flattened parameters, into ``out``, shape ``(rows, node_count, n*)``.
+    flattened parameters, into ``out``, a ``(rows, n*, node_count)`` array
+    whose matrices are C-ordered, one row of nodal values per column.
 
     Each row's ``z = g.nodes @ w.T + theta`` is bitwise that of
     :func:`_unit_arguments`: ``matmul`` multiplies a stack one
@@ -149,27 +159,25 @@ def _jacobian_matrices(flat, units: int, dim: int, a: Activation, g: Grid, out):
     node-minor, so every inner loop is a run of nodes: ``+ theta`` writes
     ``z`` transposed, ``(rows, N, node_count)``, and one
     :meth:`~gncoder.activations.Activation.value_and_d1` pass over it fills
-    the alpha rows of a ``(rows, n*, node_count)`` scratch and gives the
-    slope for the others.  One transposing copy then writes ``out``.  Each
-    entry is the same single operation on the same operands as in the
-    node-major formula, so the layout changes no bit.
+    the alpha rows of ``out`` and gives the slope for the others, which are
+    written in place too.  Each entry is the same single operation on the
+    same operands as in the node-major formula, so the layout changes no
+    bit.
     """
-    rows, n_star = flat.shape
+    rows = len(flat)
     alpha = flat[:, :units, None]
     theta = flat[:, units * (dim + 1) :, None]
     z_t = np.add((g.nodes @ _w_transposed(flat, units, dim)).transpose(0, 2, 1),
                  theta,
                  out=np.empty((rows, units, g.node_count)))
-    scratch = np.empty((rows, n_star, g.node_count))
-    _, slope = a.value_and_d1(z_t, out=scratch[:, :units])
-    scaled = np.multiply(slope, alpha, out=scratch[:, units * (dim + 1) :])
+    _, slope = a.value_and_d1(z_t, out=out[:, :units])
+    scaled = np.multiply(slope, alpha, out=out[:, units * (dim + 1) :])
     np.multiply(
         scaled[:, :, None, :],
         g.nodes.T,
-        out=scratch[:, units : units * (dim + 1)].reshape(rows, units, dim,
-                                                          g.node_count),
+        out=out[:, units : units * (dim + 1)].reshape(rows, units, dim,
+                                                      g.node_count),
     )
-    out[...] = scratch.transpose(0, 2, 1)
 
 
 def _w_transposed(flat, units: int, dim: int) -> np.ndarray:
@@ -255,7 +263,8 @@ def second_derivative_bilinear(
 def _weighted_batches(stack, sqrt_w, first, second=None):
     """``sqrt_w * stack[i]`` for ``i`` in ``first``, or, given ``second``,
     ``sqrt_w * (stack[i] - stack[j])`` for ``(i, j)`` in ``zip(first,
-    second)`` with ``first`` ascending; in index order.
+    second)`` with ``first`` ascending; in index order, as C-ordered
+    ``(count, n*, node_count)`` rows like ``stack``.
 
     Each batch holds as many matrices as fit in :data:`CHUNK_BYTES`, at
     least one, so the temporaries stay within a few chunks.  Pairs are
@@ -280,21 +289,22 @@ def _weighted_batches(stack, sqrt_w, first, second=None):
 
 def _gram_blocks(stack, sqrt_w) -> np.ndarray:
     """Gram blocks ``G[i, j] = A_i.T @ A_j`` of the weighted sample
-    Jacobians ``A_i = sqrt_w * stack[i]``, shape ``(samples, samples, n*,
+    Jacobians ``A_i = (sqrt_w * stack[i]).T``, from a ``(samples, n*,
+    node_count)`` stack of Jacobian rows; shape ``(samples, samples, n*,
     n*)``.
 
-    Accumulates ``flat.T @ flat`` over row chunks, ``flat`` being the chunk
-    of every ``A_i`` side by side, ``(rows, samples * n*)``.  The weighted
-    chunk and its transposed copy fit together in :data:`CHUNK_BYTES`,
-    with at least one row per chunk.
+    Accumulates ``flat.T @ flat`` over node chunks, ``flat`` being the
+    chunk of every ``A_i`` side by side, a C-ordered ``(rows, samples *
+    n*)`` copy.  The weighted chunk and that copy fit together in
+    :data:`CHUNK_BYTES`, with at least one node per chunk.
     """
-    samples, nodes, n_star = stack.shape
+    samples, n_star, nodes = stack.shape
     width = samples * n_star
     rows = max(1, CHUNK_BYTES // (2 * width * stack.itemsize))
 
     def square(start):
-        chunk = stack[:, start : start + rows] * sqrt_w[start : start + rows]
-        flat = chunk.transpose(1, 0, 2).reshape(-1, width)
+        chunk = stack[..., start : start + rows] * sqrt_w[start : start + rows]
+        flat = chunk.transpose(2, 0, 1).reshape(-1, width)
         return np.matmul(flat.T, flat)
 
     gram = reduce(iadd, map(square, range(0, nodes, rows)))
@@ -406,10 +416,11 @@ def _screened_quotients(stack, sqrt_w, blocks, scale, first, second=None) -> lis
     def exact(pick):
         pairs = None if second is None else second[pick]
         batches = _weighted_batches(stack, sqrt_w, first[pick], pairs)
-        sigmas = [np.linalg.svd(b, compute_uv=False)[:, 0] for b in batches]
+        sigmas = [np.linalg.svd(b.transpose(0, 2, 1), compute_uv=False)[:, 0]
+                  for b in batches]
         return np.concatenate(sigmas or [[]]) / scale[pick]
 
-    bounds = _gram_bounds(blocks, stack.shape[1], scale, first, second)
+    bounds = _gram_bounds(blocks, stack.shape[2], scale, first, second)
     top = int(np.argmax(bounds))
     values = np.empty(len(bounds))
     values[[top]] = exact([top])
@@ -484,20 +495,15 @@ def lipschitz_constants(
     with an ``"insufficient samples"`` flag.  Pairs of equal points are
     skipped.
 
-    Each maximum is screened, then confirmed (:func:`_screened_quotients`).
-    One Gram matrix of the weighted sample Jacobians (:func:`_gram_blocks`)
-    gives every weighted Jacobian, and every weighted pair difference, its
-    ``A.T @ A``; the Frobenius norm of that, with a margin over rounding
-    scaled to the node count (:func:`_screen_margin`), bounds the
-    candidate's operator norm (quotient) from above (:func:`_gram_bounds`).
-    Exact batched SVDs run only on the candidate with the largest bound and
-    on those whose bound is not at or below its value, and only those
-    matrices are built, so the two maxima are bitwise those of an SVD of
-    every candidate.
+    Each maximum is screened by upper bounds from one Gram matrix of the
+    weighted sample Jacobians, then confirmed by exact batched SVDs of only
+    the candidates that can still reach it (:func:`_screened_quotients`),
+    so both are bitwise those of an SVD of every candidate.
     The sample Jacobians themselves are built by :func:`_jacobian_matrices`
-    straight into one stack, as many samples per pass as fit in
-    :data:`CHUNK_BYTES` (at least one), bitwise equal to
-    :func:`jacobian` at each point.
+    straight into one stack of rows, as many samples per pass as fit in
+    :data:`CHUNK_BYTES` (at least one), each bitwise :func:`jacobian` at its
+    point, transposed; the SVDs take transposed views of them, whose
+    column-major LAPACK copies are those of node-major matrices.
 
     The ball must lie inside the parameter box.  The Gram matrix and the
     sample stack are each refused by
@@ -527,12 +533,12 @@ def lipschitz_constants(
     for row in points:
         row[...] = sample_in_ball(rng, center, radius)
     _check_dims(p.input_dim, g)
-    stack = np.empty((samples, g.node_count, p.n_star))
+    stack = np.empty((samples, p.n_star, g.node_count))
     per_call = max(1, CHUNK_BYTES // stack[0].nbytes)
     for start in range(0, samples, per_call):
         chunk = slice(start, start + per_call)
         _jacobian_matrices(points[chunk], p.units, p.input_dim, a, g, stack[chunk])
-    sqrt_w = np.sqrt(g.weights)[:, None]
+    sqrt_w = np.sqrt(g.weights)
     blocks = _gram_blocks(stack, sqrt_w)
 
     deriv_bound = max(_screened_quotients(

@@ -25,10 +25,11 @@ class LinearOperator:
 
     Subclasses implement ``_apply_values`` / ``_adjoint_values`` on raw
     nodal arrays; ``apply`` and ``adjoint`` wrap them with grid checks.
-    ``_apply_values`` acts along axis 0, so it maps a ``(node_count,)``
-    vector or every column of a ``(node_count, m)`` array, which
-    ``apply_columns`` exposes.  ``injective`` records whether the discrete
-    matrix has full column rank.
+    Both act along the last axis, so one call maps a ``(node_count,)``
+    vector or every row of a ``(..., node_count)`` stack, which
+    ``apply_rows`` exposes; each returns a fresh array of its input's
+    shape.  ``injective`` records whether the discrete matrix has full
+    column rank.
     """
 
     def __init__(self, descriptor: str, in_grid: Grid, out_grid: Grid,
@@ -52,14 +53,26 @@ class LinearOperator:
             )
         return GridFunction(self.out_grid, self._apply_values(u.values))
 
-    def apply_columns(self, matrix: np.ndarray) -> np.ndarray:
-        """Apply the operator to every column of a ``(node_count, m)`` array."""
-        if matrix.ndim != 2 or matrix.shape[0] != self.in_grid.node_count:
+    def apply_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Apply the operator to every row of a ``(..., node_count)`` array
+        in one call.  Each row is bitwise :meth:`apply` of it alone, except
+        under the 1-D Gaussian, which runs one product per matrix."""
+        if rows.ndim < 1 or rows.shape[-1] != self.in_grid.node_count:
             raise GridMismatchError(
-                f"expected {self.in_grid.node_count} rows, got shape "
-                f"{matrix.shape}"
+                f"expected rows of {self.in_grid.node_count} nodes, got shape "
+                f"{rows.shape}"
             )
-        return self._apply_values(matrix)
+        return self._apply_values(rows)
+
+    def apply_columns(self, matrix: np.ndarray) -> np.ndarray:
+        """Apply the operator to every column of a ``(node_count, m)`` array:
+        the transposed view of :meth:`apply_rows` of ``matrix.T``.  For a
+        C-ordered ``matrix`` it is C-ordered, except the 2-D Gaussian's; the
+        whole-array sums of :func:`~gncoder.diagnostics.cone_check` round by
+        that layout."""
+        if matrix.ndim != 2:
+            raise GridMismatchError(f"expected a matrix, got shape {matrix.shape}")
+        return self.apply_rows(matrix.T).T
 
     def adjoint(self, v: GridFunction) -> GridFunction:
         if v.grid != self.out_grid:
@@ -83,7 +96,7 @@ class LinearOperator:
         return self._dense_matrix()
 
     def _dense_matrix(self) -> np.ndarray:
-        return self._apply_values(np.eye(self.in_grid.node_count))
+        return self.apply_columns(np.eye(self.in_grid.node_count))
 
     def singular_values(self) -> np.ndarray:
         return np.linalg.svd(self.matrix(), compute_uv=False)
@@ -105,7 +118,7 @@ class IdentityOperator(LinearOperator):
         super().__init__("identity", grid, grid, injective=True)
 
     def _apply_values(self, values):
-        return values.copy()
+        return values.copy(order="K")
 
     _adjoint_values = _apply_values
 
@@ -126,10 +139,11 @@ class VolterraOperator(LinearOperator):
         super().__init__("volterra", grid, grid, injective=True)
 
     def _apply_values(self, values):
-        return np.cumsum((values.T * self.in_grid.weights).T, axis=0)
+        out = values * self.in_grid.weights
+        return np.cumsum(out, axis=-1, out=out)
 
     def _adjoint_values(self, values):
-        return np.cumsum((self.in_grid.weights * values)[::-1])[::-1]
+        return np.cumsum((self.in_grid.weights * values)[..., ::-1], axis=-1)[..., ::-1]
 
 
 def _gaussian_kernel_matrix(m: int, width: float) -> np.ndarray:
@@ -195,11 +209,16 @@ class GaussianConvolutionOperator(LinearOperator):
     def _apply_values(self, values):
         m = self.in_grid.points_per_axis
         if self.in_grid.dim == 1:
-            return (self._factor @ values) / m
-        # one m x m image per column, each smoothed along both axes
-        images = np.ascontiguousarray(values.T).reshape(-1, m, m)
+            # F @ C-ordered (node_count, count) blocks: a product rounds by
+            # its operand's layout, and this is apply_columns' on C input
+            blocks = np.ascontiguousarray(np.swapaxes(np.atleast_2d(values), -1, -2))
+            return np.swapaxes(self._factor @ blocks, -1, -2).reshape(values.shape) / m
+        # F @ U @ F.T per m x m image, one per row; one wide product over all
+        # images rounds differently
+        images = values.reshape(-1, m, m)
         out = self._factor @ images @ self._factor.T
-        return out.reshape(values.T.shape).T / (m * m)
+        out /= m * m
+        return out.reshape(values.shape)
 
     # symmetric kernel and uniform weights make the operator self-adjoint
     _adjoint_values = _apply_values

@@ -2,7 +2,8 @@
 
 The engine is a quadrature-weighted modified Gram-Schmidt factorization of
 a ``(node_count, m)`` matrix whose columns are nodal values on one grid, or
-of a stack of such matrices in one sweep.
+of a stack of such matrices in one sweep, reading each column as one
+contiguous row of nodal values.
 From the factors we get the Moore-Penrose pseudoinverse applied to a grid
 function, or to every column of a matrix of nodal values.
 """
@@ -90,6 +91,9 @@ def weighted_qr_stack(
     """:func:`weighted_qr` of every matrix of a ``(count, node_count, m)``
     stack, in one sweep; an iterator over the factors in stack order.
 
+    A transposed view of C-ordered ``(count, m, node_count)`` rows is swept
+    without a copy; any other layout gets one transposing copy, same bits.
+
     The sweep keeps one rank shared by every matrix.  When the matrices
     agree on every column's flag, the sweep runs before this returns.  When
     one column is dependent in some matrices and not in others, the
@@ -109,12 +113,10 @@ def weighted_qr_stack(
         )
     if matrices.shape[2] == 0:
         raise ValueError("need at least one column")
-    # row-major, so the axis-1 reductions round the same way for every
-    # caller's memory layout
-    stack = np.ascontiguousarray(matrices, dtype=float)
-    swept = _mgs_sweep(stack, grid.weights, rank_tol)
+    rows = np.ascontiguousarray(matrices.transpose(0, 2, 1), dtype=float)
+    swept = _mgs_sweep(rows, grid.weights, rank_tol)
     if swept is None:  # the ranks diverge: one sweep per matrix, lazily
-        return (next(weighted_qr_stack(m[None], grid, rank_tol)) for m in stack)
+        return (next(weighted_qr_stack(r.T[None], grid, rank_tol)) for r in rows)
     q_slots, r_stack, rank, dependent, zero = swept
 
     def factors(b):
@@ -127,13 +129,14 @@ def weighted_qr_stack(
         return QRFactors(grid, q_slots[:rank, b].T.copy(), r_stack[b, :rank],
                          dependent[b])
 
-    return map(factors, range(len(stack)))
+    return map(factors, range(len(rows)))
 
 
-def _mgs_sweep(stack, w, rank_tol):
+def _mgs_sweep(rows, w, rank_tol):
     """Modified Gram-Schmidt with one reorthogonalization pass over every
-    matrix of a C-ordered ``(count, K, n)`` stack at once, with one rank
-    shared by all of them.
+    matrix of a C-ordered ``(count, n, K)`` stack of rows at once, column
+    ``k`` of matrix ``b`` being the contiguous row ``rows[b, k]``, with one
+    rank shared by all of them.
 
     Returns ``(q_slots, r_stack, rank, dependent, zero)``: each matrix
     ``b`` keeps its ``rank`` orthonormal columns in ``q_slots[:rank, b]``
@@ -152,12 +155,18 @@ def _mgs_sweep(stack, w, rank_tol):
     ``np.sum(w * q_i * v)`` and ``np.sum(w * v * v)`` take.  The two passes'
     coefficients are kept apart and summed as ``(0.0 + first) + second``,
     as a running sum from zero rounds them.  So each matrix's factors are
-    bitwise those of the same sweep over fresh copies of its columns.  A
-    zero matrix gets an infinite threshold, so all its columns are
-    dependent.
+    bitwise those of the same sweep over fresh copies of its columns.  The
+    rank thresholds' column norms sum over the nodes as numpy's axis-1 sum
+    of a C-ordered ``(count, K, n)`` stack does: a running sum, or, for one
+    column, pairwise.  A zero matrix gets an infinite threshold, so all its
+    columns are dependent.
     """
-    count, nodes, ncols = stack.shape
-    col_norms = np.sqrt(np.sum(w[:, None] * stack * stack, axis=1))
+    count, ncols, nodes = rows.shape
+    squares = w * rows
+    squares *= rows
+    sums = (np.sum(squares, axis=-1) if ncols == 1
+            else np.cumsum(squares, axis=-1, out=squares)[..., -1])
+    col_norms = np.sqrt(sums)
     max_norms = col_norms.max(axis=1).tolist()
     zero = [m == 0.0 for m in max_norms]
     limits = [math.inf if m == 0.0 else rank_tol * m for m in max_norms]
@@ -170,7 +179,7 @@ def _mgs_sweep(stack, w, rank_tol):
     q_slots = np.zeros((ncols,) + row)   # slot i of every matrix
     wq_slots = np.zeros((ncols,) + row)  # and its weighted copy
     qs, wqs = list(q_slots), list(wq_slots)
-    columns = stack.reshape(row + (ncols,))
+    columns = rows.transpose(1, 0, 2).reshape((ncols,) + row)
     v, tmp = np.empty(row), np.empty(row)
     # coefficients by pass, slot and column; a retained column's norm goes
     # to its slot in the first pass
@@ -179,7 +188,7 @@ def _mgs_sweep(stack, w, rank_tol):
     dependent = []
     top = 0  # the rank so far
     for k in range(ncols):
-        v[...] = columns[..., k]
+        v[...] = columns[k]
         for coeff in passes:
             for i in range(top):
                 c = coeff[i, k, ...]

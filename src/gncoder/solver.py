@@ -32,7 +32,8 @@ from .exceptions import (
     ShapeError,
 )
 from .grids import Grid, GridFunction, norm
-from .network import DEFAULT_PARAM_BOX, ConvergenceConstants, Params, eval_psi, jacobian
+from .network import (DEFAULT_PARAM_BOX, ConvergenceConstants, Params, eval_psi,
+                      jacobian, jacobian_rows)
 from .operators import LinearOperator
 from .pseudoinverse import full_rank_qr, pinv_apply
 
@@ -154,10 +155,14 @@ def gauss_newton_step(
     The caller passes the residual it has already evaluated at ``p``.
     Raises :class:`RankDeficiencyError` when the forward-mapped Jacobian
     loses full column rank under ``cfg.rank_tol`` and :class:`NumericError`
-    if the update produces non-finite values.
+    if the update produces non-finite values.  ``J_k`` stays node-minor
+    rows (:func:`~gncoder.network.jacobian_rows`) from build to
+    factorization, with no copy between, bitwise the node-major path.
     """
-    forward_jac = cfg.forward.apply_columns(jacobian(p, cfg.activation, cfg.grid))
-    factors = full_rank_qr(forward_jac, cfg.forward.out_grid, cfg.rank_tol,
+    rows = jacobian_rows(p.flatten()[None], p.units, p.input_dim,
+                         cfg.activation, cfg.grid)[0]
+    mapped = cfg.forward.apply_rows(rows)
+    factors = full_rank_qr(mapped.T, cfg.forward.out_grid, cfg.rank_tol,
                            "Jacobian")
     delta = pinv_apply(factors, residual)
     flat = p.flatten()

@@ -545,6 +545,21 @@ class TestStackedJacobians:
             assert matrix.tobytes() == expected.tobytes()
             assert matrix.strides == expected.strides
 
+    @pytest.mark.parametrize("units", [1, 3])
+    @pytest.mark.parametrize("case", range(len(STACK_CASES)))
+    def test_rows_are_the_transposed_jacobians(self, case, units):
+        a, g = STACK_CASES[case]
+        rng = np.random.default_rng(200 + case)
+        points = [sample_params(rng, units, g.dim, box=(-10, 10)) for _ in range(3)]
+        rows = network.jacobian_rows(flat_rows(points), units, g.dim, a, g)
+        assert rows.shape == (3, points[0].n_star, g.node_count)
+        assert rows.flags.c_contiguous
+        for p, matrix in zip(points, rows):
+            assert matrix.tobytes() == jacobian(p, a, g).T.tobytes()
+            assert matrix.tobytes() == pointwise_jacobian(p, a, g).T.tobytes()
+        with pytest.raises(ShapeError, match="need \\(rows, "):
+            network.jacobian_rows(flat_rows(points)[:, :-1], units, g.dim, a, g)
+
     def test_wide_grid_equals_the_pointwise_formula(self):
         g = make_grid(2, 256)
         rng = np.random.default_rng(256)
@@ -591,7 +606,7 @@ class TestStackedJacobians:
     def test_step_activation_writes_nothing(self):
         g = make_grid(2, 12)
         p = sample_params(np.random.default_rng(5), 2, 2)
-        out = np.full((1, g.node_count, p.n_star), 7.0)
+        out = np.full((1, p.n_star, g.node_count), 7.0)
         with pytest.raises(SmoothnessError):
             network._jacobian_matrices(p.flatten()[None], p.units, p.input_dim,
                                        Activation.step(), g, out)
@@ -629,7 +644,8 @@ class TestStackedJacobians:
             pointwise_jacobian(Params.from_flat(q, p.units, p.input_dim), a, g)
             for q in ball_points(p, radius, samples, seed=case)
         ])
-        assert stacks[0].tobytes() == expected.tobytes()
+        # the stack holds each Jacobian node-minor, as rows
+        assert stacks[0].tobytes() == expected.transpose(0, 2, 1).tobytes()
         assert passes == ([samples] if per_call is None else [1] * samples)
         assert jacobians == []  # no per-sample jacobian() calls
 
@@ -750,15 +766,16 @@ class TestStackedDirectionalDerivatives:
 
 
 def candidate_stack(p, a, g, radius, samples, seed):
-    """The Jacobian stack, root weights and pair distances of one estimate."""
+    """The stack of Jacobian rows, root weights and pair distances of one
+    estimate."""
     points = np.array(ball_points(p, radius, samples, seed))
     stack = np.array([
-        jacobian(Params.from_flat(q, p.units, p.input_dim), a, g)
+        jacobian(Params.from_flat(q, p.units, p.input_dim), a, g).T
         for q in points
     ])
     first, second = np.triu_indices(samples, 1)
     gaps = points[first] - points[second]
-    return stack, np.sqrt(g.weights)[:, None], np.sqrt(np.vecdot(gaps, gaps))
+    return stack, np.sqrt(g.weights), np.sqrt(np.vecdot(gaps, gaps))
 
 
 #: (params, activation, grid, radius, samples): near-duplicate points, a
@@ -786,11 +803,11 @@ def assert_bounds_hold(stack, sqrt_w, dists):
     first, second = np.triu_indices(samples, 1)
     blocks = network._gram_blocks(stack, sqrt_w)
 
-    def exact(matrix):
-        return float(np.linalg.svd(sqrt_w * matrix, compute_uv=False)[0])
+    def exact(rows):
+        return float(np.linalg.svd((sqrt_w * rows).T, compute_uv=False)[0])
 
     ones = np.ones(samples)
-    nodes = stack.shape[1]
+    nodes = stack.shape[2]
     bounds = network._gram_bounds(blocks, nodes, ones, np.arange(samples))
     assert all(b >= exact(m) for b, m in zip(bounds, stack))
     bounds = network._gram_bounds(blocks, nodes, dists, first, second)

@@ -178,8 +178,67 @@ def test_apply_columns_matches_apply_over_catalog():
                 assert np.allclose(block, per_column, rtol=1e-13, atol=1e-15)
             else:
                 assert np.array_equal(block, per_column)
+            rows = F.apply_rows(np.ascontiguousarray(M.T))
+            assert block.tobytes() == rows.T.tobytes()
+            # cone_check's whole-array sums round by this layout: C order,
+            # but the 2-D Gaussian's transposed rows
+            transposed_rows = dim == 2 and F.descriptor.startswith("gauss")
+            assert block.flags.c_contiguous == (not transposed_rows)
+            assert block.flags.f_contiguous == transposed_rows
             with pytest.raises(GridMismatchError):
                 F.apply_columns(M[:-1])
+
+
+def one_product_per_matrix(F):
+    """The 1-D convolution maps a stack with one matrix product per matrix,
+    not one per row, so its rows keep only the stated tolerance."""
+    return F.in_grid.dim == 1 and F.descriptor.startswith("gauss")
+
+
+def test_apply_rows_maps_a_stack_as_each_row_alone_over_catalog():
+    rng = np.random.default_rng(23)
+    for dim in (1, 2):
+        g = make_grid(dim, 12)
+        for F in catalog(g):
+            stack = rng.standard_normal((3, 5, g.node_count))
+            before = stack.copy()
+            out = F.apply_rows(stack)
+            assert out.shape == stack.shape
+            assert stack.tobytes() == before.tobytes()
+            per_row = np.array([[F.apply(GridFunction(g, row)).values
+                                 for row in matrix] for matrix in stack])
+            if one_product_per_matrix(F):
+                assert np.allclose(out, per_row, rtol=1e-13, atol=1e-15)
+            else:
+                assert np.array_equal(out, per_row)
+            # a stack maps each of its matrices bit for bit as alone
+            for matrix, mapped in zip(stack, out):
+                assert F.apply_rows(matrix).tobytes() == mapped.tobytes()
+            assert F.apply_rows(stack[0, 0]).tobytes() == (
+                F.apply(GridFunction(g, stack[0, 0])).values.tobytes())
+            with pytest.raises(GridMismatchError):
+                F.apply_rows(stack[..., :-1])
+
+
+def test_adjoint_identity_on_a_stack_of_rows_over_catalog():
+    rng = np.random.default_rng(29)
+    for dim in (1, 2):
+        g = make_grid(dim, 12)
+        for F in catalog(g):
+            U = rng.standard_normal((4, g.node_count))
+            V = rng.standard_normal((4, g.node_count))
+            FU, FtV = F.apply_rows(U), F._adjoint_values(V)
+            assert FtV.shape == V.shape
+            for u, v, fu, ftv in zip(U, V, FU, FtV):
+                u, v = GridFunction(g, u), GridFunction(g, v)
+                gap = abs(inner_product(GridFunction(g, fu), v)
+                          - inner_product(u, GridFunction(g, ftv)))
+                assert gap <= 1e-10 * norm(u) * norm(v)
+                alone = F.adjoint(v).values
+                if one_product_per_matrix(F):
+                    assert np.allclose(ftv, alone, rtol=1e-13, atol=1e-15)
+                else:
+                    assert np.array_equal(ftv, alone)
 
 
 def test_ill_posedness_witness():
@@ -242,8 +301,9 @@ def test_oversized_dense_matrix_is_refused_before_allocating(build, dim, m):
 ], ids=["identity", "volterra", "identity-2d"])
 def test_dense_matrix_at_4096_nodes_maps_the_identity(build, dim, m):
     F = build(make_grid(dim, m))
-    # digests, so that only one 128 MiB matrix is alive at a time
-    expected = hashlib.sha256(F._apply_values(np.eye(4096)).tobytes()).digest()
+    # digests, so that only one 128 MiB matrix is alive at a time; row j of
+    # the map of the identity's rows is F e_j, column j of the matrix
+    expected = hashlib.sha256(F._apply_values(np.eye(4096)).T.tobytes()).digest()
     assert hashlib.sha256(F.matrix().tobytes()).digest() == expected
 
 

@@ -324,6 +324,67 @@ class TestWeightedQRStackBitwise:
             weighted_qr_stack(np.ones((2, 64, 3)), GRID, rank_tol=0.0)
 
 
+class TestTransposedRowsView:
+    """A transposed view of C-ordered node-minor rows, as the Gauss-Newton
+    step and ``mysovskii_check`` pass them, is swept without a copy and
+    factors bit for bit as the C-ordered matrices do."""
+
+    @pytest.mark.parametrize("kinds", [("plain",), ("plain", "plain", "plain"),
+                                       ("plain", "duplicate", "-0.0")])
+    @pytest.mark.parametrize("nodes", [6, 64, 129, 4096])
+    def test_same_factors_as_the_c_ordered_matrices(self, monkeypatch, nodes,
+                                                    kinds):
+        grid = make_grid(1, nodes)
+        rng = np.random.default_rng(nodes)
+        matrices = np.stack([stack_member(kind, grid, 6, rng) for kind in kinds])
+        rows = np.ascontiguousarray(matrices.transpose(0, 2, 1))
+        swept, sweep = [], pseudoinverse._mgs_sweep
+
+        def recorded(stack, *args):
+            swept.append(np.shares_memory(stack, rows))
+            return sweep(stack, *args)
+
+        monkeypatch.setattr(pseudoinverse, "_mgs_sweep", recorded)
+        from_view = list(weighted_qr_stack(rows.transpose(0, 2, 1), grid))
+        assert swept[0]  # the sweep reads the caller's rows
+        pairs = list(zip(from_view, weighted_qr_stack(matrices, grid)))
+        pairs += [(weighted_qr(r.T, grid), weighted_qr(m, grid))
+                  for r, m in zip(rows, matrices)]
+        for got, expected in pairs:
+            assert got.dependent == expected.dependent
+            assert got.q_matrix.tobytes() == expected.q_matrix.tobytes()
+            assert got.r_matrix.tobytes() == expected.r_matrix.tobytes()
+            # Q.T @ y rounds by Q's strides: Q stays C-ordered (nodes, rank)
+            assert got.q_matrix.flags.c_contiguous
+            assert got.q_matrix.shape == (nodes, got.rank)
+
+    def test_rank_threshold_sums_each_column_in_node_order(self):
+        # the threshold is rank_tol times the largest column norm, each norm
+        # summing w * v * v node by node (a running sum), as an axis-0 sum
+        # of a C-ordered (K, n) matrix adds; the pairwise sum of a
+        # contiguous row rounds differently and would move flags that sit
+        # at the threshold
+        grid = make_grid(1, 4096)
+        w = grid.weights
+        rng = np.random.default_rng(41)
+        flips = 0
+        for _ in range(40):
+            matrix = rng.standard_normal((grid.node_count, 2))
+            matrix[:, 1] *= 1e-3
+            running = np.sqrt(np.cumsum(w[:, None] * matrix * matrix, axis=0)[-1, 0])
+            pairwise = np.sqrt(np.sum(w * matrix[:, 0] * matrix[:, 0]))
+            residual = weighted_qr(matrix, grid, 1e-300).r_matrix[1, 1]
+            tol = residual / running
+            for _ in range(8):
+                if (residual < tol * running) != (residual < tol * pairwise):
+                    f = weighted_qr(matrix, grid, tol)
+                    assert f.dependent == (False, bool(residual < tol * running))
+                    flips += 1
+                    break
+                tol = np.nextafter(tol, np.inf if running > pairwise else 0.0)
+        assert flips > 0, flips
+
+
 class TestFullRankQRStack:
     def test_raises_at_the_first_deficient_matrix_in_stack_order(self):
         rng = np.random.default_rng(53)

@@ -7,8 +7,9 @@ import pytest
 from gncoder.activations import Activation
 from gncoder.exceptions import ConfigError, InsufficientDataError, RankDeficiencyError
 from gncoder.grids import make_grid, norm, sample_function
-from gncoder.network import Params, eval_psi
-from gncoder.operators import make_identity, make_integration
+from gncoder.network import Params, eval_psi, jacobian
+from gncoder.operators import make_identity, make_integration, parse_operator
+from gncoder.pseudoinverse import full_rank_qr, pinv_apply
 from gncoder.sampling import sample_params, unit_direction
 from gncoder.solver import (
     STATUS_CONVERGED_RESIDUAL,
@@ -99,6 +100,39 @@ class TestGaussNewtonStep:
         with pytest.raises(RankDeficiencyError) as err:
             gauss_newton_step(p0, cfg, residual(p0, cfg))
         assert err.value.deficit == 2  # the dead unit's w and theta columns
+
+
+@pytest.mark.parametrize("dim, m, operator", [
+    (1, 64, "identity"), (1, 64, "volterra"), (1, 64, "gauss:0.05"),
+    (1, 100, "gauss:0.05"), (2, 16, "identity"), (2, 32, "gauss:0.1"),
+])
+def test_step_is_bitwise_the_node_major_path(dim, m, operator):
+    # the step carries the Jacobian as rows from build to factorization;
+    # every bit is that of jacobian(), apply_columns() and full_rank_qr()
+    grid = make_grid(dim, m)
+    forward = parse_operator(operator, grid)
+    rng = np.random.default_rng(m)
+    steps = 0
+    for units in (1, 2, 2, 3):
+        p_true = sample_params(rng, units, dim, box=(-5, 5), alpha_band=1.0)
+        p = Params.from_flat(
+            p_true.flatten() + 0.3 * unit_direction(rng, p_true.n_star), units, dim)
+        y = forward.apply(eval_psi(p_true, SIGMOID, grid))
+        cfg = SolveConfig(SIGMOID, grid, forward, p, y)
+        r = residual(p, cfg)
+        mapped = forward.apply_columns(jacobian(p, SIGMOID, grid))
+        try:
+            factors = full_rank_qr(mapped, grid, cfg.rank_tol, "Jacobian")
+        except RankDeficiencyError as err:
+            with pytest.raises(RankDeficiencyError, match=f"^{err}$"):
+                gauss_newton_step(p, cfg, r)
+            continue
+        p_next, diag = gauss_newton_step(p, cfg, r)
+        expected = np.clip(p.flatten() - pinv_apply(factors, r), *cfg.param_box)
+        assert p_next.flatten().tobytes() == expected.tobytes()
+        assert diag.rank == factors.rank
+        steps += 1
+    assert steps > 0
 
 
 class TestSolve:
