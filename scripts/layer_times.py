@@ -1,5 +1,5 @@
-"""Time the layers of a solve, and the two probes, in two checkouts and
-print one table.
+"""Time the layers of a solve, the two probes and an independence pass in
+two checkouts and print one table.
 
 Usage, from anywhere:
 
@@ -36,14 +36,24 @@ signatures both trees share, except ``rows_apply`` and ``rows_qr``.  A
 stage skipped in one tree prints ``skipped in a tree`` on that side, the
 other side's times, and no ratios.
 
+A fourth shape, independence, runs first and has one stage,
+``independence_pass``: the benchmark's independence config (2-D, 64x64
+nodes, N=3, ``sigmoid:1``), 100 trials at seed 0, drawn and assessed as
+``gncoder independence`` does: one ``independence_reports`` call on the
+stack of the trials' draws, or one ``independence_trial`` call per trial in
+a tree without it.
+
 Every round runs each tree in its own subprocess (this script in worker
 mode, with that tree's ``src/`` first on ``sys.path``): the parent first in
 even rounds, the change first in odd ones.  A worker times each stage with
-``timeit``, at a call count that takes at least 0.2 s, best of 3.  The
-table shows, per stage and tree, the best and the median per-call time over
-the rounds, and the change's ratio to the parent of each: a median ratio
-far from the best one marks a stage the host's noise moves.  Nothing is
-written to either tree.
+``timeit``, at a call count that takes at least 0.2 s, best of 3, and counts
+the minor page faults (``ru_minflt``) over those timed calls.  The table
+shows, per stage and tree, the best and the median per-call time over the
+rounds, and the change's ratio to the parent of each: a median ratio far
+from the best one marks a stage the host's noise moves.  A faults column
+after each tree's times gives its median minor faults per call: an
+allocation that the kernel must fault in afresh on every call shows there.
+Nothing is written to either tree.
 """
 
 from __future__ import annotations
@@ -167,9 +177,50 @@ def probe_calls():
     }
 
 
-#: shape -> builder of its ``{stage: callable}``; the solve shapes take
-#: (dim, points_per_axis, units, operator, constants_samples)
+def independence_calls():
+    """``{stage: zero-argument callable}`` for the independence shape: the
+    benchmark's independence config at seed 0, each trial's parameters
+    drawn as ``independence_trial`` draws them."""
+    import numpy as np
+
+    from gncoder import diagnostics
+    from gncoder.activations import parse_activation
+    from gncoder.cli import IndependenceOptions
+    from gncoder.grids import make_grid
+    from gncoder.sampling import sample_params
+
+    opts = IndependenceOptions(units=3, dim=2, points_per_axis=64, trials=100)
+    grid = make_grid(opts.dim, opts.points_per_axis)
+    activation = parse_activation(opts.activation)
+    seeds = [opts.seed + index for index in range(opts.trials)]
+    reports = getattr(diagnostics, "independence_reports", None)
+
+    def per_trial():
+        return [diagnostics.independence_trial(
+            activation, opts.units, opts.dim, grid, box=opts.box, seed=seed,
+            rank_tol=opts.rank_tol, alpha_band=opts.alpha_band,
+            allow_zero_alpha=opts.allow_zero_alpha) for seed in seeds]
+
+    def stacked():
+        points = np.array([sample_params(
+            np.random.default_rng(seed), opts.units, opts.dim, box=opts.box,
+            alpha_band=opts.alpha_band, allow_zero_alpha=opts.allow_zero_alpha,
+        ).flatten() for seed in seeds])
+        return reports(points, opts.units, opts.dim, activation, grid,
+                       opts.rank_tol, seeds)
+
+    return {"independence_pass": per_trial if reports is None else stacked}
+
+
+#: shape -> builder of its ``{stage: callable}``, in the order a worker
+#: runs them; the solve shapes take (dim, points_per_axis, units, operator,
+#: constants_samples).  The independence shape runs first: once the process
+#: has freed the wide shape's larger arrays, the allocator stops mapping
+#: each fresh 393 KB Jacobian anew, so a tree that allocates one per trial
+#: would not show the faults it takes in a fresh ``gncoder independence``
+#: job.
 SHAPES = {
+    "independence": independence_calls,
     "desk": partial(solve_calls, 1, 64, 2, "volterra", 24),
     "wide": partial(solve_calls, 2, 256, 3, "gauss:0.05", 8),
     "probes": probe_calls,
@@ -177,8 +228,10 @@ SHAPES = {
 
 
 def worker(src: Path) -> None:
-    """Print ``{shape: {stage: seconds per call}}`` for the tree at ``src``,
-    ``None`` for a stage whose call does not fit this tree's signatures."""
+    """Print ``{shape: {stage: [seconds, minor faults] per call}}`` for the
+    tree at ``src``, ``None`` for a stage whose call does not fit this
+    tree's signatures."""
+    import resource
     import timeit
 
     sys.path.insert(0, str(src))
@@ -198,7 +251,10 @@ def worker(src: Path) -> None:
                       file=sys.stderr)
                 times[shape][stage] = None
                 continue
-            times[shape][stage] = min(timer.repeat(3, number)) / number
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            best = min(timer.repeat(3, number)) / number
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+            times[shape][stage] = [best, faults / (3 * number)]
     print(json.dumps(times))
 
 
@@ -239,30 +295,39 @@ def main(argv=None) -> int:
         if not (tree / "src" / "gncoder").is_dir():
             parser.error(f"no src/gncoder under {tree}")
 
-    times = {side: {} for side in trees}  # (shape, stage) -> per round
+    # (shape, stage) -> per round: [seconds, minor faults] per call, or None
+    times = {side: {} for side in trees}
     for k in range(args.rounds):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         for side in order:
             for shape, stages in run_worker(trees[side]).items():
-                for stage, seconds in stages.items():
-                    times[side].setdefault((shape, stage), []).append(seconds)
+                for stage, cell in stages.items():
+                    times[side].setdefault((shape, stage), []).append(cell)
         print(f"round {k + 1} of {args.rounds} done ({order[0]} first)",
               file=sys.stderr, flush=True)
 
-    print(f"per call over {args.rounds} interleaved rounds: best and median")
-    print(f"{'shape':6} {'stage':20} {'parent best':>12} {'median':>10} "
-          f"{'change best':>12} {'median':>10} {'ratio':>7} {'median':>7}")
+    print(f"per call over {args.rounds} interleaved rounds: best and median "
+          f"time, median minor faults")
+    print(f"{'shape':12} {'stage':20} {'parent best':>12} {'median':>10} "
+          f"{'faults':>8} {'change best':>12} {'median':>10} {'faults':>8} "
+          f"{'ratio':>7} {'median':>7}")
     for shape, stage in times["parent"]:
         sides = times["parent"][(shape, stage)], times["change"][(shape, stage)]
         cells = ""
         for side in sides:  # a side that skipped the stage prints no times
-            cells += (f" {'skipped':>12} {'in a tree':>10}" if None in side else
-                      f" {fmt(min(side)):>12} {fmt(statistics.median(side)):>10}")
+            if None in side:
+                cells += f" {'skipped':>12} {'in a tree':>10} {'-':>8}"
+                continue
+            seconds = [cell[0] for cell in side]
+            faults = statistics.median(cell[1] for cell in side)
+            cells += (f" {fmt(min(seconds)):>12} "
+                      f"{fmt(statistics.median(seconds)):>10} {faults:8.1f}")
         if None not in sides[0] + sides[1]:
-            best = [min(side) for side in sides]
-            median = [statistics.median(side) for side in sides]
+            best = [min(cell[0] for cell in side) for side in sides]
+            median = [statistics.median(cell[0] for cell in side)
+                      for side in sides]
             cells += f" {best[1] / best[0]:7.3f} {median[1] / median[0]:7.3f}"
-        print(f"{shape:6} {stage:20}{cells}")
+        print(f"{shape:12} {stage:20}{cells}")
     return 0
 
 

@@ -20,6 +20,7 @@ from .diagnostics import (
     cone_check,
     derivative_check,
     independence_report,
+    independence_reports,
     independence_trial,
     manifold_demo,
     manifold_sweep,
@@ -109,6 +110,7 @@ __all__ = [
     "gauss_newton_step",
     "gradient_step",
     "independence_report",
+    "independence_reports",
     "independence_trial",
     "inner_product",
     "jacobian",

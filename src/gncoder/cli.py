@@ -27,9 +27,10 @@ import numpy as np
 
 from .activations import Activation, parse_activation
 from .diagnostics import (
+    _trial_point,
     cone_check,
     derivative_check,
-    independence_trial,
+    independence_reports,
     manifold_sweep,
     mysovskii_reports,
 )
@@ -477,14 +478,16 @@ def _run_independence(opts: IndependenceOptions) -> int:
             f"units {opts.units} at dim {opts.dim} give {columns} columns, "
             f"more than the {grid.node_count} nodes at points_per_axis "
             f"{opts.points_per_axis}: they cannot be independent")
-    rows = [
-        dict(independence_trial(
-            activation, opts.units, opts.dim, grid, box=opts.box,
-            seed=opts.seed + index, rank_tol=opts.rank_tol,
-            alpha_band=opts.alpha_band, allow_zero_alpha=opts.allow_zero_alpha,
-        ).to_json_dict(), trial=index)
-        for index in range(opts.trials)
-    ]
+    seeds = [opts.seed + index for index in range(opts.trials)]
+    points = np.array([
+        _trial_point(opts.units, opts.dim, opts.box, seed, opts.alpha_band,
+                     opts.allow_zero_alpha)
+        for seed in seeds
+    ])
+    reports = independence_reports(points, opts.units, opts.dim, activation,
+                                   grid, opts.rank_tol, seeds)
+    rows = [dict(report.to_json_dict(), trial=index)
+            for index, report in enumerate(reports)]
     base = _out_base("independence", opts)
     _write_jsonl(base.with_suffix(".reports.jsonl"), rows)
     _write_meta(

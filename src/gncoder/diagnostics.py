@@ -21,9 +21,9 @@ from . import network
 from .activations import Activation
 from .exceptions import ResolutionError, ShapeError
 from .grids import Grid, GridFunction, check_dense_bytes
-from .network import (Params, _flat_stack, directional_derivatives, eval_psis,
-                      jacobian, jacobian_rows, jacobians,
-                      second_derivative_bilinear)
+from .network import (Params, _check_dims, _check_jacobian_bytes, _flat_stack,
+                      directional_derivatives, eval_psis, jacobian,
+                      jacobian_rows, jacobians, second_derivative_bilinear)
 from .operators import LinearOperator
 from .pseudoinverse import (
     DEFAULT_RANK_TOL,
@@ -69,40 +69,91 @@ def independence_report(
     rank_tol: float = DEFAULT_RANK_TOL,
     seed: int | None = None,
 ) -> IndependenceReport:
-    """Assess linear independence of the derivative columns at ``p``.
+    """Assess linear independence of the derivative columns at ``p``: the
+    one-row case of :func:`independence_reports`."""
+    return independence_reports(p.flatten()[None], p.units, p.input_dim,
+                                activation, grid, rank_tol, [seed])[0]
+
+
+def independence_reports(
+    flat,
+    units: int,
+    dim: int,
+    activation: Activation,
+    grid: Grid,
+    rank_tol: float = DEFAULT_RANK_TOL,
+    seeds=None,
+) -> list[IndependenceReport]:
+    """Assess linear independence of the derivative columns at each row of
+    ``flat``, a ``(rows, n*)`` stack of flattened parameters of ``units``
+    units in dimension ``dim``; one report per row in order, the row's
+    entry of ``seeds`` (``None`` throughout by default) as its seed.
 
     Works on the weight-scaled column matrix, so singular values measure
     the columns as functions, not as coordinate vectors.  ``degenerate`` is
     a relative test: the smallest singular value below ``rank_tol`` times
     the largest.  The Gram-matrix condition number is the squared singular
-    value ratio.  The SVD takes a transposed view of the weighted
-    :func:`~gncoder.network.jacobian_rows`, bitwise the node-major matrix's.
+    value ratio.
+
+    The rows' Jacobians are written one at a time into one ``(1, n*,
+    node_count)`` buffer allocated once per call
+    (:func:`~gncoder.network._jacobian_matrices`), each weighted in place,
+    and the SVD takes a transposed view of it, bitwise that of the
+    node-major matrix.  Holding the buffer is the point: a fresh Jacobian
+    per row (393 KB at the ``independence`` defaults) comes back as newly
+    mapped pages, 160 minor page faults a row.  Batching rows into stacked
+    SVDs is no faster and holds more memory.
+
+    A stack of another width raises :class:`ShapeError` naming both widths,
+    more columns than nodes :class:`ResolutionError`, and an oversized
+    Jacobian is refused (:func:`~gncoder.network._check_jacobian_bytes`),
+    all before any allocation.
     """
-    if p.n_star > grid.node_count:
+    points = _flat_stack(flat, units, dim, "points")
+    seeds = [None] * len(points) if seeds is None else list(seeds)
+    if len(seeds) != len(points):
+        raise ShapeError(f"{len(points)} points but {len(seeds)} seeds")
+    n_star = points.shape[1]
+    if n_star > grid.node_count:
         raise ResolutionError(
-            f"{p.n_star} columns cannot be independent on {grid.node_count} nodes"
+            f"{n_star} columns cannot be independent on {grid.node_count} nodes"
         )
-    scaled = jacobian_rows(p.flatten()[None], p.units, p.input_dim,
-                           activation, grid)[0]
-    scaled *= np.sqrt(grid.weights)  # in place: no second matrix
-    sv = np.linalg.svd(scaled.T, compute_uv=False)
-    smax = float(sv[0])
-    smin = float(sv[-1])
-    threshold = rank_tol * smax
-    rank = int(np.sum(sv > threshold))
-    degenerate = bool(smin < threshold)
-    gram_condition = (smax / smin) ** 2 if smin > 0 else math.inf
-    return IndependenceReport(
-        activation=activation.descriptor,
-        units=p.units,
-        input_dim=p.input_dim,
-        points_per_axis=grid.points_per_axis,
-        seed=seed,
-        min_singular_value=smin,
-        rank=rank,
-        degenerate=degenerate,
-        gram_condition=gram_condition,
-    )
+    _check_dims(dim, grid)
+    _check_jacobian_bytes(1, units, dim, grid.points_per_axis)
+    scaled = np.empty((1, n_star, grid.node_count))
+    sqrt_w = np.sqrt(grid.weights)
+    reports = []
+    for row, seed in zip(points, seeds):
+        network._jacobian_matrices(row[None], units, dim, activation, grid,
+                                   scaled)
+        scaled *= sqrt_w  # in place: no second matrix
+        sv = np.linalg.svd(scaled[0].T, compute_uv=False)
+        smax = float(sv[0])
+        smin = float(sv[-1])
+        threshold = rank_tol * smax
+        reports.append(IndependenceReport(
+            activation=activation.descriptor,
+            units=units,
+            input_dim=dim,
+            points_per_axis=grid.points_per_axis,
+            seed=seed,
+            min_singular_value=smin,
+            rank=int(np.sum(sv > threshold)),
+            degenerate=bool(smin < threshold),
+            gram_condition=(smax / smin) ** 2 if smin > 0 else math.inf,
+        ))
+    return reports
+
+
+def _trial_point(units: int, input_dim: int, box, seed: int, alpha_band: float,
+                 allow_zero_alpha: bool) -> np.ndarray:
+    """The flattened parameters of the seeded independence trial ``seed``:
+    a box draw from a generator seeded with ``seed`` alone."""
+    rng = np.random.default_rng(seed)
+    return sample_params(
+        rng, units, input_dim, box=box,
+        alpha_band=alpha_band, allow_zero_alpha=allow_zero_alpha,
+    ).flatten()
 
 
 def independence_trial(
@@ -117,12 +168,9 @@ def independence_trial(
     allow_zero_alpha: bool = False,
 ) -> IndependenceReport:
     """One seeded Monte-Carlo independence trial with box-drawn parameters."""
-    rng = np.random.default_rng(seed)
-    p = sample_params(
-        rng, units, input_dim, box=box,
-        alpha_band=alpha_band, allow_zero_alpha=allow_zero_alpha,
-    )
-    return independence_report(p, activation, grid, rank_tol=rank_tol, seed=seed)
+    flat = _trial_point(units, input_dim, box, seed, alpha_band, allow_zero_alpha)
+    return independence_reports(flat[None], units, input_dim, activation, grid,
+                                rank_tol, [seed])[0]
 
 
 def merge_mirrored(p: Params) -> Params:

@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gncoder import diagnostics, network, solver
+from gncoder.diagnostics import independence_trial
 from gncoder.activations import parse_activation
 from gncoder.cli import (
     _COMMANDS,
@@ -122,6 +123,20 @@ class TestIndependenceCommand:
             list(out.glob("independence_*.meta.json"))[0].read_text()
         )
         assert meta["degenerate_count"] == 0
+
+    def test_each_report_is_the_trial_at_its_seed(self, tmp_path):
+        out = tmp_path / "out"
+        assert run([
+            "independence", "--trials", 4, "--seed", 5, "--units", 2,
+            "--points-per-axis", 16, "--out", out,
+        ]) == 0
+        reports = list(out.glob("independence_*.reports.jsonl"))[0]
+        grid = make_grid(2, 16)
+        assert [json.loads(line) for line in reports.read_text().splitlines()] == [
+            dict(independence_trial(parse_activation("sigmoid:1"), 2, 2, grid,
+                                    box=(-5.0, 5.0), seed=5 + i,
+                                    alpha_band=0.05).to_json_dict(), trial=i)
+            for i in range(4)]
 
 
 class TestConeCommand:

@@ -8,6 +8,7 @@ from gncoder.diagnostics import (
     cone_check,
     derivative_check,
     independence_report,
+    independence_reports,
     independence_trial,
     manifold_demo,
     manifold_sweep,
@@ -29,6 +30,7 @@ from gncoder.network import (
     directional_derivative,
     eval_psi,
     jacobian,
+    jacobian_rows,
     second_derivative_bilinear,
 )
 from gncoder.operators import (
@@ -137,6 +139,104 @@ class TestIndependence:
         )
         assert report.min_singular_value < 1e-2
 
+
+
+def per_point_report(p, activation, grid, rank_tol=1e-10, seed=None):
+    """The report of the per-point ``independence_report`` that
+    ``independence_reports`` replaced: a fresh Jacobian, weighted in place,
+    and the SVD of its transposed view."""
+    scaled = jacobian_rows(p.flatten()[None], p.units, p.input_dim,
+                           activation, grid)[0]
+    scaled *= np.sqrt(grid.weights)
+    sv = np.linalg.svd(scaled.T, compute_uv=False)
+    smax, smin = float(sv[0]), float(sv[-1])
+    threshold = rank_tol * smax
+    return {
+        "activation": activation.descriptor,
+        "units": p.units,
+        "input_dim": p.input_dim,
+        "points_per_axis": grid.points_per_axis,
+        "seed": seed,
+        "min_singular_value": smin,
+        "rank": int(np.sum(sv > threshold)),
+        "degenerate": bool(smin < threshold),
+        "gram_condition": (smax / smin) ** 2 if smin > 0 else math.inf,
+    }
+
+
+CONTROLS = {
+    "draw": lambda p: p,
+    "mirrored": merge_mirrored,
+    "duplicate": merge_duplicate,
+}
+
+
+class TestIndependenceReports:
+    @pytest.mark.parametrize("control", sorted(CONTROLS))
+    @pytest.mark.parametrize("dim, points", [(1, 64), (2, 16)])
+    @pytest.mark.parametrize("activation", [SIGMOID, TANH, Activation.relu()],
+                             ids=["sigmoid", "tanh", "relu"])
+    def test_each_report_is_the_per_point_one(self, activation, dim, points,
+                                               control):
+        grid = make_grid(dim, points)
+        rng = np.random.default_rng(dim * 100 + points)
+        params = [CONTROLS[control](sample_params(rng, 2, dim, box=(-4, 4),
+                                                  alpha_band=0.5))
+                  for _ in range(4)]
+        seeds = [11, 12, 13, 14]
+        units = params[0].units
+        reports = independence_reports(
+            np.array([p.flatten() for p in params]), units, dim, activation,
+            grid, seeds=seeds)
+        assert [r.to_json_dict() for r in reports] == [
+            per_point_report(p, activation, grid, seed=seed)
+            for p, seed in zip(params, seeds)]
+        if control == "duplicate":
+            assert all(r.degenerate for r in reports)
+
+    def test_seeds_default_to_none(self):
+        grid = make_grid(1, 32)
+        flat = sample_params(np.random.default_rng(5), 2, 1).flatten()
+        report, = independence_reports([flat], 2, 1, SIGMOID, grid)
+        assert report.seed is None
+
+    def test_wrong_width_is_a_shape_error_naming_both(self):
+        grid = make_grid(1, 32)
+        with pytest.raises(ShapeError, match=(
+                r"points have shape \(2, 9\), 2 units in dimension 1 "
+                r"need \(rows, 6\)")):
+            independence_reports(np.zeros((2, 9)), 2, 1, SIGMOID, grid)
+
+    def test_seed_count_must_match_the_rows(self):
+        grid = make_grid(1, 32)
+        with pytest.raises(ShapeError, match="2 points but 3 seeds"):
+            independence_reports(np.zeros((2, 6)), 2, 1, SIGMOID, grid,
+                                 seeds=[0, 1, 2])
+
+    def test_no_points_give_no_reports(self):
+        grid = make_grid(1, 32)
+        assert independence_reports([], 2, 1, SIGMOID, grid) == []
+        assert independence_reports(np.empty((0, 6)), 2, 1, SIGMOID,
+                                    grid) == []
+
+    def test_every_row_is_written_into_one_buffer(self, monkeypatch):
+        grid = make_grid(2, 16)
+        rng = np.random.default_rng(8)
+        flat = np.array([sample_params(rng, 3, 2).flatten() for _ in range(5)])
+        outs = []
+        build = network._jacobian_matrices
+
+        def spy(points, units, dim, activation, g, out):
+            # every buffer stays referenced, so one allocated per row could
+            # not reuse a freed address
+            outs.append(out)
+            return build(points, units, dim, activation, g, out)
+
+        monkeypatch.setattr(network, "_jacobian_matrices", spy)
+        reports = independence_reports(flat, 3, 2, SIGMOID, grid)
+        assert len(reports) == len(outs) == 5
+        assert {out.shape for out in outs} == {(1, 12, grid.node_count)}
+        assert len({out.__array_interface__["data"][0] for out in outs}) == 1
 
 def square_setup(seed=0, units=2, dim=1):
     """Grid with exactly as many nodes as derivative columns.
