@@ -60,8 +60,7 @@ from .operators import (
 )
 from .pseudoinverse import (
     QRFactors,
-    full_rank_qr,
-    full_rank_qr_stack,
+    full_rank,
     pinv_apply,
     pinv_apply_columns,
     weighted_qr,
@@ -105,8 +104,7 @@ __all__ = [
     "directional_derivatives",
     "eval_psi",
     "eval_psis",
-    "full_rank_qr",
-    "full_rank_qr_stack",
+    "full_rank",
     "gauss_newton_step",
     "gradient_step",
     "independence_report",

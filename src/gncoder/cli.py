@@ -34,7 +34,8 @@ from .diagnostics import (
     manifold_sweep,
     mysovskii_reports,
 )
-from .exceptions import ConfigError, NumericError, RankDeficiencyError
+from .exceptions import (ConfigError, NumericError, RankDeficiencyError,
+                         SmoothnessError)
 from .grids import GridFunction, _check_grid_bytes, make_grid
 from .network import Params, _check_jacobian_bytes, eval_psi, lipschitz_constants
 from .operators import LinearOperator, parse_operator
@@ -660,7 +661,9 @@ def main(argv=None) -> int:
         cls, runner = _COMMANDS[args.command]
         return runner(_options(cls, _load_config_file(args.config), vars(args)))
     except (ValueError, OSError) as exc:  # ConfigError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
+        # only an activation lacks a derivative
+        key = "activation: " if isinstance(exc, SmoothnessError) else ""
+        print(f"error: {key}{exc}", file=sys.stderr)
         return 1
     except (NumericError, RankDeficiencyError, FloatingPointError,
             np.linalg.LinAlgError) as exc:

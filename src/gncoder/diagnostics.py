@@ -27,10 +27,11 @@ from .network import (Params, _check_dims, _check_jacobian_bytes, _flat_stack,
 from .operators import LinearOperator
 from .pseudoinverse import (
     DEFAULT_RANK_TOL,
-    full_rank_qr,
-    full_rank_qr_stack,
+    full_rank,
     pinv_apply,
     pinv_apply_columns,
+    weighted_qr,
+    weighted_qr_stack,
 )
 from .sampling import DEFAULT_ALPHA_BAND, DEFAULT_BOX, sample_params
 
@@ -90,10 +91,11 @@ def independence_reports(
     entry of ``seeds`` (``None`` throughout by default) as its seed.
 
     Works on the weight-scaled column matrix, so singular values measure
-    the columns as functions, not as coordinate vectors.  ``degenerate`` is
-    a relative test: the smallest singular value below ``rank_tol`` times
-    the largest.  The Gram-matrix condition number is the squared singular
-    value ratio.
+    the columns as functions, not as coordinate vectors.  ``rank`` counts
+    the singular values above ``rank_tol`` times the largest, and
+    ``degenerate`` says that it is below ``n*``, so an all-zero Jacobian
+    (rank 0) is degenerate.  The Gram-matrix condition number is the
+    squared singular value ratio.
 
     The rows' Jacobians are written one at a time into one ``(1, n*,
     node_count)`` buffer allocated once per call
@@ -130,7 +132,7 @@ def independence_reports(
         sv = np.linalg.svd(scaled[0].T, compute_uv=False)
         smax = float(sv[0])
         smin = float(sv[-1])
-        threshold = rank_tol * smax
+        rank = int(np.sum(sv > rank_tol * smax))
         reports.append(IndependenceReport(
             activation=activation.descriptor,
             units=units,
@@ -138,8 +140,8 @@ def independence_reports(
             points_per_axis=grid.points_per_axis,
             seed=seed,
             min_singular_value=smin,
-            rank=int(np.sum(sv > threshold)),
-            degenerate=bool(smin < threshold),
+            rank=rank,
+            degenerate=rank < n_star,
             gram_condition=(smax / smin) ** 2 if smin > 0 else math.inf,
         ))
     return reports
@@ -262,7 +264,7 @@ def cone_check(
     units, dim = p1.units, p1.input_dim
     p2s = _flat_stack(p2s, units, dim, "p2s").copy()  # the reports keep rows
     jac1 = jacobian(p1, activation, grid)
-    factors = full_rank_qr(jac1, grid, rank_tol, "derivative at p1")
+    factors = full_rank(weighted_qr(jac1, grid, rank_tol), "derivative at p1")
     fj1 = forward.apply_columns(jac1)
     w_out = forward.out_grid.weights[:, None]
     flat1 = p1.flatten()
@@ -331,7 +333,7 @@ def mysovskii_check(
     The Jacobians at every ``p`` are built as rows in one vectorized pass
     (:func:`~gncoder.network.jacobian_rows`), mapped through ``forward`` in
     one ``apply_rows`` call and factored in one stacked sweep
-    (:func:`~gncoder.pseudoinverse.full_rank_qr_stack`).  The derivatives
+    (:func:`~gncoder.pseudoinverse.weighted_qr_stack`).  The derivatives
     along ``d = p - q`` at every ``q`` and every segment point ``q + s d``
     with ``s > 0`` and ``d != 0`` come from one
     :func:`~gncoder.network.directional_derivatives` pass; the forward map,
@@ -358,8 +360,9 @@ def mysovskii_check(
     points = np.array([p for p, _, _ in probes], dtype=float)
     mapped = forward.apply_rows(jacobian_rows(points, units, dim, activation,
                                               grid))
-    gated = full_rank_qr_stack(mapped.transpose(0, 2, 1), forward.out_grid,
-                               rank_tol, "derivative at p")
+    # gated as the loop reaches each one, so errors arise in probe order
+    gated = (full_rank(f, "derivative at p") for f in weighted_qr_stack(
+        mapped.transpose(0, 2, 1), forward.out_grid, rank_tol))
 
     bases = np.array([q for _, q, _ in probes], dtype=float)
     steps = points - bases

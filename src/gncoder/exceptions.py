@@ -17,10 +17,6 @@ class UnsupportedDimensionError(ValueError):
     """Operator is not defined for this spatial dimension."""
 
 
-class ZeroMatrixError(ValueError):
-    """Every column of the factorization input is numerically zero."""
-
-
 class RankDeficiencyError(RuntimeError):
     """A factorization that must have full column rank does not.
 

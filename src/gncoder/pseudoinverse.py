@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
 
-from .exceptions import GridMismatchError, RankDeficiencyError, ZeroMatrixError
+from .exceptions import GridMismatchError, RankDeficiencyError
 from .grids import Grid, GridFunction
 
 DEFAULT_RANK_TOL = 1e-10
@@ -72,14 +72,13 @@ def weighted_qr(
     with one reorthogonalization pass.  A column whose residual norm after
     projection falls below ``rank_tol`` times the largest original column
     norm is flagged dependent and excluded from the orthonormal family; the
-    retained count is the numerical rank.
+    retained count is the numerical rank, 0 when every column is flagged
+    (all zero, or all below the tolerance).
 
     Raises
     ------
     GridMismatchError
         If ``matrix`` does not have one row per node of ``grid``.
-    ZeroMatrixError
-        If every column is identically zero.
     """
     _check_rows(matrix, grid)
     return next(weighted_qr_stack(matrix[None], grid, rank_tol))
@@ -99,10 +98,9 @@ def weighted_qr_stack(
     one column is dependent in some matrices and not in others, the
     iterator instead sweeps each matrix alone when it reaches it.  Either
     way each member's factors are bitwise those of the sweep over that
-    matrix alone (see :func:`_mgs_sweep`), and the iterator raises
-    :class:`ZeroMatrixError` when it reaches a matrix whose columns are all
-    zero (or all fall below the rank tolerance), so a caller that handles
-    the factors one by one meets every error in the order of its matrices.
+    matrix alone (see :func:`_mgs_sweep`), a zero matrix's factors being
+    those of rank 0.  A caller that gates the factors one by one
+    (:func:`full_rank`) meets every error in the order of its matrices.
     """
     if not rank_tol > 0:
         raise ValueError(f"rank_tol must be positive, got {rank_tol}")
@@ -117,13 +115,9 @@ def weighted_qr_stack(
     swept = _mgs_sweep(rows, grid.weights, rank_tol)
     if swept is None:  # the ranks diverge: one sweep per matrix, lazily
         return (next(weighted_qr_stack(r.T[None], grid, rank_tol)) for r in rows)
-    q_slots, r_stack, rank, dependent, zero = swept
+    q_slots, r_stack, rank, dependent = swept
 
     def factors(b):
-        if zero[b]:
-            raise ZeroMatrixError("all columns are identically zero")
-        if rank == 0:
-            raise ZeroMatrixError("all columns fell below the rank tolerance")
         # C order for Q and R: matmul picks its kernel by strides, so the
         # layout is part of the bits
         return QRFactors(grid, q_slots[:rank, b].T.copy(), r_stack[b, :rank],
@@ -138,13 +132,12 @@ def _mgs_sweep(rows, w, rank_tol):
     ``k`` of matrix ``b`` being the contiguous row ``rows[b, k]``, with one
     rank shared by all of them.
 
-    Returns ``(q_slots, r_stack, rank, dependent, zero)``: each matrix
+    Returns ``(q_slots, r_stack, rank, dependent)``: each matrix
     ``b`` keeps its ``rank`` orthonormal columns in ``q_slots[:rank, b]``
     (one ``(K,)`` row each) and its coefficients in ``r_stack[b]``, a C
     ordered ``n x n`` array with zero rows from ``rank`` on; ``dependent[b]``
-    is its tuple of flags, and ``zero[b]`` says that all its columns are
-    zero.  Returns ``None`` as soon as a column is dependent in some
-    matrices and not in others.
+    is its tuple of flags.  Returns ``None`` as soon as a column is
+    dependent in some matrices and not in others.
 
     Column ``k`` of every matrix is processed by the same ufunc calls: each
     call acts on the ``(count, K)`` rows of all the matrices, or, for one
@@ -168,7 +161,6 @@ def _mgs_sweep(rows, w, rank_tol):
             else np.cumsum(squares, axis=-1, out=squares)[..., -1])
     col_norms = np.sqrt(sums)
     max_norms = col_norms.max(axis=1).tolist()
-    zero = [m == 0.0 for m in max_norms]
     limits = [math.inf if m == 0.0 else rank_tol * m for m in max_norms]
     # one matrix drops the stack axis: (K,) rows and 0-d coefficients take
     # the cheapest ufunc calls
@@ -216,33 +208,13 @@ def _mgs_sweep(rows, w, rank_tol):
     else:
         r_stack = np.ascontiguousarray(r_stack[..., 0].transpose(2, 0, 1))
     return (q_slots.reshape(ncols, count, nodes), r_stack, top,
-            list(zip(*dependent)), zero)
+            list(zip(*dependent)))
 
 
-def full_rank_qr(
-    matrix: np.ndarray, grid: Grid, rank_tol: float, what: str
-) -> QRFactors:
-    """:func:`weighted_qr` of a matrix that must keep full column rank.
-
-    Raises :class:`RankDeficiencyError` ``"<what> has rank r < n"``, with
-    ``deficit = n - r``, when any column is flagged dependent.
-    """
-    return _full_rank(weighted_qr(matrix, grid, rank_tol), what)
-
-
-def full_rank_qr_stack(
-    matrices: np.ndarray, grid: Grid, rank_tol: float, what: str
-) -> Iterator[QRFactors]:
-    """:func:`full_rank_qr` of every matrix of a stack: the iterator of
-    :func:`weighted_qr_stack`, raising at the first matrix in stack order
-    that is zero or rank deficient, when it reaches it.  A deficient matrix
-    among full-rank ones makes the ranks diverge, so the matrices after it
-    are never swept."""
-    return (_full_rank(f, what)
-            for f in weighted_qr_stack(matrices, grid, rank_tol))
-
-
-def _full_rank(factors: QRFactors, what: str) -> QRFactors:
+def full_rank(factors: QRFactors, what: str) -> QRFactors:
+    """``factors``, if they keep full column rank: the package's one rank
+    gate.  Else :class:`RankDeficiencyError` ``"<what> has rank r < n"``,
+    with ``deficit = n - r``, rank 0 included."""
     n = factors.column_count
     if factors.rank < n:
         raise RankDeficiencyError(
@@ -251,25 +223,21 @@ def _full_rank(factors: QRFactors, what: str) -> QRFactors:
     return factors
 
 
-def pinv_apply(factors: QRFactors, x: GridFunction, strict: bool = True) -> np.ndarray:
+def pinv_apply(factors: QRFactors, x: GridFunction) -> np.ndarray:
     """Apply the Moore-Penrose pseudoinverse of the column family to ``x``.
 
     Returns the coefficient vector ``c`` (length ``column_count``) solving
     ``R c = Q^T x`` by back-substitution, i.e. the coefficients of the
-    projection of ``x`` in the original columns.  With ``strict=True`` a
-    rank-deficient factorization raises :class:`RankDeficiencyError`; with
-    ``strict=False`` coefficients at excluded (dependent) column positions
-    are zero, the minimum-norm convention on the retained columns.  The
-    one-column case of :func:`pinv_apply_columns`.
+    projection of ``x`` in the original columns: the basic solution, zero
+    at the dependent columns, all zero at rank 0.  The one-column case of
+    :func:`pinv_apply_columns`.
     """
     if x.grid != factors.grid:
         raise GridMismatchError("input lives on a different grid than the factors")
-    return pinv_apply_columns(factors, x.values[:, None], strict)[:, 0]
+    return pinv_apply_columns(factors, x.values[:, None])[:, 0]
 
 
-def pinv_apply_columns(
-    factors: QRFactors, matrix: np.ndarray, strict: bool = True
-) -> np.ndarray:
+def pinv_apply_columns(factors: QRFactors, matrix: np.ndarray) -> np.ndarray:
     """:func:`pinv_apply` of every column of a ``(node_count, m)`` array of
     nodal values on the factors' grid; a fresh C-ordered ``(column_count,
     m)`` array whose column ``j`` is bitwise :func:`pinv_apply` of column
@@ -281,13 +249,6 @@ def pinv_apply_columns(
     sides rounds differently.  The errors are those of :func:`pinv_apply`,
     raised at the first column that meets one.
     """
-    deficit = factors.column_count - factors.rank
-    if deficit > 0 and strict:
-        raise RankDeficiencyError(
-            f"factorization is rank deficient by {deficit} "
-            f"({factors.rank} of {factors.column_count})",
-            deficit=deficit,
-        )
     _check_rows(matrix, factors.grid)
     retained = list(factors.retained_indices)
     tri = factors.r_matrix[:, retained]
@@ -296,7 +257,8 @@ def pinv_apply_columns(
         raise ValueError(_NON_FINITE)
     q_t, w = factors.q_matrix.T, factors.grid.weights
     solved = np.empty((factors.rank, columns))
-    for j in range(columns):
+    # LAPACK refuses an empty triangle
+    for j in range(columns if factors.rank else 0):
         solved[:, j] = _solve_upper(tri, q_t @ (w * matrix[:, j]))
     if factors.rank == factors.column_count:
         return solved

@@ -35,7 +35,7 @@ from .grids import Grid, GridFunction, norm
 from .network import (DEFAULT_PARAM_BOX, ConvergenceConstants, Params, eval_psi,
                       jacobian, jacobian_rows)
 from .operators import LinearOperator
-from .pseudoinverse import full_rank_qr, pinv_apply
+from .pseudoinverse import full_rank, pinv_apply, weighted_qr
 
 MODE_GAUSS_NEWTON = "gauss_newton"
 MODE_GRADIENT_DESCENT = "gradient_descent"
@@ -78,8 +78,8 @@ class SolveConfig:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.activation.smoothness != SMOOTH_C2:
             raise ConfigError(
-                f"solver requires a twice-differentiable activation, got "
-                f"{self.activation.descriptor!r}"
+                f"activation must be twice differentiable for the solver, "
+                f"got {self.activation.descriptor!r}"
             )
         if self.initial.input_dim != self.grid.dim:
             raise ConfigError("initial params and grid disagree on dimension")
@@ -162,8 +162,8 @@ def gauss_newton_step(
     rows = jacobian_rows(p.flatten()[None], p.units, p.input_dim,
                          cfg.activation, cfg.grid)[0]
     mapped = cfg.forward.apply_rows(rows)
-    factors = full_rank_qr(mapped.T, cfg.forward.out_grid, cfg.rank_tol,
-                           "Jacobian")
+    factors = full_rank(weighted_qr(mapped.T, cfg.forward.out_grid,
+                                    cfg.rank_tol), "Jacobian")
     delta = pinv_apply(factors, residual)
     flat = p.flatten()
     new_flat = flat - delta
@@ -210,7 +210,8 @@ def solve(cfg: SolveConfig, true_params: Params | None = None) -> IterationTrace
     recorded (otherwise NaN).  Iterates leaving the parameter box are
     clamped to it and the iteration index is recorded as a boundary event;
     such runs are outside the convergence theory and the flag makes them
-    auditable.
+    auditable.  A residual norm that is not finite raises
+    :class:`NumericError`.
     """
     trace = IterationTrace()
     p = cfg.initial
@@ -220,6 +221,8 @@ def solve(cfg: SolveConfig, true_params: Params | None = None) -> IterationTrace
     while True:
         residual = _forward_map(p, cfg) - cfg.data
         res_norm = norm(residual)
+        if not math.isfinite(res_norm):
+            raise NumericError(f"residual norm is {res_norm} at iterate {k}")
         trace.residuals.append(res_norm)
         trace.param_errors.append(
             float(np.linalg.norm(p.flatten() - true_flat))

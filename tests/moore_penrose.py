@@ -68,7 +68,7 @@ def mp_residuals(matrix: np.ndarray, factors: QRFactors) -> MPResiduals:
         c = rng.standard_normal(ncols)
         u = apply_l(c)
         u_norm = xnorm(u.values)
-        bu = pinv_apply(factors, u, strict=False)
+        bu = pinv_apply(factors, u)
         lblu = apply_l(bu)
         if u_norm > 0:
             r_lbl = max(r_lbl, xnorm(lblu.values - u.values) / u_norm)
@@ -78,9 +78,9 @@ def mp_residuals(matrix: np.ndarray, factors: QRFactors) -> MPResiduals:
         )
 
         x = GridFunction(grid, rng.standard_normal(grid.node_count))
-        bx = pinv_apply(factors, x, strict=False)
+        bx = pinv_apply(factors, x)
         bx_norm = float(np.linalg.norm(bx))
-        blbx = pinv_apply(factors, apply_l(bx), strict=False)
+        blbx = pinv_apply(factors, apply_l(bx))
         if bx_norm > 0:
             r_blb = max(r_blb, float(np.linalg.norm(blbx - bx)) / bx_norm)
         px = project(factors, x)

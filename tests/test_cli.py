@@ -124,6 +124,20 @@ class TestIndependenceCommand:
         )
         assert meta["degenerate_count"] == 0
 
+    def test_a_report_below_full_rank_is_degenerate(self, tmp_path):
+        # one ReLU unit in dimension 1: a dead draw has an all-zero
+        # Jacobian (rank 0), a live one a dependent alpha column (rank 2)
+        out = tmp_path / "out"
+        assert run(["independence", "--activation", "relu", "--units", 1,
+                    "--dim", 1, "--trials", 50, "--out", out]) == 0
+        rows = [json.loads(line) for line in
+                next(out.glob("*.reports.jsonl")).read_text().splitlines()]
+        assert len(rows) == 50
+        assert all(row["degenerate"] == (row["rank"] < 3) for row in rows)
+        assert {row["rank"] for row in rows} == {0, 2}
+        meta = json.loads(next(out.glob("*.meta.json")).read_text())
+        assert meta["degenerate_count"] == 50
+
     def test_each_report_is_the_trial_at_its_seed(self, tmp_path):
         out = tmp_path / "out"
         assert run([
@@ -335,6 +349,67 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err == (
             "numeric error: derivative at p has rank 5 < 6\n")
+
+    @pytest.mark.parametrize("command, cfg, message", [
+        ("cone", {"activation": "relu", "units": 1},
+         "derivative at p1 has rank 0 < 3"),
+        ("mysovskii", {"activation": "relu", "units": 1, "probes": 2},
+         "derivative at p has rank 0 < 3"),
+    ])
+    def test_a_zero_jacobian_exits_two_at_rank_0(
+        self, tmp_path, capsys, command, cfg, message
+    ):
+        # every ReLU unit of the seed-0 draw is dead on the grid
+        config = write_config(tmp_path, command, cfg)
+        out = tmp_path / "out"
+        assert run([command, "--config", config, "--seed", 0,
+                    "--out", out]) == 2
+        assert capsys.readouterr().err == f"numeric error: {message}\n"
+        assert not out.exists()
+
+    def test_a_rank_tolerance_of_2_reports_a_rank_deficient_solve(
+        self, tmp_path
+    ):
+        config = write_config(tmp_path, "solve", {"rank_tol": 2})
+        out = tmp_path / "out"
+        assert run(["solve", "--config", config, "--out", out]) == 0
+        meta = json.loads(next(out.glob("*.meta.json")).read_text())
+        assert meta["status"] == "rank_deficient"
+        assert meta["rank_deficit"] == 6
+        assert meta["iterations"] == 0
+
+    def test_a_residual_norm_that_is_not_finite_exits_two(
+        self, tmp_path, capsys
+    ):
+        config = write_config(tmp_path, "solve", {"noise": 1e300})
+        out = tmp_path / "out"
+        with np.errstate(over="ignore"):  # the squared norm overflows
+            code = run(["solve", "--config", config, "--out", out])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "numeric error: residual norm is inf at iterate 0\n")
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("command, activation, message", [
+        ("independence", "step", "activation: step activation is "
+                                 "discontinuous; no derivative"),
+        ("cone", "step", "activation: step activation is discontinuous; "
+                         "no derivative"),
+        ("mysovskii", "step", "activation: step activation is "
+                              "discontinuous; no derivative"),
+        ("check-derivatives", "relu", "activation: relu activation has no "
+                                      "second derivative"),
+        ("solve", "relu", "activation must be twice differentiable for the "
+                          "solver, got 'relu'"),
+    ])
+    def test_an_activation_without_the_derivative_exits_one_naming_the_key(
+        self, tmp_path, capsys, command, activation, message
+    ):
+        config = write_config(tmp_path, command, {"activation": activation})
+        out = tmp_path / "out"
+        assert run([command, "--config", config, "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("command, key, value", [
         ("independence", "trials", 0),

@@ -38,7 +38,7 @@ from gncoder.operators import (
     make_integration,
     parse_operator,
 )
-from gncoder.pseudoinverse import full_rank_qr, pinv_apply
+from gncoder.pseudoinverse import full_rank, pinv_apply, weighted_qr
 from gncoder.sampling import sample_params, unit_direction
 
 SIGMOID = Activation.sigmoid(1.0)
@@ -117,6 +117,16 @@ class TestIndependence:
         rng = np.random.default_rng(4)
         base = sample_params(rng, 2, 1, box=(-3, 3), alpha_band=0.5)
         report = independence_report(base, Activation.relu(), grid)
+        assert report.degenerate
+
+    def test_an_all_zero_jacobian_is_degenerate(self):
+        # w x + theta < 0 on all of [0, 1]: every ReLU unit is dead, so
+        # every column is zero and the rank is 0
+        grid = make_grid(1, 64)
+        p = Params([1.5, -1.0], [[2.0], [-1.5]], [-3.0, -0.1])
+        report = independence_report(p, Activation.relu(), grid)
+        assert report.rank == 0
+        assert report.min_singular_value == 0.0
         assert report.degenerate
 
     def test_reports_serialize(self):
@@ -309,7 +319,8 @@ class TestConeCheck:
 def cone_transitions(p1, p2s, activation, grid):
     """The transition matrices of ``cone_check`` one column at a time, as
     each was taken before the column-wise pseudoinverse: its oracle."""
-    factors = full_rank_qr(jacobian(p1, activation, grid), grid, 1e-10, "p1")
+    factors = full_rank(weighted_qr(jacobian(p1, activation, grid), grid),
+                        "p1")
     out = []
     for p2 in p2s:
         jac2 = jacobian(Params.from_flat(p2, p1.units, p1.input_dim), activation,
@@ -427,8 +438,9 @@ def mysovskii_loop(probes, activation, grid, forward):
     oracle, as ``(lhs_values, bound_ratios)`` per probe."""
     out = []
     for p, q, s_values in probes:
-        factors = full_rank_qr(forward.apply_columns(jacobian(p, activation, grid)),
-                               forward.out_grid, 1e-10, "p")
+        factors = full_rank(weighted_qr(
+            forward.apply_columns(jacobian(p, activation, grid)),
+            forward.out_grid), "p")
         d = p.flatten() - q.flatten()
         dist_sq = float(np.linalg.norm(d)) ** 2
         base = directional_derivative(q, activation, grid, d)

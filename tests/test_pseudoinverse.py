@@ -1,22 +1,21 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
+import gncoder
 from gncoder import pseudoinverse
 from gncoder.activations import Activation
 from gncoder.diagnostics import cone_check, merge_duplicate, mysovskii_check
-from gncoder.exceptions import (
-    GridMismatchError,
-    RankDeficiencyError,
-    ZeroMatrixError,
-)
+from gncoder.exceptions import GridMismatchError, RankDeficiencyError
 from gncoder.grids import GridFunction, constant, inner_product, make_grid, norm
 from gncoder.network import ConvergenceConstants, Params, eval_psi
 from gncoder.operators import make_integration
 from gncoder.pseudoinverse import (
     QRFactors,
-    full_rank_qr,
-    full_rank_qr_stack,
+    full_rank,
     pinv_apply,
     pinv_apply_columns,
     weighted_qr,
@@ -112,9 +111,19 @@ class TestWeightedQR:
             f = weighted_qr(stack(cols), GRID)
             assert f.rank == svd_rank(cols)
 
-    def test_zero_columns_rejected(self):
-        with pytest.raises(ZeroMatrixError):
-            weighted_qr(stack([constant(GRID, 0.0), constant(GRID, 0.0)]), GRID)
+    @pytest.mark.parametrize("matrix, rank_tol", [
+        (np.zeros((GRID.node_count, 2)), 1e-10),
+        # no residual reaches twice the largest column norm
+        (stack(random_columns(2, np.random.default_rng(9))), 2.0),
+    ])
+    def test_a_matrix_with_every_column_flagged_has_rank_0(self, matrix,
+                                                           rank_tol):
+        f = weighted_qr(matrix, GRID, rank_tol)
+        assert f.rank == 0
+        assert f.dependent == (True, True)
+        assert f.retained_indices == ()
+        assert f.q_matrix.shape == (GRID.node_count, 0)
+        assert f.r_matrix.shape == (0, 2)
 
     def test_bad_tolerance_rejected(self):
         with pytest.raises(ValueError):
@@ -305,17 +314,22 @@ class TestWeightedQRStackBitwise:
         assert f.q_matrix.tobytes() == g.q_matrix.tobytes()
         assert f.r_matrix.tobytes() == g.r_matrix.tobytes()
 
-    def test_a_zero_member_raises_when_it_is_reached(self):
+    def test_a_zero_member_has_rank_0_when_it_is_reached(self, monkeypatch):
         grid = make_grid(1, 64)
         rng = np.random.default_rng(2)
         matrices = np.stack([stack_member(kind, grid, 4, rng)
                              for kind in ("plain", "zero", "plain")])
+        sweeps = spy_sweeps(monkeypatch)
         factors = weighted_qr_stack(matrices, grid)
         first = next(factors)
         q, r, _ = column_mgs(matrices[0], grid)
         assert first.r_matrix.tobytes() == r.tobytes()
-        with pytest.raises(ZeroMatrixError, match="identically zero"):
-            next(factors)
+        assert sweeps == [(3, False), (1, True)]
+        zero = next(factors)
+        assert sweeps == [(3, False), (1, True), (1, True)]
+        assert zero.rank == 0 and zero.dependent == (True,) * 4
+        assert zero.q_matrix.shape == (64, 0) and zero.r_matrix.shape == (0, 4)
+        assert next(factors).rank == 4
 
     def test_rejects_a_matrix_for_a_stack(self):
         with pytest.raises(GridMismatchError):
@@ -385,14 +399,21 @@ class TestTransposedRowsView:
         assert flips > 0, flips
 
 
-class TestFullRankQRStack:
+def gated_stack(matrices, grid=GRID):
+    """Each member of a stacked sweep through :func:`full_rank`, as
+    ``mysovskii_check`` gates them."""
+    return (full_rank(f, "derivative at p")
+            for f in weighted_qr_stack(matrices, grid))
+
+
+class TestGatedStack:
     def test_raises_at_the_first_deficient_matrix_in_stack_order(self):
         rng = np.random.default_rng(53)
         full = [stack(random_columns(3, rng)) for _ in range(4)]
         base = random_columns(2, rng)
         deficient = stack(base + [base[0] + base[1]])
         matrices = np.stack(full[:2] + [deficient] + full[2:])
-        gated = full_rank_qr_stack(matrices, GRID, 1e-10, "derivative at p")
+        gated = gated_stack(matrices)
         for matrix in full[:2]:
             f = next(gated)
             assert f.r_matrix.tobytes() == weighted_qr(
@@ -428,8 +449,7 @@ class TestDivergentRanks:
         members[2][:, 3] = members[2][:, 0] - 2.0 * members[2][:, 1]
         expected = [weighted_qr(m, GRID) for m in members[:2]]
         sweeps = spy_sweeps(monkeypatch)
-        gated = full_rank_qr_stack(np.stack(members), GRID, 1e-10,
-                                   "derivative at p")
+        gated = gated_stack(np.stack(members))
         assert sweeps == [(20, False)]
         for alone in expected:
             f = next(gated)
@@ -518,24 +538,23 @@ class TestTriangularSolve:
             "singular matrix: resolution failed at diagonal 2")
 
 
-def column_by_column(factors, matrix, strict=True):
+def column_by_column(factors, matrix):
     """``pinv_apply`` of each column in turn: the loop the column-wise call
     replaced, kept as its oracle; an error comes back as ``(type,
     message)``."""
     out = np.empty((factors.column_count, matrix.shape[1]))
     try:
         for j in range(matrix.shape[1]):
-            out[:, j] = pinv_apply(factors, GridFunction(factors.grid, matrix[:, j]),
-                                   strict)
-    except (ValueError, np.linalg.LinAlgError, RankDeficiencyError) as err:
+            out[:, j] = pinv_apply(factors, GridFunction(factors.grid, matrix[:, j]))
+    except (ValueError, np.linalg.LinAlgError) as err:
         return type(err), str(err)
     return out
 
 
-def columns_outcome(factors, matrix, strict=True):
+def columns_outcome(factors, matrix):
     try:
-        return pinv_apply_columns(factors, matrix, strict)
-    except (ValueError, np.linalg.LinAlgError, RankDeficiencyError) as err:
+        return pinv_apply_columns(factors, matrix)
+    except (ValueError, np.linalg.LinAlgError) as err:
         return type(err), str(err)
 
 
@@ -558,17 +577,16 @@ class TestPinvApplyColumns:
             assert out.tobytes() == expected.tobytes()
             assert out.flags.c_contiguous and out.shape == (n, m)
 
-    def test_non_strict_on_a_deficient_factorization(self):
+    def test_a_deficient_factorization_gets_the_basic_solution(self):
         rng = np.random.default_rng(31)
         base = random_columns(3, rng)
         f = weighted_qr(stack(base + [base[0] - base[2]] + base[1:2]), GRID)
         assert f.rank == 3
         matrix = rng.standard_normal((GRID.node_count, 7))
-        out = pinv_apply_columns(f, matrix, strict=False)
-        assert out.tobytes() == column_by_column(f, matrix, False).tobytes()
+        out = pinv_apply_columns(f, matrix)
+        assert out.tobytes() == column_by_column(f, matrix).tobytes()
         assert not out[[3, 4]].any()
-        assert columns_outcome(f, matrix) == column_by_column(f, matrix) == (
-            RankDeficiencyError, "factorization is rank deficient by 2 (3 of 5)")
+        assert out[:3].all()
 
     @pytest.mark.parametrize("bad_column", [None, 0, 2])
     @pytest.mark.parametrize("defect", ["none", "non-finite r", "zero diagonal"])
@@ -672,17 +690,30 @@ class TestPinvApply:
             mine = pinv_apply(f, GridFunction(GRID, x))
             assert np.max(np.abs(mine - oracle)) < 1e-8
 
-    def test_strict_mode_raises_with_deficit(self):
+    def test_deficient_factors_give_zero_at_the_dependent_column(self):
         rng = np.random.default_rng(31)
         base = random_columns(2, rng)
         cols = base + [base[0] + base[1]]
         f = weighted_qr(stack(cols), GRID)
         x = GridFunction(GRID, rng.standard_normal(GRID.node_count))
-        with pytest.raises(RankDeficiencyError) as err:
-            pinv_apply(f, x)
-        assert err.value.deficit == 1
-        coeffs = pinv_apply(f, x, strict=False)
-        assert coeffs[2] == 0.0  # minimum-norm convention on retained columns
+        coeffs = pinv_apply(f, x)
+        assert coeffs[2] == 0.0  # the basic solution on the retained columns
+        assert coeffs[:2].tobytes() == pinv_apply(
+            weighted_qr(stack(base), GRID), x).tobytes()
+
+    def test_rank_0_gives_zeros_without_a_triangular_solve(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("dtrtrs called on an empty triangle")
+
+        monkeypatch.setattr(pseudoinverse, "dtrtrs", refused)
+        f = weighted_qr(np.zeros((GRID.node_count, 3)), GRID)
+        x = GridFunction(GRID, np.random.default_rng(3).standard_normal(
+            GRID.node_count))
+        coeffs = pinv_apply(f, x)
+        assert coeffs.shape == (3,) and not coeffs.any()
+        out = pinv_apply_columns(f, np.ones((GRID.node_count, 4)))
+        assert out.shape == (3, 4) and not out.any()
+        assert out.flags.c_contiguous
 
     def test_pinv_of_apply_is_identity_on_coefficients(self):
         rng = np.random.default_rng(37)
@@ -705,55 +736,93 @@ class TestPinvApply:
             assert norm(via_pinv - project(f, x)) <= 1e-8 * norm(x)
 
 
-class TestFullRankQR:
-    def test_full_rank_returns_the_weighted_qr_factors(self):
+class TestFullRank:
+    def test_full_rank_factors_pass_through(self):
         matrix = stack(random_columns(3, np.random.default_rng(43)))
-        f = full_rank_qr(matrix, GRID, 1e-10, "matrix")
-        g = weighted_qr(matrix, GRID, 1e-10)
-        assert f.rank == 3
-        assert f.q_matrix.tobytes() == g.q_matrix.tobytes()
-        assert f.r_matrix.tobytes() == g.r_matrix.tobytes()
+        f = weighted_qr(matrix, GRID, 1e-10)
+        assert full_rank(f, "matrix") is f
 
-    def test_dependent_column_raises_with_rank_and_deficit(self):
+    @pytest.mark.parametrize("rank", [2, 0])
+    def test_a_deficient_rank_raises_with_rank_and_deficit(self, rank):
         base = random_columns(2, np.random.default_rng(47))
-        matrix = stack(base + [base[0] + base[1]])
+        matrix = stack(base + [base[0] + base[1]]) if rank else np.zeros(
+            (GRID.node_count, 3))
         with pytest.raises(RankDeficiencyError) as err:
-            full_rank_qr(matrix, GRID, 1e-10, "matrix")
-        assert str(err.value) == "matrix has rank 2 < 3"
-        assert err.value.deficit == 1
+            full_rank(weighted_qr(matrix, GRID), "matrix")
+        assert str(err.value) == f"matrix has rank {rank} < 3"
+        assert err.value.deficit == 3 - rank
 
 
-def _gn_step(p, forward):
+def _gn_step(p, forward, activation):
     """A Gauss-Newton step at ``p`` toward zero data."""
-    sigmoid = Activation.sigmoid(1.0)
-    cfg = SolveConfig(sigmoid, GRID, forward, p, constant(GRID, 0.0))
-    return gauss_newton_step(p, cfg, forward.apply(eval_psi(p, sigmoid, GRID)))
+    cfg = SolveConfig(Activation.sigmoid(1.0), GRID, forward, p,
+                      constant(GRID, 0.0))
+    # the step reads only first derivatives, so it takes the ReLU that the
+    # config refuses for a whole solve
+    object.__setattr__(cfg, "activation", activation)
+    return gauss_newton_step(p, cfg,
+                             forward.apply(eval_psi(p, activation, GRID)))
 
 
 #: caller -> (call at p, its message at the duplicated point)
 GATED_CALLERS = {
     "gauss_newton_step": (_gn_step, "Jacobian has rank 6 < 9"),
     "cone_check": (
-        lambda p, forward: cone_check(
-            p, [p.flatten()], Activation.sigmoid(1.0), GRID, forward),
+        lambda p, forward, activation: cone_check(
+            p, [p.flatten()], activation, GRID, forward),
         "derivative at p1 has rank 6 < 9"),
     "mysovskii_check": (
-        lambda p, forward: mysovskii_check(
+        lambda p, forward, activation: mysovskii_check(
             [(p.flatten(), p.flatten(), (0.5,))], p.units, p.input_dim,
-            Activation.sigmoid(1.0), GRID, forward),
+            activation, GRID, forward),
         "derivative at p has rank 6 < 9"),
 }
 
-
-@pytest.mark.parametrize("caller", GATED_CALLERS)
-def test_every_caller_gates_on_full_column_rank(caller):
-    call, message = GATED_CALLERS[caller]
-    p = merge_duplicate(Params([1.5, -1.0], [[2.0], [-1.5]], [0.2, 0.8]))
-    with pytest.raises(RankDeficiencyError) as err:
-        call(p, make_integration(GRID))
+#: point -> (activation, p, the rank of its 9 columns)
+GATED_POINTS = {
     # the copied unit repeats its alpha, w and theta columns verbatim
-    assert err.value.deficit == 3
-    assert str(err.value) == message
+    "duplicated": (Activation.sigmoid(1.0), merge_duplicate(
+        Params([1.5, -1.0], [[2.0], [-1.5]], [0.2, 0.8])), 6),
+    # w x + theta < 0 on all of [0, 1]: every ReLU unit is dead on the
+    # grid, so every column is zero
+    "dead": (Activation.relu(), Params(
+        [1.5, -1.0, 0.7], [[2.0], [-1.5], [0.5]], [-3.0, -0.1, -0.6]), 0),
+}
+
+
+@pytest.mark.parametrize("point", GATED_POINTS)
+@pytest.mark.parametrize("caller", GATED_CALLERS)
+def test_every_caller_gates_on_full_column_rank(caller, point):
+    call, message = GATED_CALLERS[caller]
+    activation, p, rank = GATED_POINTS[point]
+    with pytest.raises(RankDeficiencyError) as err:
+        call(p, make_integration(GRID), activation)
+    assert err.value.deficit == 9 - rank
+    assert str(err.value) == message.replace("rank 6", f"rank {rank}")
+
+
+def rank_error_sites(node, where):
+    """The qualified name of the function around each
+    ``RankDeficiencyError(...)`` call under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+            yield from rank_error_sites(child, f"{where}.{child.name}")
+            continue
+        if isinstance(child, ast.Call) and "RankDeficiencyError" in (
+                getattr(child.func, "id", None),
+                getattr(child.func, "attr", None)):
+            yield where
+        yield from rank_error_sites(child, where)
+
+
+def test_full_rank_is_the_only_place_that_decides_full_rank():
+    package = Path(gncoder.__file__).parent
+    sites = [site for path in sorted(package.rglob("*.py"))
+             for site in rank_error_sites(
+                 ast.parse(path.read_text()),
+                 ".".join(path.relative_to(package).with_suffix("").parts))]
+    assert sites == ["pseudoinverse.full_rank"]
 
 
 class TestMPResiduals:

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from gncoder.activations import Activation
-from gncoder.exceptions import ConfigError, InsufficientDataError, RankDeficiencyError
-from gncoder.grids import make_grid, norm, sample_function
+from gncoder.exceptions import (ConfigError, InsufficientDataError, NumericError,
+                                RankDeficiencyError)
+from gncoder.grids import GridFunction, make_grid, norm, sample_function
 from gncoder.network import Params, eval_psi, jacobian
 from gncoder.operators import make_identity, make_integration, parse_operator
-from gncoder.pseudoinverse import full_rank_qr, pinv_apply
+from gncoder.pseudoinverse import full_rank, pinv_apply, weighted_qr
 from gncoder.sampling import sample_params, unit_direction
 from gncoder.solver import (
     STATUS_CONVERGED_RESIDUAL,
@@ -108,7 +109,7 @@ class TestGaussNewtonStep:
 ])
 def test_step_is_bitwise_the_node_major_path(dim, m, operator):
     # the step carries the Jacobian as rows from build to factorization;
-    # every bit is that of jacobian(), apply_columns() and full_rank_qr()
+    # every bit is that of jacobian(), apply_columns() and weighted_qr()
     grid = make_grid(dim, m)
     forward = parse_operator(operator, grid)
     rng = np.random.default_rng(m)
@@ -122,7 +123,8 @@ def test_step_is_bitwise_the_node_major_path(dim, m, operator):
         r = residual(p, cfg)
         mapped = forward.apply_columns(jacobian(p, SIGMOID, grid))
         try:
-            factors = full_rank_qr(mapped, grid, cfg.rank_tol, "Jacobian")
+            factors = full_rank(weighted_qr(mapped, grid, cfg.rank_tol),
+                                "Jacobian")
         except RankDeficiencyError as err:
             with pytest.raises(RankDeficiencyError, match=f"^{err}$"):
                 gauss_newton_step(p, cfg, r)
@@ -174,6 +176,25 @@ class TestSolve:
         assert trace.status == STATUS_RANK_DEFICIENT
         assert trace.rank_deficit == 2
         assert trace.final_params is p0
+
+    def test_a_rank_tolerance_of_2_halts_at_rank_0(self):
+        cfg, p_true = benchmark(rank_tol=2.0)
+        trace = solve(cfg, true_params=p_true)
+        assert trace.status == STATUS_RANK_DEFICIENT
+        assert trace.rank_deficit == p_true.n_star
+        assert trace.iterations == 0 and trace.ranks == []
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, 1e300])
+    def test_a_residual_norm_that_is_not_finite_raises(self, bad):
+        cfg, p_true = benchmark()
+        values = cfg.data.values.copy()
+        values[3] = bad  # 1e300 overflows the squared norm
+        data = GridFunction(cfg.grid, values)
+        cfg = SolveConfig(cfg.activation, cfg.grid, cfg.forward, cfg.initial,
+                          data)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                NumericError, match="^residual norm is (inf|nan) at iterate 0$"):
+            solve(cfg, true_params=p_true)
 
     def test_box_exit_is_clamped_and_flagged(self):
         cfg, p_true = benchmark(seed=19, radius=0.3, max_iters=3,
@@ -363,7 +384,8 @@ class TestConfigValidation:
         p = Params([1.0], [[1.0]], [0.0])
         y = sample_function(grid, lambda x: x)
         for activation in (Activation.relu(), Activation.step()):
-            with pytest.raises(ConfigError):
+            with pytest.raises(ConfigError, match="^activation must be twice "
+                               "differentiable for the solver, got '"):
                 SolveConfig(activation, grid, make_identity(grid), p, y)
 
     def test_rejects_bad_tolerances_and_mode(self):
