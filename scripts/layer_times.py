@@ -5,16 +5,15 @@ Usage, from anywhere:
 
     python3 scripts/layer_times.py PARENT_TREE CHANGE_TREE [--rounds 5]
 
-The solve stages are the ROADMAP's layer-by-layer list: ``eval_psi``,
-``jacobian``, the block apply (``forward.apply_columns`` of the Jacobian),
-``weighted_qr`` of the mapped Jacobian, ``pinv_apply`` of the residual,
-one Gauss-Newton step, ``lipschitz_constants`` and one independence SVD
-(the singular values of the weighted Jacobian, as ``independence_report``
-takes them).  Two more time the apply and the factorization the way the
-step runs them, on node-minor rows: ``rows_apply`` (``forward.apply_rows``
-of the Jacobian's rows) and ``rows_qr`` (``weighted_qr`` of a transposed
-view of the mapped rows).  A tree without ``apply_rows`` reports both as
-skipped.  Each runs at two shapes, the solve configs of the benchmark:
+The solve stages are the ROADMAP's layer-by-layer list, each timed as
+one Gauss-Newton step runs it, on node-minor rows: ``eval_psi``,
+``jacobian_rows`` (the Jacobian's rows at one point), ``apply_rows``
+(``forward.apply_rows`` of those rows), ``weighted_qr`` (of a transposed
+view of the mapped rows), ``pinv_apply`` of the residual, one
+Gauss-Newton step, ``lipschitz_constants`` and one independence SVD (the
+singular values of a transposed view of the weighted rows, as
+``independence_reports`` takes them).  Each runs at two shapes, the solve
+configs of the benchmark:
 
 - desk: 1-D, 64 nodes, N=2, ``volterra``, 24 constants samples;
 - wide: 2-D, 256x256 nodes, N=3, ``gauss:0.05``, 8 constants samples.
@@ -26,13 +25,11 @@ nodes with its 20 probes), drawn as ``gncoder cone`` and ``gncoder
 mysovskii`` draw them at seed 0.  Its ``mysovskii_refused`` stage times
 ``mysovskii_check`` on the draw of seed 110, until it raises
 ``RankDeficiencyError`` at the probe whose derivative at ``p`` has rank
-5 < 6 (one of ``scripts/output_set.py``'s refused seeds).  The probes
-stages pass the perturbations as flattened ``(rows, n*)`` rows with the
-unit count and input dimension given once, so they run only in trees at
-or after that signature change; in an older tree a stage that raises
-``TypeError`` or ``AttributeError`` is reported as skipped and the others
-still run.  The desk and wide stages call only public functions whose
-signatures both trees share, except ``rows_apply`` and ``rows_qr``.  A
+5 < 6 (one of ``scripts/output_set.py``'s refused seeds).
+
+Every stage calls the API that both trees share from commit ``fae5941``
+on.  In an older tree a stage that raises ``TypeError`` or
+``AttributeError`` is reported as skipped and the others still run; a
 stage skipped in one tree prints ``skipped in a tree`` on that side, the
 other side's times, and no ratios.
 
@@ -40,8 +37,7 @@ A fourth shape, independence, runs first and has one stage,
 ``independence_pass``: the benchmark's independence config (2-D, 64x64
 nodes, N=3, ``sigmoid:1``), 100 trials at seed 0, drawn and assessed as
 ``gncoder independence`` does: one ``independence_reports`` call on the
-stack of the trials' draws, or one ``independence_trial`` call per trial in
-a tree without it.
+stack of the trials' draws.
 
 Every round runs each tree in its own subprocess (this script in worker
 mode, with that tree's ``src/`` first on ``sys.path``): the parent first in
@@ -76,7 +72,7 @@ def solve_calls(dim, points_per_axis, units, operator, samples):
     from gncoder.activations import parse_activation
     from gncoder.cli import SolveOptions, synth_problem
     from gncoder.grids import make_grid
-    from gncoder.network import eval_psi, jacobian, lipschitz_constants
+    from gncoder.network import eval_psi, jacobian_rows, lipschitz_constants
     from gncoder.operators import parse_operator
     from gncoder.params import Params
     from gncoder.pseudoinverse import pinv_apply, weighted_qr
@@ -90,32 +86,28 @@ def solve_calls(dim, points_per_axis, units, operator, samples):
     forward = parse_operator(operator, grid)
     p_true, data = synth_problem(opts, activation, forward)
     direction = unit_direction(np.random.default_rng(1), p_true.n_star)
-    p0 = Params.from_flat(p_true.flatten() + opts.p0_radius * direction,
-                          units, dim)
+    flat0 = p_true.flatten() + opts.p0_radius * direction
+    p0 = Params.from_flat(flat0, units, dim)
     cfg = SolveConfig(activation, grid, forward, p0, data)
     residual = forward.apply(eval_psi(p0, activation, grid)) - data
-    jac = jacobian(p0, activation, grid)
-    mapped = forward.apply_columns(jac)
-    factors = weighted_qr(mapped, forward.out_grid, cfg.rank_tol)
-    rows = np.ascontiguousarray(jac.T)
-    apply_rows = getattr(forward, "apply_rows", None)
-    mapped_rows = None if apply_rows is None else apply_rows(rows)
-    weighted = jac * np.sqrt(grid.weights)[:, None]
+    rows = jacobian_rows(flat0[None], units, dim, activation, grid)[0]
+    mapped = forward.apply_rows(rows)
+    factors = weighted_qr(mapped.T, forward.out_grid, cfg.rank_tol)
+    weighted = rows * np.sqrt(grid.weights)
     radius = opts.constants_ball_factor * opts.p0_radius
     return {
         "eval_psi": lambda: eval_psi(p0, activation, grid),
-        "jacobian": lambda: jacobian(p0, activation, grid),
-        "apply_columns": lambda: forward.apply_columns(jac),
-        "weighted_qr": lambda: weighted_qr(mapped, forward.out_grid, cfg.rank_tol),
-        "rows_apply": lambda: forward.apply_rows(rows),
-        "rows_qr": lambda: weighted_qr(mapped_rows.T, forward.out_grid,
-                                       cfg.rank_tol),
+        "jacobian_rows": lambda: jacobian_rows(flat0[None], units, dim,
+                                               activation, grid),
+        "apply_rows": lambda: forward.apply_rows(rows),
+        "weighted_qr": lambda: weighted_qr(mapped.T, forward.out_grid,
+                                           cfg.rank_tol),
         "pinv_apply": lambda: pinv_apply(factors, residual),
         "gauss_newton_step": lambda: gauss_newton_step(p0, cfg, residual),
         "lipschitz_constants": lambda: lipschitz_constants(
             p_true, activation, grid, radius=radius, samples=samples, seed=0,
             box=opts.param_box),
-        "independence_svd": lambda: np.linalg.svd(weighted, compute_uv=False),
+        "independence_svd": lambda: np.linalg.svd(weighted.T, compute_uv=False),
     }
 
 
@@ -183,9 +175,9 @@ def independence_calls():
     drawn as ``independence_trial`` draws them."""
     import numpy as np
 
-    from gncoder import diagnostics
     from gncoder.activations import parse_activation
     from gncoder.cli import IndependenceOptions
+    from gncoder.diagnostics import independence_reports
     from gncoder.grids import make_grid
     from gncoder.sampling import sample_params
 
@@ -193,23 +185,16 @@ def independence_calls():
     grid = make_grid(opts.dim, opts.points_per_axis)
     activation = parse_activation(opts.activation)
     seeds = [opts.seed + index for index in range(opts.trials)]
-    reports = getattr(diagnostics, "independence_reports", None)
 
-    def per_trial():
-        return [diagnostics.independence_trial(
-            activation, opts.units, opts.dim, grid, box=opts.box, seed=seed,
-            rank_tol=opts.rank_tol, alpha_band=opts.alpha_band,
-            allow_zero_alpha=opts.allow_zero_alpha) for seed in seeds]
-
-    def stacked():
+    def independence_pass():
         points = np.array([sample_params(
             np.random.default_rng(seed), opts.units, opts.dim, box=opts.box,
             alpha_band=opts.alpha_band, allow_zero_alpha=opts.allow_zero_alpha,
         ).flatten() for seed in seeds])
-        return reports(points, opts.units, opts.dim, activation, grid,
-                       opts.rank_tol, seeds)
+        return independence_reports(points, opts.units, opts.dim, activation,
+                                    grid, opts.rank_tol, seeds)
 
-    return {"independence_pass": per_trial if reports is None else stacked}
+    return {"independence_pass": independence_pass}
 
 
 #: shape -> builder of its ``{stage: callable}``, in the order a worker

@@ -47,7 +47,6 @@ from .network import (
     eval_psis,
     jacobian,
     jacobian_rows,
-    jacobians,
     lipschitz_constants,
     second_derivative_bilinear,
 )
@@ -113,7 +112,6 @@ __all__ = [
     "inner_product",
     "jacobian",
     "jacobian_rows",
-    "jacobians",
     "lipschitz_constants",
     "make_convolution",
     "make_grid",

@@ -22,8 +22,8 @@ from .activations import Activation
 from .exceptions import ResolutionError, ShapeError
 from .grids import Grid, GridFunction, check_dense_bytes
 from .network import (Params, _check_dims, _check_jacobian_bytes, _flat_stack,
-                      directional_derivatives, eval_psis, jacobian,
-                      jacobian_rows, jacobians, second_derivative_bilinear)
+                      directional_derivatives, eval_psis, jacobian_rows,
+                      second_derivative_bilinear)
 from .operators import LinearOperator
 from .pseudoinverse import (
     DEFAULT_RANK_TOL,
@@ -254,28 +254,35 @@ def cone_check(
     count and input dimension of ``p1``; a stack of another width raises
     :class:`ShapeError` naming both widths, before any Jacobian is built.
     The Jacobian at ``p1`` is built, mapped and factored once for all of
-    them.  The Jacobians at ``p2s`` are built in chunks that fit in
-    :data:`~gncoder.network.CHUNK_BYTES` (:func:`~gncoder.network.jacobians`,
-    bitwise :func:`jacobian` at each point), and each one's transition
+    them.  The Jacobians at ``p2s`` are built as rows in chunks that fit in
+    :data:`~gncoder.network.CHUNK_BYTES`
+    (:func:`~gncoder.network.jacobian_rows`), and each one's transition
     matrix comes from one
     :func:`~gncoder.pseudoinverse.pinv_apply_columns` call.  Requires full
     column rank at ``p1``; raises :class:`RankDeficiencyError` otherwise.
     """
     units, dim = p1.units, p1.input_dim
     p2s = _flat_stack(p2s, units, dim, "p2s").copy()  # the reports keep rows
-    jac1 = jacobian(p1, activation, grid)
-    factors = full_rank(weighted_qr(jac1, grid, rank_tol), "derivative at p1")
-    fj1 = forward.apply_columns(jac1)
-    w_out = forward.out_grid.weights[:, None]
     flat1 = p1.flatten()
+    rows1 = jacobian_rows(flat1[None], units, dim, activation, grid)[0]
+    factors = full_rank(weighted_qr(rows1.T, grid, rank_tol), "derivative at p1")
+
+    def image(rows):
+        # the whole-array sums below round by the image's layout: F-ordered
+        # rows keep the bits of the node-major Jacobian's columns
+        return forward.apply_rows(np.asfortranarray(rows)).T
+
+    fj1 = image(rows1)
+    w_out = forward.out_grid.weights[:, None]
     n_star = p1.n_star
     reports = []
     for chunk in _chunks(p2s, lambda _: 8 * grid.node_count * n_star):
-        for p2, jac2 in zip(chunk, jacobians(chunk, units, dim, activation, grid)):
-            transition = pinv_apply_columns(factors, jac2)
+        for p2, rows2 in zip(chunk, jacobian_rows(chunk, units, dim, activation,
+                                                  grid)):
+            transition = pinv_apply_columns(factors, rows2.T)
             dev = float(np.linalg.norm(transition - np.eye(n_star), 2))
 
-            fj2 = forward.apply_columns(jac2)
+            fj2 = image(rows2)
             defect = fj2 - fj1 @ transition
             num = math.sqrt(float(np.sum(w_out * defect * defect)))
             den = math.sqrt(float(np.sum(w_out * fj2 * fj2)))
@@ -432,8 +439,9 @@ def derivative_check(p: Params, activation: Activation, grid: Grid, d1, d2,
                      step_first: float, step_second: float) -> tuple[float, float]:
     """Finite-difference errors of the hand-coded derivatives at ``p``: the
     largest weighted relative error of the central difference with step
-    ``step_first`` against a :func:`jacobian` column of nonzero norm, and
-    that of the four-point difference with step ``step_second`` against
+    ``step_first`` against a :func:`~gncoder.network.jacobian` column of
+    nonzero norm, and that of the four-point difference with step
+    ``step_second`` against
     :func:`~gncoder.network.second_derivative_bilinear` along the flattened
     directions ``d1`` and ``d2``; 0.0 where the norms are zero.
 

@@ -181,9 +181,12 @@ def inner_product(u: GridFunction, v: GridFunction) -> float:
     ordering, so results are bitwise reproducible.
     """
     u._check_same_grid(v)
-    return float(np.sum(u.grid.weights * u.values * v.values))
+    with np.errstate(over="ignore"):  # an overflowing product is inf, silently
+        return float(np.sum(u.grid.weights * u.values * v.values))
 
 
 def norm(u: GridFunction) -> float:
-    """Weighted L2 norm, ``sqrt(inner_product(u, u))``."""
-    return float(np.sqrt(np.sum(u.grid.weights * u.values * u.values)))
+    """Weighted L2 norm, ``sqrt(inner_product(u, u))``; ``inf`` when the
+    squared norm overflows."""
+    with np.errstate(over="ignore"):
+        return float(np.sqrt(np.sum(u.grid.weights * u.values * u.values)))

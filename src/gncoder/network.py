@@ -67,7 +67,8 @@ def _flat_stack(flat, units: int, dim: int, what: str) -> np.ndarray:
 
 def _check_jacobian_bytes(rows: int, units: int, dim: int, m: int) -> None:
     """Refuse a ``rows``-point Jacobian stack on a grid of ``m`` points per
-    axis, with the transposed copy :func:`jacobians` makes and the pass's
+    axis, with room for one copy of it (the transposing copy of
+    :func:`jacobian`, or the cone's F-ordered images) and the pass's
     scratch, ``8 (2 n* + 3 N)`` bytes a node and point, by
     :func:`~gncoder.grids.check_dense_bytes`."""
     n_star = units * (dim + 2)
@@ -111,24 +112,15 @@ def eval_psis(flat, units: int, dim: int, a: Activation, g: Grid) -> np.ndarray:
 
 def jacobian(p: Params, a: Activation, g: Grid) -> np.ndarray:
     """All first-derivative columns, in the flattening order, as a fresh
-    C-ordered ``(node_count, n_star)`` array the caller owns.
+    C-ordered ``(node_count, n_star)`` array the caller owns: one
+    transposing copy of :func:`jacobian_rows` at ``p``.
 
     Per unit ``s``: the alpha-column is ``act(z_s)``, the w-columns are
     ``alpha_s * act'(z_s) * x_t`` for each axis ``t``, and the theta-column
-    is ``alpha_s * act'(z_s)``.  The one-row case of :func:`jacobians`.
+    is ``alpha_s * act'(z_s)``.
     """
-    return jacobians(p.flatten()[None], p.units, p.input_dim, a, g)[0]
-
-
-def jacobians(flat, units: int, dim: int, a: Activation, g: Grid) -> np.ndarray:
-    """The Jacobians at the rows of ``flat``, a ``(rows, n*)`` stack of
-    flattened parameters of ``units`` units in dimension ``dim``, as a fresh
-    C-ordered ``(rows, node_count, n*)`` stack: one transposing copy of
-    :func:`jacobian_rows`, so each matrix is bitwise :func:`jacobian` at its
-    row.  A stack of another width raises :class:`ShapeError` naming both
-    widths."""
     return np.ascontiguousarray(
-        jacobian_rows(flat, units, dim, a, g).transpose(0, 2, 1))
+        jacobian_rows(p.flatten()[None], p.units, p.input_dim, a, g)[0].T)
 
 
 def jacobian_rows(flat, units: int, dim: int, a: Activation, g: Grid) -> np.ndarray:
@@ -136,9 +128,9 @@ def jacobian_rows(flat, units: int, dim: int, a: Activation, g: Grid) -> np.ndar
     flattened parameters of ``units`` units in dimension ``dim``, as a fresh
     C-ordered ``(rows, n*, node_count)`` stack, one row of nodal values per
     column, built in one pass (:func:`_jacobian_matrices`): each matrix is
-    bitwise :func:`jacobian` at its row, transposed.  A stack of another
-    width raises :class:`ShapeError` naming both widths; an oversized one is
-    refused (:func:`_check_jacobian_bytes`) before any allocation."""
+    bitwise that of its row alone.  A stack of another width raises
+    :class:`ShapeError` naming both widths; an oversized one is refused
+    (:func:`_check_jacobian_bytes`) before any allocation."""
     points = _flat_stack(flat, units, dim, "points")
     _check_dims(dim, g)
     _check_jacobian_bytes(len(points), units, dim, g.points_per_axis)

@@ -28,8 +28,10 @@ class LinearOperator:
     Both act along the last axis, so one call maps a ``(node_count,)``
     vector or every row of a ``(..., node_count)`` stack, which
     ``apply_rows`` exposes; each returns a fresh array of its input's
-    shape.  ``injective`` records whether the discrete matrix has full
-    column rank.
+    shape.  A Jacobian travels as such rows, one per column.  The result's
+    layout follows the operator and the rows' layout, and later products
+    and sums round by it.  ``injective`` records whether the discrete
+    matrix has full column rank.
     """
 
     def __init__(self, descriptor: str, in_grid: Grid, out_grid: Grid,
@@ -64,16 +66,6 @@ class LinearOperator:
             )
         return self._apply_values(rows)
 
-    def apply_columns(self, matrix: np.ndarray) -> np.ndarray:
-        """Apply the operator to every column of a ``(node_count, m)`` array:
-        the transposed view of :meth:`apply_rows` of ``matrix.T``.  For a
-        C-ordered ``matrix`` it is C-ordered, except the 2-D Gaussian's; the
-        whole-array sums of :func:`~gncoder.diagnostics.cone_check` round by
-        that layout."""
-        if matrix.ndim != 2:
-            raise GridMismatchError(f"expected a matrix, got shape {matrix.shape}")
-        return self.apply_rows(matrix.T).T
-
     def adjoint(self, v: GridFunction) -> GridFunction:
         if v.grid != self.out_grid:
             raise GridMismatchError(
@@ -96,7 +88,7 @@ class LinearOperator:
         return self._dense_matrix()
 
     def _dense_matrix(self) -> np.ndarray:
-        return self.apply_columns(np.eye(self.in_grid.node_count))
+        return self.apply_rows(np.eye(self.in_grid.node_count).T).T
 
     def singular_values(self) -> np.ndarray:
         return np.linalg.svd(self.matrix(), compute_uv=False)
@@ -209,8 +201,9 @@ class GaussianConvolutionOperator(LinearOperator):
     def _apply_values(self, values):
         m = self.in_grid.points_per_axis
         if self.in_grid.dim == 1:
-            # F @ C-ordered (node_count, count) blocks: a product rounds by
-            # its operand's layout, and this is apply_columns' on C input
+            # F @ C-ordered (node_count, count) blocks, whatever the rows'
+            # layout: a product rounds by its operands' layout, and these
+            # are the node-major Jacobian's bits
             blocks = np.ascontiguousarray(np.swapaxes(np.atleast_2d(values), -1, -2))
             return np.swapaxes(self._factor @ blocks, -1, -2).reshape(values.shape) / m
         # F @ U @ F.T per m x m image, one per row; one wide product over all

@@ -1,6 +1,9 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -34,6 +37,7 @@ from gncoder.grids import make_grid, norm
 from gncoder.network import eval_psi
 from gncoder.operators import parse_operator
 
+ROOT = Path(__file__).resolve().parents[1]
 
 def run(args):
     return main([str(a) for a in args])
@@ -381,12 +385,28 @@ class TestExitCodes:
     def test_a_residual_norm_that_is_not_finite_exits_two(
         self, tmp_path, capsys
     ):
+        # the squared norm overflows: inf, with no warning
         config = write_config(tmp_path, "solve", {"noise": 1e300})
         out = tmp_path / "out"
-        with np.errstate(over="ignore"):  # the squared norm overflows
-            code = run(["solve", "--config", config, "--out", out])
-        assert code == 2
+        assert run(["solve", "--config", config, "--out", out]) == 2
         assert capsys.readouterr().err == (
+            "numeric error: residual norm is inf at iterate 0\n")
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_an_overflowing_residual_exits_two_with_warnings_as_errors(
+        self, tmp_path
+    ):
+        config = write_config(tmp_path, "solve", {"noise": 1e300})
+        out = tmp_path / "out"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+        result = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "gncoder.cli",
+             "solve", "--config", str(config), "--out", str(out)],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        assert result.returncode == 2
+        assert result.stderr == (
             "numeric error: residual norm is inf at iterate 0\n")
         assert not out.exists() or not any(out.iterdir())
 

@@ -16,7 +16,7 @@ from gncoder.diagnostics import (
     merge_mirrored,
     mysovskii_check,
 )
-from gncoder import diagnostics
+from gncoder import diagnostics, pseudoinverse
 from gncoder.exceptions import (
     ConfigError,
     RankDeficiencyError,
@@ -38,7 +38,8 @@ from gncoder.operators import (
     make_integration,
     parse_operator,
 )
-from gncoder.pseudoinverse import full_rank, pinv_apply, weighted_qr
+from gncoder.pseudoinverse import (full_rank, pinv_apply, pinv_apply_columns,
+                                   weighted_qr)
 from gncoder.sampling import sample_params, unit_direction
 
 SIGMOID = Activation.sigmoid(1.0)
@@ -332,6 +333,53 @@ def cone_transitions(p1, p2s, activation, grid):
     return out
 
 
+def node_major_image(forward, jac):
+    """``forward`` of every column of a node-major ``jac``: the transposed
+    view of ``apply_rows`` of ``jac.T``, so each image has the layout the
+    node-major path gave it."""
+    return forward.apply_rows(jac.T).T
+
+
+def node_major_cone(p1, p2s, activation, grid, forward, rank_tol=1e-10):
+    """``cone_check`` on node-major Jacobians, the C-ordered
+    :func:`jacobian` at each point and its images by
+    :func:`node_major_image`, as the cone ran before it took rows: its
+    bitwise oracle, as ``(r_matrix, dev, decomposition_residual, ratio)``
+    per point."""
+    jac1 = jacobian(p1, activation, grid)
+    factors = full_rank(weighted_qr(jac1, grid, rank_tol), "derivative at p1")
+    fj1 = node_major_image(forward, jac1)
+    w_out = forward.out_grid.weights[:, None]
+    out = []
+    for p2 in p2s:
+        jac2 = jacobian(Params.from_flat(p2, p1.units, p1.input_dim),
+                        activation, grid)
+        transition = pinv_apply_columns(factors, jac2)
+        dev = float(np.linalg.norm(transition - np.eye(p1.n_star), 2))
+        fj2 = node_major_image(forward, jac2)
+        defect = fj2 - fj1 @ transition
+        num = math.sqrt(float(np.sum(w_out * defect * defect)))
+        den = math.sqrt(float(np.sum(w_out * fj2 * fj2)))
+        dist = float(np.linalg.norm(p2 - p1.flatten()))
+        out.append((transition, dev, num / den if den > 0 else 0.0,
+                    dev / dist if dist > 0 else math.nan))
+    return out
+
+
+#: (activation, grid, operator) of the node-major cone oracle: the four
+#: operators of the catalog, with sigmoid, tanh and relu.  A relu unit is
+#: positively homogeneous, so its alpha column is a combination of its w
+#: and theta columns: the relu cases check that both cones refuse alike.
+CONE_CASES = [
+    (a, g, operator)
+    for g, operator in ((make_grid(1, 64), "identity"),
+                        (make_grid(1, 100), "volterra"),
+                        (make_grid(1, 64), "gauss:0.05"),
+                        (make_grid(2, 16), "gauss:0.1"))
+    for a in (SIGMOID, TANH, Activation.relu())
+]
+
+
 #: (activation, grid, operator) of the tail oracles: volterra, a Gaussian
 #: blur and the identity, sigmoid and tanh, 1-D and 2-D.
 TAIL_CASES = [
@@ -367,6 +415,63 @@ class TestConeTail:
             assert report.r_matrix.tobytes() == transition.tobytes()
             assert report.r_matrix.flags.c_contiguous
 
+    @pytest.mark.parametrize("case", range(len(CONE_CASES)))
+    def test_reports_are_bitwise_the_node_major_cone(self, monkeypatch, case):
+        activation, grid, operator = CONE_CASES[case]
+        forward = parse_operator(operator, grid)
+        compared = 0
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            p1 = sample_params(rng, 2 + seed % 2, grid.dim, box=(-5, 5),
+                               alpha_band=1.0)
+            p2s = np.array([p1.flatten() + t * unit_direction(rng, p1.n_star)
+                            for t in (0.5, 0.1, 1e-2, 1e-3, 0.0)])
+            # chunks of two Jacobians: 2, 2 and 1
+            monkeypatch.setattr(network, "CHUNK_BYTES",
+                                2 * 8 * grid.node_count * p1.n_star)
+            try:
+                expected = node_major_cone(p1, p2s, activation, grid, forward)
+            except RankDeficiencyError as err:
+                with pytest.raises(RankDeficiencyError, match=f"^{err}$"):
+                    cone_check(p1, p2s, activation, grid, forward)
+                continue
+            reports = cone_check(p1, p2s, activation, grid, forward)
+            assert len(reports) == len(expected)
+            for report, (transition, dev, residual, ratio) in zip(reports,
+                                                                  expected):
+                assert report.r_matrix.tobytes() == transition.tobytes()
+                assert (report.dev, report.decomposition_residual) == (
+                    dev, residual)
+                assert np.array(report.ratio).tobytes() == (
+                    np.array(ratio).tobytes())
+            compared += 1
+        assert (compared > 0) == (activation.kind != "relu")
+
+    def test_base_point_is_factored_from_a_rows_view(self, monkeypatch):
+        grid = make_grid(1, 64)
+        p1, p2s = tail_points(grid, 0, 2)
+        seen, swept = [], []
+        qr, sweep = diagnostics.weighted_qr, pseudoinverse._mgs_sweep
+
+        def spy_qr(matrix, *args):
+            seen.append(matrix)
+            return qr(matrix, *args)
+
+        def spy_sweep(rows, *args):
+            swept.append(rows)
+            return sweep(rows, *args)
+
+        monkeypatch.setattr(diagnostics, "weighted_qr", spy_qr)
+        monkeypatch.setattr(pseudoinverse, "_mgs_sweep", spy_sweep)
+        cone_check(p1, [p.flatten() for p in p2s], SIGMOID, grid,
+                   make_integration(grid))
+        matrix, = seen
+        rows, = swept
+        # the transposed view of C-ordered rows, swept without a copy
+        assert matrix.shape == (grid.node_count, p1.n_star)
+        assert matrix.T.flags.c_contiguous and not matrix.flags.owndata
+        assert np.shares_memory(rows, matrix)
+
     def test_mismatched_point_is_a_shape_error_before_any_jacobian(
         self, monkeypatch
     ):
@@ -374,9 +479,7 @@ class TestConeTail:
         p1 = MYSOVSKII_BASE
         wider = Params([1.0, 2.0, 3.0], [[1.0], [2.0], [3.0]], [0.0, 0.1, 0.2])
         built = []
-        monkeypatch.setattr(diagnostics, "jacobian",
-                            lambda *args: built.append(args))
-        monkeypatch.setattr(diagnostics, "jacobians",
+        monkeypatch.setattr(diagnostics, "jacobian_rows",
                             lambda *args: built.append(args))
         for p2s, shape in (([wider.flatten()] * 2, "(2, 9)"),
                            (p1.flatten(), "(6,)")):
@@ -439,7 +542,7 @@ def mysovskii_loop(probes, activation, grid, forward):
     out = []
     for p, q, s_values in probes:
         factors = full_rank(weighted_qr(
-            forward.apply_columns(jacobian(p, activation, grid)),
+            node_major_image(forward, jacobian(p, activation, grid)),
             forward.out_grid), "p")
         d = p.flatten() - q.flatten()
         dist_sq = float(np.linalg.norm(d)) ** 2
@@ -493,7 +596,7 @@ class TestMysovskiiTail:
         wider = Params([1.0, 2.0, 3.0], [[1.0], [2.0], [3.0]], [0.0, 0.1, 0.2])
         planar = Params([1.0, 2.0], [[1.0, 0.0], [2.0, 1.0]], [0.0, 0.1])
         built = []
-        monkeypatch.setattr(diagnostics, "jacobians",
+        monkeypatch.setattr(diagnostics, "jacobian_rows",
                             lambda *args: built.append(args))
         for probe, shape in (((p, wider.flatten()), "q of probe 1 has shape (9,)"),
                              ((p, planar.flatten()), "q of probe 1 has shape (8,)"),

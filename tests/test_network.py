@@ -537,13 +537,11 @@ class TestStackedJacobians:
         a, g = STACK_CASES[case]
         rng = np.random.default_rng(100 * case + units)
         points = [sample_params(rng, units, g.dim, box=(-10, 10)) for _ in range(rows)]
-        stack = network.jacobians(flat_rows(points), units, g.dim, a, g)
-        assert stack.shape == (rows, g.node_count, points[0].n_star)
+        stack = network.jacobian_rows(flat_rows(points), units, g.dim, a, g)
+        assert stack.shape == (rows, points[0].n_star, g.node_count)
         assert stack.flags.c_contiguous
         for p, matrix in zip(points, stack):
-            expected = pointwise_jacobian(p, a, g)
-            assert matrix.tobytes() == expected.tobytes()
-            assert matrix.strides == expected.strides
+            assert matrix.tobytes() == pointwise_jacobian(p, a, g).T.tobytes()
 
     @pytest.mark.parametrize("units", [1, 3])
     @pytest.mark.parametrize("case", range(len(STACK_CASES)))
@@ -564,26 +562,25 @@ class TestStackedJacobians:
         g = make_grid(2, 256)
         rng = np.random.default_rng(256)
         points = [sample_params(rng, 3, 2, box=(-5, 5)) for _ in range(2)]
-        stack = network.jacobians(flat_rows(points), 3, 2, SIGMOID, g)
+        stack = network.jacobian_rows(flat_rows(points), 3, 2, SIGMOID, g)
         for p, matrix in zip(points, stack):
             expected = pointwise_jacobian(p, SIGMOID, g)
-            assert matrix.tobytes() == expected.tobytes()
-            assert matrix.strides == expected.strides
-        single = jacobian(points[0], SIGMOID, g)
-        assert single.tobytes() == stack[0].tobytes()
-        assert single.strides == stack[0].strides
+            assert matrix.tobytes() == expected.T.tobytes()
+            single = jacobian(p, SIGMOID, g)
+            assert single.tobytes() == expected.tobytes()
+            assert single.strides == expected.strides
 
     def test_no_points_give_an_empty_stack(self):
         for flat in (np.empty((0, 3)), []):
-            stack = network.jacobians(flat, 1, 1, SIGMOID, make_grid(1, 8))
-            assert stack.shape == (0, 8, 3)
+            stack = network.jacobian_rows(flat, 1, 1, SIGMOID, make_grid(1, 8))
+            assert stack.shape == (0, 3, 8)
 
     @pytest.mark.parametrize("flat, shape", [
         (np.zeros((2, 9)), "(2, 9)"), (np.zeros(6), "(6,)"),
         (np.zeros((1, 2, 6)), "(1, 2, 6)")])
     def test_wrong_width_is_a_shape_error_naming_both(self, flat, shape):
         with pytest.raises(ShapeError) as err:
-            network.jacobians(flat, 2, 1, SIGMOID, make_grid(1, 8))
+            network.jacobian_rows(flat, 2, 1, SIGMOID, make_grid(1, 8))
         assert str(err.value) == (f"points have shape {shape}, 2 units in "
                                   "dimension 1 need (rows, 6)")
 
@@ -596,12 +593,12 @@ class TestStackedJacobians:
         with pytest.raises(ConfigError, match=(
                 "^points_per_axis 12 in dimension 2 needs a 0.0 GiB 2-point "
                 "Jacobian stack, over the")):
-            network.jacobians(flat_rows(points), 3, 2, SIGMOID, g)
+            network.jacobian_rows(flat_rows(points), 3, 2, SIGMOID, g)
         with pytest.raises(ConfigError):
             jacobian(points[0], SIGMOID, make_grid(2, 24))
         monkeypatch.setattr(grids, "DENSE_BYTES_LIMIT", need)
-        assert network.jacobians(flat_rows(points), 3, 2, SIGMOID, g).shape == (
-            2, 144, 12)
+        assert network.jacobian_rows(flat_rows(points), 3, 2, SIGMOID,
+                                     g).shape == (2, 12, 144)
 
     def test_step_activation_writes_nothing(self):
         g = make_grid(2, 12)

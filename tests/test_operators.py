@@ -162,31 +162,32 @@ def test_adjoint_identity_over_catalog():
                 assert gap <= 1e-10 * norm(u) * norm(v)
 
 
-def test_apply_columns_matches_apply_over_catalog():
-    # the block apply keeps each column's arithmetic, except that the 1-D
-    # convolution runs one matrix product instead of one per column
+def test_apply_rows_of_f_ordered_rows_over_catalog():
+    # F-ordered rows, the transposed view of a node-major matrix: each row
+    # keeps its arithmetic, except that the 1-D convolution runs one matrix
+    # product instead of one per row, and the result's layout is pinned,
+    # since later whole-array sums round by it
     rng = np.random.default_rng(19)
     for dim in (1, 2):
         g = make_grid(dim, 12)
         for F in catalog(g):
-            M = rng.standard_normal((g.node_count, 5))
-            block = F.apply_columns(M)
-            per_column = np.column_stack(
-                [F.apply(GridFunction(g, col)).values for col in M.T]
-            )
+            rows = rng.standard_normal((g.node_count, 5)).T
+            out = F.apply_rows(rows)
+            per_row = np.array([F.apply(GridFunction(g, row)).values
+                                for row in rows])
             if dim == 1 and F.descriptor.startswith("gauss"):
-                assert np.allclose(block, per_column, rtol=1e-13, atol=1e-15)
+                assert np.allclose(out, per_row, rtol=1e-13, atol=1e-15)
             else:
-                assert np.array_equal(block, per_column)
-            rows = F.apply_rows(np.ascontiguousarray(M.T))
-            assert block.tobytes() == rows.T.tobytes()
-            # cone_check's whole-array sums round by this layout: C order,
-            # but the 2-D Gaussian's transposed rows
-            transposed_rows = dim == 2 and F.descriptor.startswith("gauss")
-            assert block.flags.c_contiguous == (not transposed_rows)
-            assert block.flags.f_contiguous == transposed_rows
+                assert np.array_equal(out, per_row)
+            # the rows' layout changes no value, only the result's layout:
+            # F order, but C order under the 2-D Gaussian
+            c_rows = F.apply_rows(np.ascontiguousarray(rows))
+            assert out.tobytes() == c_rows.tobytes()
+            transposed = dim == 2 and F.descriptor.startswith("gauss")
+            assert out.flags.f_contiguous == (not transposed)
+            assert out.flags.c_contiguous == transposed
             with pytest.raises(GridMismatchError):
-                F.apply_columns(M[:-1])
+                F.apply_rows(rows[:, :-1])
 
 
 def one_product_per_matrix(F):

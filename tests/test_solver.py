@@ -109,7 +109,9 @@ class TestGaussNewtonStep:
 ])
 def test_step_is_bitwise_the_node_major_path(dim, m, operator):
     # the step carries the Jacobian as rows from build to factorization;
-    # every bit is that of jacobian(), apply_columns() and weighted_qr()
+    # every bit is that of the node-major path: the C-ordered jacobian(),
+    # each column mapped as a transposed view, and weighted_qr() of the
+    # mapped matrix
     grid = make_grid(dim, m)
     forward = parse_operator(operator, grid)
     rng = np.random.default_rng(m)
@@ -121,7 +123,8 @@ def test_step_is_bitwise_the_node_major_path(dim, m, operator):
         y = forward.apply(eval_psi(p_true, SIGMOID, grid))
         cfg = SolveConfig(SIGMOID, grid, forward, p, y)
         r = residual(p, cfg)
-        mapped = forward.apply_columns(jacobian(p, SIGMOID, grid))
+        jac = jacobian(p, SIGMOID, grid)
+        mapped = forward.apply_rows(jac.T).T
         try:
             factors = full_rank(weighted_qr(mapped, grid, cfg.rank_tol),
                                 "Jacobian")
