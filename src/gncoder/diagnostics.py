@@ -266,14 +266,8 @@ def cone_check(
     flat1 = p1.flatten()
     rows1 = jacobian_rows(flat1[None], units, dim, activation, grid)[0]
     factors = full_rank(weighted_qr(rows1.T, grid, rank_tol), "derivative at p1")
-
-    def image(rows):
-        # the whole-array sums below round by the image's layout: F-ordered
-        # rows keep the bits of the node-major Jacobian's columns
-        return forward.apply_rows(np.asfortranarray(rows)).T
-
-    fj1 = image(rows1)
-    w_out = forward.out_grid.weights[:, None]
+    fj1 = forward.apply_rows(rows1)
+    w_out = forward.out_grid.weights
     n_star = p1.n_star
     reports = []
     for chunk in _chunks(p2s, lambda _: 8 * grid.node_count * n_star):
@@ -282,8 +276,8 @@ def cone_check(
             transition = pinv_apply_columns(factors, rows2.T)
             dev = float(np.linalg.norm(transition - np.eye(n_star), 2))
 
-            fj2 = image(rows2)
-            defect = fj2 - fj1 @ transition
+            fj2 = forward.apply_rows(rows2)
+            defect = fj2 - transition.T @ fj1
             num = math.sqrt(float(np.sum(w_out * defect * defect)))
             den = math.sqrt(float(np.sum(w_out * fj2 * fj2)))
             residual = num / den if den > 0 else 0.0

@@ -67,8 +67,8 @@ def _flat_stack(flat, units: int, dim: int, what: str) -> np.ndarray:
 
 def _check_jacobian_bytes(rows: int, units: int, dim: int, m: int) -> None:
     """Refuse a ``rows``-point Jacobian stack on a grid of ``m`` points per
-    axis, with room for one copy of it (the transposing copy of
-    :func:`jacobian`, or the cone's F-ordered images) and the pass's
+    axis, with room for one copy of it (its image under a forward
+    operator, or the transposing copy of :func:`jacobian`) and the pass's
     scratch, ``8 (2 n* + 3 N)`` bytes a node and point, by
     :func:`~gncoder.grids.check_dense_bytes`."""
     n_star = units * (dim + 2)
@@ -173,14 +173,11 @@ def _jacobian_matrices(flat, units: int, dim: int, a: Activation, g: Grid, out):
 
 
 def _w_transposed(flat, units: int, dim: int) -> np.ndarray:
-    """The ``w.T`` of each row of a ``(rows, n*)`` stack of flattened
-    parameters, shape ``(rows, dim, units)``: a transposed view of a fresh
-    C-ordered ``w`` stack, so each matrix has the strides of one
-    ``Params.w.T`` and ``g.nodes @`` it rounds as at one point."""
-    rows = len(flat)
-    return np.ascontiguousarray(
-        flat[:, units : units * (dim + 1)].reshape(rows, units, dim)
-    ).transpose(0, 2, 1)
+    """The ``w.T`` of each row of a C-ordered ``(rows, n*)`` stack of
+    flattened parameters, shape ``(rows, dim, units)``: a transposed view,
+    so each matrix has the strides of one ``Params.w.T`` and ``g.nodes @``
+    it rounds as at one point."""
+    return flat[:, units : units * (dim + 1)].reshape(-1, units, dim).transpose(0, 2, 1)
 
 
 def directional_derivative(p: Params, a: Activation, g: Grid, direction) -> GridFunction:

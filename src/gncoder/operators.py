@@ -28,9 +28,8 @@ class LinearOperator:
     Both act along the last axis, so one call maps a ``(node_count,)``
     vector or every row of a ``(..., node_count)`` stack, which
     ``apply_rows`` exposes; each returns a fresh array of its input's
-    shape.  A Jacobian travels as such rows, one per column.  The result's
-    layout follows the operator and the rows' layout, and later products
-    and sums round by it.  ``injective`` records whether the discrete
+    shape.  A Jacobian travels as such rows, one per column: C-ordered rows
+    in give C-ordered rows out.  ``injective`` records whether the discrete
     matrix has full column rank.
     """
 
@@ -57,8 +56,9 @@ class LinearOperator:
 
     def apply_rows(self, rows: np.ndarray) -> np.ndarray:
         """Apply the operator to every row of a ``(..., node_count)`` array
-        in one call.  Each row is bitwise :meth:`apply` of it alone, except
-        under the 1-D Gaussian, which runs one product per matrix."""
+        in one call; C-ordered rows give C-ordered rows.  Each row is
+        bitwise :meth:`apply` of it alone, except under the 1-D Gaussian,
+        which runs one product per matrix."""
         if rows.ndim < 1 or rows.shape[-1] != self.in_grid.node_count:
             raise GridMismatchError(
                 f"expected rows of {self.in_grid.node_count} nodes, got shape "
@@ -201,11 +201,7 @@ class GaussianConvolutionOperator(LinearOperator):
     def _apply_values(self, values):
         m = self.in_grid.points_per_axis
         if self.in_grid.dim == 1:
-            # F @ C-ordered (node_count, count) blocks, whatever the rows'
-            # layout: a product rounds by its operands' layout, and these
-            # are the node-major Jacobian's bits
-            blocks = np.ascontiguousarray(np.swapaxes(np.atleast_2d(values), -1, -2))
-            return np.swapaxes(self._factor @ blocks, -1, -2).reshape(values.shape) / m
+            return np.ascontiguousarray(values) @ self._factor.T / m
         # F @ U @ F.T per m x m image, one per row; one wide product over all
         # images rounds differently
         images = values.reshape(-1, m, m)

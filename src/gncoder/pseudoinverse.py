@@ -148,18 +148,14 @@ def _mgs_sweep(rows, w, rank_tol):
     ``np.sum(w * q_i * v)`` and ``np.sum(w * v * v)`` take.  The two passes'
     coefficients are kept apart and summed as ``(0.0 + first) + second``,
     as a running sum from zero rounds them.  So each matrix's factors are
-    bitwise those of the same sweep over fresh copies of its columns.  The
-    rank thresholds' column norms sum over the nodes as numpy's axis-1 sum
-    of a C-ordered ``(count, K, n)`` stack does: a running sum, or, for one
-    column, pairwise.  A zero matrix gets an infinite threshold, so all its
-    columns are dependent.
+    bitwise those of the same sweep over fresh copies of its columns.  A
+    zero matrix gets an infinite threshold, so all its columns are
+    dependent.
     """
     count, ncols, nodes = rows.shape
     squares = w * rows
     squares *= rows
-    sums = (np.sum(squares, axis=-1) if ncols == 1
-            else np.cumsum(squares, axis=-1, out=squares)[..., -1])
-    col_norms = np.sqrt(sums)
+    col_norms = np.sqrt(np.sum(squares, axis=-1))
     max_norms = col_norms.max(axis=1).tolist()
     limits = [math.inf if m == 0.0 else rank_tol * m for m in max_norms]
     # one matrix drops the stack axis: (K,) rows and 0-d coefficients take

@@ -33,7 +33,7 @@ from .exceptions import (
 )
 from .grids import Grid, GridFunction, norm
 from .network import (DEFAULT_PARAM_BOX, ConvergenceConstants, Params, eval_psi,
-                      jacobian, jacobian_rows)
+                      jacobian_rows)
 from .operators import LinearOperator
 from .pseudoinverse import full_rank, pinv_apply, weighted_qr
 
@@ -141,6 +141,12 @@ def _forward_map(p: Params, cfg: SolveConfig) -> GridFunction:
     return cfg.forward.apply(eval_psi(p, cfg.activation, cfg.grid))
 
 
+def _jacobian_rows(p: Params, cfg: SolveConfig) -> np.ndarray:
+    """The ``(n_star, node_count)`` Jacobian rows of the synthesis at ``p``."""
+    return jacobian_rows(p.flatten()[None], p.units, p.input_dim,
+                         cfg.activation, cfg.grid)[0]
+
+
 def _clamp_to_box(flat: np.ndarray, box) -> tuple[np.ndarray, bool]:
     lo, hi = box
     clipped = np.clip(flat, lo, hi)
@@ -157,11 +163,9 @@ def gauss_newton_step(
     loses full column rank under ``cfg.rank_tol`` and :class:`NumericError`
     if the update produces non-finite values.  ``J_k`` stays node-minor
     rows (:func:`~gncoder.network.jacobian_rows`) from build to
-    factorization, with no copy between, bitwise the node-major path.
+    factorization, with no copy between.
     """
-    rows = jacobian_rows(p.flatten()[None], p.units, p.input_dim,
-                         cfg.activation, cfg.grid)[0]
-    mapped = cfg.forward.apply_rows(rows)
+    mapped = cfg.forward.apply_rows(_jacobian_rows(p, cfg))
     factors = full_rank(weighted_qr(mapped.T, cfg.forward.out_grid,
                                     cfg.rank_tol), "Jacobian")
     delta = pinv_apply(factors, residual)
@@ -185,8 +189,7 @@ def misfit_value_grad(p: Params, cfg: SolveConfig) -> tuple[float, np.ndarray]:
     residual = _forward_map(p, cfg) - cfg.data
     value = 0.5 * norm(residual) ** 2
     back = cfg.forward.adjoint(residual)
-    jac = jacobian(p, cfg.activation, cfg.grid)
-    grad = jac.T @ (cfg.grid.weights * back.values)
+    grad = _jacobian_rows(p, cfg) @ (cfg.grid.weights * back.values)
     return value, grad
 
 
@@ -298,7 +301,7 @@ def tikhonov_value_grad(
     residual = cfg.forward.apply(image) - cfg.data
     misfit = norm(residual) ** 2
     back = cfg.forward.adjoint(residual)
-    jac = jacobian(p, cfg.activation, cfg.grid)
+    rows = _jacobian_rows(p, cfg)
     w = cfg.grid.weights
     if obj.variant == VARIANT_STATE_SPACE:
         if obj.prior.grid != cfg.grid:
@@ -306,7 +309,7 @@ def tikhonov_value_grad(
         deviation = image - obj.prior
         value = misfit + obj.lam * norm(deviation) ** 2
         grad = 2.0 * (
-            jac.T @ (w * (back.values + obj.lam * deviation.values))
+            rows @ (w * (back.values + obj.lam * deviation.values))
         )
         return value, grad
     weights = np.asarray(obj.penalty_weights, dtype=float)
@@ -316,7 +319,7 @@ def tikhonov_value_grad(
             f"penalty weights have shape {weights.shape}, expected {flat.shape}"
         )
     value = misfit + obj.lam * float(np.sum(weights * flat * flat))
-    grad = 2.0 * (jac.T @ (w * back.values)) + 2.0 * obj.lam * weights * flat
+    grad = 2.0 * (rows @ (w * back.values)) + 2.0 * obj.lam * weights * flat
     return value, grad
 
 

@@ -41,6 +41,7 @@ from gncoder.operators import (
 from gncoder.pseudoinverse import (full_rank, pinv_apply, pinv_apply_columns,
                                    weighted_qr)
 from gncoder.sampling import sample_params, unit_direction
+from node_major import node_major_image
 
 SIGMOID = Activation.sigmoid(1.0)
 TANH = Activation.tanh()
@@ -333,19 +334,12 @@ def cone_transitions(p1, p2s, activation, grid):
     return out
 
 
-def node_major_image(forward, jac):
-    """``forward`` of every column of a node-major ``jac``: the transposed
-    view of ``apply_rows`` of ``jac.T``, so each image has the layout the
-    node-major path gave it."""
-    return forward.apply_rows(jac.T).T
-
-
 def node_major_cone(p1, p2s, activation, grid, forward, rank_tol=1e-10):
     """``cone_check`` on node-major Jacobians, the C-ordered
     :func:`jacobian` at each point and its images by
-    :func:`node_major_image`, as the cone ran before it took rows: its
-    bitwise oracle, as ``(r_matrix, dev, decomposition_residual, ratio)``
-    per point."""
+    :func:`node_major_image`, with whole-array sums over F-ordered images,
+    as the cone ran before it took rows: its oracle, as ``(r_matrix, dev,
+    decomposition_residual, ratio)`` per point."""
     jac1 = jacobian(p1, activation, grid)
     factors = full_rank(weighted_qr(jac1, grid, rank_tol), "derivative at p1")
     fj1 = node_major_image(forward, jac1)
@@ -416,7 +410,12 @@ class TestConeTail:
             assert report.r_matrix.flags.c_contiguous
 
     @pytest.mark.parametrize("case", range(len(CONE_CASES)))
-    def test_reports_are_bitwise_the_node_major_cone(self, monkeypatch, case):
+    def test_reports_match_the_node_major_cone(self, monkeypatch, case):
+        # the cone factors the unmapped rows, so the transitions, their
+        # deviations and ratios keep every bit.  The decomposition residual
+        # sums C-ordered images in another order (at most 3.8e-16 relative
+        # here), and the 1-D Gaussian's images round differently too: a
+        # residual near rounding level moved by at most 1.8e-15 absolute
         activation, grid, operator = CONE_CASES[case]
         forward = parse_operator(operator, grid)
         compared = 0
@@ -440,8 +439,9 @@ class TestConeTail:
             for report, (transition, dev, residual, ratio) in zip(reports,
                                                                   expected):
                 assert report.r_matrix.tobytes() == transition.tobytes()
-                assert (report.dev, report.decomposition_residual) == (
-                    dev, residual)
+                assert report.dev == dev
+                assert report.decomposition_residual == pytest.approx(
+                    residual, rel=1e-15, abs=1e-14)
                 assert np.array(report.ratio).tobytes() == (
                     np.array(ratio).tobytes())
             compared += 1
@@ -541,9 +541,10 @@ def mysovskii_loop(probes, activation, grid, forward):
     oracle, as ``(lhs_values, bound_ratios)`` per probe."""
     out = []
     for p, q, s_values in probes:
-        factors = full_rank(weighted_qr(
-            node_major_image(forward, jacobian(p, activation, grid)),
-            forward.out_grid), "p")
+        rows = jacobian_rows(p.flatten()[None], p.units, p.input_dim,
+                             activation, grid)[0]
+        factors = full_rank(weighted_qr(forward.apply_rows(rows).T,
+                                        forward.out_grid), "p")
         d = p.flatten() - q.flatten()
         dist_sq = float(np.linalg.norm(d)) ** 2
         base = directional_derivative(q, activation, grid, d)

@@ -165,11 +165,10 @@ def test_adjoint_identity_over_catalog():
 def test_apply_rows_of_f_ordered_rows_over_catalog():
     # F-ordered rows, the transposed view of a node-major matrix: each row
     # keeps its arithmetic, except that the 1-D convolution runs one matrix
-    # product instead of one per row, and the result's layout is pinned,
-    # since later whole-array sums round by it
+    # product instead of one per row; C-ordered rows give C-ordered rows
     rng = np.random.default_rng(19)
-    for dim in (1, 2):
-        g = make_grid(dim, 12)
+    for dim, m in ((1, 12), (1, 64), (1, 100), (2, 12)):
+        g = make_grid(dim, m)
         for F in catalog(g):
             rows = rng.standard_normal((g.node_count, 5)).T
             out = F.apply_rows(rows)
@@ -179,13 +178,11 @@ def test_apply_rows_of_f_ordered_rows_over_catalog():
                 assert np.allclose(out, per_row, rtol=1e-13, atol=1e-15)
             else:
                 assert np.array_equal(out, per_row)
-            # the rows' layout changes no value, only the result's layout:
-            # F order, but C order under the 2-D Gaussian
-            c_rows = F.apply_rows(np.ascontiguousarray(rows))
-            assert out.tobytes() == c_rows.tobytes()
-            transposed = dim == 2 and F.descriptor.startswith("gauss")
-            assert out.flags.f_contiguous == (not transposed)
-            assert out.flags.c_contiguous == transposed
+            # the rows' layout changes no value
+            c_rows = np.ascontiguousarray(rows)
+            assert out.tobytes() == F.apply_rows(c_rows).tobytes()
+            for stack in (c_rows, c_rows[None], c_rows[0]):
+                assert F.apply_rows(stack).flags.c_contiguous
             with pytest.raises(GridMismatchError):
                 F.apply_rows(rows[:, :-1])
 

@@ -372,12 +372,11 @@ class TestTransposedRowsView:
             assert got.q_matrix.flags.c_contiguous
             assert got.q_matrix.shape == (nodes, got.rank)
 
-    def test_rank_threshold_sums_each_column_in_node_order(self):
+    def test_rank_threshold_sums_each_column_pairwise(self):
         # the threshold is rank_tol times the largest column norm, each norm
-        # summing w * v * v node by node (a running sum), as an axis-0 sum
-        # of a C-ordered (K, n) matrix adds; the pairwise sum of a
-        # contiguous row rounds differently and would move flags that sit
-        # at the threshold
+        # the pairwise sum of w * v * v along the column's contiguous row,
+        # as np.sum of one vector adds; a running sum node by node rounds
+        # differently and would move flags that sit at the threshold
         grid = make_grid(1, 4096)
         w = grid.weights
         rng = np.random.default_rng(41)
@@ -392,7 +391,7 @@ class TestTransposedRowsView:
             for _ in range(8):
                 if (residual < tol * running) != (residual < tol * pairwise):
                     f = weighted_qr(matrix, grid, tol)
-                    assert f.dependent == (False, bool(residual < tol * running))
+                    assert f.dependent == (False, bool(residual < tol * pairwise))
                     flips += 1
                     break
                 tol = np.nextafter(tol, np.inf if running > pairwise else 0.0)
