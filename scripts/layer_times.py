@@ -39,15 +39,23 @@ nodes, N=3, ``sigmoid:1``), 100 trials at seed 0, drawn and assessed as
 ``gncoder independence`` does: one ``independence_reports`` call on the
 stack of the trials' draws.
 
+A fifth shape, fresh, runs last and times whole fresh processes of the
+tree: ``import_cli`` is ``python -c "import gncoder.cli"`` and
+``solve_default`` is ``python -m gncoder.cli solve`` at its defaults,
+writing into a temporary directory.  This is the end-to-end time of a
+``gncoder`` command, import included.  Its faults column counts only the
+worker's own faults, not the child's.
+
 Every round runs each tree in its own subprocess (this script in worker
 mode, with that tree's ``src/`` first on ``sys.path``): the parent first in
 even rounds, the change first in odd ones.  A worker times each stage with
-``timeit``, at a call count that takes at least 0.2 s, best of 3, and counts
-the minor page faults (``ru_minflt``) over those timed calls.  The table
-shows, per stage and tree, the best and the median per-call time over the
-rounds, and the change's ratio to the parent of each: a median ratio far
-from the best one marks a stage the host's noise moves.  A faults column
-after each tree's times gives its median minor faults per call: an
+``timeit``, at a call count that takes at least 0.2 s, best of 3, and
+counts the minor page faults (``ru_minflt``) over those timed calls.  The
+table shows, per stage and tree, the best and the median per-call time
+over the rounds and their spread (the range over the median), and the
+change's ratio to the parent of the best and of the median: a median ratio
+far from the best one marks a stage the host's noise moves.  A faults
+column after each tree's times gives its median minor faults per call: an
 allocation that the kernel must fault in afresh on every call shows there.
 Nothing is written to either tree.
 """
@@ -197,6 +205,30 @@ def independence_calls():
     return {"independence_pass": independence_pass}
 
 
+def fresh_calls():
+    """``{stage: zero-argument callable}`` for the fresh shape: a fresh
+    interpreter of the imported tree that imports ``gncoder.cli``, and one
+    that runs a default ``solve`` into a temporary directory."""
+    import os
+    import tempfile
+
+    import gncoder
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(gncoder.__file__).parents[1]),
+                    env.get("PYTHONPATH")) if p)
+
+    def fresh(*args):
+        with tempfile.TemporaryDirectory() as tmp:
+            subprocess.run([sys.executable, *args], cwd=tmp, env=env,
+                           check=True, capture_output=True)
+
+    return {"import_cli": partial(fresh, "-c", "import gncoder.cli"),
+            "solve_default": partial(fresh, "-m", "gncoder.cli", "solve",
+                                     "--out", "out")}
+
+
 #: shape -> builder of its ``{stage: callable}``, in the order a worker
 #: runs them; the solve shapes take (dim, points_per_axis, units, operator,
 #: constants_samples).  The independence shape runs first: once the process
@@ -209,6 +241,7 @@ SHAPES = {
     "desk": partial(solve_calls, 1, 64, 2, "volterra", 24),
     "wide": partial(solve_calls, 2, 256, 3, "gauss:0.05", 8),
     "probes": probe_calls,
+    "fresh": fresh_calls,
 }
 
 
@@ -292,21 +325,23 @@ def main(argv=None) -> int:
               file=sys.stderr, flush=True)
 
     print(f"per call over {args.rounds} interleaved rounds: best and median "
-          f"time, median minor faults")
+          f"time, spread (range / median), median minor faults")
     print(f"{'shape':12} {'stage':20} {'parent best':>12} {'median':>10} "
-          f"{'faults':>8} {'change best':>12} {'median':>10} {'faults':>8} "
-          f"{'ratio':>7} {'median':>7}")
+          f"{'spread':>7} {'faults':>8} {'change best':>12} {'median':>10} "
+          f"{'spread':>7} {'faults':>8} {'ratio':>7} {'median':>7}")
     for shape, stage in times["parent"]:
         sides = times["parent"][(shape, stage)], times["change"][(shape, stage)]
         cells = ""
         for side in sides:  # a side that skipped the stage prints no times
             if None in side:
-                cells += f" {'skipped':>12} {'in a tree':>10} {'-':>8}"
+                cells += f" {'skipped':>12} {'in a tree':>10} {'-':>7} {'-':>8}"
                 continue
             seconds = [cell[0] for cell in side]
+            mid = statistics.median(seconds)
+            spread = (max(seconds) - min(seconds)) / mid
             faults = statistics.median(cell[1] for cell in side)
-            cells += (f" {fmt(min(seconds)):>12} "
-                      f"{fmt(statistics.median(seconds)):>10} {faults:8.1f}")
+            cells += (f" {fmt(min(seconds)):>12} {fmt(mid):>10} "
+                      f"{spread:7.1%} {faults:8.1f}")
         if None not in sides[0] + sides[1]:
             best = [min(cell[0] for cell in side) for side in sides]
             median = [statistics.median(cell[0] for cell in side)

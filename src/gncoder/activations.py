@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .exceptions import SmoothnessError
 
@@ -26,6 +25,17 @@ _SMOOTHNESS = {
     "relu": PIECEWISE_C0,
     "step": DISCONTINUOUS,
 }
+
+
+def logistic(q, out=None):
+    """``1 / (1 + exp(-q))`` into ``out`` (a fresh array of ``q``'s shape
+    when ``None``), which is returned.  An ``exp`` that overflows is quiet,
+    and the value there is 0."""
+    out = np.negative(q, out=np.empty(np.shape(q)) if out is None else out)
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
 def _match_input(t, out):
@@ -88,7 +98,7 @@ class Activation:
     def value(self, t):
         a = np.asarray(t, dtype=float)
         if self.kind == "sigmoid":
-            out = expit(a / self.epsilon)
+            out = logistic(a / self.epsilon)
         elif self.kind == "tanh":
             out = np.tanh(a)
         elif self.kind == "relu":
@@ -107,9 +117,9 @@ class Activation:
 
         The value is written into ``out`` when it is given (an array of
         ``t``'s shape) and returned; the slope is a fresh array.  Sigmoid
-        takes ``q = t / eps`` once and ``expit(q)`` once, as the value and
-        as the slope's first factor, and ``sigma'(t) = sigma(t) *
-        sigma(-t) / eps`` with ``expit(-q)``: this form avoids the
+        takes ``q = t / eps`` once and ``logistic(q)`` once, as the value
+        and as the slope's first factor, and ``sigma'(t) = sigma(t) *
+        sigma(-t) / eps`` with ``logistic(-q)``: this form avoids the
         cancellation in ``1 - sigma(t)`` and is even bitwise, and
         ``-(t / eps)`` is bitwise ``(-t) / eps``.  Tanh takes one ``tanh``
         pass for both.  ReLU's slope is ``1`` where ``t > 0`` and ``0``
@@ -120,8 +130,8 @@ class Activation:
         a = np.asarray(t, dtype=float)
         if self.kind == "sigmoid":
             q = np.divide(a, self.epsilon, out=np.empty(a.shape))
-            value = expit(q, out=out)
-            slope = expit(np.negative(q, out=q), out=q)  # expit(-t / eps)
+            value = logistic(q, out=out)
+            slope = logistic(np.negative(q, out=q), out=q)  # sigma(-t)
             slope *= value
             slope /= self.epsilon
         elif self.kind == "tanh":
@@ -139,8 +149,8 @@ class Activation:
             )
         a = np.asarray(t, dtype=float)
         if self.kind == "sigmoid":
-            sp = expit(a / self.epsilon)
-            sm = expit(-a / self.epsilon)
+            sp = logistic(a / self.epsilon)
+            sm = logistic(-a / self.epsilon)
             out = sp * sm * (sm - sp) / (self.epsilon * self.epsilon)
         else:  # tanh
             th = np.tanh(a)

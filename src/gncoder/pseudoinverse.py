@@ -15,14 +15,13 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
 
 from .exceptions import GridMismatchError, RankDeficiencyError
 from .grids import Grid, GridFunction
 
 DEFAULT_RANK_TOL = 1e-10
 
-#: The message of ``scipy.linalg.solve_triangular``'s finite check.
+#: The message of the back-substitution's finite check.
 _NON_FINITE = "array must not contain infs or NaNs"
 
 
@@ -239,47 +238,38 @@ def pinv_apply_columns(factors: QRFactors, matrix: np.ndarray) -> np.ndarray:
     m)`` array whose column ``j`` is bitwise :func:`pinv_apply` of column
     ``j``.
 
-    The triangle ``R[:, retained]`` and its finite check are prepared once.
-    Each column still gets its own ``Q.T @ (w * x)`` and its own
-    back-substitution (:func:`_solve_upper`): one solve with many right-hand
-    sides rounds differently.  The errors are those of :func:`pinv_apply`,
-    raised at the first column that meets one.
+    The columns are solved as an ``(m, ·, 1)`` stack of single right-hand
+    sides: one ``Q.T @ (w * x)`` matrix-vector product each, in one stacked
+    ``matmul``, then one :func:`_solve_upper` call against ``R[:, retained]``.
+    A product or solve with many right-hand sides rounds differently.  The
+    errors are those of :func:`pinv_apply`, raised at the first column that
+    meets one.
     """
     _check_rows(matrix, factors.grid)
-    retained = list(factors.retained_indices)
-    tri = factors.r_matrix[:, retained]
-    columns = matrix.shape[1]
-    if columns and not np.isfinite(tri).all():
-        raise ValueError(_NON_FINITE)
-    q_t, w = factors.q_matrix.T, factors.grid.weights
-    solved = np.empty((factors.rank, columns))
-    # LAPACK refuses an empty triangle
-    for j in range(columns if factors.rank else 0):
-        solved[:, j] = _solve_upper(tri, q_t @ (w * matrix[:, j]))
-    if factors.rank == factors.column_count:
-        return solved
-    out = np.zeros((factors.column_count, columns))
-    out[retained] = solved
+    out = np.zeros((factors.column_count, matrix.shape[1]))
+    if factors.rank and matrix.shape[1]:  # rank 0 is all zeros, no solve
+        retained = list(factors.retained_indices)
+        # C-ordered rows, so each product reads its vector contiguously
+        weighted = np.multiply(matrix.T, factors.grid.weights, order="C")
+        betas = factors.q_matrix.T @ weighted[:, :, None]
+        solved = _solve_upper(factors.r_matrix[:, retained], betas)
+        out[retained] = solved[:, :, 0].T
     return out
 
 
 def _solve_upper(tri: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """``scipy.linalg.solve_triangular(tri, beta)`` for an upper-triangular
-    F-ordered float64 ``tri`` whose entries the caller has checked finite:
-    the LAPACK ``dtrtrs`` call it makes, with its errors, without its
-    wrapper's per-call overhead.
-
-    Raises
-    ------
-    ValueError
-        If ``beta`` holds an infinity or a NaN.
-    numpy.linalg.LinAlgError
-        If a diagonal entry of ``tri`` is zero.
+    """``np.linalg.solve(tri, beta)`` for an upper-triangular ``tri`` and one
+    right-hand side ``(n,)`` or a stack of them ``(m, n, 1)``: its LU leaves
+    an upper triangle as it is, so each solve is bitwise LAPACK's ``dtrtrs``.
+    The errors are those of the right-hand sides solved one by one, in
+    order: ``ValueError`` if ``tri`` or one of them holds an infinity or a
+    NaN, ``numpy.linalg.LinAlgError`` if a diagonal entry of ``tri`` is zero.
     """
-    if not np.isfinite(beta).all():
+    if not np.isfinite(tri).all():
         raise ValueError(_NON_FINITE)
-    x, info = dtrtrs(tri, beta)
-    if info > 0:
-        raise np.linalg.LinAlgError(
-            f"singular matrix: resolution failed at diagonal {info - 1}")
-    return x
+    if not np.isfinite(beta).all():
+        first = np.isfinite(beta.reshape(-1, len(tri))).all(axis=1).argmin()
+        if first:  # those before it meet a zero diagonal first
+            np.linalg.solve(tri, beta[:first])
+        raise ValueError(_NON_FINITE)
+    return np.linalg.solve(tri, beta)

@@ -607,8 +607,8 @@ BAD_CONFIGS = [
     # a Gram screen of (samples * n*)**2 floats: gigabytes, unchecked
     ("solve", "constants_samples", 3000),
     ("mysovskii", "constants_samples", 3000),
-    # a NaN reached scipy's "array must not contain infs or NaNs"; an
-    # Infinity overflowed and exited 2 as a rank deficiency
+    # a NaN reached the back-substitution's "array must not contain infs or
+    # NaNs"; an Infinity overflowed and exited 2 as a rank deficiency
     ("mysovskii", "base_params",
      {"N": 2, "n": 1, "alpha": [math.nan, 1.0], "w": [[1.0], [-1.0]],
       "theta": [0.0, 0.5]}),
@@ -832,3 +832,18 @@ def _valid_values(f):
         return st.lists(numbers, min_size=2, max_size=2).filter(
             lambda b: b[0] < b[1])
     return numbers
+
+
+def test_importing_the_cli_loads_no_scipy(tmp_path):
+    """A fresh ``import gncoder.cli`` leaves no ``scipy`` module behind:
+    scipy is a test dependency only, and its import would be most of a fresh
+    process's time."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, gncoder.cli; print(sorted(m for m in "
+         "sys.modules if m == 'scipy' or m.startswith('scipy.')))"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

@@ -3,9 +3,9 @@
 The script times the library's layers by name, in workers started only when
 it is run by hand, so a renamed or deleted name would otherwise fail there
 alone.  It is loaded by path, as ``tests/test_bench_tracer.py`` loads the
-tracer, and each stage of its independence, desk and probes shapes is
-called once.  The wide shape is left out: it builds the same stages on a
-256 x 256 grid.
+tracer, and each stage of its independence, desk, probes and fresh shapes
+is called once.  The wide shape is left out: it builds the same stages on
+a 256 x 256 grid.
 """
 
 import importlib.util
@@ -26,7 +26,7 @@ def _load_script():
 layer_times = _load_script()
 
 
-@pytest.mark.parametrize("shape", ["independence", "desk", "probes"])
+@pytest.mark.parametrize("shape", ["independence", "desk", "probes", "fresh"])
 def test_every_stage_of_the_shape_runs(shape):
     calls = layer_times.SHAPES[shape]()
     assert calls
