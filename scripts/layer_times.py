@@ -18,6 +18,11 @@ configs of the benchmark:
 - desk: 1-D, 64 nodes, N=2, ``volterra``, 24 constants samples;
 - wide: 2-D, 256x256 nodes, N=3, ``gauss:0.05``, 8 constants samples.
 
+The desk shape ends with one more stage, ``cli_main``: one in-process
+``gncoder.cli.main(["solve", "--config", ...])`` at that config, writing
+into a temporary directory, as a benchmark job calls it.  It is the whole
+job, argument parsing and output files included.
+
 A third shape, probes, times the whole ``cone_check`` and
 ``mysovskii_check`` calls at the benchmark's probes configs (1-D, N=2,
 ``volterra``; cone on 6 nodes with its three ``t_values``, mysovskii on 64
@@ -117,6 +122,30 @@ def solve_calls(dim, points_per_axis, units, operator, samples):
             box=opts.param_box),
         "independence_svd": lambda: np.linalg.svd(weighted.T, compute_uv=False),
     }
+
+
+def desk_calls():
+    """The desk shape's solve stages, then ``cli_main``: a whole in-process
+    ``gncoder solve`` at the desk config, writing into a temporary
+    directory that lives as long as the stage."""
+    import tempfile
+
+    from gncoder import cli
+
+    config = {"units": 2, "dim": 1, "points_per_axis": 64,
+              "operator": "volterra", "constants_samples": 24}
+    calls = solve_calls(config["dim"], config["points_per_axis"],
+                        config["units"], config["operator"],
+                        config["constants_samples"])
+    tmp = tempfile.TemporaryDirectory()
+    path = Path(tmp.name) / "desk.json"
+    path.write_text(json.dumps(config))
+
+    def cli_main():
+        if cli.main(["solve", "--config", str(path), "--out", tmp.name]) != 0:
+            raise RuntimeError("the desk solve did not exit 0")
+
+    return {**calls, "cli_main": cli_main}
 
 
 def probe_calls():
@@ -230,15 +259,15 @@ def fresh_calls():
 
 
 #: shape -> builder of its ``{stage: callable}``, in the order a worker
-#: runs them; the solve shapes take (dim, points_per_axis, units, operator,
-#: constants_samples).  The independence shape runs first: once the process
-#: has freed the wide shape's larger arrays, the allocator stops mapping
-#: each fresh 393 KB Jacobian anew, so a tree that allocates one per trial
-#: would not show the faults it takes in a fresh ``gncoder independence``
-#: job.
+#: runs them; the wide shape's solve stages take (dim, points_per_axis,
+#: units, operator, constants_samples).  The independence shape runs first:
+#: once the process has freed the wide shape's larger arrays, the allocator
+#: stops mapping each fresh 393 KB Jacobian anew, so a tree that allocates
+#: one per trial would not show the faults it takes in a fresh ``gncoder
+#: independence`` job.
 SHAPES = {
     "independence": independence_calls,
-    "desk": partial(solve_calls, 1, 64, 2, "volterra", 24),
+    "desk": desk_calls,
     "wide": partial(solve_calls, 2, 256, 3, "gauss:0.05", 8),
     "probes": probe_calls,
     "fresh": fresh_calls,

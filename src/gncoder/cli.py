@@ -16,6 +16,7 @@ configuration errors, 2 on numeric failures.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -187,10 +188,11 @@ class CheckDerivativesOptions:
 
 
 def _is_number(value) -> bool:
-    """A finite JSON number; ``true`` and ``false`` are not numbers."""
+    """A JSON number that is a finite float, or an integer that converts to
+    one; ``true`` and ``false`` are not numbers."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
-    return isinstance(value, int) or math.isfinite(value)
+    return abs(value) <= sys.float_info.max
 
 
 def _is_coefficients(value) -> bool:
@@ -213,8 +215,9 @@ _KINDS = {
     float: (_is_number, "a finite number"),
     bool: (lambda v: isinstance(v, bool), "true or false"),
     str: (lambda v: isinstance(v, str), "a string"),
-    Box: (lambda v: _numbers(v) and len(v) == 2 and v[0] < v[1],
-          "[low, high] with finite low < high"),
+    Box: (lambda v: _numbers(v) and len(v) == 2 and v[0] < v[1]
+          and math.isfinite(float(v[1]) - float(v[0])),
+          "[low, high] with finite low < high and finite high - low"),
     Floats: (lambda v: _numbers(v) and len(v) > 0 and 0 not in v,
              "a non-empty list of finite non-zero numbers"),
     Coefficients: (_is_coefficients,
@@ -385,9 +388,9 @@ def synth_problem(
                            box=opts.sampler_box, alpha_band=opts.alpha_band)
     y = forward.apply(eval_psi(p_true, activation, forward.in_grid))
     if opts.noise > 0:
-        values = y.values + opts.noise * noise_rng.standard_normal(
-            y.grid.node_count
-        )
+        with np.errstate(over="ignore"):  # inf data exits 2 at the residual
+            values = y.values + opts.noise * noise_rng.standard_normal(
+                y.grid.node_count)
         y = GridFunction(y.grid, values)
     return p_true, y
 
@@ -413,7 +416,8 @@ def _run_solve(opts: SolveOptions) -> int:
     )
     # the constants before the solve: a config whose sample stack or Gram
     # is refused exits 1 before any step
-    rho = float(np.linalg.norm(p0.flatten() - p_true.flatten()))
+    with np.errstate(over="ignore"):  # an overflowing radius is inf
+        rho = float(np.linalg.norm(p0.flatten() - p_true.flatten()))
     constants_err = None
     constants = None
     try:
@@ -623,19 +627,14 @@ _COMMANDS = {
 }
 
 
-def _build_parser(commands=tuple(_COMMANDS)) -> _Parser:
-    """One subparser per options class named in ``commands``: ``--config``,
-    ``--out`` and one flag per name in its ``flags``, spelled and typed from
-    the field.  A parser for some of the subcommands still names all of them
-    in its usage line."""
+@functools.cache
+def _build_parser() -> _Parser:
+    """One subparser per options class: ``--config``, ``--out`` and one flag
+    per name in its ``flags``, spelled and typed from the field.  Built once
+    per process; every :func:`main` call parses with it."""
     parser = _Parser(prog="gncoder", description=__doc__.splitlines()[0])
-    every = "{" + ",".join(_COMMANDS) + "}"
-    subs = parser.add_subparsers(
-        dest="command", required=True,
-        # with all of them, "required: command" keeps naming the dest
-        metavar=None if len(commands) == len(_COMMANDS) else every)
-    for command in commands:
-        cls = _COMMANDS[command][0]
+    subs = parser.add_subparsers(dest="command", required=True)
+    for command, (cls, _) in _COMMANDS.items():
         sub = subs.add_parser(command, help=cls.__doc__)
         sub.add_argument("--config", help="JSON config file")
         sub.add_argument("--out", dest="out_dir", help="output directory")
@@ -652,12 +651,8 @@ def _build_parser(commands=tuple(_COMMANDS)) -> _Parser:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # a run needs only its own subparser; help and usage errors need all
-    parser = _build_parser(
-        argv[:1] if argv and argv[0] in _COMMANDS else tuple(_COMMANDS))
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         cls, runner = _COMMANDS[args.command]
         return runner(_options(cls, _load_config_file(args.config), vars(args)))
     except (ValueError, OSError) as exc:  # ConfigError is a ValueError

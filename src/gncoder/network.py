@@ -540,8 +540,10 @@ def lipschitz_constants(
     else:
         first, second = np.triu_indices(samples, 1)  # pairs i < j, row by row
         gaps = points[first] - points[second]
-        # rounds as np.linalg.norm of each gap does; norm(axis=1) does not
-        dists = np.sqrt(np.vecdot(gaps, gaps))
+        # rounds as np.linalg.norm of each gap does; norm(axis=1) does not.
+        # An overflowing distance is inf, and its quotient 0.
+        with np.errstate(over="ignore"):
+            dists = np.sqrt(np.vecdot(gaps, gaps))
         apart = dists != 0.0
         quotients = _screened_quotients(
             stack, sqrt_w, blocks, dists[apart], first[apart], second[apart]

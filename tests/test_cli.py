@@ -396,19 +396,27 @@ class TestExitCodes:
     def test_an_overflowing_residual_exits_two_with_warnings_as_errors(
         self, tmp_path
     ):
-        config = write_config(tmp_path, "solve", {"noise": 1e300})
-        out = tmp_path / "out"
+        # the squared norm overflows; the noise itself overflows; the start,
+        # its radius and the constants' pair distances overflow
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-        result = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-m", "gncoder.cli",
-             "solve", "--config", str(config), "--out", str(out)],
-            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
-        assert result.returncode == 2
-        assert result.stderr == (
-            "numeric error: residual norm is inf at iterate 0\n")
-        assert not out.exists() or not any(out.iterdir())
+        for index, cfg in enumerate([
+            {"noise": 1e300}, {"noise": 1e308},
+            {"param_box": [-1e307, 1e307], "p0_radius": 1e300},
+        ]):
+            config = tmp_path / f"solve{index}.json"
+            config.write_text(json.dumps(cfg))
+            out = tmp_path / f"out{index}"
+            result = subprocess.run(
+                [sys.executable, "-W", "error::RuntimeWarning", "-m",
+                 "gncoder.cli", "solve", "--config", str(config),
+                 "--out", str(out)],
+                cwd=tmp_path, env=env, capture_output=True, text=True,
+                timeout=120)
+            assert (result.returncode, result.stderr) == (
+                2, "numeric error: residual norm is inf at iterate 0\n"), cfg
+            assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("command, activation, message", [
         ("independence", "step", "activation: step activation is "
@@ -567,6 +575,29 @@ def test_usage_and_help_text_are_unchanged(argv, capsys, monkeypatch):
     assert (code, out, err) == USAGE_TEXT[argv]
 
 
+def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys,
+                                                   monkeypatch):
+    """Runs, usage errors and help all parse with the parser the first call
+    of the process built, and a run after them writes the same files."""
+    monkeypatch.setenv("COLUMNS", "80")
+    _build_parser.cache_clear()
+
+    def call(*argv):
+        try:
+            return main(list(argv))
+        except SystemExit as exc:  # -h exits from argparse
+            return exc.code
+
+    assert call("solve", "--out", str(tmp_path / "first")) == 0
+    capsys.readouterr()
+    for argv in [("solve", "--bogus"), ("-h",), ("bogus",), ("solve", "-h")]:
+        assert (call(*argv), *capsys.readouterr()) == USAGE_TEXT[argv]
+    assert call("solve", "--out", str(tmp_path / "second")) == 0
+    info = _build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 5)
+    assert files_in(tmp_path / "first") == files_in(tmp_path / "second")
+
+
 # Each row was reproduced at the commit before the typed options: a raw
 # traceback (TypeError, AttributeError, KeyError, ...), a bad value run as
 # if it were another one, or an exit 1 whose message did not name the key.
@@ -625,6 +656,15 @@ BAD_CONFIGS = [
     # activation, and the run exited 0 with an Infinity in its outputs
     ("solve", "operator", "gauss:inf"),
     ("independence", "activation", "sigmoid:inf"),
+    # a width past the float range: numpy's "high - low range exceeds valid
+    # bounds" traceback from the first draw
+    ("solve", "sampler_box", [-1e308, 1e308]),
+    ("independence", "box", [-1e308, 1e308]),
+    ("cone", "box", [-1e308, 1e308]),
+    ("mysovskii", "box", [-1e308, 1e308]),
+    ("check-derivatives", "box", [-1e308, 1e308]),
+    # the same width in the clamp box was accepted
+    ("solve", "param_box", [-1e308, 1e308]),
 ]
 
 
@@ -643,6 +683,24 @@ class TestConfigSchema:
         err = capsys.readouterr().err
         assert key in err
         assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("solve", "noise", 10**400),
+        ("solve", "sampler_box", [-(10**400), 5]),
+        ("solve", "sampler_box", [-int(1e308), int(1e308)]),
+    ], ids=["number", "bound", "width"])
+    def test_an_integer_past_the_float_range_exits_one_naming_the_key(
+        self, tmp_path, capsys, command, key, value
+    ):
+        # each was an OverflowError traceback from a float conversion
+        config = tmp_path / "big.json"
+        config.write_text(json.dumps({key: value}))
+        out = tmp_path / "out"
+        assert run([command, "--config", config, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be ")
         assert len(err.strip().splitlines()) == 1
         assert not out.exists() or not any(out.iterdir())
 
