@@ -12,16 +12,21 @@ one Gauss-Newton step runs it, on node-minor rows: ``eval_psi``,
 view of the mapped rows), ``pinv_apply`` of the residual, one
 Gauss-Newton step, ``lipschitz_constants`` and one independence SVD (the
 singular values of a transposed view of the weighted rows, as
-``independence_reports`` takes them).  Each runs at two shapes, the solve
-configs of the benchmark:
+``independence_reports`` takes them).  The ``gauss_newton_step`` stage
+calls the step without a workspace, so every array is fresh; the
+``solve`` stage after it is a whole ``solve`` from the same start, at the
+solver settings of ``gncoder solve``, whose steps share one workspace.
+Each runs at two shapes, the solve configs of the benchmark:
 
 - desk: 1-D, 64 nodes, N=2, ``volterra``, 24 constants samples;
 - wide: 2-D, 256x256 nodes, N=3, ``gauss:0.05``, 8 constants samples.
 
-The desk shape ends with one more stage, ``cli_main``: one in-process
-``gncoder.cli.main(["solve", "--config", ...])`` at that config, writing
-into a temporary directory, as a benchmark job calls it.  It is the whole
-job, argument parsing and output files included.
+Each of the two shapes ends with one more stage, ``cli_main``: one
+in-process ``gncoder.cli.main(["solve", "--config", ...])`` at that
+config, writing into a temporary directory, as a benchmark job calls it.
+It is the whole job, argument parsing and output files included, and
+like a benchmark job after the first it finds the forward operator
+already built in the process.
 
 A third shape, probes, times the whole ``cone_check`` and
 ``mysovskii_check`` calls at the benchmark's probes configs (1-D, N=2,
@@ -90,7 +95,7 @@ def solve_calls(dim, points_per_axis, units, operator, samples):
     from gncoder.params import Params
     from gncoder.pseudoinverse import pinv_apply, weighted_qr
     from gncoder.sampling import unit_direction
-    from gncoder.solver import SolveConfig, gauss_newton_step
+    from gncoder.solver import SolveConfig, gauss_newton_step, solve
 
     opts = SolveOptions(units=units, dim=dim, points_per_axis=points_per_axis,
                         operator=operator, constants_samples=samples)
@@ -102,6 +107,10 @@ def solve_calls(dim, points_per_axis, units, operator, samples):
     flat0 = p_true.flatten() + opts.p0_radius * direction
     p0 = Params.from_flat(flat0, units, dim)
     cfg = SolveConfig(activation, grid, forward, p0, data)
+    solve_cfg = SolveConfig(activation, grid, forward, p0, data, **{
+        key: getattr(opts, key) for key in (
+            "max_iters", "tol_residual", "tol_step", "rank_tol", "mode",
+            "step_size", "param_box")})
     residual = forward.apply(eval_psi(p0, activation, grid)) - data
     rows = jacobian_rows(flat0[None], units, dim, activation, grid)[0]
     mapped = forward.apply_rows(rows)
@@ -117,6 +126,7 @@ def solve_calls(dim, points_per_axis, units, operator, samples):
                                            cfg.rank_tol),
         "pinv_apply": lambda: pinv_apply(factors, residual),
         "gauss_newton_step": lambda: gauss_newton_step(p0, cfg, residual),
+        "solve": lambda: solve(solve_cfg),
         "lipschitz_constants": lambda: lipschitz_constants(
             p_true, activation, grid, radius=radius, samples=samples, seed=0,
             box=opts.param_box),
@@ -124,26 +134,31 @@ def solve_calls(dim, points_per_axis, units, operator, samples):
     }
 
 
-def desk_calls():
-    """The desk shape's solve stages, then ``cli_main``: a whole in-process
-    ``gncoder solve`` at the desk config, writing into a temporary
-    directory that lives as long as the stage."""
+#: The benchmark's solve-desk and solve-wide configs.
+DESK = {"units": 2, "dim": 1, "points_per_axis": 64, "operator": "volterra",
+        "constants_samples": 24}
+WIDE = {"units": 3, "dim": 2, "points_per_axis": 256, "operator": "gauss:0.05",
+        "constants_samples": 8}
+
+
+def job_calls(config):
+    """The solve stages at ``config``, then ``cli_main``: a whole in-process
+    ``gncoder solve`` at that config, writing into a temporary directory
+    that lives as long as the stage."""
     import tempfile
 
     from gncoder import cli
 
-    config = {"units": 2, "dim": 1, "points_per_axis": 64,
-              "operator": "volterra", "constants_samples": 24}
     calls = solve_calls(config["dim"], config["points_per_axis"],
                         config["units"], config["operator"],
                         config["constants_samples"])
     tmp = tempfile.TemporaryDirectory()
-    path = Path(tmp.name) / "desk.json"
+    path = Path(tmp.name) / "config.json"
     path.write_text(json.dumps(config))
 
     def cli_main():
         if cli.main(["solve", "--config", str(path), "--out", tmp.name]) != 0:
-            raise RuntimeError("the desk solve did not exit 0")
+            raise RuntimeError(f"the solve at {config} did not exit 0")
 
     return {**calls, "cli_main": cli_main}
 
@@ -259,16 +274,15 @@ def fresh_calls():
 
 
 #: shape -> builder of its ``{stage: callable}``, in the order a worker
-#: runs them; the wide shape's solve stages take (dim, points_per_axis,
-#: units, operator, constants_samples).  The independence shape runs first:
+#: runs them.  The independence shape runs first:
 #: once the process has freed the wide shape's larger arrays, the allocator
 #: stops mapping each fresh 393 KB Jacobian anew, so a tree that allocates
 #: one per trial would not show the faults it takes in a fresh ``gncoder
 #: independence`` job.
 SHAPES = {
     "independence": independence_calls,
-    "desk": desk_calls,
-    "wide": partial(solve_calls, 2, 256, 3, "gauss:0.05", 8),
+    "desk": partial(job_calls, DESK),
+    "wide": partial(job_calls, WIDE),
     "probes": probe_calls,
     "fresh": fresh_calls,
 }

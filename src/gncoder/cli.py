@@ -364,6 +364,14 @@ def _named(key: str, build, *args):
         raise ConfigError(f"{key}: {exc}") from exc
 
 
+@functools.lru_cache(maxsize=4)
+def _operator(text: str, grid) -> LinearOperator:
+    """``parse_operator(text, grid)``, built once per process for each
+    descriptor and grid (a grid compares by its shape) among the last few
+    used; a refused descriptor raises again at every call."""
+    return parse_operator(text, grid)
+
+
 def _grid_and_activation(opts):
     """The grid and activation of a run that builds Jacobians.  A grid over
     the byte budget is refused with its own message, then a one-point
@@ -407,7 +415,7 @@ def _spawn_rngs(seed: int):
 
 def _run_solve(opts: SolveOptions) -> int:
     grid, activation = _grid_and_activation(opts)
-    forward = _named("operator", parse_operator, opts.operator, grid)
+    forward = _named("operator", _operator, opts.operator, grid)
     p_true, y = synth_problem(opts, activation, forward)
     _, _, start_rng, constants_seed = _spawn_rngs(opts.seed)
     direction = unit_direction(start_rng, p_true.n_star)
@@ -506,7 +514,7 @@ def _run_independence(opts: IndependenceOptions) -> int:
 
 def _run_cone(opts: ConeOptions) -> int:
     grid, activation = _grid_and_activation(opts)
-    forward = _named("operator", parse_operator, opts.operator, grid)
+    forward = _named("operator", _operator, opts.operator, grid)
     rng = np.random.default_rng(np.random.SeedSequence(opts.seed))
     p1 = sample_params(rng, opts.units, opts.dim,
                        box=opts.box, alpha_band=opts.alpha_band)
@@ -529,7 +537,7 @@ def _run_cone(opts: ConeOptions) -> int:
 
 def _run_mysovskii(opts: MysovskiiOptions) -> int:
     grid, activation = _grid_and_activation(opts)
-    forward = _named("operator", parse_operator, opts.operator, grid)
+    forward = _named("operator", _operator, opts.operator, grid)
     rng = np.random.default_rng(np.random.SeedSequence(opts.seed))
     if opts.base_params is not None:
         base_params = Params.from_json_dict(opts.base_params)

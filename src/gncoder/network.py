@@ -123,18 +123,26 @@ def jacobian(p: Params, a: Activation, g: Grid) -> np.ndarray:
         jacobian_rows(p.flatten()[None], p.units, p.input_dim, a, g)[0].T)
 
 
-def jacobian_rows(flat, units: int, dim: int, a: Activation, g: Grid) -> np.ndarray:
+def jacobian_rows(flat, units: int, dim: int, a: Activation, g: Grid,
+                  out=None) -> np.ndarray:
     """The Jacobians at the rows of ``flat``, a ``(rows, n*)`` stack of
     flattened parameters of ``units`` units in dimension ``dim``, as a fresh
     C-ordered ``(rows, n*, node_count)`` stack, one row of nodal values per
     column, built in one pass (:func:`_jacobian_matrices`): each matrix is
-    bitwise that of its row alone.  A stack of another width raises
-    :class:`ShapeError` naming both widths; an oversized one is refused
-    (:func:`_check_jacobian_bytes`) before any allocation."""
+    bitwise that of its row alone.  Given ``out``, a C-ordered array of
+    that shape, the stack is written there and ``out`` returned.  A stack
+    of another width raises :class:`ShapeError` naming both widths; an
+    oversized one is refused (:func:`_check_jacobian_bytes`) before any
+    allocation."""
     points = _flat_stack(flat, units, dim, "points")
     _check_dims(dim, g)
     _check_jacobian_bytes(len(points), units, dim, g.points_per_axis)
-    out = np.empty((len(points), points.shape[1], g.node_count))
+    shape = (len(points), points.shape[1], g.node_count)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or not out.flags.c_contiguous:
+        raise ShapeError(f"out must be a C-ordered array of shape {shape}, "
+                         f"got shape {out.shape}")
     _jacobian_matrices(points, units, dim, a, g, out)
     return out
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import GridMismatchError, UnsupportedDimensionError
+from .exceptions import GridMismatchError, ShapeError, UnsupportedDimensionError
 from .grids import Grid, GridFunction, check_dense_bytes
 
 #: Grids up to this node count get an injectivity spot-check by SVD at
@@ -28,9 +28,11 @@ class LinearOperator:
     Both act along the last axis, so one call maps a ``(node_count,)``
     vector or every row of a ``(..., node_count)`` stack, which
     ``apply_rows`` exposes; each returns a fresh array of its input's
-    shape.  A Jacobian travels as such rows, one per column: C-ordered rows
-    in give C-ordered rows out.  ``injective`` records whether the discrete
-    matrix has full column rank.
+    shape, or writes into a C-ordered ``out`` of that shape.  A Jacobian
+    travels as such rows, one per column: C-ordered rows in give C-ordered
+    rows out.  ``injective`` records whether the discrete matrix has full
+    column rank.  An operator is not changed by use, so one instance may
+    serve any number of runs.
     """
 
     def __init__(self, descriptor: str, in_grid: Grid, out_grid: Grid,
@@ -39,8 +41,9 @@ class LinearOperator:
         self.in_grid = in_grid
         self.out_grid = out_grid
         self.injective = injective
+        self._condition = None
 
-    def _apply_values(self, values: np.ndarray) -> np.ndarray:
+    def _apply_values(self, values: np.ndarray, out=None) -> np.ndarray:
         raise NotImplementedError
 
     def _adjoint_values(self, values: np.ndarray) -> np.ndarray:
@@ -54,17 +57,23 @@ class LinearOperator:
             )
         return GridFunction(self.out_grid, self._apply_values(u.values))
 
-    def apply_rows(self, rows: np.ndarray) -> np.ndarray:
+    def apply_rows(self, rows: np.ndarray, out=None) -> np.ndarray:
         """Apply the operator to every row of a ``(..., node_count)`` array
         in one call; C-ordered rows give C-ordered rows.  Each row is
         bitwise :meth:`apply` of it alone, except under the 1-D Gaussian,
-        which runs one product per matrix."""
+        which runs one product per matrix.  Given ``out``, a C-ordered
+        array of ``rows``' shape, the image is written there, bitwise the
+        same, and ``out`` is returned."""
         if rows.ndim < 1 or rows.shape[-1] != self.in_grid.node_count:
             raise GridMismatchError(
                 f"expected rows of {self.in_grid.node_count} nodes, got shape "
                 f"{rows.shape}"
             )
-        return self._apply_values(rows)
+        if out is not None and (out.shape != rows.shape
+                                or not out.flags.c_contiguous):
+            raise ShapeError(f"out must be a C-ordered array of shape "
+                             f"{rows.shape}, got shape {out.shape}")
+        return self._apply_values(rows, out)
 
     def adjoint(self, v: GridFunction) -> GridFunction:
         if v.grid != self.out_grid:
@@ -94,10 +103,12 @@ class LinearOperator:
         return np.linalg.svd(self.matrix(), compute_uv=False)
 
     def condition_number(self) -> float:
-        sv = self.singular_values()
-        if sv[-1] == 0.0:
-            return float("inf")
-        return float(sv[0] / sv[-1])
+        """``sv[0] / sv[-1]`` of :meth:`singular_values`, inf when the last
+        is zero; the SVD runs at the first call only."""
+        if self._condition is None:
+            sv = self.singular_values()
+            self._condition = float(sv[0] / sv[-1] if sv[-1] else np.inf)
+        return self._condition
 
     def __repr__(self):
         return f"{type(self).__name__}({self.descriptor!r}, {self.in_grid!r})"
@@ -109,8 +120,10 @@ class IdentityOperator(LinearOperator):
     def __init__(self, grid: Grid):
         super().__init__("identity", grid, grid, injective=True)
 
-    def _apply_values(self, values):
-        return values.copy(order="K")
+    def _apply_values(self, values, out=None):
+        out = np.empty_like(values) if out is None else out
+        np.copyto(out, values)
+        return out
 
     _adjoint_values = _apply_values
 
@@ -130,8 +143,8 @@ class VolterraOperator(LinearOperator):
             )
         super().__init__("volterra", grid, grid, injective=True)
 
-    def _apply_values(self, values):
-        out = values * self.in_grid.weights
+    def _apply_values(self, values, out=None):
+        out = np.multiply(values, self.in_grid.weights, out=out)
         return np.cumsum(out, axis=-1, out=out)
 
     def _adjoint_values(self, values):
@@ -190,6 +203,7 @@ class GaussianConvolutionOperator(LinearOperator):
             )
         self.kernel_width = float(kernel_width)
         self._factor = _gaussian_kernel_matrix(grid.points_per_axis, kernel_width)
+        self._factor.flags.writeable = False
         injective = True
         if grid.points_per_axis <= _SPOT_CHECK_LIMIT:
             sv = np.linalg.svd(self._factor, compute_uv=False)
@@ -198,16 +212,26 @@ class GaussianConvolutionOperator(LinearOperator):
             f"gauss:{kernel_width:g}", grid, grid, injective=injective
         )
 
-    def _apply_values(self, values):
+    def _apply_values(self, values, out=None):
         m = self.in_grid.points_per_axis
         if self.in_grid.dim == 1:
-            return np.ascontiguousarray(values) @ self._factor.T / m
-        # F @ U @ F.T per m x m image, one per row; one wide product over all
-        # images rounds differently
+            out = np.matmul(np.ascontiguousarray(values), self._factor.T,
+                            out=out)
+            out /= m
+            return out
+        # (F @ U) @ F.T per m x m image, one per row, through one m x m
+        # intermediate: the products of one stacked matmul, bit for bit; one
+        # wide product over all images rounds differently
+        if out is None:
+            out = np.empty(values.shape)
         images = values.reshape(-1, m, m)
-        out = self._factor @ images @ self._factor.T
+        products = out.reshape(-1, m, m)
+        left = np.empty((m, m))
+        for image, product in zip(images, products):
+            np.matmul(self._factor, image, out=left)
+            np.matmul(left, self._factor.T, out=product)
         out /= m * m
-        return out.reshape(values.shape)
+        return out
 
     # symmetric kernel and uniform weights make the operator self-adjoint
     _adjoint_values = _apply_values

@@ -62,8 +62,22 @@ def _check_rows(matrix: np.ndarray, grid: Grid) -> None:
         )
 
 
+def held(work: dict | None, key, shape) -> np.ndarray:
+    """An uninitialized float64 array of ``shape``: ``work[key]`` when it
+    has that shape, else a fresh one, kept as ``work[key]`` unless ``work``
+    is None.  A step workspace is such a dict: its arrays serve every call
+    that is given it, each overwriting what the last one wrote."""
+    if work is None:
+        return np.empty(shape)
+    array = work.get(key)
+    if array is None or array.shape != shape:
+        array = work[key] = np.empty(shape)
+    return array
+
+
 def weighted_qr(
-    matrix: np.ndarray, grid: Grid, rank_tol: float = DEFAULT_RANK_TOL
+    matrix: np.ndarray, grid: Grid, rank_tol: float = DEFAULT_RANK_TOL,
+    work: dict | None = None,
 ) -> QRFactors:
     """Orthonormalize the columns of ``matrix`` in the weighted inner product.
 
@@ -74,17 +88,21 @@ def weighted_qr(
     retained count is the numerical rank, 0 when every column is flagged
     (all zero, or all below the tolerance).
 
+    Given a workspace ``work`` (:func:`held`), the sweep's arrays and Q are
+    held there: ``q_matrix`` is then valid until the next call given it.
+
     Raises
     ------
     GridMismatchError
         If ``matrix`` does not have one row per node of ``grid``.
     """
     _check_rows(matrix, grid)
-    return next(weighted_qr_stack(matrix[None], grid, rank_tol))
+    return next(weighted_qr_stack(matrix[None], grid, rank_tol, work))
 
 
 def weighted_qr_stack(
-    matrices: np.ndarray, grid: Grid, rank_tol: float = DEFAULT_RANK_TOL
+    matrices: np.ndarray, grid: Grid, rank_tol: float = DEFAULT_RANK_TOL,
+    work: dict | None = None,
 ) -> Iterator[QRFactors]:
     """:func:`weighted_qr` of every matrix of a ``(count, node_count, m)``
     stack, in one sweep; an iterator over the factors in stack order.
@@ -100,6 +118,7 @@ def weighted_qr_stack(
     matrix alone (see :func:`_mgs_sweep`), a zero matrix's factors being
     those of rank 0.  A caller that gates the factors one by one
     (:func:`full_rank`) meets every error in the order of its matrices.
+    ``work`` is that of :func:`weighted_qr`, each member's Q held apart.
     """
     if not rank_tol > 0:
         raise ValueError(f"rank_tol must be positive, got {rank_tol}")
@@ -111,25 +130,27 @@ def weighted_qr_stack(
     if matrices.shape[2] == 0:
         raise ValueError("need at least one column")
     rows = np.ascontiguousarray(matrices.transpose(0, 2, 1), dtype=float)
-    swept = _mgs_sweep(rows, grid.weights, rank_tol)
+    swept = _mgs_sweep(rows, grid.weights, rank_tol, work)
     if swept is None:  # the ranks diverge: one sweep per matrix, lazily
         return (next(weighted_qr_stack(r.T[None], grid, rank_tol)) for r in rows)
     q_slots, r_stack, rank, dependent = swept
 
     def factors(b):
-        # C order for Q and R: matmul picks its kernel by strides, so the
-        # layout is part of the bits
-        return QRFactors(grid, q_slots[:rank, b].T.copy(), r_stack[b, :rank],
-                         dependent[b])
+        # a C-ordered copy of Q, and R in C order: matmul picks its kernel by
+        # strides, so the layout is part of the bits
+        q = held(work, ("q", b), (rows.shape[2], rank))
+        np.copyto(q, q_slots[:rank, b].T)
+        return QRFactors(grid, q, r_stack[b, :rank], dependent[b])
 
     return map(factors, range(len(rows)))
 
 
-def _mgs_sweep(rows, w, rank_tol):
+def _mgs_sweep(rows, w, rank_tol, work=None):
     """Modified Gram-Schmidt with one reorthogonalization pass over every
     matrix of a C-ordered ``(count, n, K)`` stack of rows at once, column
     ``k`` of matrix ``b`` being the contiguous row ``rows[b, k]``, with one
-    rank shared by all of them.
+    rank shared by all of them.  Its arrays the size of ``rows`` are taken
+    from the workspace ``work`` (:func:`held`).
 
     Returns ``(q_slots, r_stack, rank, dependent)``: each matrix
     ``b`` keeps its ``rank`` orthonormal columns in ``q_slots[:rank, b]``
@@ -152,7 +173,7 @@ def _mgs_sweep(rows, w, rank_tol):
     dependent.
     """
     count, ncols, nodes = rows.shape
-    squares = w * rows
+    squares = np.multiply(w, rows, out=held(work, "squares", rows.shape))
     squares *= rows
     col_norms = np.sqrt(np.sum(squares, axis=-1))
     max_norms = col_norms.max(axis=1).tolist()
@@ -163,11 +184,11 @@ def _mgs_sweep(rows, w, rank_tol):
     row = (nodes,) if one else (count, nodes)
     lead = () if one else (count, 1)
     limit = limits[0] if one else np.array(limits)[:, None]
-    q_slots = np.zeros((ncols,) + row)   # slot i of every matrix
-    wq_slots = np.zeros((ncols,) + row)  # and its weighted copy
+    q_slots = held(work, "q_slots", (ncols,) + row)   # slot i of every matrix
+    wq_slots = held(work, "wq_slots", (ncols,) + row)  # and its weighted copy
     qs, wqs = list(q_slots), list(wq_slots)
     columns = rows.transpose(1, 0, 2).reshape((ncols,) + row)
-    v, tmp = np.empty(row), np.empty(row)
+    v, tmp = held(work, "v", row), held(work, "tmp", row)
     # coefficients by pass, slot and column; a retained column's norm goes
     # to its slot in the first pass
     coeffs = np.zeros((2, ncols, ncols) + lead)

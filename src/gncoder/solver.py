@@ -35,7 +35,7 @@ from .grids import Grid, GridFunction, norm
 from .network import (DEFAULT_PARAM_BOX, ConvergenceConstants, Params, eval_psi,
                       jacobian_rows)
 from .operators import LinearOperator
-from .pseudoinverse import full_rank, pinv_apply, weighted_qr
+from .pseudoinverse import full_rank, held, pinv_apply, weighted_qr
 
 MODE_GAUSS_NEWTON = "gauss_newton"
 MODE_GRADIENT_DESCENT = "gradient_descent"
@@ -141,10 +141,11 @@ def _forward_map(p: Params, cfg: SolveConfig) -> GridFunction:
     return cfg.forward.apply(eval_psi(p, cfg.activation, cfg.grid))
 
 
-def _jacobian_rows(p: Params, cfg: SolveConfig) -> np.ndarray:
-    """The ``(n_star, node_count)`` Jacobian rows of the synthesis at ``p``."""
+def _jacobian_rows(p: Params, cfg: SolveConfig, out=None) -> np.ndarray:
+    """The ``(n_star, node_count)`` Jacobian rows of the synthesis at ``p``,
+    written into ``out[0]`` when ``out`` is given."""
     return jacobian_rows(p.flatten()[None], p.units, p.input_dim,
-                         cfg.activation, cfg.grid)[0]
+                         cfg.activation, cfg.grid, out)[0]
 
 
 def _clamp_to_box(flat: np.ndarray, box) -> tuple[np.ndarray, bool]:
@@ -154,7 +155,7 @@ def _clamp_to_box(flat: np.ndarray, box) -> tuple[np.ndarray, bool]:
 
 
 def gauss_newton_step(
-    p: Params, cfg: SolveConfig, residual: GridFunction
+    p: Params, cfg: SolveConfig, residual: GridFunction, work: dict | None = None
 ) -> tuple[Params, StepDiagnostics]:
     """One undamped Gauss-Newton update from the residual ``F(psi(p)) - y``.
 
@@ -164,10 +165,14 @@ def gauss_newton_step(
     if the update produces non-finite values.  ``J_k`` stays node-minor
     rows (:func:`~gncoder.network.jacobian_rows`) from build to
     factorization, with no copy between.
+    Given a step workspace ``work`` (:func:`~gncoder.pseudoinverse.held`),
+    the Jacobian rows, their image and the QR's arrays reuse its arrays.
     """
-    mapped = cfg.forward.apply_rows(_jacobian_rows(p, cfg))
+    rows = _jacobian_rows(p, cfg, held(
+        work, "jacobian", (1, p.n_star, cfg.grid.node_count)))
+    mapped = cfg.forward.apply_rows(rows, held(work, "image", rows.shape))
     factors = full_rank(weighted_qr(mapped.T, cfg.forward.out_grid,
-                                    cfg.rank_tol), "Jacobian")
+                                    cfg.rank_tol, work), "Jacobian")
     delta = pinv_apply(factors, residual)
     flat = p.flatten()
     new_flat = flat - delta
@@ -214,9 +219,11 @@ def solve(cfg: SolveConfig, true_params: Params | None = None) -> IterationTrace
     clamped to it and the iteration index is recorded as a boundary event;
     such runs are outside the convergence theory and the flag makes them
     auditable.  A residual norm that is not finite raises
-    :class:`NumericError`.
+    :class:`NumericError`.  The Gauss-Newton steps share one workspace,
+    which this call alone holds.
     """
     trace = IterationTrace()
+    work = {}
     p = cfg.initial
     true_flat = true_params.flatten() if true_params is not None else None
     pending_step_stop = False
@@ -244,7 +251,7 @@ def solve(cfg: SolveConfig, true_params: Params | None = None) -> IterationTrace
 
         if cfg.mode == MODE_GAUSS_NEWTON:
             try:
-                p_next, diag = gauss_newton_step(p, cfg, residual)
+                p_next, diag = gauss_newton_step(p, cfg, residual, work)
             except RankDeficiencyError as exc:
                 trace.status = STATUS_RANK_DEFICIENT
                 trace.rank_deficit = exc.deficit

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gncoder import diagnostics, network, solver
+from gncoder import cli, diagnostics, network, solver
 from gncoder.diagnostics import independence_trial
 from gncoder.activations import parse_activation
 from gncoder.cli import (
@@ -87,6 +87,69 @@ class TestSolveCommand:
     def test_unknown_subcommand_exits_one(self, capsys):
         assert run(["transmogrify"]) == 1
         assert "usage" in capsys.readouterr().err.lower()
+
+
+class TestOneOperatorPerProcess:
+    """Jobs in one process share the forward operator of their descriptor
+    and grid, built by the first of them."""
+
+    #: the ``solve_gauss2d`` case of ``tests/test_reference.py``
+    CONFIG = {"dim": 2, "points_per_axis": 16, "operator": "gauss:0.1",
+              "constants_samples": 4}
+
+    def test_identical_solves_build_once_and_write_the_same_files(
+        self, tmp_path, monkeypatch
+    ):
+        built = []
+
+        def counted(text, grid):
+            built.append(text)
+            return parse_operator(text, grid)
+
+        monkeypatch.setattr(cli, "parse_operator", counted)
+        cli._operator.cache_clear()
+        config = write_config(tmp_path, "gauss2d", self.CONFIG)
+        outs = [tmp_path / name for name in ("a", "b", "c")]
+        for out in outs[:2]:
+            assert run(["solve", "--config", config, "--out", out]) == 0
+        assert built == ["gauss:0.1"]
+        assert cli._operator.cache_info().hits == 1
+        cli._operator.cache_clear()  # a cold build writes the same bytes
+        assert run(["solve", "--config", config, "--out", outs[2]]) == 0
+        assert built == ["gauss:0.1"] * 2
+        assert files_in(outs[0]) == files_in(outs[1]) == files_in(outs[2])
+
+    def test_config_hashes_and_file_names_are_the_recorded_ones(self,
+                                                                tmp_path):
+        reference = json.loads((ROOT / "tests" / "reference"
+                                / "solve_gauss2d.meta.json").read_text())
+        digest = reference["config_hash"]
+        config = write_config(tmp_path, "gauss2d", self.CONFIG)
+        for out in (tmp_path / "a", tmp_path / "b"):
+            assert run(["solve", "--config", config, "--out", out]) == 0
+            assert sorted(files_in(out)) == [f"solve_{digest}_seed0.meta.json",
+                                             f"solve_{digest}_seed0.trace.csv"]
+            meta = json.loads(
+                (out / f"solve_{digest}_seed0.meta.json").read_text())
+            assert meta["config_hash"] == digest
+            assert (meta["operator_condition_number"]
+                    == reference["operator_condition_number"])
+
+    @pytest.mark.parametrize("command", ["solve", "cone", "mysovskii"])
+    @pytest.mark.parametrize("descriptor", ["radon", "gauss:inf", "gauss:-1"])
+    def test_a_refused_descriptor_exits_one_at_every_call(
+        self, tmp_path, capsys, command, descriptor
+    ):
+        config = write_config(tmp_path, "bad", {"operator": descriptor})
+        cached = cli._operator.cache_info().currsize
+        for _ in range(2):
+            assert run([command, "--config", config,
+                        "--out", tmp_path / "out"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: operator: ")
+            assert len(err.strip().splitlines()) == 1
+        assert cli._operator.cache_info().currsize == cached
+        assert not (tmp_path / "out").exists()
 
 
 class TestDeterminism:

@@ -38,5 +38,6 @@ def test_the_solve_stages_are_the_steps_layers():
     stages = layer_times.SHAPES["desk"]()
     assert list(stages) == [
         "eval_psi", "jacobian_rows", "apply_rows", "weighted_qr", "pinv_apply",
-        "gauss_newton_step", "lipschitz_constants", "independence_svd",
-        "cli_main"]
+        "gauss_newton_step", "solve", "lipschitz_constants",
+        "independence_svd", "cli_main"]
+    assert layer_times.SHAPES["wide"].args == (layer_times.WIDE,)

@@ -252,6 +252,25 @@ def test_ill_posedness_witness():
     assert make_integration(make_grid(1, 256)).condition_number() > 1e2
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_shared_operator_cannot_be_changed_by_use(dim):
+    # one operator serves every job of a process: its kernel factor is
+    # read-only and its condition number is one SVD, kept
+    op = make_convolution(make_grid(dim, 16), 0.05)
+    with pytest.raises(ValueError, match="read-only"):
+        op._factor[0, 0] = 1.0
+    svds = []
+
+    def counted():
+        svds.append(1)
+        return type(op).singular_values(op)
+
+    op.singular_values = counted
+    first = op.condition_number()
+    assert op.condition_number() == first > 1.0
+    assert svds == [1]
+
+
 def test_injectivity_claims():
     g = make_grid(1, 64)
     assert make_identity(g).injective

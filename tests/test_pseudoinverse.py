@@ -429,8 +429,8 @@ def spy_sweeps(monkeypatch):
     sweeps = []
     sweep = pseudoinverse._mgs_sweep
 
-    def recorded(stack, w, rank_tol):
-        swept = sweep(stack, w, rank_tol)
+    def recorded(stack, *args):
+        swept = sweep(stack, *args)
         sweeps.append((len(stack), swept is not None))
         return swept
 
