@@ -21,6 +21,11 @@ Each runs at two shapes, the solve configs of the benchmark:
 - desk: 1-D, 64 nodes, N=2, ``volterra``, 24 constants samples;
 - wide: 2-D, 256x256 nodes, N=3, ``gauss:0.05``, 8 constants samples.
 
+``gncoder solve`` does not call ``lipschitz_constants``; only ``gncoder
+mysovskii`` does.  The ``lipschitz_constants`` stage still times it at
+these shapes and sample counts: a layer that neither solve job runs, so
+the ``cli_main`` stages below do not include it.
+
 Each of the two shapes ends with one more stage, ``cli_main``: one
 in-process ``gncoder.cli.main(["solve", "--config", ...])`` at that
 config, writing into a temporary directory, as a benchmark job calls it.

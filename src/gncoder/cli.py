@@ -47,7 +47,6 @@ from .solver import (
     InsufficientDataError,
     SolveConfig,
     convergence_order,
-    radius_check,
     solve,
 )
 
@@ -92,6 +91,8 @@ class SolveOptions:
                         choices=(MODE_GAUSS_NEWTON, MODE_GRADIENT_DESCENT))
     step_size: float = _option(1e-2, above=0)
     param_box: Box = (-10.0, 10.0)
+    # checked, hashed and recorded, but not read: dropping them would change
+    # every solve config hash and file name
     constants_samples: int = _option(24, min=1)
     constants_ball_factor: float = _option(2.0, above=0)
     out_dir: str = "."
@@ -416,29 +417,15 @@ def _spawn_rngs(seed: int):
 def _run_solve(opts: SolveOptions) -> int:
     grid, activation = _grid_and_activation(opts)
     forward = _named("operator", _operator, opts.operator, grid)
+    grid = forward.in_grid  # the cached operator's: one grid per shape
     p_true, y = synth_problem(opts, activation, forward)
-    _, _, start_rng, constants_seed = _spawn_rngs(opts.seed)
+    _, _, start_rng, _ = _spawn_rngs(opts.seed)
     direction = unit_direction(start_rng, p_true.n_star)
     p0 = Params.from_flat(
         p_true.flatten() + opts.p0_radius * direction, opts.units, opts.dim
     )
-    # the constants before the solve: a config whose sample stack or Gram
-    # is refused exits 1 before any step
     with np.errstate(over="ignore"):  # an overflowing radius is inf
         rho = float(np.linalg.norm(p0.flatten() - p_true.flatten()))
-    constants_err = None
-    constants = None
-    try:
-        constants = lipschitz_constants(
-            p_true, activation, grid,
-            radius=opts.constants_ball_factor * opts.p0_radius,
-            samples=opts.constants_samples, seed=constants_seed,
-            box=opts.param_box,
-        ).with_radius(rho)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        constants_err = str(exc)
 
     # the solver's own keys pass through unchanged
     solve_cfg = SolveConfig(activation, grid, forward, p0, y, **{
@@ -468,9 +455,7 @@ def _run_solve(opts: SolveOptions) -> int:
         p_true=p_true.to_json_dict(),
         p0=p0.to_json_dict(),
         radius=rho,
-        constants=constants.to_json_dict() if constants else None,
-        constants_error=constants_err,
-        radius_satisfied=radius_check(constants)[1] if constants else None,
+        step_contractions=trace.step_contractions,
         status=trace.status,
         iterations=trace.iterations,
         final_residual=trace.residuals[-1],
@@ -515,6 +500,7 @@ def _run_independence(opts: IndependenceOptions) -> int:
 def _run_cone(opts: ConeOptions) -> int:
     grid, activation = _grid_and_activation(opts)
     forward = _named("operator", _operator, opts.operator, grid)
+    grid = forward.in_grid
     rng = np.random.default_rng(np.random.SeedSequence(opts.seed))
     p1 = sample_params(rng, opts.units, opts.dim,
                        box=opts.box, alpha_band=opts.alpha_band)
@@ -538,6 +524,7 @@ def _run_cone(opts: ConeOptions) -> int:
 def _run_mysovskii(opts: MysovskiiOptions) -> int:
     grid, activation = _grid_and_activation(opts)
     forward = _named("operator", _operator, opts.operator, grid)
+    grid = forward.in_grid
     rng = np.random.default_rng(np.random.SeedSequence(opts.seed))
     if opts.base_params is not None:
         base_params = Params.from_json_dict(opts.base_params)

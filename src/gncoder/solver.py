@@ -109,6 +109,14 @@ class IterationTrace:
     def iterations(self) -> int:
         return len(self.residuals) - 1
 
+    @property
+    def step_contractions(self) -> list:
+        """Deuflhard's a-posteriori contractions ``step_norms[k] /
+        step_norms[k-1]`` for ``k >= 1``.  Each is finite: a step no longer
+        than ``tol_step``, a zero one included, is the run's last."""
+        norms = self.step_norms
+        return [b / a for a, b in zip(norms, norms[1:])]
+
     def rows(self):
         """Rows matching ``TRACE_CSV_COLUMNS``; missing fields are empty."""
         last = len(self.residuals) - 1

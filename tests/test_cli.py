@@ -1,4 +1,5 @@
 import argparse
+import csv
 import json
 import math
 import os
@@ -66,10 +67,70 @@ class TestSolveCommand:
         meta = json.loads(metas[0].read_text())
         assert meta["status"] == "converged_residual"
         assert meta["final_param_error"] < 1e-10
-        assert meta["radius_satisfied"] is True
+        # Θ_0 < 1/2 and falling fast, as a converging run's contractions do
+        contractions = meta["step_contractions"]
+        assert len(contractions) == meta["iterations"] - 1
+        assert contractions[0] < 0.5
+        assert contractions == sorted(contractions, reverse=True)
         assert meta["p_true"]["N"] == 2
         header = traces[0].read_text().splitlines()[0]
         assert header == "iter,residual,step_norm,param_error,rank,status"
+
+    def test_solve_never_samples_the_convergence_constants(
+        self, tmp_path, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("solve sampled the convergence constants")
+
+        monkeypatch.setattr(cli, "lipschitz_constants", refuse)
+        monkeypatch.setattr(network, "lipschitz_constants", refuse)
+        for seed in (0, 5):  # converged and rank deficient
+            out = tmp_path / str(seed)
+            assert run(["solve", "--seed", seed, "--out", out]) == 0
+            meta = json.loads(next(out.glob("*.meta.json")).read_text())
+            assert not {"constants", "constants_error",
+                        "radius_satisfied"} & meta.keys()
+
+    @pytest.mark.parametrize("args", [
+        ["--seed", 1], ["--seed", 5], ["--seed", 7], ["--seed", 19],
+        ["--max-iters", 1], ["--mode", "gradient_descent", "--max-iters", 3],
+    ])
+    def test_step_contractions_are_the_ratios_of_the_trace_step_norms(
+        self, tmp_path, args
+    ):
+        out = tmp_path / "out"
+        assert run(["solve", *args, "--out", out]) == 0
+        meta = json.loads(next(out.glob("*.meta.json")).read_text())
+        with open(next(out.glob("*.trace.csv")), newline="") as fh:
+            norms = [float(row["step_norm"]) for row in csv.DictReader(fh)
+                     if row["step_norm"]]
+        assert meta["step_contractions"] == [
+            b / a for a, b in zip(norms, norms[1:])]
+        if len(norms) < 2:
+            assert meta["step_contractions"] == []
+        assert all(map(math.isfinite, meta["step_contractions"]))
+
+    def test_an_oversized_constants_samples_is_accepted_and_unused(
+        self, tmp_path
+    ):
+        # 3000 samples once needed a Gram screen of gigabytes and exited 1;
+        # solve no longer samples, so the value is only recorded and hashed
+        cfg = {"points_per_axis": 16}
+        outs = []
+        for samples in (3000, 24):
+            config = write_config(tmp_path, f"s{samples}",
+                                  {**cfg, "constants_samples": samples})
+            outs.append(tmp_path / str(samples))
+            assert run(["solve", "--config", config, "--out", outs[-1]]) == 0
+        metas = [json.loads(next(out.glob("*.meta.json")).read_text())
+                 for out in outs]
+        assert metas[0]["config"]["constants_samples"] == 3000
+        assert metas[0]["config_hash"] != metas[1]["config_hash"]
+        for meta in metas:
+            del meta["config"], meta["config_hash"]
+        assert metas[0] == metas[1]
+        traces = [next(out.glob("*.trace.csv")).read_bytes() for out in outs]
+        assert traces[0] == traces[1]
 
     def test_missing_config_exits_one_and_names_path(self, tmp_path, capsys):
         code = run(["solve", "--config", tmp_path / "absent.json"])
@@ -118,6 +179,38 @@ class TestOneOperatorPerProcess:
         assert run(["solve", "--config", config, "--out", outs[2]]) == 0
         assert built == ["gauss:0.1"] * 2
         assert files_in(outs[0]) == files_in(outs[1]) == files_in(outs[2])
+
+    #: command -> (the name it calls in ``cli`` with its grid and operator,
+    #: which of that call's arguments they are)
+    GRID_USERS = {
+        "solve": ("solve", lambda cfg, **_: (cfg.grid, cfg.forward)),
+        "cone": ("cone_check", lambda p1, p2s, act, grid, fwd, **_:
+                 (grid, fwd)),
+        "mysovskii": ("mysovskii_reports",
+                      lambda probes, units, dim, act, grid, fwd, **_:
+                      (grid, fwd)),
+    }
+
+    @pytest.mark.parametrize("command", GRID_USERS)
+    def test_jobs_run_on_the_grid_of_the_cached_operator(
+        self, tmp_path, monkeypatch, command
+    ):
+        name, grid_and_forward = self.GRID_USERS[command]
+        real, seen = getattr(cli, name), []
+
+        def spy(*args, **kwargs):
+            seen.append(grid_and_forward(*args, **kwargs))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, spy)
+        cli._operator.cache_clear()
+        for out in ("a", "b"):
+            assert run([command, "--seed", 0, "--out", tmp_path / out]) == 0
+        (first_grid, forward), (second_grid, second_forward) = seen
+        assert second_forward is forward
+        assert first_grid is forward.in_grid
+        assert second_grid is forward.in_grid
+        assert files_in(tmp_path / "a") == files_in(tmp_path / "b")
 
     def test_config_hashes_and_file_names_are_the_recorded_ones(self,
                                                                 tmp_path):
@@ -361,9 +454,9 @@ class TestProbeChunks:
 
 class TestConstantsRefusedFirst:
     """A config whose Lipschitz sample stack is refused exits 1 before any
-    Gauss-Newton step or Mysovskii probe runs."""
+    Mysovskii probe runs; ``solve`` samples no constants."""
 
-    @pytest.mark.parametrize("command", ["solve", "mysovskii"])
+    @pytest.mark.parametrize("command", ["mysovskii"])
     def test_refused_before_the_work(
         self, tmp_path, monkeypatch, capsys, command
     ):
@@ -459,8 +552,8 @@ class TestExitCodes:
     def test_an_overflowing_residual_exits_two_with_warnings_as_errors(
         self, tmp_path
     ):
-        # the squared norm overflows; the noise itself overflows; the start,
-        # its radius and the constants' pair distances overflow
+        # the squared norm overflows; the noise itself overflows; the start
+        # and its radius overflow
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
@@ -699,7 +792,6 @@ BAD_CONFIGS = [
     # a zero radius checked nothing and reported a ratio of 0.0
     ("mysovskii", "segment_radius", 0),
     # a Gram screen of (samples * n*)**2 floats: gigabytes, unchecked
-    ("solve", "constants_samples", 3000),
     ("mysovskii", "constants_samples", 3000),
     # a NaN reached the back-substitution's "array must not contain infs or
     # NaNs"; an Infinity overflowed and exited 2 as a rank deficiency
