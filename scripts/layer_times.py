@@ -8,8 +8,10 @@ Usage, from anywhere:
 The solve stages are the ROADMAP's layer-by-layer list, each timed as
 one Gauss-Newton step runs it, on node-minor rows: ``eval_psi``,
 ``jacobian_rows`` (the Jacobian's rows at one point), ``apply_rows``
-(``forward.apply_rows`` of those rows), ``weighted_qr`` (of a transposed
-view of the mapped rows), ``pinv_apply`` of the residual, one
+(``forward.apply_rows`` of those rows), ``augmented_qr`` (the R-only
+``np.linalg.qr`` of the F-ordered transpose of the weighted rows
+``√W·[F·J | r]``), ``solve_upper`` (the triangular solve of R's leading
+block against the top of its last column), one
 Gauss-Newton step, ``lipschitz_constants`` and one independence SVD (the
 singular values of a transposed view of the weighted rows, as
 ``independence_reports`` takes them).  The ``gauss_newton_step`` stage
@@ -46,7 +48,9 @@ Every stage calls the API that both trees share from commit ``fae5941``
 on.  In an older tree a stage that raises ``TypeError`` or
 ``AttributeError`` is reported as skipped and the others still run; a
 stage skipped in one tree prints ``skipped in a tree`` on that side, the
-other side's times, and no ratios.
+other side's times, and no ratios.  ``augmented_qr`` is NumPy alone, so it
+runs in any tree, also in one whose step still factors by Gram-Schmidt
+(``weighted_qr`` and ``pinv_apply``) and so never makes that call.
 
 A fourth shape, independence, runs first and has one stage,
 ``independence_pass``: the benchmark's independence config (2-D, 64x64
@@ -98,7 +102,7 @@ def solve_calls(dim, points_per_axis, units, operator, samples):
     from gncoder.network import eval_psi, jacobian_rows, lipschitz_constants
     from gncoder.operators import parse_operator
     from gncoder.params import Params
-    from gncoder.pseudoinverse import pinv_apply, weighted_qr
+    from gncoder.pseudoinverse import _solve_upper
     from gncoder.sampling import unit_direction
     from gncoder.solver import SolveConfig, gauss_newton_step, solve
 
@@ -118,8 +122,10 @@ def solve_calls(dim, points_per_axis, units, operator, samples):
             "step_size", "param_box")})
     residual = forward.apply(eval_psi(p0, activation, grid)) - data
     rows = jacobian_rows(flat0[None], units, dim, activation, grid)[0]
-    mapped = forward.apply_rows(rows)
-    factors = weighted_qr(mapped.T, forward.out_grid, cfg.rank_tol)
+    n = p0.n_star
+    augmented = np.concatenate([forward.apply_rows(rows), [residual.values]])
+    augmented *= np.sqrt(forward.out_grid.weights)
+    r = np.linalg.qr(augmented.T, mode="r")
     weighted = rows * np.sqrt(grid.weights)
     radius = opts.constants_ball_factor * opts.p0_radius
     return {
@@ -127,9 +133,8 @@ def solve_calls(dim, points_per_axis, units, operator, samples):
         "jacobian_rows": lambda: jacobian_rows(flat0[None], units, dim,
                                                activation, grid),
         "apply_rows": lambda: forward.apply_rows(rows),
-        "weighted_qr": lambda: weighted_qr(mapped.T, forward.out_grid,
-                                           cfg.rank_tol),
-        "pinv_apply": lambda: pinv_apply(factors, residual),
+        "augmented_qr": lambda: np.linalg.qr(augmented.T, mode="r"),
+        "solve_upper": lambda: _solve_upper(r[:n, :n], r[:n, n]),
         "gauss_newton_step": lambda: gauss_newton_step(p0, cfg, residual),
         "solve": lambda: solve(solve_cfg),
         "lipschitz_constants": lambda: lipschitz_constants(

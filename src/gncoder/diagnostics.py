@@ -20,15 +20,15 @@ import numpy as np
 from . import network
 from .activations import Activation
 from .exceptions import ResolutionError, ShapeError
-from .grids import Grid, GridFunction, check_dense_bytes
+from .grids import Grid, check_dense_bytes
 from .network import (Params, _check_dims, _check_jacobian_bytes, _flat_stack,
                       directional_derivatives, eval_psis, jacobian_rows,
                       second_derivative_bilinear)
 from .operators import LinearOperator
 from .pseudoinverse import (
     DEFAULT_RANK_TOL,
+    _solve_upper,
     full_rank,
-    pinv_apply,
     pinv_apply_columns,
     weighted_qr,
     weighted_qr_stack,
@@ -333,15 +333,15 @@ def mysovskii_check(
     shapes, before any Jacobian is built.
     The Jacobians at every ``p`` are built as rows in one vectorized pass
     (:func:`~gncoder.network.jacobian_rows`), mapped through ``forward`` in
-    one ``apply_rows`` call and factored in one stacked sweep
-    (:func:`~gncoder.pseudoinverse.weighted_qr_stack`).  The derivatives
-    along ``d = p - q`` at every ``q`` and every segment point ``q + s d``
-    with ``s > 0`` and ``d != 0`` come from one
-    :func:`~gncoder.network.directional_derivatives` pass; the forward map,
-    pseudoinverse and norm of each difference run per probe.  A probe whose
-    derivative at ``p`` lacks full column rank raises
-    :class:`RankDeficiencyError` when its turn comes, so every error
-    arises in probe order, as with one call per probe.  Memory grows with
+    one ``apply_rows`` call and factored in one batched QR
+    (:func:`~gncoder.pseudoinverse.weighted_qr_stack`), then gated in probe
+    order: the first probe whose derivative at ``p`` lacks full column rank
+    raises :class:`RankDeficiencyError`.  The derivatives along ``d = p -
+    q`` at every ``q`` and every segment point ``q + s d`` with ``s > 0``
+    and ``d != 0`` come from one
+    :func:`~gncoder.network.directional_derivatives` pass; each difference
+    is mapped alone, and all are projected with one stacked ``Q̃ᵀ`` product
+    and one stacked triangular solve.  Memory grows with
     the number of probes: :func:`mysovskii_reports` takes any number in
     bounded memory.
     """
@@ -361,9 +361,8 @@ def mysovskii_check(
     points = np.array([p for p, _, _ in probes], dtype=float)
     mapped = forward.apply_rows(jacobian_rows(points, units, dim, activation,
                                               grid))
-    # gated as the loop reaches each one, so errors arise in probe order
-    gated = (full_rank(f, "derivative at p") for f in weighted_qr_stack(
-        mapped.transpose(0, 2, 1), forward.out_grid, rank_tol))
+    factors = [full_rank(f, "derivative at p") for f in weighted_qr_stack(
+        mapped.transpose(0, 2, 1), forward.out_grid, rank_tol)]
 
     bases = np.array([q for _, q, _ in probes], dtype=float)
     steps = points - bases
@@ -378,10 +377,21 @@ def mysovskii_check(
         np.concatenate([bases, bases[owners]
                         + np.array(scales)[:, None] * steps[owners]]),
         np.concatenate([steps, steps[owners]]), units, dim, activation, grid)
-    diffs = iter(derivs[len(probes):] - derivs[owners])
+    # one image per difference: the 1-D Gaussian's product over a stack of
+    # rows rounds by the stack's height, which the chunk size sets
+    images = np.empty((len(owners), forward.out_grid.node_count))
+    for image, diff in zip(images, derivs[len(probes):] - derivs[owners]):
+        forward.apply_rows(diff, image)
+    images *= np.sqrt(forward.out_grid.weights)
+    # each segment point against its probe's factors: R c = Q̃ᵀ√W F(diff)
+    q_stack = np.array([f.q_matrix for f in factors])[owners]
+    r_stack = np.array([f.r_matrix for f in factors])[owners]
+    solved = _solve_upper(r_stack, q_stack.transpose(0, 2, 1)
+                          @ images[:, :, None])
+    lhs_live = iter(np.linalg.norm(solved[:, :, 0], axis=1).tolist())
 
     reports = []
-    for (_, _, s_values), factors, dist_sq in zip(probes, gated, dists_sq):
+    for (_, _, s_values), dist_sq in zip(probes, dists_sq):
         lhs_values = []
         ratios = []
         for s in s_values:
@@ -389,8 +399,7 @@ def mysovskii_check(
                 lhs_values.append(0.0)
                 ratios.append(0.0)
                 continue
-            diff = GridFunction(grid, next(diffs))
-            lhs = float(np.linalg.norm(pinv_apply(factors, forward.apply(diff))))
+            lhs = next(lhs_live)
             lhs_values.append(lhs)
             ratios.append(lhs / (s * dist_sq))
         reports.append(
@@ -413,16 +422,20 @@ def mysovskii_reports(
 
     ``probes`` is drawn from a chunk at a time, so a lazy iterable keeps the
     memory flat in the probe count.  A chunk holds, per probe, the Jacobian,
-    its image and the sweep's two slot rows, about ``8 n* (node_count + 3
-    out_nodes)`` bytes, and the directional-derivative pass at ``q`` and at
-    its ``k`` segment points, about ``8 (k + 1) node_count (3 N + 2)``
-    bytes; that is one probe per chunk on a 256 x 256 grid.
+    its image, the weighted copy that the QR factors and its ``Q̃``, about
+    ``8 n* (node_count + 3 out_nodes)`` bytes, a copy of ``Q̃`` for each of
+    its ``k`` segment points, ``8 k n* out_nodes`` bytes, and the
+    directional-derivative pass at ``q`` and at those points, about ``8 (k
+    + 1) node_count (3 N + 2)`` bytes; that is one probe per chunk on a 256
+    x 256 grid.
     """
-    nodes = grid.node_count + 3 * forward.out_grid.node_count
+    out_nodes = forward.out_grid.node_count
 
     def probe_bytes(probe):
-        tail = (len(probe[2]) + 1) * grid.node_count * (3 * units + 2)
-        return 8 * (units * (dim + 2) * nodes + tail)
+        k = len(probe[2])
+        tail = (k + 1) * grid.node_count * (3 * units + 2)
+        return 8 * (units * (dim + 2) * (grid.node_count + (3 + k) * out_nodes)
+                    + tail)
 
     for chunk in _chunks(probes, probe_bytes):
         yield from mysovskii_check(chunk, units, dim, activation, grid, forward,

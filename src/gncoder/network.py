@@ -36,7 +36,7 @@ DEFAULT_PARAM_BOX = (-10.0, 10.0)
 #: takes, the weighted node chunk of the Gram screen together with its
 #: transposed copy, and the ``n* x n*`` blocks gathered to bound a run of
 #: candidates.  In :mod:`~gncoder.diagnostics`: the cone's perturbed
-#: Jacobians and the Mysovskii probes factored in one sweep.
+#: Jacobians and the Mysovskii probes factored in one batched QR.
 CHUNK_BYTES = 8 * 2**20
 
 #: Relative margin on the Gram screen of :func:`lipschitz_constants`, far

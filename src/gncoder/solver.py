@@ -5,7 +5,8 @@ The iteration solves ``F(psi(p)) = y`` for the network coefficients by
     p_{k+1} = p_k - pinv(J_k) (F(psi(p_k)) - y),
 
 where ``J_k`` is the ``(node_count, n_star)`` matrix of forward-mapped
-derivative columns and ``pinv`` is applied through its weighted QR factors.
+derivative columns; each step applies ``pinv`` through one LAPACK
+Householder QR of ``√W·[J_k | r]`` that forms R alone.
 The loop is undamped on purpose: divergence outside the convergence radius
 is an expected, reportable outcome, and rank deficiency halts the run with
 a status instead of silently switching to minimum-norm steps.
@@ -35,7 +36,7 @@ from .grids import Grid, GridFunction, norm
 from .network import (DEFAULT_PARAM_BOX, ConvergenceConstants, Params, eval_psi,
                       jacobian_rows)
 from .operators import LinearOperator
-from .pseudoinverse import full_rank, held, pinv_apply, weighted_qr
+from .pseudoinverse import QRFactors, _solve_upper, full_rank, held
 
 MODE_GAUSS_NEWTON = "gauss_newton"
 MODE_GRADIENT_DESCENT = "gradient_descent"
@@ -167,21 +168,31 @@ def gauss_newton_step(
 ) -> tuple[Params, StepDiagnostics]:
     """One undamped Gauss-Newton update from the residual ``F(psi(p)) - y``.
 
-    The caller passes the residual it has already evaluated at ``p``.
+    The caller passes the residual it has already evaluated at ``p``.  The
+    top of the last column of R, from the QR of ``√W·[J_k | r]``, is
+    ``Q̃ᵀ√W r``, so the update is one triangular solve against R's leading
+    block, gated by the rank rule of :class:`~gncoder.pseudoinverse.QRFactors`.
     Raises :class:`RankDeficiencyError` when the forward-mapped Jacobian
     loses full column rank under ``cfg.rank_tol`` and :class:`NumericError`
     if the update produces non-finite values.  ``J_k`` stays node-minor
     rows (:func:`~gncoder.network.jacobian_rows`) from build to
-    factorization, with no copy between.
+    factorization.
     Given a step workspace ``work`` (:func:`~gncoder.pseudoinverse.held`),
-    the Jacobian rows, their image and the QR's arrays reuse its arrays.
+    the Jacobian rows and their weighted image reuse its arrays.
     """
+    n, out_grid = p.n_star, cfg.forward.out_grid
     rows = _jacobian_rows(p, cfg, held(
-        work, "jacobian", (1, p.n_star, cfg.grid.node_count)))
-    mapped = cfg.forward.apply_rows(rows, held(work, "image", rows.shape))
-    factors = full_rank(weighted_qr(mapped.T, cfg.forward.out_grid,
-                                    cfg.rank_tol, work), "Jacobian")
-    delta = pinv_apply(factors, residual)
+        work, "jacobian", (1, n, cfg.grid.node_count)))
+    # [J_k | r] as C-ordered rows: its transpose is the F-ordered matrix
+    # that LAPACK reads without a transposing copy
+    image = held(work, "image", (n + 1, out_grid.node_count))
+    cfg.forward.apply_rows(rows, image[:n])
+    image[n] = residual.values
+    image *= np.sqrt(out_grid.weights)
+    r = np.linalg.qr(image.T, mode="r")
+    factors = full_rank(QRFactors(out_grid, None, r[:n, :n], cfg.rank_tol),
+                        "Jacobian")
+    delta = _solve_upper(factors.r_matrix, r[:n, n])
     flat = p.flatten()
     new_flat = flat - delta
     if not np.all(np.isfinite(new_flat)):

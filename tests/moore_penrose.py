@@ -15,9 +15,12 @@ _MP_PROBE_COUNT = 20
 
 
 def project(factors: QRFactors, x: GridFunction) -> GridFunction:
-    """Orthogonal projection of ``x`` onto the span of the columns."""
-    beta = factors.q_matrix.T @ (factors.grid.weights * x.values)
-    return GridFunction(factors.grid, factors.q_matrix @ beta)
+    """Orthogonal projection of ``x`` onto the span of the columns in the
+    weighted inner product: ``W^(-1/2) Q̃ Q̃ᵀ W^(1/2) x``, as the factors
+    hold the orthonormal ``Q̃`` of ``√W·A``."""
+    root = np.sqrt(factors.grid.weights)
+    beta = factors.q_matrix.T @ (root * x.values)
+    return GridFunction(factors.grid, factors.q_matrix @ beta / root)
 
 
 @dataclass(frozen=True)

@@ -16,14 +16,14 @@ from gncoder.diagnostics import (
     merge_mirrored,
     mysovskii_check,
 )
-from gncoder import diagnostics, pseudoinverse
+from gncoder import diagnostics
 from gncoder.exceptions import (
     ConfigError,
     RankDeficiencyError,
     ResolutionError,
     ShapeError,
 )
-from gncoder.grids import DENSE_BYTES_LIMIT, GridFunction, make_grid
+from gncoder.grids import DENSE_BYTES_LIMIT, make_grid
 from gncoder import network
 from gncoder.network import (
     Params,
@@ -319,19 +319,14 @@ class TestConeCheck:
 
 
 def cone_transitions(p1, p2s, activation, grid):
-    """The transition matrices of ``cone_check`` one column at a time, as
-    each was taken before the column-wise pseudoinverse: its oracle."""
-    factors = full_rank(weighted_qr(jacobian(p1, activation, grid), grid),
-                        "p1")
-    out = []
-    for p2 in p2s:
-        jac2 = jacobian(Params.from_flat(p2, p1.units, p1.input_dim), activation,
-                        grid)
-        transition = np.empty((p1.n_star, p1.n_star))
-        for j in range(p1.n_star):
-            transition[:, j] = pinv_apply(factors, GridFunction(grid, jac2[:, j]))
-        out.append(transition)
-    return out
+    """The transition matrices of ``cone_check``, each the weighted
+    least-squares solution of ``J(p1) T = J(p2)`` by ``np.linalg.lstsq``:
+    its oracle."""
+    root = np.sqrt(grid.weights)[:, None]
+    jac1 = root * jacobian(p1, activation, grid)
+    return [np.linalg.lstsq(jac1, root * jacobian(
+        Params.from_flat(p2, p1.units, p1.input_dim), activation, grid),
+        rcond=None)[0] for p2 in p2s]
 
 
 def node_major_cone(p1, p2s, activation, grid, forward, rank_tol=1e-10):
@@ -398,7 +393,7 @@ def tail_points(grid, seed, count):
 
 class TestConeTail:
     @pytest.mark.parametrize("case", range(len(TAIL_CASES)))
-    def test_transitions_equal_the_column_loop(self, case):
+    def test_transitions_agree_with_lstsq(self, case):
         activation, grid, operator = TAIL_CASES[case]
         p1, p2s = tail_points(grid, case, 4)
         p2s = np.array([p.flatten() for p in p2s + [p1]])
@@ -406,8 +401,8 @@ class TestConeTail:
                              parse_operator(operator, grid))
         expected = cone_transitions(p1, p2s, activation, grid)
         for report, transition in zip(reports, expected):
-            assert report.r_matrix.tobytes() == transition.tobytes()
-            assert report.r_matrix.flags.c_contiguous
+            assert np.linalg.norm(report.r_matrix - transition) <= (
+                1e-10 * np.linalg.norm(transition))
 
     @pytest.mark.parametrize("case", range(len(CONE_CASES)))
     def test_reports_match_the_node_major_cone(self, monkeypatch, case):
@@ -450,27 +445,20 @@ class TestConeTail:
     def test_base_point_is_factored_from_a_rows_view(self, monkeypatch):
         grid = make_grid(1, 64)
         p1, p2s = tail_points(grid, 0, 2)
-        seen, swept = [], []
-        qr, sweep = diagnostics.weighted_qr, pseudoinverse._mgs_sweep
+        seen = []
+        qr = diagnostics.weighted_qr
 
         def spy_qr(matrix, *args):
             seen.append(matrix)
             return qr(matrix, *args)
 
-        def spy_sweep(rows, *args):
-            swept.append(rows)
-            return sweep(rows, *args)
-
         monkeypatch.setattr(diagnostics, "weighted_qr", spy_qr)
-        monkeypatch.setattr(pseudoinverse, "_mgs_sweep", spy_sweep)
         cone_check(p1, [p.flatten() for p in p2s], SIGMOID, grid,
                    make_integration(grid))
         matrix, = seen
-        rows, = swept
-        # the transposed view of C-ordered rows, swept without a copy
+        # the transposed view of C-ordered rows, with no transposing copy
         assert matrix.shape == (grid.node_count, p1.n_star)
         assert matrix.T.flags.c_contiguous and not matrix.flags.owndata
-        assert np.shares_memory(rows, matrix)
 
     def test_mismatched_point_is_a_shape_error_before_any_jacobian(
         self, monkeypatch
@@ -537,7 +525,7 @@ class TestMysovskiiCheck:
 
 def mysovskii_loop(probes, activation, grid, forward):
     """``mysovskii_check``'s tail one probe and one segment point at a
-    time, as it ran before the stacked directional derivatives: its
+    time, each point's own derivatives, image and ``pinv_apply``: its
     oracle, as ``(lhs_values, bound_ratios)`` per probe."""
     out = []
     for p, q, s_values in probes:
@@ -567,7 +555,7 @@ class TestMysovskiiTail:
     S_VALUES = [(0.5,), (0.0, 0.25, 1.0), (), (0.05, 0.3, 0.0, 0.7, 1.0), (1,)]
 
     @pytest.mark.parametrize("case", range(len(TAIL_CASES)))
-    def test_reports_equal_the_per_probe_loop(self, case):
+    def test_reports_agree_with_the_per_probe_loop(self, case):
         activation, grid, operator = TAIL_CASES[case]
         forward = parse_operator(operator, grid)
         _, ps = tail_points(grid, 40 + case, 5)
@@ -582,10 +570,10 @@ class TestMysovskiiTail:
         for report, (lhs_values, ratios), (_, _, s_values) in zip(
                 reports, expected, probes):
             assert report.s_values == tuple(s_values)
-            assert np.array(report.lhs_values).tobytes() == (
-                np.array(lhs_values).tobytes())
-            assert np.array(report.bound_ratios).tobytes() == (
-                np.array(ratios).tobytes())
+            np.testing.assert_allclose(report.lhs_values, lhs_values,
+                                       rtol=1e-10, atol=0.0)
+            np.testing.assert_allclose(report.bound_ratios, ratios,
+                                       rtol=1e-10, atol=0.0)
         assert reports[-2].lhs_values == (0.0, 0.0, 0.0)
         assert any(value > 0 for value in reports[3].lhs_values)
 
