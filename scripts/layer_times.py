@@ -155,21 +155,24 @@ def job_calls(config):
     """The solve stages at ``config``, then ``cli_main``: a whole in-process
     ``gncoder solve`` at that config, writing into a temporary directory
     that lives as long as the stage."""
+    import shutil
     import tempfile
+    import weakref
 
     from gncoder import cli
 
     calls = solve_calls(config["dim"], config["points_per_axis"],
                         config["units"], config["operator"],
                         config["constants_samples"])
-    tmp = tempfile.TemporaryDirectory()
-    path = Path(tmp.name) / "config.json"
+    tmp = tempfile.mkdtemp()
+    path = Path(tmp) / "config.json"
     path.write_text(json.dumps(config))
 
     def cli_main():
-        if cli.main(["solve", "--config", str(path), "--out", tmp.name]) != 0:
+        if cli.main(["solve", "--config", str(path), "--out", tmp]) != 0:
             raise RuntimeError(f"the solve at {config} did not exit 0")
 
+    weakref.finalize(cli_main, shutil.rmtree, tmp, ignore_errors=True)
     return {**calls, "cli_main": cli_main}
 
 

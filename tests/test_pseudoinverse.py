@@ -182,6 +182,8 @@ def oracle_matrix(kind, grid, ncols, seed):
     matrix *= 10.0 ** rng.uniform(-1, 1, ncols)
     if kind == "duplicate":
         matrix[:, 2] = matrix[:, 0]
+    elif kind == "below-tol":
+        matrix[:, 1] = 0.5 * matrix[:, 0] - 1e-13 * matrix[:, 3]
     elif kind == "zero":
         matrix[:] = 0.0
     elif kind == "fortran":
@@ -191,7 +193,8 @@ def oracle_matrix(kind, grid, ncols, seed):
 
 #: the rank of each kind's ``n`` columns
 KIND_RANK = {"plain": lambda n: n, "fortran": lambda n: n,
-             "duplicate": lambda n: n - 1, "zero": lambda n: 0}
+             "duplicate": lambda n: n - 1, "below-tol": lambda n: n - 1,
+             "zero": lambda n: 0}
 
 
 def lstsq_oracle(matrix, grid, x):
@@ -225,10 +228,12 @@ def check_against_oracles(f, matrix, grid, kind):
 ORACLE_CASES = [
     (make_grid(1, 64), 6, "plain"),
     (make_grid(1, 64), 6, "duplicate"),
+    (make_grid(1, 64), 6, "below-tol"),
     (make_grid(1, 64), 6, "fortran"),
     (make_grid(1, 64), 1, "plain"),
     (make_grid(2, 64), 12, "plain"),
     (make_grid(2, 64), 12, "duplicate"),
+    (make_grid(2, 64), 12, "below-tol"),
     (make_grid(2, 64), 12, "fortran"),
     (make_grid(2, 256), 12, "plain"),
 ]
@@ -251,8 +256,9 @@ STACK_CASES = [
     (make_grid(1, 64), 6, ("plain",), "C"),
     (make_grid(1, 64), 6, ("plain", "duplicate", "zero"), "C"),
     (make_grid(1, 64), 6, ("duplicate", "plain"), "F"),
+    (make_grid(1, 64), 6, ("below-tol", "plain", "duplicate"), "F"),
     (make_grid(1, 13), 5, ("duplicate", "zero", "plain"), "C"),
-    (make_grid(1, 6), 6, ("plain", "duplicate"), "F"),
+    (make_grid(1, 6), 6, ("plain", "below-tol", "duplicate"), "F"),
     (make_grid(2, 16), 12, ("duplicate", "plain"), "C"),
     (make_grid(1, 64), 1, ("plain", "plain", "plain"), "C"),
 ]
@@ -287,6 +293,14 @@ class TestWeightedQRStack:
             check_against_oracles(factors[b], members[b], grid, "plain")
         with pytest.raises(ValueError, match="^array must not contain"):
             pinv_apply_columns(factors[1], members[1])
+
+    def test_tall_matrix_alone(self):
+        grid = make_grid(2, 256)
+        matrix = oracle_matrix("plain", grid, 12, 0)
+        f, = weighted_qr_stack(matrix[None], grid)
+        check_against_oracles(f, matrix, grid, "plain")
+        assert f.q_matrix.shape == (grid.node_count, 12)
+        assert f.r_matrix.shape == (12, 12)
 
     def test_weighted_qr_is_the_stack_of_one(self):
         grid = make_grid(1, 64)
@@ -441,6 +455,25 @@ class TestTriangularSolve:
             pseudoinverse._solve_upper(r, np.ones(4))
 
 
+def column_by_column(factors, matrix):
+    """``pinv_apply`` of each column in turn; an error comes back as
+    ``(type, message)``."""
+    out = np.empty((factors.column_count, matrix.shape[1]))
+    try:
+        for j in range(matrix.shape[1]):
+            out[:, j] = pinv_apply(factors, GridFunction(factors.grid, matrix[:, j]))
+    except (ValueError, np.linalg.LinAlgError, RankDeficiencyError) as err:
+        return type(err), str(err)
+    return out
+
+
+def columns_outcome(factors, matrix):
+    try:
+        return pinv_apply_columns(factors, matrix)
+    except (ValueError, np.linalg.LinAlgError, RankDeficiencyError) as err:
+        return type(err), str(err)
+
+
 class TestPinvApplyColumns:
     """``pinv_apply_columns`` is ``pinv_apply`` of each column."""
 
@@ -475,6 +508,27 @@ class TestPinvApplyColumns:
             with pytest.raises(RankDeficiencyError,
                                match=f"^the factored matrix has rank {rank} < 3$"):
                 call()
+
+    @pytest.mark.parametrize("bad_column", [None, 0, 2])
+    @pytest.mark.parametrize("defect", ["none", "non-finite r", "zero diagonal"])
+    def test_errors_are_those_of_the_column_loop(self, defect, bad_column):
+        f = upper_factors(4, np.random.default_rng(11))
+        r = f.r_matrix.copy()
+        if defect == "non-finite r":
+            r[1, 3] = np.inf
+        elif defect == "zero diagonal":
+            r[2, 2] = 0.0
+        f = QRFactors(GRID, f.q_matrix, r)
+        matrix = np.ones((GRID.node_count, 4))
+        if bad_column is not None:
+            matrix[9, bad_column] = np.nan
+        outcome = columns_outcome(f, matrix)
+        expected = column_by_column(f, matrix)
+        if isinstance(expected, tuple):
+            assert outcome == expected
+        else:
+            assert np.linalg.norm(outcome - expected) <= (
+                1e-12 * np.linalg.norm(expected))
 
     def test_no_column_gives_an_empty_result(self):
         f = upper_factors(4, np.random.default_rng(11))
