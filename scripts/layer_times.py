@@ -10,7 +10,11 @@ one Gauss-Newton step runs it, on node-minor rows: ``eval_psi``,
 ``jacobian_rows`` (the Jacobian's rows at one point), ``apply_rows``
 (``forward.apply_rows`` of those rows), ``augmented_qr`` (the R-only
 ``np.linalg.qr`` of the F-ordered transpose of the weighted rows
-``√W·[F·J | r]``), ``solve_upper`` (the triangular solve of R's leading
+``√W·[F·J | r]``, NumPy's reference for the next stage),
+``householder_r`` (the step's own factorization of those rows: LAPACK's
+``dgeqrf`` in place, with its arrays held in one workspace; each call
+factors what the last one left in the buffer, at the same flop count, so
+no copy is timed), ``solve_upper`` (the triangular solve of R's leading
 block against the top of its last column), one
 Gauss-Newton step, ``lipschitz_constants`` and one independence SVD (the
 singular values of a transposed view of the weighted rows, as
@@ -50,7 +54,9 @@ on.  In an older tree a stage that raises ``TypeError`` or
 stage skipped in one tree prints ``skipped in a tree`` on that side, the
 other side's times, and no ratios.  ``augmented_qr`` is NumPy alone, so it
 runs in any tree, also in one whose step still factors by Gram-Schmidt
-(``weighted_qr`` and ``pinv_apply``) and so never makes that call.
+(``weighted_qr`` and ``pinv_apply``) and so never makes that call;
+``householder_r`` is skipped in a tree older than the in-place
+factorization.
 
 A fourth shape, independence, runs first and has one stage,
 ``independence_pass``: the benchmark's independence config (2-D, 64x64
@@ -96,6 +102,7 @@ def solve_calls(dim, points_per_axis, units, operator, samples):
     run."""
     import numpy as np
 
+    from gncoder import pseudoinverse  # householder_r, absent in older trees
     from gncoder.activations import parse_activation
     from gncoder.cli import SolveOptions, synth_problem
     from gncoder.grids import make_grid
@@ -126,6 +133,7 @@ def solve_calls(dim, points_per_axis, units, operator, samples):
     augmented = np.concatenate([forward.apply_rows(rows), [residual.values]])
     augmented *= np.sqrt(forward.out_grid.weights)
     r = np.linalg.qr(augmented.T, mode="r")
+    factored, work = augmented.copy(), {}
     weighted = rows * np.sqrt(grid.weights)
     radius = opts.constants_ball_factor * opts.p0_radius
     return {
@@ -134,6 +142,7 @@ def solve_calls(dim, points_per_axis, units, operator, samples):
                                                activation, grid),
         "apply_rows": lambda: forward.apply_rows(rows),
         "augmented_qr": lambda: np.linalg.qr(augmented.T, mode="r"),
+        "householder_r": lambda: pseudoinverse.householder_r(factored, work),
         "solve_upper": lambda: _solve_upper(r[:n, :n], r[:n, n]),
         "gauss_newton_step": lambda: gauss_newton_step(p0, cfg, residual),
         "solve": lambda: solve(solve_cfg),

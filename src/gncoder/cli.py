@@ -311,32 +311,32 @@ def _public_config(opts) -> dict:
             if f.name != "out_dir"}
 
 
-def _config_hash(opts) -> str:
-    # the output location is not part of the experiment's identity
-    canonical = json.dumps(_public_config(opts), sort_keys=True,
-                           separators=(",", ":"))
+def _config_hash(config: dict) -> str:
+    """The hash of a run's :func:`_public_config`, which names its files."""
+    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
-def _out_name(command: str, opts) -> Path:
-    return Path(opts.out_dir) / f"{command}_{_config_hash(opts)}_seed{opts.seed}"
+def _out_name(command: str, opts) -> tuple[Path, dict]:
+    """The base path of a run's output files and the header its metadata
+    starts with, the config hashed once for both."""
+    config = _public_config(opts)
+    header = {"command": command, "config": config,
+              "config_hash": _config_hash(config), "seed": opts.seed}
+    name = f"{command}_{header['config_hash']}_seed{opts.seed}"
+    return Path(opts.out_dir) / name, header
 
 
-def _out_base(command: str, opts) -> Path:
-    base = _out_name(command, opts)
+def _out_base(command: str, opts) -> tuple[Path, dict]:
+    """:func:`_out_name`, with the output directory made."""
+    base, header = _out_name(command, opts)
     base.parent.mkdir(parents=True, exist_ok=True)
-    return base
+    return base, header
 
 
-def _write_meta(path: Path, command: str, opts, **summary) -> None:
+def _write_meta(path: Path, header: dict, **summary) -> None:
     """Write a run's summary JSON under the header every subcommand shares."""
-    meta = {
-        "command": command,
-        "config": _public_config(opts),
-        "config_hash": _config_hash(opts),
-        "seed": opts.seed,
-        **summary,
-    }
+    meta = {**header, **summary}
     path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
 
 
@@ -384,15 +384,18 @@ def _grid_and_activation(opts):
 
 
 def synth_problem(
-    opts: SolveOptions, activation: Activation, forward: LinearOperator
+    opts: SolveOptions, activation: Activation, forward: LinearOperator,
+    rngs=None,
 ) -> tuple[Params, GridFunction]:
     """Draw a ground-truth coefficient vector and its (optionally noisy) data.
 
     The truth is sampled from the configured box with the output-weight
     band; the data is the exact forward image plus seeded additive Gaussian
-    noise of the configured standard deviation per node.
+    noise of the configured standard deviation per node.  ``rngs`` are the
+    job's streams, ``_spawn_rngs(opts.seed)``, spawned here when not given;
+    the first two are drawn from.
     """
-    truth_rng, noise_rng, _, _ = _spawn_rngs(opts.seed)
+    truth_rng, noise_rng, _, _ = rngs or _spawn_rngs(opts.seed)
     p_true = sample_params(truth_rng, opts.units, opts.dim,
                            box=opts.sampler_box, alpha_band=opts.alpha_band)
     y = forward.apply(eval_psi(p_true, activation, forward.in_grid))
@@ -418,8 +421,9 @@ def _run_solve(opts: SolveOptions) -> int:
     grid, activation = _grid_and_activation(opts)
     forward = _named("operator", _operator, opts.operator, grid)
     grid = forward.in_grid  # the cached operator's: one grid per shape
-    p_true, y = synth_problem(opts, activation, forward)
-    _, _, start_rng, _ = _spawn_rngs(opts.seed)
+    rngs = _spawn_rngs(opts.seed)  # the job's streams, spawned once
+    p_true, y = synth_problem(opts, activation, forward, rngs)
+    start_rng = rngs[2]
     direction = unit_direction(start_rng, p_true.n_star)
     p0 = Params.from_flat(
         p_true.flatten() + opts.p0_radius * direction, opts.units, opts.dim
@@ -445,10 +449,10 @@ def _run_solve(opts: SolveOptions) -> int:
     # a dense SVD, reported up to 4096 nodes
     cond = forward.condition_number() if grid.node_count <= 4096 else None
 
-    base = _out_base("solve", opts)
+    base, header = _out_base("solve", opts)
     trace.write_csv(base.with_suffix(".trace.csv"))
     _write_meta(
-        base.with_suffix(".meta.json"), "solve", opts,
+        base.with_suffix(".meta.json"), header,
         operator=forward.descriptor,
         operator_injective=forward.injective,
         operator_condition_number=cond,
@@ -486,10 +490,10 @@ def _run_independence(opts: IndependenceOptions) -> int:
                                    grid, opts.rank_tol, seeds)
     rows = [dict(report.to_json_dict(), trial=index)
             for index, report in enumerate(reports)]
-    base = _out_base("independence", opts)
+    base, header = _out_base("independence", opts)
     _write_jsonl(base.with_suffix(".reports.jsonl"), rows)
     _write_meta(
-        base.with_suffix(".meta.json"), "independence", opts,
+        base.with_suffix(".meta.json"), header,
         trials=opts.trials,
         degenerate_count=sum(1 for r in rows if r["degenerate"]),
         min_singular_value=min(r["min_singular_value"] for r in rows),
@@ -510,11 +514,11 @@ def _run_cone(opts: ConeOptions) -> int:
                          rank_tol=opts.rank_tol)
     rows = [dict(report.to_json_dict(), t=t)
             for report, t in zip(reports, opts.t_values)]
-    base = _out_base("cone", opts)
+    base, header = _out_base("cone", opts)
     _write_jsonl(base.with_suffix(".reports.jsonl"), rows)
     ratios = [r["ratio"] for r in rows]
     _write_meta(
-        base.with_suffix(".meta.json"), "cone", opts,
+        base.with_suffix(".meta.json"), header,
         max_decomposition_residual=max(r["decomposition_residual"] for r in rows),
         ratio_spread=max(ratios) / min(ratios) if min(ratios) > 0 else None,
     )
@@ -563,11 +567,11 @@ def _run_mysovskii(opts: MysovskiiOptions) -> int:
             max_ratio = max(max_ratio, report.max_ratio)
             yield dict(report.to_json_dict(), probe=index)
 
-    base = _out_name("mysovskii", opts)
+    base, header = _out_name("mysovskii", opts)
     _write_jsonl(base.with_suffix(".reports.jsonl"), rows())
     product = constants.derivative_bound * constants.lipschitz_bound
     _write_meta(
-        base.with_suffix(".meta.json"), "mysovskii", opts,
+        base.with_suffix(".meta.json"), header,
         base_params=base_params.to_json_dict(),
         max_bound_ratio=max_ratio,
         constants=constants.to_json_dict(),
@@ -579,12 +583,12 @@ def _run_mysovskii(opts: MysovskiiOptions) -> int:
 
 def _run_manifold(opts: ManifoldOptions) -> int:
     rows = manifold_sweep(opts.extent, opts.resolution)
-    base = _out_base("manifold", opts)
+    base, header = _out_base("manifold", opts)
     with open(base.with_suffix(".csv"), "w") as fh:
         fh.write("x,y,f1,f2,det\n")
         for row in rows:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
-    _write_meta(base.with_suffix(".meta.json"), "manifold", opts,
+    _write_meta(base.with_suffix(".meta.json"), header,
                 rows=int(rows.shape[0]))
     return 0
 
@@ -602,9 +606,9 @@ def _run_check_derivatives(opts: CheckDerivativesOptions) -> int:
                                        opts.step_first, opts.step_second))
     worst_first, worst_second = map(max, zip(*errors))
 
-    base = _out_base("check-derivatives", opts)
+    base, header = _out_base("check-derivatives", opts)
     _write_meta(
-        base.with_suffix(".report.json"), "check-derivatives", opts,
+        base.with_suffix(".report.json"), header,
         max_first_order_relative_error=worst_first,
         max_second_order_relative_error=worst_second,
     )

@@ -8,6 +8,10 @@ matrices is factored in one batched call.  Column ``k`` counts as dependent
 when ``|R_kk| < rank_tol · max_j ‖√W a_j‖``.  From full-rank factors we get
 the Moore-Penrose pseudoinverse applied to a grid function, or to every
 column of a matrix of nodal values, as the triangular solve ``R c = Q̃ᵀ√W x``.
+
+The Gauss-Newton step forms R alone, in place: :func:`householder_r` runs
+LAPACK's ``dgeqrf`` through ``numpy.linalg.lapack_lite`` on the caller's
+buffer, the same routine that ``np.linalg.qr`` runs on two copies of it.
 """
 
 from __future__ import annotations
@@ -15,9 +19,10 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 from .exceptions import GridMismatchError, RankDeficiencyError
 from .grids import Grid, GridFunction
@@ -78,6 +83,46 @@ def held(work: dict | None, key, shape) -> np.ndarray:
     if array is None or array.shape != shape:
         array = work[key] = np.empty(shape)
     return array
+
+
+def householder_r(image: np.ndarray, work: dict | None = None) -> np.ndarray:
+    """R of the Householder QR of ``image.T``, factored where it lies.
+
+    ``image`` is a C-ordered float64 ``(m, K)`` array, so its memory is the
+    F-ordered ``(K, m)`` matrix ``image.T`` that LAPACK reads.  ``dgeqrf``
+    overwrites it with R above the diagonal and the Householder vectors
+    below; the returned R is a fresh ``(min(K, m), m)`` upper triangle,
+    bitwise ``np.linalg.qr(image.T, mode="r")``, which runs the same
+    ``dgeqrf`` on a copy of a copy.  The reflectors' ``tau`` and LAPACK's
+    scratch array are held in ``work`` (:func:`held`) under ``"tau"`` and
+    ``"geqrf"``, the scratch sized by one workspace query per shape
+    (:func:`_geqrf_lwork`).  A nonzero ``info`` from LAPACK raises
+    ``numpy.linalg.LinAlgError``; ``lapack_lite`` itself raises its
+    ``LapackError`` for an array that is not C-ordered float64.
+    """
+    m, k = image.shape
+    tau = held(work, "tau", (min(k, m),))
+    scratch = held(work, "geqrf", (_geqrf_lwork(k, m),))
+    _geqrf(k, m, image, tau, scratch, scratch.size)
+    return np.triu(image.T[: min(k, m)])
+
+
+@lru_cache(maxsize=8)
+def _geqrf_lwork(rows: int, cols: int) -> int:
+    """LAPACK's optimal scratch length for ``dgeqrf`` of a ``rows x cols``
+    matrix: one workspace query, which reads no matrix entry, kept for the
+    last few shapes of the process."""
+    query = np.empty(1)
+    _geqrf(rows, cols, np.empty(1), np.empty(1), query, -1)
+    return max(1, int(query[0]))
+
+
+def _geqrf(rows, cols, a, tau, scratch, lwork) -> None:
+    info = lapack_lite.dgeqrf(rows, cols, a, max(1, rows), tau, scratch,
+                              lwork, 0)["info"]
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"LAPACK dgeqrf of a {rows} x {cols} matrix returned info {info}")
 
 
 def weighted_qr(

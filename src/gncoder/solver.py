@@ -6,7 +6,9 @@ The iteration solves ``F(psi(p)) = y`` for the network coefficients by
 
 where ``J_k`` is the ``(node_count, n_star)`` matrix of forward-mapped
 derivative columns; each step applies ``pinv`` through one LAPACK
-Householder QR of ``√W·[J_k | r]`` that forms R alone.
+Householder QR of ``√W·[J_k | r]`` that forms R alone, factored in place
+in the step's workspace.  Each iterate makes one activation pass: the
+Jacobian rows built there give ``psi``, hence the residual, and the step.
 The loop is undamped on purpose: divergence outside the convergence radius
 is an expected, reportable outcome, and rank deficiency halts the run with
 a status instead of silently switching to minimum-norm steps.
@@ -33,10 +35,12 @@ from .exceptions import (
     ShapeError,
 )
 from .grids import Grid, GridFunction, norm
-from .network import (DEFAULT_PARAM_BOX, ConvergenceConstants, Params, eval_psi,
+from .network import (DEFAULT_PARAM_BOX, ConvergenceConstants, Params,
+                      _check_jacobian_bytes, _jacobian_matrices, eval_psi,
                       jacobian_rows)
 from .operators import LinearOperator
-from .pseudoinverse import QRFactors, _solve_upper, full_rank, held
+from .pseudoinverse import (QRFactors, _solve_upper, full_rank, held,
+                            householder_r)
 
 MODE_GAUSS_NEWTON = "gauss_newton"
 MODE_GRADIENT_DESCENT = "gradient_descent"
@@ -176,24 +180,36 @@ def gauss_newton_step(
     loses full column rank under ``cfg.rank_tol`` and :class:`NumericError`
     if the update produces non-finite values.  ``J_k`` stays node-minor
     rows (:func:`~gncoder.network.jacobian_rows`) from build to
-    factorization.
+    factorization, and :func:`~gncoder.pseudoinverse.householder_r`
+    factors the weighted image in place.
     Given a step workspace ``work`` (:func:`~gncoder.pseudoinverse.held`),
-    the Jacobian rows and their weighted image reuse its arrays.
+    the Jacobian rows, the image and LAPACK's arrays reuse its arrays.
+    :func:`solve` also leaves there ``"sqrt_w"``, its ``√W``, and
+    ``"at"``, the point whose rows it has just built into
+    ``work["jacobian"]``: a step at that point takes the entry and the
+    rows as they are.  Every path gives the same bits.
     """
     n, out_grid = p.n_star, cfg.forward.out_grid
-    rows = _jacobian_rows(p, cfg, held(
-        work, "jacobian", (1, n, cfg.grid.node_count)))
+    flat = p.flatten()
+    at = None if work is None else work.pop("at", None)
+    if at is not None and at.tobytes() == flat.tobytes():
+        rows = work["jacobian"][0]
+    else:
+        rows = _jacobian_rows(p, cfg, held(
+            work, "jacobian", (1, n, cfg.grid.node_count)))
+    sqrt_w = None if work is None else work.get("sqrt_w")
+    if sqrt_w is None:
+        sqrt_w = np.sqrt(out_grid.weights)
     # [J_k | r] as C-ordered rows: its transpose is the F-ordered matrix
-    # that LAPACK reads without a transposing copy
+    # that LAPACK factors where it lies
     image = held(work, "image", (n + 1, out_grid.node_count))
     cfg.forward.apply_rows(rows, image[:n])
     image[n] = residual.values
-    image *= np.sqrt(out_grid.weights)
-    r = np.linalg.qr(image.T, mode="r")
+    image *= sqrt_w
+    r = householder_r(image, work)
     factors = full_rank(QRFactors(out_grid, None, r[:n, :n], cfg.rank_tol),
                         "Jacobian")
     delta = _solve_upper(factors.r_matrix, r[:n, n])
-    flat = p.flatten()
     new_flat = flat - delta
     if not np.all(np.isfinite(new_flat)):
         raise NumericError("Gauss-Newton update produced non-finite parameters")
@@ -212,9 +228,15 @@ def misfit_value_grad(p: Params, cfg: SolveConfig) -> tuple[float, np.ndarray]:
     """
     residual = _forward_map(p, cfg) - cfg.data
     value = 0.5 * norm(residual) ** 2
+    return value, _misfit_grad(_jacobian_rows(p, cfg), residual, cfg)
+
+
+def _misfit_grad(rows: np.ndarray, residual: GridFunction,
+                 cfg: SolveConfig) -> np.ndarray:
+    """The misfit's gradient from the Jacobian rows and the residual at
+    one point."""
     back = cfg.forward.adjoint(residual)
-    grad = _jacobian_rows(p, cfg) @ (cfg.grid.weights * back.values)
-    return value, grad
+    return rows @ (cfg.grid.weights * back.values)
 
 
 def gradient_step(p: Params, cfg: SolveConfig) -> tuple[Params, bool]:
@@ -223,6 +245,10 @@ def gradient_step(p: Params, cfg: SolveConfig) -> tuple[Params, bool]:
     Returns the new iterate and whether it was clamped to the parameter box.
     """
     _, grad = misfit_value_grad(p, cfg)
+    return _descend(p, grad, cfg)
+
+
+def _descend(p: Params, grad: np.ndarray, cfg: SolveConfig) -> tuple[Params, bool]:
     new_flat = p.flatten() - cfg.step_size * grad
     if not np.all(np.isfinite(new_flat)):
         raise NumericError("gradient update produced non-finite parameters")
@@ -238,23 +264,38 @@ def solve(cfg: SolveConfig, true_params: Params | None = None) -> IterationTrace
     clamped to it and the iteration index is recorded as a boundary event;
     such runs are outside the convergence theory and the flag makes them
     auditable.  A residual norm that is not finite raises
-    :class:`NumericError`.  The Gauss-Newton steps share one workspace,
-    which this call alone holds.
+    :class:`NumericError`.
+
+    Each visited iterate makes one activation pass: its Jacobian rows are
+    built into the step workspace, which this call alone holds, and
+    ``psi`` is their alpha rows times ``alpha``, bitwise
+    :func:`~gncoder.network.eval_psi`.  The residual is mapped from that
+    ``psi``, and the step (:func:`gauss_newton_step`, or the descent
+    update, whose gradient is one product with the rows) reuses the rows.
+    The byte and shape checks of the rows and ``√W`` are taken once per
+    call.
     """
     trace = IterationTrace()
-    work = {}
     p = cfg.initial
+    units, dim, grid = p.units, p.input_dim, cfg.grid
+    _check_jacobian_bytes(1, units, dim, grid.points_per_axis)
+    work = {"sqrt_w": np.sqrt(cfg.forward.out_grid.weights)}
+    rows = held(work, "jacobian", (1, p.n_star, grid.node_count))
+    flat = p.flatten()
     true_flat = true_params.flatten() if true_params is not None else None
     pending_step_stop = False
     k = 0
     while True:
-        residual = _forward_map(p, cfg) - cfg.data
+        _jacobian_matrices(flat[None], units, dim, cfg.activation, grid, rows)
+        work["at"] = flat
+        psi = np.ascontiguousarray(rows[0, :units].T) @ flat[:units]
+        residual = cfg.forward.apply(GridFunction(grid, psi)) - cfg.data
         res_norm = norm(residual)
         if not math.isfinite(res_norm):
             raise NumericError(f"residual norm is {res_norm} at iterate {k}")
         trace.residuals.append(res_norm)
         trace.param_errors.append(
-            float(np.linalg.norm(p.flatten() - true_flat))
+            float(np.linalg.norm(flat - true_flat))
             if true_flat is not None
             else math.nan
         )
@@ -279,12 +320,13 @@ def solve(cfg: SolveConfig, true_params: Params | None = None) -> IterationTrace
             step_norm = diag.step_norm
             clamped = diag.clamped
         else:
-            p_next, clamped = gradient_step(p, cfg)
-            step_norm = float(np.linalg.norm(p_next.flatten() - p.flatten()))
+            p_next, clamped = _descend(
+                p, _misfit_grad(rows[0], residual, cfg), cfg)
+            step_norm = float(np.linalg.norm(p_next.flatten() - flat))
         if clamped:
             trace.boundary_events.append(k)
         trace.step_norms.append(step_norm)
-        p = p_next
+        p, flat = p_next, p_next.flatten()
         k += 1
         if step_norm <= cfg.tol_step:
             pending_step_stop = True

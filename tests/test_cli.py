@@ -267,6 +267,37 @@ class TestDeterminism:
         assert files_in(a) == files_in(b)
 
 
+#: command -> its arguments for a small run
+SMALL_RUNS = {
+    "solve": [],
+    "independence": ["--trials", 2, "--points-per-axis", 16],
+    "cone": [],
+    "mysovskii": ["--probes", 2],
+    "manifold": ["--resolution", 11],
+    "check-derivatives": [],
+}
+
+
+@pytest.mark.parametrize("command", SMALL_RUNS)
+def test_a_job_hashes_its_config_and_spawns_its_streams_once(
+        command, tmp_path, monkeypatch):
+    calls = {"_config_hash": 0, "_spawn_rngs": 0}
+
+    def counted(name):
+        real = getattr(cli, name)
+
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return spy
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counted(name))
+    assert run([command, *SMALL_RUNS[command], "--out", tmp_path]) == 0
+    assert calls == {"_config_hash": 1,
+                     "_spawn_rngs": int(command == "solve")}
+
+
 class TestIndependenceCommand:
     def test_writes_one_report_per_trial(self, tmp_path):
         out = tmp_path / "out"
@@ -538,6 +569,20 @@ class TestExitCodes:
         assert meta["rank_deficit"] == 6
         assert meta["iterations"] == 0
 
+    def test_two_nodes_under_nine_columns_report_a_rank_deficient_solve(
+        self, tmp_path
+    ):
+        # the factored image is 2 x 10: R has 2 rows, so the 9 Jacobian
+        # columns keep rank 2 at most
+        config = write_config(tmp_path, "solve",
+                              {"points_per_axis": 2, "units": 3})
+        out = tmp_path / "out"
+        assert run(["solve", "--config", config, "--out", out]) == 0
+        meta = json.loads(next(out.glob("*.meta.json")).read_text())
+        assert meta["status"] == "rank_deficient"
+        assert meta["rank_deficit"] == 7
+        assert meta["iterations"] == 0
+
     def test_a_residual_norm_that_is_not_finite_exits_two(
         self, tmp_path, capsys
     ):
@@ -654,6 +699,14 @@ class TestSynthProblem:
         _, y_clean = synth_problem(replace(opts, noise=0.0), *parts)
         level = norm(y - y_clean)
         assert abs(level - 0.01) <= 0.15 * 0.01
+
+    def test_given_streams_draw_what_it_spawns(self):
+        opts = SolveOptions(seed=8, noise=0.01)
+        parts = solve_parts(opts)
+        p1, y1 = synth_problem(opts, *parts)
+        p2, y2 = synth_problem(opts, *parts, cli._spawn_rngs(opts.seed))
+        assert p1.flatten().tobytes() == p2.flatten().tobytes()
+        assert y1.values.tobytes() == y2.values.tobytes()
 
     def test_same_seed_reproduces_problem(self):
         opts = SolveOptions(seed=8)
@@ -970,7 +1023,8 @@ class TestConfigSchema:
             "check-derivatives": "ac41217a62b1",
         }
         for command, (cls, _) in _COMMANDS.items():
-            assert _config_hash(_options(cls, {}, {})) == recorded[command]
+            assert (_config_hash(_public_config(_options(cls, {}, {})))
+                    == recorded[command])
 
     def test_readme_solve_defaults_match_the_schema(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -995,7 +1049,8 @@ class TestConfigSchema:
             k: tuple(v) if isinstance(v, list) else v for k, v in values.items()
         })
         assert resolved == direct
-        assert _config_hash(resolved) == _config_hash(cls(**values))
+        assert (_config_hash(_public_config(resolved))
+                == _config_hash(_public_config(cls(**values))))
         for key, value in values.items():
             if isinstance(value, (int, float)):
                 assert type(getattr(resolved, key)) is type(value), key

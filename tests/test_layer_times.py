@@ -37,7 +37,7 @@ def test_every_stage_of_the_shape_runs(shape):
 def test_the_solve_stages_are_the_steps_layers():
     stages = layer_times.SHAPES["desk"]()
     assert list(stages) == [
-        "eval_psi", "jacobian_rows", "apply_rows", "augmented_qr", "solve_upper",
-        "gauss_newton_step", "solve", "lipschitz_constants",
+        "eval_psi", "jacobian_rows", "apply_rows", "augmented_qr",
+        "householder_r", "solve_upper", "gauss_newton_step", "solve", "lipschitz_constants",
         "independence_svd", "cli_main"]
     assert layer_times.SHAPES["wide"].args == (layer_times.WIDE,)

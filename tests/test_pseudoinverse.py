@@ -11,11 +11,13 @@ from gncoder.activations import Activation
 from gncoder.diagnostics import cone_check, merge_duplicate, mysovskii_check
 from gncoder.exceptions import GridMismatchError, RankDeficiencyError
 from gncoder.grids import GridFunction, constant, inner_product, make_grid, norm
-from gncoder.network import ConvergenceConstants, Params, eval_psi, jacobian
+from gncoder.network import (ConvergenceConstants, Params, eval_psi, jacobian,
+                             jacobian_rows)
 from gncoder.operators import make_integration
 from gncoder.pseudoinverse import (
     QRFactors,
     full_rank,
+    householder_r,
     pinv_apply,
     pinv_apply_columns,
     weighted_qr,
@@ -173,6 +175,82 @@ class TestRankRule:
         grid = make_grid(1, 3)
         f = weighted_qr(np.random.default_rng(1).standard_normal((3, 5)), grid)
         assert (f.rank, f.column_count) == (3, 5)
+
+
+def duplicated_unit_image():
+    """The 9 Jacobian rows at a duplicated unit, rank 6, and a residual
+    row below them: an image whose R has three vanishing diagonals."""
+    p = merge_duplicate(Params([1.5, -1.0], [[2.0], [-1.5]], [0.2, 0.8]))
+    rows = jacobian_rows(p.flatten()[None], p.units, p.input_dim,
+                         Activation.sigmoid(1.0), GRID)[0]
+    residual = np.random.default_rng(3).standard_normal(GRID.node_count)
+    return np.concatenate([rows, [residual]]) * np.sqrt(GRID.weights)
+
+
+#: name -> the C-ordered (m, K) image whose transpose is factored
+HOUSEHOLDER_IMAGES = {
+    "desk 64x7": lambda: np.random.default_rng(1).standard_normal((7, 64)),
+    "wide 65536x13": lambda: np.random.default_rng(2).standard_normal(
+        (13, 65536)),
+    # gncoder solve at points_per_axis 2 and 3 units: 2 nodes, 9 + 1 columns
+    "2 nodes, 10 columns": lambda: np.random.default_rng(4).standard_normal(
+        (10, 2)),
+    "duplicated unit": duplicated_unit_image,
+    "zero": lambda: np.zeros((7, 64)),
+}
+
+
+class TestHouseholderR:
+    """The step's in-place ``dgeqrf`` through ``numpy.linalg.lapack_lite``,
+    a private NumPy module, against the public ``np.linalg.qr``: bitwise,
+    so a NumPy that changes either call shows here first."""
+
+    @pytest.mark.parametrize("name", HOUSEHOLDER_IMAGES)
+    def test_is_bitwise_numpy_qr_of_the_transpose(self, name):
+        image = HOUSEHOLDER_IMAGES[name]()
+        expected = np.linalg.qr(image.T, mode="r")
+        r = householder_r(image)
+        assert r.shape == expected.shape == (min(image.shape),
+                                             image.shape[0])
+        assert r.tobytes() == expected.tobytes()
+
+    def test_factors_in_place_and_reuses_the_workspace(self):
+        rng = np.random.default_rng(6)
+        work, held_arrays = {}, None
+        for _ in range(3):
+            image = rng.standard_normal((7, 64))
+            before = image.copy()
+            expected = np.linalg.qr(before.T, mode="r")
+            r = householder_r(image, work)
+            assert r.tobytes() == expected.tobytes()
+            assert not np.shares_memory(r, image)
+            # R lies on and above the diagonal of the factored matrix
+            assert np.triu(image.T[:7]).tobytes() == r.tobytes()
+            assert image.tobytes() != before.tobytes()
+            held_arrays = held_arrays or dict(work)
+        assert set(work) == {"tau", "geqrf"}
+        assert all(work[key] is held_arrays[key] for key in work)
+
+    def test_a_nonzero_info_raises(self, capfd):
+        image = np.ones((3, 5))
+        # a scratch array shorter than the 3 columns: dgeqrf refuses its
+        # 7th argument, lwork, with info -7
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="dgeqrf of a 5 x 3 matrix returned info -7"):
+            pseudoinverse._geqrf(5, 3, image, np.empty(3), np.empty(1), 1)
+        capfd.readouterr()  # LAPACK's own report of the illegal value
+
+    def test_householder_r_raises_on_a_nonzero_info(self, monkeypatch):
+        monkeypatch.setattr(pseudoinverse.lapack_lite, "dgeqrf",
+                            lambda *args: {"info": 2})
+        with pytest.raises(np.linalg.LinAlgError, match="returned info 2"):
+            householder_r(np.ones((3, 64)))
+
+    @pytest.mark.parametrize("bad", [
+        np.asfortranarray(np.ones((5, 3))), np.ones((3, 5), dtype=np.float32)])
+    def test_an_array_lapack_cannot_take_as_it_is_raises(self, bad):
+        with pytest.raises(pseudoinverse.lapack_lite.LapackError):
+            householder_r(bad)
 
 
 def oracle_matrix(kind, grid, ncols, seed):

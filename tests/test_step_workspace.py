@@ -1,12 +1,15 @@
 """The step workspace: one set of arrays per ``solve`` call, same bits.
 
-``solve`` hands every Gauss-Newton step one workspace dict; the step writes
-its Jacobian rows and the weighted augmented image ``√W·[F·J | r]`` that
-it factors into the arrays held there.  These tests pin that
-the workspace changes no bit, that it dies with the ``solve`` call, and
-that the layers called without one still hand out fresh arrays.
+``solve`` builds the Jacobian rows of each iterate into one workspace dict
+and takes ``psi`` from them; every Gauss-Newton step reuses those rows and
+writes the weighted augmented image ``√W·[F·J | r]``, which LAPACK factors
+in place, and LAPACK's arrays into the arrays held there.  These tests pin
+that the workspace and the fused iterate change no bit, that the workspace
+dies with the ``solve`` call, and that the layers called without one still
+hand out fresh arrays.
 """
 
+import dataclasses
 import gc
 import tracemalloc
 import weakref
@@ -14,16 +17,17 @@ import weakref
 import numpy as np
 import pytest
 
-from gncoder import solver
+from gncoder import network, solver
 from gncoder.activations import Activation
 from gncoder.diagnostics import merge_duplicate
 from gncoder.exceptions import RankDeficiencyError, ShapeError
-from gncoder.grids import make_grid
+from gncoder.grids import make_grid, norm
 from gncoder.network import Params, eval_psi, jacobian_rows
 from gncoder.operators import parse_operator
 from gncoder.pseudoinverse import held, weighted_qr
 from gncoder.sampling import sample_params, unit_direction
-from gncoder.solver import SolveConfig, gauss_newton_step, solve
+from gncoder.solver import (IterationTrace, SolveConfig, gauss_newton_step,
+                            solve)
 
 SIGMOID = Activation.sigmoid(1.0)
 
@@ -80,7 +84,7 @@ class TestSameBits:
             kept, kept_diag = gauss_newton_step(p, cfg, r, work)
             assert kept.flatten().tobytes() == fresh.flatten().tobytes()
             assert kept_diag == fresh_diag
-        assert set(work) == {"jacobian", "image"}
+        assert set(work) == {"jacobian", "image", "tau", "geqrf"}
 
     @pytest.mark.parametrize("dim, m, operator", SHAPES)
     def test_a_duplicated_unit_raises_the_same_rank_error(self, dim, m,
@@ -114,6 +118,94 @@ class TestSameBits:
         fresh = [trace_fields(solve(cfg, p_true)) for cfg, p_true in runs]
         assert kept == fresh
         assert seen and all(isinstance(work, dict) for work in seen)
+
+
+def reference_solve(cfg, p_true):
+    """``solve``'s Gauss-Newton loop spelled with the public layers alone:
+    an ``eval_psi`` residual at each iterate and a step without a
+    workspace, which builds its own Jacobian rows."""
+    trace = IterationTrace()
+    p, k, pending_step_stop = cfg.initial, 0, False
+    while True:
+        r = residual(p, cfg)
+        trace.residuals.append(norm(r))
+        trace.param_errors.append(
+            float(np.linalg.norm(p.flatten() - p_true.flatten())))
+        if trace.residuals[-1] <= cfg.tol_residual:
+            trace.status = solver.STATUS_CONVERGED_RESIDUAL
+            break
+        if pending_step_stop:
+            trace.status = solver.STATUS_CONVERGED_STEP
+            break
+        if k >= cfg.max_iters:
+            trace.status = solver.STATUS_MAX_ITERS
+            break
+        try:
+            p, diag = gauss_newton_step(p, cfg, r)
+        except RankDeficiencyError as exc:
+            trace.status = solver.STATUS_RANK_DEFICIENT
+            trace.rank_deficit = exc.deficit
+            break
+        trace.ranks.append(diag.rank)
+        if diag.clamped:
+            trace.boundary_events.append(k)
+        trace.step_norms.append(diag.step_norm)
+        k += 1
+        pending_step_stop = diag.step_norm <= cfg.tol_step
+    trace.final_params = p
+    return trace
+
+
+def fused_cases(dim, m, operator):
+    """``(cfg, p_true)`` of free runs, a run clamped to a tight box and a
+    run started at a duplicated unit, which stops rank deficient."""
+    rng = np.random.default_rng(11)
+    # at 3 units, psi from the alpha rows' transposed view without its
+    # C-ordered copy would round otherwise than eval_psi
+    runs = [problem(dim, m, operator, units, rng) for units in (1, 2, 3)]
+    cfg, p_true = problem(dim, m, operator, 3, rng)
+    runs.append((dataclasses.replace(cfg, param_box=(-2.0, 2.0)), p_true))
+    base = sample_params(rng, 2, dim, box=(-5, 5), alpha_band=1.0)
+    runs.append(problem(dim, m, operator, 3, rng, p=merge_duplicate(base)))
+    return runs
+
+
+class TestFusedIterate:
+    @pytest.mark.parametrize("dim, m, operator", SHAPES)
+    def test_a_solve_is_the_loop_of_public_steps(self, dim, m, operator):
+        runs = fused_cases(dim, m, operator)
+        traces = [solve(cfg, p_true) for cfg, p_true in runs]
+        assert [trace_fields(trace) for trace in traces] == [
+            trace_fields(reference_solve(cfg, p_true))
+            for cfg, p_true in runs]
+        assert traces[3].boundary_events
+        assert traces[4].status == solver.STATUS_RANK_DEFICIENT
+
+    @pytest.mark.parametrize("mode", [solver.MODE_GAUSS_NEWTON,
+                                      solver.MODE_GRADIENT_DESCENT])
+    @pytest.mark.parametrize("dim, m, operator", SHAPES)
+    def test_one_jacobian_build_per_iterate_and_no_eval_psi(
+            self, dim, m, operator, mode, monkeypatch):
+        builds, evals = [], []
+
+        def spy(record, fn):
+            def wrapped(*args, **kwargs):
+                record.append(1)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        runs = fused_cases(dim, m, operator)
+        build, evaluate = network._jacobian_matrices, network.eval_psi
+        for module in (network, solver):
+            monkeypatch.setattr(module, "_jacobian_matrices",
+                                spy(builds, build))
+            monkeypatch.setattr(module, "eval_psi", spy(evals, evaluate))
+        for cfg, p_true in runs:
+            cfg = dataclasses.replace(cfg, mode=mode, max_iters=4)
+            builds.clear()
+            trace = solve(cfg, p_true)
+            assert len(builds) == len(trace.residuals)
+        assert evals == []
 
 
 class TestLifetime:
