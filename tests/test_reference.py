@@ -73,6 +73,17 @@ CASES = {
         0,
     ),
     "check_derivatives_default_seed0": ("check-derivatives", {}, 0),
+    "independence_default": (
+        "independence",
+        {"units": 3, "dim": 2, "points_per_axis": 64, "trials": 20},
+        0,
+    ),
+    # 15 nodes for 9 columns: below LAPACK's QR-first crossover
+    "independence_short": (
+        "independence",
+        {"units": 3, "dim": 1, "points_per_axis": 15, "trials": 20},
+        0,
+    ),
 }
 
 #: Output suffixes of each subcommand.
@@ -81,6 +92,7 @@ SUFFIXES = {
     "cone": (".meta.json", ".reports.jsonl"),
     "mysovskii": (".meta.json", ".reports.jsonl"),
     "check-derivatives": (".report.json",),
+    "independence": (".meta.json", ".reports.jsonl"),
 }
 
 
