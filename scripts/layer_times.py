@@ -16,9 +16,13 @@ one Gauss-Newton step runs it, on node-minor rows: ``eval_psi``,
 factors what the last one left in the buffer, at the same flop count, so
 no copy is timed), ``solve_upper`` (the triangular solve of R's leading
 block against the top of its last column), one
-Gauss-Newton step, ``lipschitz_constants`` and one independence SVD (the
-singular values of a transposed view of the weighted rows, as
-``independence_reports`` takes them).  The ``gauss_newton_step`` stage
+Gauss-Newton step, ``lipschitz_constants``, ``independence_svd`` (the
+singular values of a transposed view of the weighted rows, NumPy's
+reference for the next stage) and ``independence_qr_svd`` (those
+singular values as ``independence_reports`` takes them past LAPACK's
+QR-first crossover: ``householder_r`` of a held copy of the weighted
+rows, again on what the last call left there, then the SVD of its
+``n* x n*`` R).  The ``gauss_newton_step`` stage
 calls the step without a workspace, so every array is fresh; the
 ``solve`` stage after it is a whole ``solve`` from the same start, at the
 solver settings of ``gncoder solve``, whose steps share one workspace.
@@ -55,8 +59,8 @@ stage skipped in one tree prints ``skipped in a tree`` on that side, the
 other side's times, and no ratios.  ``augmented_qr`` is NumPy alone, so it
 runs in any tree, also in one whose step still factors by Gram-Schmidt
 (``weighted_qr`` and ``pinv_apply``) and so never makes that call;
-``householder_r`` is skipped in a tree older than the in-place
-factorization.
+``householder_r`` and ``independence_qr_svd`` are skipped in a tree older
+than the in-place factorization.
 
 A fourth shape, independence, runs first and has one stage,
 ``independence_pass``: the benchmark's independence config (2-D, 64x64
@@ -135,6 +139,7 @@ def solve_calls(dim, points_per_axis, units, operator, samples):
     r = np.linalg.qr(augmented.T, mode="r")
     factored, work = augmented.copy(), {}
     weighted = rows * np.sqrt(grid.weights)
+    weighted_factored, independence_work = weighted.copy(), {}
     radius = opts.constants_ball_factor * opts.p0_radius
     return {
         "eval_psi": lambda: eval_psi(p0, activation, grid),
@@ -150,6 +155,9 @@ def solve_calls(dim, points_per_axis, units, operator, samples):
             p_true, activation, grid, radius=radius, samples=samples, seed=0,
             box=opts.param_box),
         "independence_svd": lambda: np.linalg.svd(weighted.T, compute_uv=False),
+        "independence_qr_svd": lambda: np.linalg.svd(
+            pseudoinverse.householder_r(weighted_factored, independence_work),
+            compute_uv=False),
     }
 
 

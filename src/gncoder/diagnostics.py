@@ -19,7 +19,7 @@ import numpy as np
 
 from . import network
 from .activations import Activation
-from .exceptions import ResolutionError, ShapeError
+from .exceptions import NumericError, ResolutionError, ShapeError
 from .grids import Grid, check_dense_bytes
 from .network import (Params, _check_dims, _check_jacobian_bytes, _flat_stack,
                       directional_derivatives, eval_psis, jacobian_rows,
@@ -29,6 +29,7 @@ from .pseudoinverse import (
     DEFAULT_RANK_TOL,
     _solve_upper,
     full_rank,
+    householder_r,
     pinv_apply_columns,
     weighted_qr,
     weighted_qr_stack,
@@ -99,17 +100,28 @@ def independence_reports(
 
     The rows' Jacobians are written one at a time into one ``(1, n*,
     node_count)`` buffer allocated once per call
-    (:func:`~gncoder.network._jacobian_matrices`), each weighted in place,
-    and the SVD takes a transposed view of it, bitwise that of the
-    node-major matrix.  Holding the buffer is the point: a fresh Jacobian
-    per row (393 KB at the ``independence`` defaults) comes back as newly
-    mapped pages, 160 minor page faults a row.  Batching rows into stacked
-    SVDs is no faster and holds more memory.
+    (:func:`~gncoder.network._jacobian_matrices`), each weighted in place.
+    Holding the buffer is the point: a fresh Jacobian per row (393 KB at
+    the ``independence`` defaults) comes back as newly mapped pages, 160
+    minor page faults a row.  Batching rows into stacked SVDs is no faster
+    and holds more memory.
+
+    The singular values are those of the node-major matrix, bitwise
+    ``np.linalg.svd``'s.  On a grid of at least LAPACK's crossover
+    (:func:`_factors_first`) nodes, the buffer is factored where it lies
+    (:func:`~gncoder.pseudoinverse.householder_r`, its arrays held for the
+    call) and the SVD is that of the ``n* x n*`` R: the same ``dgeqrf`` and
+    the same SVD of R that ``dgesdd`` would run on a copy of the matrix.
+    Below the crossover ``dgesdd`` bidiagonalizes the matrix directly, and
+    factoring first would change the bits, so the buffer goes to
+    ``np.linalg.svd`` as it is.
 
     A stack of another width raises :class:`ShapeError` naming both widths,
     more columns than nodes :class:`ResolutionError`, and an oversized
     Jacobian is refused (:func:`~gncoder.network._check_jacobian_bytes`),
-    all before any allocation.
+    all before any allocation.  A row with an infinity or a NaN raises
+    :class:`NumericError` naming the row and its seed, before any row is
+    assessed.
     """
     points = _flat_stack(flat, units, dim, "points")
     seeds = [None] * len(points) if seeds is None else list(seeds)
@@ -120,16 +132,27 @@ def independence_reports(
         raise ResolutionError(
             f"{n_star} columns cannot be independent on {grid.node_count} nodes"
         )
+    finite = np.isfinite(points).all(axis=1)
+    if not finite.all():
+        index = int(np.argmin(finite))
+        raise NumericError(f"point row {index} (seed {seeds[index]}) is not "
+                           f"finite")
     _check_dims(dim, grid)
     _check_jacobian_bytes(1, units, dim, grid.points_per_axis)
     scaled = np.empty((1, n_star, grid.node_count))
     sqrt_w = np.sqrt(grid.weights)
+    factor = _factors_first(grid.node_count, n_star)
+    work = {}
     reports = []
     for row, seed in zip(points, seeds):
         network._jacobian_matrices(row[None], units, dim, activation, grid,
                                    scaled)
         scaled *= sqrt_w  # in place: no second matrix
-        sv = np.linalg.svd(scaled[0].T, compute_uv=False)
+        if factor:
+            sv = np.linalg.svd(householder_r(scaled[0], work),
+                               compute_uv=False)
+        else:
+            sv = np.linalg.svd(scaled[0].T, compute_uv=False)
         smax = float(sv[0])
         smin = float(sv[-1])
         rank = int(np.sum(sv > rank_tol * smax))
@@ -145,6 +168,13 @@ def independence_reports(
             gram_condition=(smax / smin) ** 2 if smin > 0 else math.inf,
         ))
     return reports
+
+
+def _factors_first(rows: int, cols: int) -> bool:
+    """Whether LAPACK's ``dgesdd`` QR-factors a ``rows x cols`` matrix
+    (``rows >= cols``) before its SVD: at ``rows >= MNTHR``, with ``MNTHR =
+    INT(MINMN*11/6)`` as ``dgesdd`` sets it."""
+    return rows >= (11 * cols) // 6
 
 
 def _trial_point(units: int, input_dim: int, box, seed: int, alpha_band: float,

@@ -9,9 +9,10 @@ when ``|R_kk| < rank_tol · max_j ‖√W a_j‖``.  From full-rank factors we g
 the Moore-Penrose pseudoinverse applied to a grid function, or to every
 column of a matrix of nodal values, as the triangular solve ``R c = Q̃ᵀ√W x``.
 
-The Gauss-Newton step forms R alone, in place: :func:`householder_r` runs
-LAPACK's ``dgeqrf`` through ``numpy.linalg.lapack_lite`` on the caller's
-buffer, the same routine that ``np.linalg.qr`` runs on two copies of it.
+The Gauss-Newton step and the independence trials form R alone, in
+place: :func:`householder_r` runs LAPACK's ``dgeqrf`` through
+``numpy.linalg.lapack_lite`` on the caller's buffer, the same routine that
+``np.linalg.qr`` runs on two copies of it and ``np.linalg.svd`` on one.
 """
 
 from __future__ import annotations
@@ -93,11 +94,15 @@ def householder_r(image: np.ndarray, work: dict | None = None) -> np.ndarray:
     overwrites it with R above the diagonal and the Householder vectors
     below; the returned R is a fresh ``(min(K, m), m)`` upper triangle,
     bitwise ``np.linalg.qr(image.T, mode="r")``, which runs the same
-    ``dgeqrf`` on a copy of a copy.  The reflectors' ``tau`` and LAPACK's
-    scratch array are held in ``work`` (:func:`held`) under ``"tau"`` and
-    ``"geqrf"``, the scratch sized by one workspace query per shape
-    (:func:`_geqrf_lwork`).  A nonzero ``info`` from LAPACK raises
-    ``numpy.linalg.LinAlgError``; ``lapack_lite`` itself raises its
+    ``dgeqrf`` on a copy of a copy.  It serves the Gauss-Newton step, on
+    the weighted image ``√W·[F·J | r]``, and the independence trials, on
+    the weighted Jacobian rows, whose SVD past ``dgesdd``'s QR-first
+    crossover is that of this R
+    (:func:`~gncoder.diagnostics.independence_reports`).  The reflectors'
+    ``tau`` and LAPACK's scratch array are held in ``work`` (:func:`held`)
+    under ``"tau"`` and ``"geqrf"``, the scratch sized by one workspace
+    query per shape (:func:`_geqrf_lwork`).  A nonzero ``info`` from LAPACK
+    raises ``numpy.linalg.LinAlgError``; ``lapack_lite`` itself raises its
     ``LapackError`` for an array that is not C-ordered float64.
     """
     m, k = image.shape

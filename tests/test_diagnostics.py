@@ -19,6 +19,7 @@ from gncoder.diagnostics import (
 from gncoder import diagnostics
 from gncoder.exceptions import (
     ConfigError,
+    NumericError,
     RankDeficiencyError,
     ResolutionError,
     ShapeError,
@@ -38,8 +39,8 @@ from gncoder.operators import (
     make_integration,
     parse_operator,
 )
-from gncoder.pseudoinverse import (full_rank, pinv_apply, pinv_apply_columns,
-                                   weighted_qr)
+from gncoder.pseudoinverse import (full_rank, householder_r, pinv_apply,
+                                   pinv_apply_columns, weighted_qr)
 from gncoder.sampling import sample_params, unit_direction
 from node_major import node_major_image
 
@@ -249,6 +250,116 @@ class TestIndependenceReports:
         assert len(reports) == len(outs) == 5
         assert {out.shape for out in outs} == {(1, 12, grid.node_count)}
         assert len({out.__array_interface__["data"][0] for out in outs}) == 1
+
+
+def oracle_report(p, activation, grid, rank_tol=1e-10, seed=None):
+    """The report as ``independence_reports`` computed it before it
+    factored first: ``np.linalg.svd`` of the weighted node-major matrix,
+    the rank rule and the fields read off its singular values."""
+    matrix = jacobian(p, activation, grid) * np.sqrt(grid.weights)[:, None]
+    sv = np.linalg.svd(matrix, compute_uv=False)
+    smax, smin = float(sv[0]), float(sv[-1])
+    rank = int(np.sum(sv > rank_tol * smax))
+    return {
+        "activation": activation.descriptor,
+        "units": p.units,
+        "input_dim": p.input_dim,
+        "points_per_axis": grid.points_per_axis,
+        "seed": seed,
+        "min_singular_value": smin,
+        "rank": rank,
+        "degenerate": rank < p.n_star,
+        "gram_condition": (smax / smin) ** 2 if smin > 0 else math.inf,
+    }
+
+
+def draws(units, dim, count, seed, control=lambda p: p):
+    rng = np.random.default_rng(seed)
+    return [control(sample_params(rng, units, dim)) for _ in range(count)]
+
+
+#: name -> (activation, dim, points_per_axis, draws): either side of
+#: ``dgesdd``'s crossover from bidiagonalizing to QR-factoring first, 16
+#: nodes for 9 columns.
+BITWISE_CASES = {
+    "benchmark-64x64": (SIGMOID, 2, 64, lambda: draws(3, 2, 4, 1)),
+    "short-15": (SIGMOID, 1, 15, lambda: draws(3, 1, 6, 2)),
+    "crossover-16": (SIGMOID, 1, 16, lambda: draws(3, 1, 6, 3)),
+    "square": (SIGMOID, 1, 9, lambda: draws(3, 1, 6, 4)),
+    "duplicate": (SIGMOID, 2, 16, lambda: draws(2, 2, 4, 5, merge_duplicate)),
+    "mirrored": (SIGMOID, 2, 16, lambda: draws(2, 2, 4, 6, merge_mirrored)),
+    "relu-zero": (Activation.relu(), 1, 64, lambda: [
+        Params([1.5, -1.0], [[2.0], [-1.5]], [-3.0, -0.1])]),
+    "tanh": (TANH, 2, 32, lambda: draws(3, 2, 4, 7)),
+    "n120-on-300": (SIGMOID, 1, 300, lambda: draws(40, 1, 3, 8)),
+}
+
+
+class TestIndependenceBitwise:
+    @pytest.mark.parametrize("case", sorted(BITWISE_CASES))
+    def test_every_field_is_the_svd_oracles(self, case):
+        activation, dim, points, make = BITWISE_CASES[case]
+        grid = make_grid(dim, points)
+        params = make()
+        seeds = list(range(20, 20 + len(params)))
+        reports = independence_reports(
+            np.array([p.flatten() for p in params]), params[0].units, dim,
+            activation, grid, seeds=seeds)
+        assert [r.to_json_dict() for r in reports] == [
+            oracle_report(p, activation, grid, seed=seed)
+            for p, seed in zip(params, seeds)]
+        if case == "relu-zero":
+            assert reports[0].rank == 0
+            assert reports[0].min_singular_value == 0.0
+
+    @pytest.mark.parametrize("dim, points, calls", [(2, 64, 5), (1, 16, 5),
+                                                    (1, 15, 0), (1, 9, 0)])
+    def test_only_a_grid_past_the_crossover_factors_first(self, monkeypatch,
+                                                          dim, points, calls):
+        factored = []
+
+        def spy(image, work=None):
+            factored.append(work)
+            return householder_r(image, work)
+
+        monkeypatch.setattr(diagnostics, "householder_r", spy)
+        flat = np.array([p.flatten() for p in draws(3, dim, 5, 9)])
+        reports = independence_reports(flat, 3, dim, SIGMOID,
+                                       make_grid(dim, points))
+        assert len(reports) == 5
+        assert len(factored) == calls
+        # one workspace serves every row of the call
+        assert len({id(work) for work in factored}) == min(calls, 1)
+
+    def test_the_crossover_is_dgesdds(self):
+        crossover = [min(m for m in range(n, 4 * n)
+                         if diagnostics._factors_first(m, n))
+                     for n in (1, 6, 9, 12, 120)]
+        assert crossover == [1, 11, 16, 22, 220]
+
+
+class TestIndependenceNonFinite:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("points", [15, 16])
+    def test_a_non_finite_row_is_refused_naming_it(self, bad, points,
+                                                    monkeypatch):
+        flat = np.array([p.flatten() for p in draws(3, 1, 3, 10)])
+        flat[1, 4] = bad
+        built = []
+        monkeypatch.setattr(network, "_jacobian_matrices",
+                            lambda *args: built.append(args))
+        with pytest.raises(NumericError,
+                           match=r"point row 1 \(seed 31\) is not finite"):
+            independence_reports(flat, 3, 1, SIGMOID, make_grid(1, points),
+                                 seeds=[30, 31, 32])
+        assert built == []  # refused before any row is built
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_the_one_point_report_refuses_it_too(self, bad):
+        p = Params([1.0, bad], [[2.0], [-1.5]], [0.3, -0.1])
+        with pytest.raises(NumericError,
+                           match=r"point row 0 \(seed 7\) is not finite"):
+            independence_report(p, SIGMOID, make_grid(1, 64), seed=7)
 
 def square_setup(seed=0, units=2, dim=1):
     """Grid with exactly as many nodes as derivative columns.

@@ -39,5 +39,5 @@ def test_the_solve_stages_are_the_steps_layers():
     assert list(stages) == [
         "eval_psi", "jacobian_rows", "apply_rows", "augmented_qr",
         "householder_r", "solve_upper", "gauss_newton_step", "solve", "lipschitz_constants",
-        "independence_svd", "cli_main"]
+        "independence_svd", "independence_qr_svd", "cli_main"]
     assert layer_times.SHAPES["wide"].args == (layer_times.WIDE,)
