@@ -156,14 +156,13 @@ class TestIndependence:
 
 def per_point_report(p, activation, grid, rank_tol=1e-10, seed=None):
     """The report of the per-point ``independence_report`` that
-    ``independence_reports`` replaced: a fresh Jacobian, weighted in place,
-    and the SVD of its transposed view."""
-    scaled = jacobian_rows(p.flatten()[None], p.units, p.input_dim,
-                           activation, grid)[0]
-    scaled *= np.sqrt(grid.weights)
-    sv = np.linalg.svd(scaled.T, compute_uv=False)
+    ``independence_reports`` replaced, the oracle of every report:
+    ``np.linalg.svd`` of the weighted node-major matrix, the rank rule and
+    the fields read off its singular values."""
+    matrix = jacobian(p, activation, grid) * np.sqrt(grid.weights)[:, None]
+    sv = np.linalg.svd(matrix, compute_uv=False)
     smax, smin = float(sv[0]), float(sv[-1])
-    threshold = rank_tol * smax
+    rank = int(np.sum(sv > rank_tol * smax))
     return {
         "activation": activation.descriptor,
         "units": p.units,
@@ -171,8 +170,8 @@ def per_point_report(p, activation, grid, rank_tol=1e-10, seed=None):
         "points_per_axis": grid.points_per_axis,
         "seed": seed,
         "min_singular_value": smin,
-        "rank": int(np.sum(sv > threshold)),
-        "degenerate": bool(smin < threshold),
+        "rank": rank,
+        "degenerate": rank < p.n_star,
         "gram_condition": (smax / smin) ** 2 if smin > 0 else math.inf,
     }
 
@@ -252,27 +251,6 @@ class TestIndependenceReports:
         assert len({out.__array_interface__["data"][0] for out in outs}) == 1
 
 
-def oracle_report(p, activation, grid, rank_tol=1e-10, seed=None):
-    """The report as ``independence_reports`` computed it before it
-    factored first: ``np.linalg.svd`` of the weighted node-major matrix,
-    the rank rule and the fields read off its singular values."""
-    matrix = jacobian(p, activation, grid) * np.sqrt(grid.weights)[:, None]
-    sv = np.linalg.svd(matrix, compute_uv=False)
-    smax, smin = float(sv[0]), float(sv[-1])
-    rank = int(np.sum(sv > rank_tol * smax))
-    return {
-        "activation": activation.descriptor,
-        "units": p.units,
-        "input_dim": p.input_dim,
-        "points_per_axis": grid.points_per_axis,
-        "seed": seed,
-        "min_singular_value": smin,
-        "rank": rank,
-        "degenerate": rank < p.n_star,
-        "gram_condition": (smax / smin) ** 2 if smin > 0 else math.inf,
-    }
-
-
 def draws(units, dim, count, seed, control=lambda p: p):
     rng = np.random.default_rng(seed)
     return [control(sample_params(rng, units, dim)) for _ in range(count)]
@@ -297,7 +275,7 @@ BITWISE_CASES = {
 
 class TestIndependenceBitwise:
     @pytest.mark.parametrize("case", sorted(BITWISE_CASES))
-    def test_every_field_is_the_svd_oracles(self, case):
+    def test_every_field_is_the_per_point_reports(self, case):
         activation, dim, points, make = BITWISE_CASES[case]
         grid = make_grid(dim, points)
         params = make()
@@ -306,7 +284,7 @@ class TestIndependenceBitwise:
             np.array([p.flatten() for p in params]), params[0].units, dim,
             activation, grid, seeds=seeds)
         assert [r.to_json_dict() for r in reports] == [
-            oracle_report(p, activation, grid, seed=seed)
+            per_point_report(p, activation, grid, seed=seed)
             for p, seed in zip(params, seeds)]
         if case == "relu-zero":
             assert reports[0].rank == 0
