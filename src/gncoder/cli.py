@@ -357,11 +357,11 @@ def _write_jsonl(path: Path, rows) -> None:
         raise
 
 
-def _named(key: str, build, *args):
-    """``build(*args)``, with a ValueError re-raised naming the config key."""
+def _named(key: str, build, *args, error=ValueError, **kwargs):
+    """``build(*args, **kwargs)``, an ``error`` re-raised naming the key."""
     try:
-        return build(*args)
-    except ValueError as exc:
+        return build(*args, **kwargs)
+    except error as exc:
         raise ConfigError(f"{key}: {exc}") from exc
 
 
@@ -510,8 +510,9 @@ def _run_cone(opts: ConeOptions) -> int:
                        box=opts.box, alpha_band=opts.alpha_band)
     direction = unit_direction(rng, p1.n_star)
     p2s = [p1.flatten() + t * direction for t in opts.t_values]
-    reports = cone_check(p1, p2s, activation, grid, forward,
-                         rank_tol=opts.rank_tol)
+    # |p2 - p1| = |t|, whose overflow cone_check raises
+    reports = _named("t_values", cone_check, p1, p2s, activation, grid,
+                     forward, rank_tol=opts.rank_tol, error=FloatingPointError)
     rows = [dict(report.to_json_dict(), t=t)
             for report, t in zip(reports, opts.t_values)]
     base, header = _out_base("cone", opts)
@@ -568,7 +569,9 @@ def _run_mysovskii(opts: MysovskiiOptions) -> int:
             yield dict(report.to_json_dict(), probe=index)
 
     base, header = _out_name("mysovskii", opts)
-    _write_jsonl(base.with_suffix(".reports.jsonl"), rows())
+    # |p - q| = segment_radius, whose squared overflow the probes raise
+    _named("segment_radius", _write_jsonl, base.with_suffix(".reports.jsonl"),
+           rows(), error=FloatingPointError)
     product = constants.derivative_bound * constants.lipschitz_bound
     _write_meta(
         base.with_suffix(".meta.json"), header,

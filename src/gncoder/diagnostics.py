@@ -140,14 +140,13 @@ def independence_reports(
     _check_dims(dim, grid)
     _check_jacobian_bytes(1, units, dim, grid.points_per_axis)
     scaled = np.empty((1, n_star, grid.node_count))
-    sqrt_w = np.sqrt(grid.weights)
     factor = _factors_first(grid.node_count, n_star)
     work = {}
     reports = []
     for row, seed in zip(points, seeds):
         network._jacobian_matrices(row[None], units, dim, activation, grid,
                                    scaled)
-        scaled *= sqrt_w  # in place: no second matrix
+        scaled *= grid.sqrt_weights  # in place: no second matrix
         if factor:
             sv = np.linalg.svd(householder_r(scaled[0], work),
                                compute_uv=False)
@@ -287,15 +286,17 @@ def cone_check(
     them.  The Jacobians at ``p2s`` are built as rows in chunks that fit in
     :data:`~gncoder.network.CHUNK_BYTES`
     (:func:`~gncoder.network.jacobian_rows`), and each one's transition
-    matrix comes from one
-    :func:`~gncoder.pseudoinverse.pinv_apply_columns` call.  Requires full
-    column rank at ``p1``; raises :class:`RankDeficiencyError` otherwise.
+    matrix comes from one :func:`~gncoder.pseudoinverse.pinv_apply_columns`
+    call.  Requires full column rank at ``p1``, else raises
+    :class:`RankDeficiencyError`; a row's overflowing distance from ``p1``
+    raises ``FloatingPointError``.
     """
     units, dim = p1.units, p1.input_dim
     p2s = _flat_stack(p2s, units, dim, "p2s").copy()  # the reports keep rows
     flat1 = p1.flatten()
     rows1 = jacobian_rows(flat1[None], units, dim, activation, grid)[0]
-    factors = full_rank(weighted_qr(rows1.T, grid, rank_tol), "derivative at p1")
+    factors = weighted_qr(rows1.T, grid, rank_tol)
+    full_rank(factors.r_matrix, rank_tol, "derivative at p1")
     fj1 = forward.apply_rows(rows1)
     w_out = forward.out_grid.weights
     n_star = p1.n_star
@@ -312,7 +313,8 @@ def cone_check(
             den = math.sqrt(float(np.sum(w_out * fj2 * fj2)))
             residual = num / den if den > 0 else 0.0
 
-            dist = float(np.linalg.norm(p2 - flat1))
+            with np.errstate(over="raise"):
+                dist = float(np.linalg.norm(p2 - flat1))
             ratio = dev / dist if dist > 0 else math.nan
             reports.append(
                 ConeReport(p1, p2, transition, dev, residual, ratio))
@@ -371,9 +373,9 @@ def mysovskii_check(
     and ``d != 0`` come from one
     :func:`~gncoder.network.directional_derivatives` pass; each difference
     is mapped alone, and all are projected with one stacked ``Q̃ᵀ`` product
-    and one stacked triangular solve.  Memory grows with
-    the number of probes: :func:`mysovskii_reports` takes any number in
-    bounded memory.
+    and one stacked triangular solve; an overflowing ``‖p - q‖²`` raises
+    ``FloatingPointError``.  Memory grows with the number of probes:
+    :func:`mysovskii_reports` takes any number in bounded memory.
     """
     probes = list(probes)
     n_star = units * (dim + 2)
@@ -391,12 +393,13 @@ def mysovskii_check(
     points = np.array([p for p, _, _ in probes], dtype=float)
     mapped = forward.apply_rows(jacobian_rows(points, units, dim, activation,
                                               grid))
-    factors = [full_rank(f, "derivative at p") for f in weighted_qr_stack(
-        mapped.transpose(0, 2, 1), forward.out_grid, rank_tol)]
+    q, r = weighted_qr_stack(mapped.transpose(0, 2, 1), forward.out_grid)
+    full_rank(r, rank_tol, "derivative at p")
 
     bases = np.array([q for _, q, _ in probes], dtype=float)
     steps = points - bases
-    dists_sq = [float(np.linalg.norm(d)) ** 2 for d in steps]
+    with np.errstate(over="raise"):
+        dists_sq = [float(np.linalg.norm(d)) ** 2 for d in steps]
     owners, scales = [], []  # the probe and s of each live segment point
     for index, (_, _, s_values) in enumerate(probes):
         if dists_sq[index] != 0.0:
@@ -412,11 +415,9 @@ def mysovskii_check(
     images = np.empty((len(owners), forward.out_grid.node_count))
     for image, diff in zip(images, derivs[len(probes):] - derivs[owners]):
         forward.apply_rows(diff, image)
-    images *= np.sqrt(forward.out_grid.weights)
+    images *= forward.out_grid.sqrt_weights
     # each segment point against its probe's factors: R c = Q̃ᵀ√W F(diff)
-    q_stack = np.array([f.q_matrix for f in factors])[owners]
-    r_stack = np.array([f.r_matrix for f in factors])[owners]
-    solved = _solve_upper(r_stack, q_stack.transpose(0, 2, 1)
+    solved = _solve_upper(r[owners], q[owners].transpose(0, 2, 1)
                           @ images[:, :, None])
     lhs_live = iter(np.linalg.norm(solved[:, :, 0], axis=1).tolist())
 
@@ -511,7 +512,7 @@ def derivative_check(p: Params, activation: Activation, grid: Grid, d1, d2,
     return first, float(num / den) if den > 0 else 0.0
 
 
-def manifold_demo(x: float, y: float) -> tuple[tuple[float, float], float]:
+def manifold_demo(x, y):
     """Evaluate the degenerate example map ``(x, y) -> (xy, x^2 + y^2)``.
 
     Returns the map value and the Jacobian determinant ``2 (y^2 - x^2)``,
@@ -530,15 +531,20 @@ def manifold_sweep(extent: float = 1.0, resolution: int = 101) -> np.ndarray:
 
     Refused by :func:`~gncoder.grids.check_dense_bytes` before any
     allocation.  It holds about ten ``resolution**2`` float64 arrays at its
-    peak: 0.8 MB at the default 101 and 1 GiB near 3663.
+    peak: 0.8 MB at the default 101 and 1 GiB near 3663.  ``ValueError`` if
+    the lattice's largest value, ``2 extent**2``, overflows.
     """
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
     # two meshgrids, columns, temporaries, rows
     check_dense_bytes(10 * 8 * resolution**2, f"resolution {resolution}", "lattice")
+    if not math.isfinite(2.0 * float(extent) * float(extent)):
+        raise ValueError(f"extent {extent!r} is too large: the lattice's "
+                         f"largest value, 2 * extent**2, overflows")
     axis = np.linspace(-extent, extent, resolution)
     axis = 0.5 * (axis - axis[::-1])  # bitwise antisymmetric sampling
     xs, ys = np.meshgrid(axis, axis, indexing="ij")
     x = xs.reshape(-1)
     y = ys.reshape(-1)
-    return np.column_stack([x, y, x * y, x * x + y * y, 2.0 * (y * y - x * x)])
+    (f1, f2), det = manifold_demo(x, y)
+    return np.column_stack([x, y, f1, f2, det])

@@ -9,6 +9,7 @@ like square-integrable functions rather than raw coordinate vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,6 +59,11 @@ class Grid:
     @property
     def node_count(self) -> int:
         return self.nodes.shape[0]
+
+    @cached_property
+    def sqrt_weights(self) -> np.ndarray:
+        """``√W``, read-only, computed once on first use."""
+        return _frozen_array(np.sqrt(self.weights))
 
     def __eq__(self, other):
         if not isinstance(other, Grid):

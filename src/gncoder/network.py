@@ -535,7 +535,7 @@ def lipschitz_constants(
     for start in range(0, samples, per_call):
         chunk = slice(start, start + per_call)
         _jacobian_matrices(points[chunk], p.units, p.input_dim, a, g, stack[chunk])
-    sqrt_w = np.sqrt(g.weights)
+    sqrt_w = g.sqrt_weights
     blocks = _gram_blocks(stack, sqrt_w)
 
     deriv_bound = max(_screened_quotients(

@@ -5,20 +5,18 @@ m)`` matrix ``A`` whose columns are nodal values on one grid, scaled by the
 square roots of the quadrature weights: ``√W·A = Q̃R``, so that ``Q̃`` is
 orthonormal and ``R`` keeps the weighted column norms.  A stack of such
 matrices is factored in one batched call.  Column ``k`` counts as dependent
-when ``|R_kk| < rank_tol · max_j ‖√W a_j‖``.  From full-rank factors we get
-the Moore-Penrose pseudoinverse applied to a grid function, or to every
-column of a matrix of nodal values, as the triangular solve ``R c = Q̃ᵀ√W x``.
+when ``|R_kk| < rank_tol · max_j ‖√W a_j‖`` (:func:`column_ranks`).  From
+factors that :func:`full_rank` passes we get the Moore-Penrose pseudoinverse
+applied to a grid function, or to every column of a matrix of nodal values,
+as the triangular solve ``R c = Q̃ᵀ√W x``.
 
-The Gauss-Newton step and the independence trials form R alone, in
-place: :func:`householder_r` runs LAPACK's ``dgeqrf`` through
-``numpy.linalg.lapack_lite`` on the caller's buffer, the same routine that
-``np.linalg.qr`` runs on two copies of it and ``np.linalg.svd`` on one.
+The Gauss-Newton step and the independence trials form R alone, in place,
+with LAPACK's ``dgeqrf`` on the caller's buffer (:func:`householder_r`),
+the routine that ``np.linalg.qr`` runs on two copies of it.
 """
 
 from __future__ import annotations
 
-import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -30,39 +28,40 @@ from .grids import Grid, GridFunction
 
 DEFAULT_RANK_TOL = 1e-10
 
-#: The message of the triangular solve's finite check.
-_NON_FINITE = "array must not contain infs or NaNs"
-
 
 @dataclass(frozen=True)
 class QRFactors:
-    """Householder QR ``√W·A = Q̃R`` of a column matrix ``A`` on one grid.
-
-    ``q_matrix`` holds the orthonormal columns ``Q̃``, or is None where only
-    ``R`` was formed; ``r_matrix`` is the upper-triangular ``R``, one column
-    per column of ``A``.  ``rank`` counts the columns that the rank rule
-    keeps under ``rank_tol``: column ``k`` is dependent when ``|R_kk|`` is
-    below ``rank_tol`` times the largest column norm of ``√W·A``, read off
-    ``R``, whose columns keep those norms.  In exact arithmetic ``|R_kk|`` is
-    the weighted norm of column ``k``'s part orthogonal to the columns before
-    it.  A zero matrix has rank 0; the sign of ``R_kk`` plays no part.
-    """
+    """Householder QR ``√W·A = Q̃R`` of a column matrix ``A`` on one grid:
+    ``q_matrix`` holds ``Q̃``, ``r_matrix`` the upper-triangular ``R``, one
+    column per column of ``A``, and ``rank`` is :func:`column_ranks` of R."""
 
     grid: Grid
-    q_matrix: np.ndarray | None  # (node_count, min(node_count, n))
-    r_matrix: np.ndarray         # (min(node_count, n), n)
+    q_matrix: np.ndarray  # (node_count, min(node_count, n))
+    r_matrix: np.ndarray  # (min(node_count, n), n)
     rank_tol: float = DEFAULT_RANK_TOL
 
     @cached_property
     def rank(self) -> int:
-        r = self.r_matrix
-        scale = math.sqrt(float(np.max(np.sum(r * r, axis=0))))
-        limit = math.inf if scale == 0.0 else self.rank_tol * scale
-        return min(r.shape) - int(np.count_nonzero(np.abs(np.diagonal(r)) < limit))
+        return int(column_ranks(self.r_matrix, self.rank_tol))
 
     @property
     def column_count(self) -> int:
         return self.r_matrix.shape[1]
+
+
+def column_ranks(r: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL):
+    """The rank rule: the column rank of an upper-triangular ``(m, n)`` R,
+    or of each R of a ``(..., m, n)`` stack as an integer array.  Column
+    ``k`` is dependent when ``|R_kk|`` is below ``rank_tol`` (positive, else
+    ``ValueError``) times R's largest column norm, that of ``√W·A`` for the R
+    of ``√W·A``.  A zero R has rank 0; a NaN in R reads as full rank."""
+    if not rank_tol > 0:
+        raise ValueError(f"rank_tol must be positive, got {rank_tol}")
+    # ufunc reductions: np.sum and np.max cost more than the rule on a 6x6 R
+    scale = np.sqrt(np.maximum.reduce(np.add.reduce(r * r, axis=-2), axis=-1))
+    limit = np.where(scale == 0.0, np.inf, rank_tol * scale)
+    dependent = np.abs(r.diagonal(0, -2, -1)) < limit[..., None]
+    return min(r.shape[-2:]) - np.add.reduce(dependent, axis=-1)
 
 
 def _check_rows(matrix: np.ndarray, grid: Grid) -> None:
@@ -94,15 +93,11 @@ def householder_r(image: np.ndarray, work: dict | None = None) -> np.ndarray:
     overwrites it with R above the diagonal and the Householder vectors
     below; the returned R is a fresh ``(min(K, m), m)`` upper triangle,
     bitwise ``np.linalg.qr(image.T, mode="r")``, which runs the same
-    ``dgeqrf`` on a copy of a copy.  It serves the Gauss-Newton step, on
-    the weighted image ``√W·[F·J | r]``, and the independence trials, on
-    the weighted Jacobian rows, whose SVD past ``dgesdd``'s QR-first
-    crossover is that of this R
-    (:func:`~gncoder.diagnostics.independence_reports`).  The reflectors'
-    ``tau`` and LAPACK's scratch array are held in ``work`` (:func:`held`)
-    under ``"tau"`` and ``"geqrf"``, the scratch sized by one workspace
-    query per shape (:func:`_geqrf_lwork`).  A nonzero ``info`` from LAPACK
-    raises ``numpy.linalg.LinAlgError``; ``lapack_lite`` itself raises its
+    ``dgeqrf`` on a copy of a copy.  The reflectors' ``tau`` and LAPACK's
+    scratch array are held in ``work`` (:func:`held`) under ``"tau"`` and
+    ``"geqrf"``, the scratch sized by one workspace query per shape
+    (:func:`_geqrf_lwork`).  A nonzero ``info`` from LAPACK raises
+    ``numpy.linalg.LinAlgError``; ``lapack_lite`` itself raises its
     ``LapackError`` for an array that is not C-ordered float64.
     """
     m, k = image.shape
@@ -135,26 +130,20 @@ def weighted_qr(
 ) -> QRFactors:
     """Householder QR of the columns of ``matrix`` in the weighted inner
     product: the one-matrix case of :func:`weighted_qr_stack`.
-
-    Raises
-    ------
-    GridMismatchError
-        If ``matrix`` does not have one row per node of ``grid``.
-    """
+    :class:`GridMismatchError` unless ``matrix`` has one row per node of
+    ``grid``, ``ValueError`` unless ``rank_tol`` is positive."""
     _check_rows(matrix, grid)
-    return next(weighted_qr_stack(matrix[None], grid, rank_tol))
-
-
-def weighted_qr_stack(
-    matrices: np.ndarray, grid: Grid, rank_tol: float = DEFAULT_RANK_TOL,
-) -> Iterator[QRFactors]:
-    """:func:`weighted_qr` of every matrix of a ``(count, node_count, m)``
-    stack, in one batched ``np.linalg.qr`` call before this returns; an
-    iterator over the factors in stack order, so a caller that gates them
-    one by one (:func:`full_rank`) meets the first deficient matrix first.
-    """
     if not rank_tol > 0:
         raise ValueError(f"rank_tol must be positive, got {rank_tol}")
+    q, r = weighted_qr_stack(matrix[None], grid)
+    return QRFactors(grid, q[0], r[0], rank_tol)
+
+
+def weighted_qr_stack(matrices: np.ndarray,
+                      grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """The stacked ``(q, r)`` of one batched ``np.linalg.qr`` of
+    ``√W·matrices``, a ``(count, node_count, m)`` stack: ``q[b]`` and
+    ``r[b]`` are the ``Q̃`` and ``R`` of member ``b``."""
     if matrices.ndim != 3 or matrices.shape[1] != grid.node_count:
         raise GridMismatchError(
             f"expected a stack of matrices with {grid.node_count} rows, got "
@@ -162,20 +151,22 @@ def weighted_qr_stack(
         )
     if matrices.shape[2] == 0:
         raise ValueError("need at least one column")
-    q, r = np.linalg.qr(matrices * np.sqrt(grid.weights)[:, None])
-    return (QRFactors(grid, q[b], r[b], rank_tol) for b in range(len(r)))
+    return np.linalg.qr(matrices * grid.sqrt_weights[:, None])
 
 
-def full_rank(factors: QRFactors, what: str) -> QRFactors:
-    """``factors``, if they keep full column rank: the package's one rank
-    gate.  Else :class:`RankDeficiencyError` ``"<what> has rank r < n"``,
-    with ``deficit = n - r``, rank 0 included."""
-    n = factors.column_count
-    if factors.rank < n:
-        raise RankDeficiencyError(
-            f"{what} has rank {factors.rank} < {n}", deficit=n - factors.rank
-        )
-    return factors
+def full_rank(r: np.ndarray, rank_tol: float, what: str) -> np.ndarray:
+    """``r`` if it keeps full column rank under :func:`column_ranks`: the
+    package's one rank gate, for one ``(m, n)`` R or each R of a stack in
+    order.  Else :class:`RankDeficiencyError` ``"<what> has rank r < n"``
+    at the first deficient R, with ``deficit = n - r``, rank 0 included."""
+    n = r.shape[-1]
+    ranks = column_ranks(r, rank_tol)
+    short = ranks < n
+    if short.any():
+        rank = int(np.ravel(ranks)[np.argmax(short)])
+        raise RankDeficiencyError(f"{what} has rank {rank} < {n}",
+                                  deficit=n - rank)
+    return r
 
 
 def pinv_apply(factors: QRFactors, x: GridFunction) -> np.ndarray:
@@ -199,8 +190,8 @@ def pinv_apply_columns(factors: QRFactors, matrix: np.ndarray) -> np.ndarray:
     column rank, and ``ValueError`` if ``matrix`` holds an infinity or a NaN.
     """
     _check_rows(matrix, factors.grid)
-    full_rank(factors, "the factored matrix")
-    weighted = np.sqrt(factors.grid.weights)[:, None] * matrix
+    full_rank(factors.r_matrix, factors.rank_tol, "the factored matrix")
+    weighted = factors.grid.sqrt_weights[:, None] * matrix
     return _solve_upper(factors.r_matrix, factors.q_matrix.T @ weighted)
 
 
@@ -212,5 +203,5 @@ def _solve_upper(tri: np.ndarray, beta: np.ndarray) -> np.ndarray:
     entry of ``tri`` is zero.
     """
     if not (np.isfinite(tri).all() and np.isfinite(beta).all()):
-        raise ValueError(_NON_FINITE)
+        raise ValueError("array must not contain infs or NaNs")
     return np.linalg.solve(tri, beta)

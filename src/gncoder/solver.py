@@ -39,8 +39,7 @@ from .network import (DEFAULT_PARAM_BOX, ConvergenceConstants, Params,
                       _check_jacobian_bytes, _jacobian_matrices, eval_psi,
                       jacobian_rows)
 from .operators import LinearOperator
-from .pseudoinverse import (QRFactors, _solve_upper, full_rank, held,
-                            householder_r)
+from .pseudoinverse import _solve_upper, full_rank, held, householder_r
 
 MODE_GAUSS_NEWTON = "gauss_newton"
 MODE_GRADIENT_DESCENT = "gradient_descent"
@@ -170,24 +169,20 @@ def _clamp_to_box(flat: np.ndarray, box) -> tuple[np.ndarray, bool]:
 def gauss_newton_step(
     p: Params, cfg: SolveConfig, residual: GridFunction, work: dict | None = None
 ) -> tuple[Params, StepDiagnostics]:
-    """One undamped Gauss-Newton update from the residual ``F(psi(p)) - y``.
+    """One undamped Gauss-Newton update from the residual ``F(psi(p)) - y``
+    that the caller has already evaluated at ``p``.
 
-    The caller passes the residual it has already evaluated at ``p``.  The
-    top of the last column of R, from the QR of ``√W·[J_k | r]``, is
+    :func:`~gncoder.pseudoinverse.householder_r` factors ``√W·[J_k | r]``
+    in place, ``J_k`` as node-minor rows
+    (:func:`~gncoder.network.jacobian_rows`).  The top of R's last column is
     ``Q̃ᵀ√W r``, so the update is one triangular solve against R's leading
-    block, gated by the rank rule of :class:`~gncoder.pseudoinverse.QRFactors`.
-    Raises :class:`RankDeficiencyError` when the forward-mapped Jacobian
-    loses full column rank under ``cfg.rank_tol`` and :class:`NumericError`
-    if the update produces non-finite values.  ``J_k`` stays node-minor
-    rows (:func:`~gncoder.network.jacobian_rows`) from build to
-    factorization, and :func:`~gncoder.pseudoinverse.householder_r`
-    factors the weighted image in place.
+    block, which :func:`~gncoder.pseudoinverse.full_rank` gates: a Jacobian
+    short of full column rank under ``cfg.rank_tol`` raises
+    :class:`RankDeficiencyError`, a non-finite update :class:`NumericError`.
     Given a step workspace ``work`` (:func:`~gncoder.pseudoinverse.held`),
-    the Jacobian rows, the image and LAPACK's arrays reuse its arrays.
-    :func:`solve` also leaves there ``"sqrt_w"``, its ``√W``, and
-    ``"at"``, the point whose rows it has just built into
-    ``work["jacobian"]``: a step at that point takes the entry and the
-    rows as they are.  Every path gives the same bits.
+    the rows, the image and LAPACK's arrays reuse its arrays; a step at
+    ``work["at"]``, the point whose rows :func:`solve` has just built into
+    ``work["jacobian"]``, takes those rows.  Every path gives the same bits.
     """
     n, out_grid = p.n_star, cfg.forward.out_grid
     flat = p.flatten()
@@ -197,26 +192,22 @@ def gauss_newton_step(
     else:
         rows = _jacobian_rows(p, cfg, held(
             work, "jacobian", (1, n, cfg.grid.node_count)))
-    sqrt_w = None if work is None else work.get("sqrt_w")
-    if sqrt_w is None:
-        sqrt_w = np.sqrt(out_grid.weights)
     # [J_k | r] as C-ordered rows: its transpose is the F-ordered matrix
     # that LAPACK factors where it lies
     image = held(work, "image", (n + 1, out_grid.node_count))
     cfg.forward.apply_rows(rows, image[:n])
     image[n] = residual.values
-    image *= sqrt_w
+    image *= out_grid.sqrt_weights
     r = householder_r(image, work)
-    factors = full_rank(QRFactors(out_grid, None, r[:n, :n], cfg.rank_tol),
-                        "Jacobian")
-    delta = _solve_upper(factors.r_matrix, r[:n, n])
+    delta = _solve_upper(full_rank(r[:n, :n], cfg.rank_tol, "Jacobian"),
+                         r[:n, n])
     new_flat = flat - delta
     if not np.all(np.isfinite(new_flat)):
         raise NumericError("Gauss-Newton update produced non-finite parameters")
     new_flat, clamped = _clamp_to_box(new_flat, cfg.param_box)
     step_norm = float(np.linalg.norm(new_flat - flat))
     p_next = Params.from_flat(new_flat, p.units, p.input_dim)
-    return p_next, StepDiagnostics(step_norm, factors.rank, clamped)
+    return p_next, StepDiagnostics(step_norm, n, clamped)
 
 
 def misfit_value_grad(p: Params, cfg: SolveConfig) -> tuple[float, np.ndarray]:
@@ -249,7 +240,8 @@ def gradient_step(p: Params, cfg: SolveConfig) -> tuple[Params, bool]:
 
 
 def _descend(p: Params, grad: np.ndarray, cfg: SolveConfig) -> tuple[Params, bool]:
-    new_flat = p.flatten() - cfg.step_size * grad
+    with np.errstate(over="ignore"):  # an overflowing update fails below
+        new_flat = p.flatten() - cfg.step_size * grad
     if not np.all(np.isfinite(new_flat)):
         raise NumericError("gradient update produced non-finite parameters")
     new_flat, clamped = _clamp_to_box(new_flat, cfg.param_box)
@@ -271,15 +263,14 @@ def solve(cfg: SolveConfig, true_params: Params | None = None) -> IterationTrace
     ``psi`` is their alpha rows times ``alpha``, bitwise
     :func:`~gncoder.network.eval_psi`.  The residual is mapped from that
     ``psi``, and the step (:func:`gauss_newton_step`, or the descent
-    update, whose gradient is one product with the rows) reuses the rows.
-    The byte and shape checks of the rows and ``√W`` are taken once per
-    call.
+    update, whose gradient is one product with the rows) reuses the rows,
+    whose byte check is taken once per call.
     """
     trace = IterationTrace()
     p = cfg.initial
     units, dim, grid = p.units, p.input_dim, cfg.grid
     _check_jacobian_bytes(1, units, dim, grid.points_per_axis)
-    work = {"sqrt_w": np.sqrt(cfg.forward.out_grid.weights)}
+    work = {}
     rows = held(work, "jacobian", (1, p.n_star, grid.node_count))
     flat = p.flatten()
     true_flat = true_params.flatten() if true_params is not None else None

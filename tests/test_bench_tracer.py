@@ -1,4 +1,5 @@
-"""Every name the benchmark's tracer wraps exists.
+"""Every name the benchmark's tracer wraps exists, and its hooks read what
+the wrapped functions return.
 
 ``bench/tracer.py`` patches functions and methods by name only under
 ``bench/run.py --trace 1``, so a renamed or moved name would otherwise fail
@@ -11,7 +12,11 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from gncoder.grids import make_grid
+from gncoder.pseudoinverse import weighted_qr
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -42,3 +47,17 @@ def test_every_traced_method_is_defined_on_its_class(span):
     cls = getattr(importlib.import_module(module), cls_name)
     for method in methods:
         assert method in cls.__dict__, f"{cls_name}.{method}"
+
+
+def test_the_qr_hook_counts_what_weighted_qr_returns():
+    traced = tracer.Tracer()
+    count_qr = traced.wrap("pseudoinverse.weighted_qr", weighted_qr,
+                           traced._count_qr)
+    grid = make_grid(1, 16)
+    matrix = np.random.default_rng(0).standard_normal((16, 3))
+    count_qr(matrix, grid)
+    matrix[:, 2] = matrix[:, 0]
+    count_qr(matrix, grid, 1e-10)
+    assert traced.counts["weighted_qr.full_rank"] == 1
+    assert [span[0] for span in traced.spans] == [
+        "pseudoinverse.weighted_qr"] * 2

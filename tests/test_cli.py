@@ -514,6 +514,22 @@ class TestConstantsRefusedFirst:
         assert not out.exists()
 
 
+#: (command, config, exit code, message) of configs whose arithmetic
+#: overflows: the first three exited 0 with inf, NaN or 0.0 where a finite
+#: number belonged, the last warned before it exited 2
+OVERFLOWING = [
+    ("manifold", {"extent": 1e200}, 1,
+     "error: extent 1e+200 is too large: the lattice's largest value, "
+     "2 * extent**2, overflows"),
+    ("cone", {"t_values": [0.01, 1e308]}, 1,
+     "error: t_values: overflow encountered in dot"),
+    ("mysovskii", {"segment_radius": 1e308}, 1,
+     "error: segment_radius: overflow encountered in dot"),
+    ("solve", {"mode": "gradient_descent", "step_size": 1e308}, 2,
+     "numeric error: gradient update produced non-finite parameters"),
+]
+
+
 class TestExitCodes:
     def test_numeric_failure_exits_two(self, tmp_path, capsys):
         # a dead unit makes the derivative rank deficient at the base point
@@ -618,6 +634,38 @@ class TestExitCodes:
             assert (result.returncode, result.stderr) == (
                 2, "numeric error: residual norm is inf at iterate 0\n"), cfg
             assert not out.exists() or not any(out.iterdir())
+
+    def test_an_overflowing_descent_step_exits_two_without_a_warning(
+        self, tmp_path, capsys
+    ):
+        # the update warned "overflow encountered in multiply" first
+        config = write_config(tmp_path, "solve", {
+            "mode": "gradient_descent", "step_size": 1e308})
+        out = tmp_path / "out"
+        assert run(["solve", "--config", config, "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            "numeric error: gradient update produced non-finite parameters\n")
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("command, cfg, code, message", OVERFLOWING,
+                             ids=[case[0] for case in OVERFLOWING])
+    def test_an_overflowing_config_exits_cleanly_with_warnings_as_errors(
+        self, tmp_path, command, cfg, code, message
+    ):
+        # each printed a RuntimeWarning traceback and exited 1
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+        config = write_config(tmp_path, command, cfg)
+        out = tmp_path / "out"
+        result = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+             "gncoder.cli", command, "--config", str(config),
+             "--out", str(out)],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+            timeout=120)
+        assert (result.returncode, result.stderr) == (code, message + "\n")
+        assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("command, activation, message", [
         ("independence", "step", "activation: step activation is "
@@ -873,6 +921,11 @@ BAD_CONFIGS = [
     ("check-derivatives", "box", [-1e308, 1e308]),
     # the same width in the clamp box was accepted
     ("solve", "param_box", [-1e308, 1e308]),
+    # an overflowing lattice value, distance or squared distance wrote inf,
+    # NaN or 0.0 where a finite number belonged, and exited 0
+    ("manifold", "extent", 1e200),
+    ("cone", "t_values", [0.01, 1e308]),
+    ("mysovskii", "segment_radius", 1e308),
 ]
 
 

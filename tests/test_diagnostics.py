@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -425,7 +426,8 @@ def node_major_cone(p1, p2s, activation, grid, forward, rank_tol=1e-10):
     as the cone ran before it took rows: its oracle, as ``(r_matrix, dev,
     decomposition_residual, ratio)`` per point."""
     jac1 = jacobian(p1, activation, grid)
-    factors = full_rank(weighted_qr(jac1, grid, rank_tol), "derivative at p1")
+    factors = weighted_qr(jac1, grid, rank_tol)
+    full_rank(factors.r_matrix, rank_tol, "derivative at p1")
     fj1 = node_major_image(forward, jac1)
     w_out = forward.out_grid.weights[:, None]
     out = []
@@ -620,8 +622,8 @@ def mysovskii_loop(probes, activation, grid, forward):
     for p, q, s_values in probes:
         rows = jacobian_rows(p.flatten()[None], p.units, p.input_dim,
                              activation, grid)[0]
-        factors = full_rank(weighted_qr(forward.apply_rows(rows).T,
-                                        forward.out_grid), "p")
+        factors = weighted_qr(forward.apply_rows(rows).T, forward.out_grid)
+        full_rank(factors.r_matrix, factors.rank_tol, "p")
         d = p.flatten() - q.flatten()
         dist_sq = float(np.linalg.norm(d)) ** 2
         base = directional_derivative(q, activation, grid, d)
@@ -766,6 +768,7 @@ class TestManifoldDemo:
         assert rows.shape == (41 * 41, 5)
         assert np.array_equal(f1, x * y)
         assert np.array_equal(f2, x * x + y * y)
+        assert np.array_equal(det, 2.0 * (y * y - x * x))
         # sign pattern: positive where |y| > |x|, negative where |y| < |x|
         assert np.all(det[np.abs(y) > np.abs(x)] > 0)
         assert np.all(det[np.abs(y) < np.abs(x)] < 0)
@@ -776,6 +779,17 @@ class TestManifoldDemo:
     def test_resolution_validation(self):
         with pytest.raises(ValueError):
             manifold_sweep(resolution=1)
+
+    def test_an_extent_whose_lattice_overflows_is_refused(self):
+        # the largest extent whose 2 extent**2 is finite sweeps without a
+        # warning; the next float up is refused
+        extent = math.sqrt(sys.float_info.max / 2)
+        while math.isfinite(2.0 * extent * extent):
+            extent = math.nextafter(extent, math.inf)
+        largest = math.nextafter(extent, 0.0)
+        assert np.isfinite(manifold_sweep(largest, 3)).all()
+        with pytest.raises(ValueError, match="^extent .* is too large"):
+            manifold_sweep(extent, 3)
 
     def test_oversized_lattice_is_refused_before_allocating(self):
         # about ten resolution**2 float64 arrays at the peak; 3663 must fit

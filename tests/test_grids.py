@@ -67,6 +67,17 @@ def test_grid_is_refused_at_its_byte_estimate(monkeypatch):
     assert g.nodes.nbytes + g.weights.nbytes == need
 
 
+def test_sqrt_weights_is_one_read_only_array_computed_on_first_use():
+    g = make_grid(2, 8)
+    assert "sqrt_weights" not in vars(g)
+    root = g.sqrt_weights
+    assert root.tobytes() == np.sqrt(g.weights).tobytes()
+    assert not root.flags.writeable
+    assert g.sqrt_weights is root
+    with pytest.raises(ValueError):
+        root[0] = 1.0
+
+
 def test_inner_product_of_constants():
     g = make_grid(2, 8)
     ones = constant(g, 1.0)

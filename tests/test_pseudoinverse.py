@@ -1,4 +1,5 @@
 import ast
+import math
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from gncoder.network import (ConvergenceConstants, Params, eval_psi, jacobian,
 from gncoder.operators import make_integration
 from gncoder.pseudoinverse import (
     QRFactors,
+    column_ranks,
     full_rank,
     householder_r,
     pinv_apply,
@@ -128,10 +130,10 @@ class TestWeightedQR:
             weighted_qr(stack([constant(make_grid(1, 32), 1.0)]), GRID)
 
 
-def r_factors(r, rank_tol=1e-10):
-    """Factors of which only ``R`` was formed, as the Gauss-Newton step
-    holds them."""
-    return QRFactors(GRID, None, np.asarray(r, dtype=float), rank_tol)
+def r_rank(r, rank_tol=1e-10):
+    """:func:`column_ranks` of an ``R`` alone, as the Gauss-Newton step
+    gates it."""
+    return column_ranks(np.asarray(r, dtype=float), rank_tol)
 
 
 class TestRankRule:
@@ -146,22 +148,20 @@ class TestRankRule:
     @pytest.mark.parametrize("shape", [(GRID.node_count, 1), (GRID.node_count, 3)])
     def test_a_zero_matrix_has_rank_0(self, shape):
         assert weighted_qr(np.zeros(shape), GRID).rank == 0
-        assert r_factors(np.zeros((shape[1], shape[1]))).rank == 0
+        assert r_rank(np.zeros((shape[1], shape[1]))) == 0
 
     def test_a_negative_diagonal_is_still_full_rank(self):
         r = np.triu(np.arange(1.0, 10.0).reshape(3, 3)) * [-1.0, 1.0, -1.0]
         assert np.diagonal(r).min() < 0
-        f = r_factors(r)
-        assert f.rank == 3 and full_rank(f, "R") is f
+        assert r_rank(r) == 3 and full_rank(r, 1e-10, "R") is r
 
     def test_the_limit_is_strict_and_scales_with_the_largest_column(self):
         tol = 1e-10
-        assert r_factors([[1.0, 0.0], [0.0, tol]], tol).rank == 2
-        assert r_factors([[1.0, 0.0], [0.0, np.nextafter(tol, 0.0)]],
-                         tol).rank == 1
+        assert r_rank([[1.0, 0.0], [0.0, tol]], tol) == 2
+        assert r_rank([[1.0, 0.0], [0.0, np.nextafter(tol, 0.0)]], tol) == 1
         # the second column's norm, 3, sets the limit 3e-10
-        assert r_factors([[1.0, 3.0], [0.0, 2 * tol]], tol).rank == 1
-        assert r_factors([[1.0, 3.0], [0.0, 3 * tol]], tol).rank == 2
+        assert r_rank([[1.0, 3.0], [0.0, 2 * tol]], tol) == 1
+        assert r_rank([[1.0, 3.0], [0.0, 3 * tol]], tol) == 2
 
     def test_a_column_below_the_limit_after_projection(self):
         rng = np.random.default_rng(5)
@@ -175,6 +175,81 @@ class TestRankRule:
         grid = make_grid(1, 3)
         f = weighted_qr(np.random.default_rng(1).standard_normal((3, 5)), grid)
         assert (f.rank, f.column_count) == (3, 5)
+
+
+def rank_oracle(r, rank_tol):
+    """The rank rule on one R as the factor record applied it before the
+    rule became :func:`column_ranks`: the oracle of the array rule."""
+    scale = math.sqrt(float(np.max(np.sum(r * r, axis=0))))
+    limit = math.inf if scale == 0.0 else rank_tol * scale
+    return min(r.shape) - int(np.count_nonzero(np.abs(np.diagonal(r)) < limit))
+
+
+def stress_matrix(kind, shape, seed):
+    """A ``shape`` matrix of ``kind``: random, a duplicated column, a column
+    1e-13 from the span of two others, all zeros, a column of 1e-300, or
+    every entry near 1e-300 (its squared column norms underflow to 0)."""
+    rng = np.random.default_rng(seed)
+    matrix = rng.standard_normal(shape) * 10.0 ** rng.uniform(-1, 1, shape[1])
+    if kind == "duplicate":
+        matrix[:, 2] = matrix[:, 0]
+    elif kind == "near span":
+        matrix[:, 1] = 0.5 * matrix[:, 0] - 1e-13 * matrix[:, 3]
+    elif kind == "zero":
+        matrix[:] = 0.0
+    elif kind == "tiny column":
+        matrix[:, 1] = 1e-300
+    elif kind == "underflow":
+        matrix *= 1e-300
+    return matrix
+
+
+STRESS_KINDS = ("random", "duplicate", "near span", "zero", "tiny column",
+                "underflow")
+
+
+class TestColumnRanks:
+    """:func:`column_ranks` on stacks is the per-matrix rule, member by
+    member, whatever the stack's layout."""
+
+    @pytest.mark.parametrize("rank_tol", [1e-13, 1e-10, 1e-3])
+    @pytest.mark.parametrize("shape", [(64, 6), (6, 6), (4, 6), (300, 12),
+                                       (16, 15)])
+    def test_equals_the_per_matrix_rule(self, shape, rank_tol):
+        matrices = np.stack([
+            stress_matrix(STRESS_KINDS[b % len(STRESS_KINDS)], shape, b)
+            for b in range(4 * len(STRESS_KINDS))])
+        r = np.linalg.qr(matrices, mode="r")
+        r[-1, 0, -1] = np.nan  # reads as full rank, as the record read it
+        expected = [rank_oracle(member, rank_tol) for member in r]
+        assert expected[-1] == min(r.shape[1:])
+        assert len(set(expected)) > 2
+        for stack in (r, np.asfortranarray(r), r.transpose(0, 2, 1).copy()
+                      .transpose(0, 2, 1)):
+            ranks = column_ranks(stack, rank_tol)
+            assert ranks.shape == (len(r),)
+            assert ranks.tolist() == expected
+            assert [int(column_ranks(member, rank_tol))
+                    for member in stack] == expected
+
+    def test_a_view_of_the_steps_r_is_ranked_as_a_copy(self):
+        # the step gates the leading block of the R of [J | r]
+        for seed, kind in enumerate(STRESS_KINDS):
+            r = np.triu(np.linalg.qr(stress_matrix(kind, (64, 7), seed),
+                                     mode="r"))
+            block = r[:6, :6]
+            assert column_ranks(block, 1e-10) == rank_oracle(
+                block.copy(), 1e-10)
+
+    def test_a_zero_stack_has_rank_0_throughout(self):
+        assert column_ranks(np.zeros((3, 4, 6))).tolist() == [0, 0, 0]
+
+    @pytest.mark.parametrize("rank_tol", [0.0, -1e-10, np.nan])
+    def test_a_tolerance_that_is_not_positive_is_refused(self, rank_tol):
+        with pytest.raises(ValueError, match="^rank_tol must be positive"):
+            column_ranks(np.eye(3), rank_tol)
+        with pytest.raises(ValueError, match="^rank_tol must be positive"):
+            full_rank(np.eye(3)[None], rank_tol, "R")
 
 
 def duplicated_unit_image():
@@ -342,6 +417,14 @@ STACK_CASES = [
 ]
 
 
+def stack_factors(matrices, grid):
+    """The members of a stacked factorization as :class:`QRFactors`, for
+    the oracles."""
+    q, r = weighted_qr_stack(matrices, grid)
+    assert q.shape == (len(matrices), grid.node_count, r.shape[1])
+    return [QRFactors(grid, qb, rb) for qb, rb in zip(q, r)]
+
+
 class TestWeightedQRStack:
     """Every member of a batched factorization against the oracles."""
 
@@ -355,7 +438,7 @@ class TestWeightedQRStack:
             if layout == "F":
                 matrices = np.asfortranarray(matrices)
             before = matrices.copy()
-            factors = list(weighted_qr_stack(matrices, grid))
+            factors = stack_factors(matrices, grid)
             assert len(factors) == count
             for b, f in enumerate(factors):
                 check_against_oracles(f, members[b], grid,
@@ -366,7 +449,7 @@ class TestWeightedQRStack:
         grid = make_grid(1, 64)
         members = [oracle_matrix("plain", grid, 5, seed) for seed in range(3)]
         members[1][7, 2] = np.nan
-        factors = list(weighted_qr_stack(np.stack(members), grid))
+        factors = stack_factors(np.stack(members), grid)
         for b in (0, 2):
             check_against_oracles(factors[b], members[b], grid, "plain")
         with pytest.raises(ValueError, match="^array must not contain"):
@@ -375,7 +458,7 @@ class TestWeightedQRStack:
     def test_tall_matrix_alone(self):
         grid = make_grid(2, 256)
         matrix = oracle_matrix("plain", grid, 12, 0)
-        f, = weighted_qr_stack(matrix[None], grid)
+        f, = stack_factors(matrix[None], grid)
         check_against_oracles(f, matrix, grid, "plain")
         assert f.q_matrix.shape == (grid.node_count, 12)
         assert f.r_matrix.shape == (12, 12)
@@ -384,7 +467,7 @@ class TestWeightedQRStack:
         grid = make_grid(1, 64)
         matrix = np.asfortranarray(oracle_matrix("duplicate", grid, 6, 1))
         f = weighted_qr(matrix, grid)
-        g, = weighted_qr_stack(matrix[None], grid)
+        g, = stack_factors(matrix[None], grid)
         assert f.rank == g.rank
         assert f.q_matrix.tobytes() == g.q_matrix.tobytes()
         assert f.r_matrix.tobytes() == g.r_matrix.tobytes()
@@ -392,8 +475,8 @@ class TestWeightedQRStack:
     def test_rejects_a_matrix_for_a_stack(self):
         with pytest.raises(GridMismatchError):
             weighted_qr_stack(np.ones((64, 3)), GRID)
-        with pytest.raises(ValueError):
-            weighted_qr_stack(np.ones((2, 64, 3)), GRID, rank_tol=0.0)
+        with pytest.raises(ValueError, match="^need at least one column$"):
+            weighted_qr_stack(np.ones((2, 64, 0)), GRID)
 
 
 class TestTransposedRowsView:
@@ -409,44 +492,47 @@ class TestTransposedRowsView:
         matrices = np.stack([oracle_matrix(kind, grid, 6, nodes + b)
                              for b, kind in enumerate(kinds)])
         rows = np.ascontiguousarray(matrices.transpose(0, 2, 1))
-        from_view = list(weighted_qr_stack(rows.transpose(0, 2, 1), grid))
+        from_view = stack_factors(rows.transpose(0, 2, 1), grid)
         alone = [weighted_qr(r.T, grid) for r in rows]
         for b, kind in enumerate(kinds):
             for f in (from_view[b], alone[b]):
                 check_against_oracles(f, matrices[b], grid, kind)
 
 
-def gated_stack(matrices, grid=GRID):
-    """Each member of a stacked factorization through :func:`full_rank`, as
-    ``mysovskii_check`` gates them."""
-    return (full_rank(f, "derivative at p")
-            for f in weighted_qr_stack(matrices, grid))
-
-
 class TestGatedStack:
+    """:func:`full_rank` takes a stack's R in order, as ``mysovskii_check``
+    gates its probes."""
+
     def test_raises_at_the_first_deficient_matrix_in_stack_order(self):
         rng = np.random.default_rng(53)
         full = [stack(random_columns(3, rng)) for _ in range(4)]
         base = random_columns(2, rng)
         deficient = stack(base + [base[0] + base[1]])
-        matrices = np.stack(full[:2] + [deficient] + full[2:])
-        gated = gated_stack(matrices)
-        for matrix in full[:2]:
-            check_against_oracles(next(gated), matrix, GRID, "plain")
-        with pytest.raises(RankDeficiencyError) as err:
-            next(gated)
-        assert str(err.value) == "derivative at p has rank 2 < 3"
-        assert err.value.deficit == 1
+        zero = np.zeros((GRID.node_count, 3))
+        matrices = np.stack(full[:2] + [deficient] + full[2:] + [zero])
+        q, r = weighted_qr_stack(matrices, GRID)
+        ahead = r[:2]
+        assert full_rank(ahead, 1e-10, "derivative at p") is ahead
+        for b, matrix in enumerate(full[:2]):
+            check_against_oracles(QRFactors(GRID, q[b], r[b]), matrix, GRID,
+                                  "plain")
+        for order, (rank, deficit) in ((slice(None), (2, 1)),
+                                       (slice(None, None, -1), (0, 3))):
+            with pytest.raises(RankDeficiencyError) as err:
+                full_rank(r[order], 1e-10, "derivative at p")
+            assert str(err.value) == f"derivative at p has rank {rank} < 3"
+            assert err.value.deficit == deficit
 
     def test_a_zero_member_has_rank_0_when_it_is_reached(self):
         matrices = np.stack([oracle_matrix(kind, GRID, 4, seed) for seed, kind
                              in enumerate(("plain", "zero", "plain"))])
-        factors = weighted_qr_stack(matrices, GRID)
-        assert full_rank(next(factors), "derivative at p").rank == 4
+        _, r = weighted_qr_stack(matrices, GRID)
+        first = r[0]
+        assert full_rank(first, 1e-10, "derivative at p") is first
         with pytest.raises(RankDeficiencyError,
                            match="^derivative at p has rank 0 < 4$"):
-            full_rank(next(factors), "derivative at p")
-        assert full_rank(next(factors), "derivative at p").rank == 4
+            full_rank(r, 1e-10, "derivative at p")
+        assert column_ranks(r).tolist() == [4, 0, 4]
 
     def test_members_of_one_stack_keep_their_own_ranks(self):
         grid = make_grid(1, 13)
@@ -456,12 +542,12 @@ class TestGatedStack:
         # member's third column
         members[1][:, 4] = 0.5 * members[1][:, 0] + 0.25 * members[1][:, 3]
         members[2][:, 0] = 0.0
-        assert [f.rank for f in weighted_qr_stack(np.stack(members), grid)] == [
-            5, 4, 4, 5]
+        _, r = weighted_qr_stack(np.stack(members), grid)
+        assert column_ranks(r).tolist() == [5, 4, 4, 5]
         for m in members:
             m[:, 2] = 2.0 * m[:, 3]
-        assert [f.rank for f in weighted_qr_stack(np.stack(members), grid)] == [
-            4, 3, 3, 4]
+        _, r = weighted_qr_stack(np.stack(members), grid)
+        assert column_ranks(r).tolist() == [4, 3, 3, 4]
 
 
 def upper_factors(n, rng, grid=GRID):
@@ -717,7 +803,7 @@ class TestFullRank:
     def test_full_rank_factors_pass_through(self):
         matrix = stack(random_columns(3, np.random.default_rng(43)))
         f = weighted_qr(matrix, GRID, 1e-10)
-        assert full_rank(f, "matrix") is f
+        assert full_rank(f.r_matrix, f.rank_tol, "matrix") is f.r_matrix
 
     @pytest.mark.parametrize("rank", [2, 0])
     def test_a_deficient_rank_raises_with_rank_and_deficit(self, rank):
@@ -725,7 +811,7 @@ class TestFullRank:
         matrix = stack(base + [base[0] + base[1]]) if rank else np.zeros(
             (GRID.node_count, 3))
         with pytest.raises(RankDeficiencyError) as err:
-            full_rank(weighted_qr(matrix, GRID), "matrix")
+            full_rank(weighted_qr(matrix, GRID).r_matrix, 1e-10, "matrix")
         assert str(err.value) == f"matrix has rank {rank} < 3"
         assert err.value.deficit == 3 - rank
 
@@ -776,6 +862,27 @@ def test_every_caller_gates_on_full_column_rank(caller, point):
         call(p, make_integration(GRID), activation)
     assert err.value.deficit == 9 - rank
     assert str(err.value) == message.replace("rank 6", f"rank {rank}")
+
+
+def test_mysovskii_check_builds_no_factor_record(monkeypatch):
+    built = []
+    init = QRFactors.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(QRFactors, "__init__", spy)
+    activation, forward = Activation.sigmoid(1.0), make_integration(GRID)
+    p = Params([1.5, -1.0], [[2.0], [-1.5]], [0.2, 0.8])
+    flat = p.flatten()
+    probes = [(flat, flat - 0.1 * k, (0.5, 1.0)) for k in range(3)]
+    reports = mysovskii_check(probes, p.units, p.input_dim, activation, GRID,
+                              forward)
+    assert len(reports) == 3 and built == []
+    # the spy sees the cone's one weighted_qr
+    cone_check(p, [flat + 1e-3], activation, GRID, forward)
+    assert len(built) == 1
 
 
 def rank_error_sites(node, where):
