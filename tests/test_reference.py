@@ -57,6 +57,21 @@ CASES = {
          **_SMALL_CONSTANTS},
         0,
     ),
+    # the solve-wide benchmark config, and a smaller 2-D Gaussian solve that
+    # stops rank deficient: the one-axis gauss:0.05 factor keeps 53 of 256
+    # and 53 of 128 eigenvalues above rounding, so their steps truncate
+    "solve_gauss2d_wide": (
+        "solve",
+        {"units": 3, "dim": 2, "points_per_axis": 256, "operator": "gauss:0.05",
+         "constants_samples": 8},
+        0,
+    ),
+    "solve_gauss2d_128_rank_deficient": (
+        "solve",
+        {"units": 3, "dim": 2, "points_per_axis": 128, "operator": "gauss:0.05",
+         "constants_samples": 8},
+        8,
+    ),
     "solve_gauss1d": (
         "solve",
         {"points_per_axis": 64, "operator": "gauss:0.05", **_SMALL_CONSTANTS},
