@@ -8,13 +8,18 @@ Usage, from anywhere:
 The solve stages are the ROADMAP's layer-by-layer list, each timed as
 one Gauss-Newton step runs it, on node-minor rows: ``eval_psi``,
 ``jacobian_rows`` (the Jacobian's rows at one point), ``apply_rows``
-(``forward.apply_rows`` of those rows), ``augmented_qr`` (the R-only
-``np.linalg.qr`` of the F-ordered transpose of the weighted rows
-``√W·[F·J | r]``, NumPy's reference for the next stage),
-``householder_r`` (the step's own factorization of those rows: LAPACK's
-``dgeqrf`` in place, with its arrays held in one workspace; each call
-factors what the last one left in the buffer, at the same flop count, so
-no copy is timed), ``solve_upper`` (the triangular solve of R's leading
+(``forward.apply_rows`` of those rows), ``step_image`` (the image the step
+factors, ``forward.step_image`` of those rows and the residual into one
+held workspace: the weighted rows ``√W·[F·J | r]``, except under the 2-D
+Gaussian, where it is the ``(n* + 1) x k²`` image in the operator's
+truncated eigenbasis; skipped in a tree older than that method),
+``augmented_qr`` (the R-only ``np.linalg.qr`` of the F-ordered transpose
+of the weighted rows ``√W·[F·J | r]``, NumPy's reference for the next
+stage), ``householder_r`` (LAPACK's ``dgeqrf`` of those full weighted rows
+in place, with its arrays held in one workspace; each call factors what
+the last one left in the buffer, at the same flop count, so no copy is
+timed; under the 2-D Gaussian the step itself now factors the smaller
+``step_image``), ``solve_upper`` (the triangular solve of R's leading
 block against the top of its last column), one
 Gauss-Newton step, ``lipschitz_constants``, ``independence_svd`` (the
 singular values of a transposed view of the weighted rows, NumPy's
@@ -137,7 +142,7 @@ def solve_calls(dim, points_per_axis, units, operator, samples):
     augmented = np.concatenate([forward.apply_rows(rows), [residual.values]])
     augmented *= np.sqrt(forward.out_grid.weights)
     r = np.linalg.qr(augmented.T, mode="r")
-    factored, work = augmented.copy(), {}
+    factored, work, image_work = augmented.copy(), {}, {}
     weighted = rows * np.sqrt(grid.weights)
     weighted_factored, independence_work = weighted.copy(), {}
     radius = opts.constants_ball_factor * opts.p0_radius
@@ -146,6 +151,8 @@ def solve_calls(dim, points_per_axis, units, operator, samples):
         "jacobian_rows": lambda: jacobian_rows(flat0[None], units, dim,
                                                activation, grid),
         "apply_rows": lambda: forward.apply_rows(rows),
+        "step_image": lambda: forward.step_image(rows, residual.values,
+                                                 image_work),
         "augmented_qr": lambda: np.linalg.qr(augmented.T, mode="r"),
         "householder_r": lambda: pseudoinverse.householder_r(factored, work),
         "solve_upper": lambda: _solve_upper(r[:n, :n], r[:n, n]),

@@ -543,19 +543,25 @@ def _run_mysovskii(opts: MysovskiiOptions) -> int:
         raise ConfigError(
             f"base_params with constants_radius {radius} leaves param_box "
             f"[{lo}, {hi}]")
-    # before the probes too, so a refused sample stack or Gram exits 1 first
-    constants = lipschitz_constants(
-        base_params, activation, grid,
+    # before the probes too, so a refused sample stack or Gram exits 1 first;
+    # the sample points lie up to 2 * constants_radius apart
+    constants = _named(
+        "constants_radius", lipschitz_constants, base_params, activation, grid,
         radius=opts.constants_radius,
         samples=opts.constants_samples,
         seed=opts.seed + 10_001,
         box=opts.param_box,
+        error=FloatingPointError,
     )
 
     def probes():  # drawn a chunk at a time, in the one-by-one draw order
         for _ in range(opts.probes):
             p = center + opts.jitter * unit_direction(rng, center.size)
             q = p + opts.segment_radius * unit_direction(rng, center.size)
+            if not (q - p).any():  # a zero segment would read as ratio 0.0
+                raise FloatingPointError(
+                    f"{opts.segment_radius} is below the spacing of floats "
+                    f"at p, so |p - q|**2 is 0")
             yield p, q, (float(rng.uniform(0.05, 1.0)),)
 
     max_ratio = 0.0
@@ -569,7 +575,8 @@ def _run_mysovskii(opts: MysovskiiOptions) -> int:
             yield dict(report.to_json_dict(), probe=index)
 
     base, header = _out_name("mysovskii", opts)
-    # |p - q| = segment_radius, whose squared overflow the probes raise
+    # |p - q| = segment_radius, whose squared overflow or underflow the probes
+    # raise
     _named("segment_radius", _write_jsonl, base.with_suffix(".reports.jsonl"),
            rows(), error=FloatingPointError)
     product = constants.derivative_bound * constants.lipschitz_bound

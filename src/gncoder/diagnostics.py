@@ -373,9 +373,10 @@ def mysovskii_check(
     and ``d != 0`` come from one
     :func:`~gncoder.network.directional_derivatives` pass; each difference
     is mapped alone, and all are projected with one stacked ``Q̃ᵀ`` product
-    and one stacked triangular solve; an overflowing ``‖p - q‖²`` raises
-    ``FloatingPointError``.  Memory grows with the number of probes:
-    :func:`mysovskii_reports` takes any number in bounded memory.
+    and one stacked triangular solve; an overflowing ``‖p - q‖²``, or one
+    that underflows to 0 for ``p != q``, raises ``FloatingPointError``.
+    Memory grows with the number of probes: :func:`mysovskii_reports` takes
+    any number in bounded memory.
     """
     probes = list(probes)
     n_star = units * (dim + 2)
@@ -400,6 +401,8 @@ def mysovskii_check(
     steps = points - bases
     with np.errstate(over="raise"):
         dists_sq = [float(np.linalg.norm(d)) ** 2 for d in steps]
+    if any(dist_sq == 0.0 and d.any() for dist_sq, d in zip(dists_sq, steps)):
+        raise FloatingPointError("|p - q|**2 underflows to 0 for p != q")
     owners, scales = [], []  # the probe and s of each live segment point
     for index, (_, _, s_values) in enumerate(probes):
         if dists_sq[index] != 0.0:

@@ -502,7 +502,8 @@ def lipschitz_constants(
     point, transposed; the SVDs take transposed views of them, whose
     column-major LAPACK copies are those of node-major matrices.
 
-    The ball must lie inside the parameter box.  The Gram matrix and the
+    The ball must lie inside the parameter box, and a pair distance whose
+    square overflows raises ``FloatingPointError``.  The Gram matrix and the
     sample stack are each refused by
     :func:`~gncoder.grids.check_dense_bytes` before any allocation.
     The Gram holds about two ``(samples * n*)^2`` float64 arrays, the sum
@@ -549,8 +550,8 @@ def lipschitz_constants(
         first, second = np.triu_indices(samples, 1)  # pairs i < j, row by row
         gaps = points[first] - points[second]
         # rounds as np.linalg.norm of each gap does; norm(axis=1) does not.
-        # An overflowing distance is inf, and its quotient 0.
-        with np.errstate(over="ignore"):
+        # An overflowing distance raises: as inf, its quotient would read 0.
+        with np.errstate(over="raise"):
             dists = np.sqrt(np.vecdot(gaps, gaps))
         apart = dists != 0.0
         quotients = _screened_quotients(

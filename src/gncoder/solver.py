@@ -7,7 +7,11 @@ The iteration solves ``F(psi(p)) = y`` for the network coefficients by
 where ``J_k`` is the ``(node_count, n_star)`` matrix of forward-mapped
 derivative columns; each step applies ``pinv`` through one LAPACK
 Householder QR of ``√W·[J_k | r]`` that forms R alone, factored in place
-in the step's workspace.  Each iterate makes one activation pass: the
+in the step's workspace.  The forward operator hands the step that image
+(:meth:`~gncoder.operators.LinearOperator.step_image`); the 2-D Gaussian
+hands it in its truncated eigenbasis, a problem with the same solution up
+to rounding on far fewer rows, while residuals and stopping rules keep
+the full operator.  Each iterate makes one activation pass: the
 Jacobian rows built there give ``psi``, hence the residual, and the step.
 The loop is undamped on purpose: divergence outside the convergence radius
 is an expected, reportable outcome, and rank deficiency halts the run with
@@ -172,9 +176,12 @@ def gauss_newton_step(
     """One undamped Gauss-Newton update from the residual ``F(psi(p)) - y``
     that the caller has already evaluated at ``p``.
 
-    :func:`~gncoder.pseudoinverse.householder_r` factors ``√W·[J_k | r]``
-    in place, ``J_k`` as node-minor rows
-    (:func:`~gncoder.network.jacobian_rows`).  The top of R's last column is
+    :func:`~gncoder.pseudoinverse.householder_r` factors, in place, the
+    image that ``cfg.forward.step_image`` gives for the node-minor rows of
+    ``J_k`` (:func:`~gncoder.network.jacobian_rows`) and ``r``:
+    ``√W·[J_k | r]`` itself, or under the 2-D Gaussian its ``k²``-row
+    image in the operator's truncated eigenbasis, whose least-squares
+    solution is the same up to rounding.  The top of R's last column is
     ``Q̃ᵀ√W r``, so the update is one triangular solve against R's leading
     block, which :func:`~gncoder.pseudoinverse.full_rank` gates: a Jacobian
     short of full column rank under ``cfg.rank_tol`` raises
@@ -184,7 +191,7 @@ def gauss_newton_step(
     ``work["at"]``, the point whose rows :func:`solve` has just built into
     ``work["jacobian"]``, takes those rows.  Every path gives the same bits.
     """
-    n, out_grid = p.n_star, cfg.forward.out_grid
+    n = p.n_star
     flat = p.flatten()
     at = None if work is None else work.pop("at", None)
     if at is not None and at.tobytes() == flat.tobytes():
@@ -192,12 +199,9 @@ def gauss_newton_step(
     else:
         rows = _jacobian_rows(p, cfg, held(
             work, "jacobian", (1, n, cfg.grid.node_count)))
-    # [J_k | r] as C-ordered rows: its transpose is the F-ordered matrix
-    # that LAPACK factors where it lies
-    image = held(work, "image", (n + 1, out_grid.node_count))
-    cfg.forward.apply_rows(rows, image[:n])
-    image[n] = residual.values
-    image *= out_grid.sqrt_weights
+    # [J_k | r]'s image as C-ordered rows: its transpose is the F-ordered
+    # matrix that LAPACK factors where it lies
+    image = cfg.forward.step_image(rows, residual.values, work)
     r = householder_r(image, work)
     delta = _solve_upper(full_rank(r[:n, :n], cfg.rank_tol, "Jacobian"),
                          r[:n, n])

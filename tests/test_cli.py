@@ -530,6 +530,33 @@ OVERFLOWING = [
 ]
 
 
+#: (config, message) of mysovskii configs whose probes or constants read 0.0
+#: where no zero belonged, and exited 0: the segment from p to q rounds to
+#: nothing, and every pair distance of the constants' ball overflows
+SILENT_ZEROS = [
+    ({"segment_radius": 1e-170, "probes": 2},
+     "error: segment_radius: 1e-170 is below the spacing of floats at p, so "
+     "|p - q|**2 is 0"),
+    ({"param_box": [-1e307, 1e307], "constants_radius": 1e306, "probes": 2},
+     "error: constants_radius: overflow encountered in vecdot"),
+]
+
+
+def run_with_warnings_as_errors(tmp_path, command, cfg):
+    """``python -W error::RuntimeWarning -m gncoder.cli COMMAND`` at
+    ``cfg``, writing into ``tmp_path / "out"``; the completed process."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    config = write_config(tmp_path, command, cfg)
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m",
+         "gncoder.cli", command, "--config", str(config),
+         "--out", str(tmp_path / "out")],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+        timeout=120)
+
+
 class TestExitCodes:
     def test_numeric_failure_exits_two(self, tmp_path, capsys):
         # a dead unit makes the derivative rank deficient at the base point
@@ -653,18 +680,19 @@ class TestExitCodes:
         self, tmp_path, command, cfg, code, message
     ):
         # each printed a RuntimeWarning traceback and exited 1
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-        config = write_config(tmp_path, command, cfg)
-        out = tmp_path / "out"
-        result = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-m",
-             "gncoder.cli", command, "--config", str(config),
-             "--out", str(out)],
-            cwd=tmp_path, env=env, capture_output=True, text=True,
-            timeout=120)
+        result = run_with_warnings_as_errors(tmp_path, command, cfg)
         assert (result.returncode, result.stderr) == (code, message + "\n")
+        out = tmp_path / "out"
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("cfg, message", SILENT_ZEROS,
+                             ids=["segment_radius", "constants_radius"])
+    def test_a_silent_zero_exits_one_with_warnings_as_errors(
+        self, tmp_path, cfg, message
+    ):
+        result = run_with_warnings_as_errors(tmp_path, "mysovskii", cfg)
+        assert (result.returncode, result.stderr) == (1, message + "\n")
+        out = tmp_path / "out"
         assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("command, activation, message", [
@@ -926,7 +954,17 @@ BAD_CONFIGS = [
     ("manifold", "extent", 1e200),
     ("cone", "t_values", [0.01, 1e308]),
     ("mysovskii", "segment_radius", 1e308),
+    # a segment that rounds to nothing, and a constants ball whose pair
+    # distances overflow, read 0.0 and exited 0
+    ("mysovskii", "segment_radius", 1e-170),
+    ("mysovskii", "constants_radius", 1e306),
 ]
+
+#: The other keys a ``BAD_CONFIGS`` row needs to reach its check: the ball
+#: of radius 1e306 must fit inside ``param_box``.
+BAD_CONFIG_CONTEXT = {
+    ("mysovskii", "constants_radius"): {"param_box": [-1e307, 1e307]},
+}
 
 
 class TestConfigSchema:
@@ -938,7 +976,8 @@ class TestConfigSchema:
         self, tmp_path, capsys, command, key, value
     ):
         config = tmp_path / "bad.json"
-        config.write_text(json.dumps({key: value}))
+        config.write_text(json.dumps(
+            {**BAD_CONFIG_CONTEXT.get((command, key), {}), key: value}))
         out = tmp_path / "out"
         assert run([command, "--config", config, "--out", out]) == 1
         err = capsys.readouterr().err

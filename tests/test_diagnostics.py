@@ -591,6 +591,19 @@ class TestMysovskiiCheck:
         assert same.lhs_values == (0.0, 0.0)
         assert same.max_ratio == 0.0
 
+    def test_a_squared_distance_that_underflows_is_refused(self):
+        # |p - q| is 1e-170 in theta of unit 0: its square underflowed to
+        # 0.0 and every ratio read 0.0, as for p == q
+        grid = make_grid(1, 64)
+        forward = make_integration(grid)
+        p = Params([1.0, -1.0], [[1.0], [2.0]], [1e-170, 0.5]).flatten()
+        q = Params([1.0, -1.0], [[1.0], [2.0]], [0.0, 0.5]).flatten()
+        with pytest.raises(FloatingPointError, match="underflows to 0"):
+            mysovskii_check([(p, q, (0.5,))], 2, 1, SIGMOID, grid, forward)
+        report, = mysovskii_check([(p, p, (0.5,))], 2, 1, SIGMOID, grid,
+                                  forward)
+        assert report.max_ratio == 0.0
+
     def test_lhs_is_sublinear_in_s(self):
         grid = make_grid(1, 64)
         forward = make_integration(grid)

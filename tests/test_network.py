@@ -350,6 +350,19 @@ class TestLipschitzConstants:
         with pytest.raises(ValueError):
             lipschitz_constants(p, SIGMOID, g, radius=-1.0, samples=2, seed=0)
 
+    def test_an_overflowing_pair_distance_is_refused(self):
+        # the squared distance overflowed to inf, its quotient read 0.0, and
+        # a ball whose every pair overflowed reported a Lipschitz bound of 0
+        g = make_grid(1, 16)
+        p = Params([1.0, -1.0], [[1.0], [2.0]], [0.0, 0.5])
+        box = (-1e307, 1e307)
+        with pytest.raises(FloatingPointError, match="overflow"):
+            lipschitz_constants(p, SIGMOID, g, radius=1e306, samples=2, seed=0,
+                                box=box)
+        c = lipschitz_constants(p, SIGMOID, g, radius=1e100, samples=2, seed=0,
+                                box=box)
+        assert np.isfinite(c.lipschitz_bound)
+
     def test_sample_stack_is_refused_before_allocating(self, monkeypatch):
         g = make_grid(1, 64)
         p = Params([1.0, -1.0], [[1.0], [2.0]], [0.0, 0.5])

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gncoder.activations import Activation
 from gncoder.exceptions import (
     ConfigError,
     GridMismatchError,
@@ -18,12 +19,14 @@ from gncoder.grids import (
     make_grid,
     norm,
 )
+from gncoder.network import jacobian_rows
 from gncoder.operators import (
     make_convolution,
     make_identity,
     make_integration,
     parse_operator,
 )
+from gncoder.sampling import sample_params
 
 
 def random_pair(grid, rng):
@@ -269,6 +272,100 @@ def test_a_shared_operator_cannot_be_changed_by_use(dim):
     first = op.condition_number()
     assert op.condition_number() == first > 1.0
     assert svds == [1]
+
+
+def step_problem(forward, units=3, seed=0):
+    """Jacobian rows and a residual on ``forward``'s grid, for step
+    images."""
+    grid = forward.in_grid
+    rng = np.random.default_rng(seed)
+    p = sample_params(rng, units, grid.dim, box=(-5, 5), alpha_band=1.0)
+    sigmoid = Activation.sigmoid(1.0)
+    rows = jacobian_rows(p.flatten()[None], units, grid.dim, sigmoid, grid)[0]
+    return rows, rng.standard_normal(grid.node_count)
+
+
+class TestStepEigenbasis:
+    """The 2-D Gaussian's truncated eigenbasis and the step image it gives;
+    every other operator hands the step ``√W·[F·J | r]`` itself."""
+
+    @pytest.mark.parametrize("m, width, kept", [
+        (64, 0.05, 53), (128, 0.05, 53), (256, 0.05, 53),
+        (48, 0.1, 27), (64, 0.1, 27), (128, 0.1, 27),
+        (48, 0.05, 48), (16, 0.1, 16)])
+    def test_the_kept_pairs(self, m, width, kept):
+        op = make_convolution(make_grid(2, m), width)
+        values, vectors = op.eigenbasis
+        assert values.shape == (kept,) and vectors.shape == (m, kept)
+        # orthonormal columns, and F₁ U = U Λ to rounding
+        assert np.abs(vectors.T @ vectors - np.eye(kept)).max() < 1e-14
+        residual = op._factor @ vectors - vectors * values
+        assert np.abs(residual).max() < 1e-14 * values[-1]
+        assert values[0] > 4 * np.finfo(float).eps * values[-1]
+
+    def test_the_basis_is_read_only_and_built_once(self, monkeypatch):
+        op = make_convolution(make_grid(2, 64), 0.05)
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(matrix):
+            calls.append(1)
+            return eigh(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        rows, r = step_problem(op)
+        op.step_image(rows, r)
+        values, vectors = op.eigenbasis
+        op.step_image(rows, r, {})
+        assert calls == [1]
+        assert op.eigenbasis[0] is values and op.eigenbasis[1] is vectors
+        for array in (values, vectors):
+            assert array.flags.c_contiguous and not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_construction_builds_no_basis(self, dim):
+        op = parse_operator("gauss:0.05", make_grid(dim, 64))
+        assert "eigenbasis" not in vars(op)
+        if dim == 1:  # nor does the 1-D step
+            op.step_image(*step_problem(op))
+            assert "eigenbasis" not in vars(op)
+
+    @pytest.mark.parametrize("dim, m, operator", [
+        (1, 64, "identity"), (1, 64, "volterra"), (1, 64, "gauss:0.05"),
+        (1, 100, "gauss:0.05"), (2, 16, "identity")])
+    def test_other_step_images_are_the_weighted_augmented_rows(self, dim, m,
+                                                                 operator):
+        forward = parse_operator(operator, make_grid(dim, m))
+        rows, r = step_problem(forward)
+        expected = np.vstack([forward.apply_rows(rows), r])
+        expected *= forward.out_grid.sqrt_weights
+        work = {}
+        image = forward.step_image(rows, r, work)
+        assert image is work["image"]
+        assert image.tobytes() == expected.tobytes()
+        assert forward.step_image(rows, r).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("m, width", [(16, 0.1), (64, 0.05)])
+    def test_the_gaussian_image_keeps_the_weighted_inner_products(self, m,
+                                                                  width):
+        # U ⊗ U has orthonormal columns and drops only rounding-level
+        # directions of F, so the rows of F·J keep their weighted Gram
+        # matrix; all of [F·J | r] does when no pair is dropped
+        forward = make_convolution(make_grid(2, m), width)
+        rows, r = step_problem(forward)
+        full = np.vstack([forward.apply_rows(rows), r])
+        full *= forward.out_grid.sqrt_weights
+        work = {}
+        image = forward.step_image(rows, r, work)
+        k = forward.eigenbasis[0].size
+        assert image is work["image"] and image.shape == (len(rows) + 1, k * k)
+        whole = k == m
+        n = len(rows) + whole
+        gram, expected = image[:n] @ image[:n].T, full[:n] @ full[:n].T
+        assert np.abs(gram - expected).max() < 1e-13 * np.abs(expected).max()
+        assert image.tobytes() == forward.step_image(rows, r).tobytes()
 
 
 def test_injectivity_claims():

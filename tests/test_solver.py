@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from gncoder.activations import Activation
+from gncoder.diagnostics import merge_duplicate
 from gncoder.exceptions import (ConfigError, InsufficientDataError, NumericError,
                                 RankDeficiencyError)
 from gncoder.grids import GridFunction, make_grid, norm, sample_function
-from gncoder.network import Params, eval_psi, jacobian
+from gncoder.network import Params, eval_psi, jacobian, jacobian_rows
 from gncoder.operators import make_identity, make_integration, parse_operator
-from gncoder.pseudoinverse import full_rank, weighted_qr
+from gncoder.pseudoinverse import full_rank, householder_r, weighted_qr
 from gncoder.sampling import sample_params, unit_direction
 from gncoder.solver import (
     STATUS_CONVERGED_RESIDUAL,
@@ -107,6 +108,7 @@ class TestGaussNewtonStep:
 @pytest.mark.parametrize("dim, m, operator", [
     (1, 64, "identity"), (1, 64, "volterra"), (1, 64, "gauss:0.05"),
     (1, 100, "gauss:0.05"), (2, 16, "identity"), (2, 32, "gauss:0.1"),
+    (2, 128, "gauss:0.05"), (2, 64, "gauss:0.1"),
 ])
 def test_step_agrees_with_lstsq_on_the_node_major_image(dim, m, operator):
     # the step factors the augmented rows [F J | r]; its oracle is
@@ -146,6 +148,31 @@ def test_step_agrees_with_lstsq_on_the_node_major_image(dim, m, operator):
         assert diag.rank == rank == p.n_star
         steps += 1
     assert steps > 0
+
+
+@pytest.mark.parametrize("m, operator", [(64, "gauss:0.05"),
+                                         (48, "gauss:0.1")])
+def test_a_duplicated_unit_keeps_the_full_images_rank_error(m, operator):
+    # the 2-D Gaussian step factors the image in the truncated eigenbasis;
+    # its rank gate reads the same deficit as on √W·[F·J | r] itself
+    grid = make_grid(2, m)
+    forward = parse_operator(operator, grid)
+    rng = np.random.default_rng(7)
+    p = merge_duplicate(sample_params(rng, 2, 2, box=(-5, 5), alpha_band=1.0))
+    y = forward.apply(eval_psi(
+        sample_params(rng, 3, 2, box=(-5, 5), alpha_band=1.0), SIGMOID, grid))
+    cfg = SolveConfig(SIGMOID, grid, forward, p, y)
+    r = residual(p, cfg)
+    rows = jacobian_rows(p.flatten()[None], 3, 2, SIGMOID, grid)[0]
+    full = np.vstack([forward.apply_rows(rows), r.values]) * grid.sqrt_weights
+    n = p.n_star
+    with pytest.raises(RankDeficiencyError) as expected:
+        full_rank(householder_r(full)[:n, :n], cfg.rank_tol, "Jacobian")
+    with pytest.raises(RankDeficiencyError) as got:
+        gauss_newton_step(p, cfg, r)
+    assert forward.eigenbasis[0].size < m  # the basis was truncated
+    assert str(got.value) == str(expected.value)
+    assert got.value.deficit == expected.value.deficit > 0
 
 
 class TestSolve:

@@ -2,8 +2,9 @@
 
 ``solve`` builds the Jacobian rows of each iterate into one workspace dict
 and takes ``psi`` from them; every Gauss-Newton step reuses those rows and
-writes the weighted augmented image ``√W·[F·J | r]``, which LAPACK factors
-in place, and LAPACK's arrays into the arrays held there.  These tests pin
+writes the operator's step image (the weighted augmented rows ``√W·[F·J |
+r]``, or their image in the 2-D Gaussian's eigenbasis), which LAPACK
+factors in place, and LAPACK's arrays into the arrays held there.  These tests pin
 that the workspace and the fused iterate change no bit, that the workspace
 dies with the ``solve`` call, and that the layers called without one still
 hand out fresh arrays.
@@ -32,9 +33,10 @@ from gncoder.solver import (IterationTrace, SolveConfig, gauss_newton_step,
 SIGMOID = Activation.sigmoid(1.0)
 
 #: (dim, points_per_axis, operator) of the workspace cases: small grids of
-#: each operator, the 2-D Gaussian among them.
+#: each operator, the 2-D Gaussian among them, once with every eigenpair of
+#: its factor kept and once with 27 of 48.
 SHAPES = [(1, 32, "identity"), (1, 32, "volterra"), (1, 32, "gauss:0.05"),
-          (2, 12, "gauss:0.05")]
+          (2, 12, "gauss:0.05"), (2, 48, "gauss:0.1")]
 
 OPERATORS = ["identity", "volterra", "gauss:0.05"]
 
