@@ -55,17 +55,21 @@ nodes with its 20 probes), drawn as ``gncoder cone`` and ``gncoder
 mysovskii`` draw them at seed 0.  Its ``mysovskii_refused`` stage times
 ``mysovskii_check`` on the draw of seed 110, until it raises
 ``RankDeficiencyError`` at the probe whose derivative at ``p`` has rank
-5 < 6 (one of ``scripts/output_set.py``'s refused seeds).
+5 < 6 (one of ``scripts/output_set.py``'s refused seeds).  Both probes read
+their solves off the R of one augmented QR, so the Mysovskii gate runs
+after the probes' directional derivatives and images, and this stage
+times that whole tail.
 
 Every stage calls the API that both trees share from commit ``fae5941``
 on.  In an older tree a stage that raises ``TypeError`` or
 ``AttributeError`` is reported as skipped and the others still run; a
 stage skipped in one tree prints ``skipped in a tree`` on that side, the
 other side's times, and no ratios.  ``augmented_qr`` is NumPy alone, so it
-runs in any tree, also in one whose step still factors by Gram-Schmidt
-(``weighted_qr`` and ``pinv_apply``) and so never makes that call;
-``householder_r`` and ``independence_qr_svd`` are skipped in a tree older
-than the in-place factorization.
+runs in any tree, also in one whose step still factors by Gram-Schmidt and
+so never makes that call; ``householder_r`` and ``independence_qr_svd``
+are skipped in a tree older than the in-place factorization.  No stage
+times ``weighted_qr`` or ``pinv_apply``, which form and apply ``Q̃`` and
+which no library path calls now.
 
 A fourth shape, independence, runs first and has one stage,
 ``independence_pass``: the benchmark's independence config (2-D, 64x64

@@ -5,7 +5,7 @@ synthesizes candidate solutions with a shallow network whose derivatives are
 hand-coded closed forms (:mod:`~gncoder.network`), composes them with
 ill-posed linear forward operators (:mod:`~gncoder.operators`), and solves
 the resulting nonlinear equation with an undamped Gauss-Newton iteration
-built on an explicitly constructed Moore-Penrose pseudoinverse
+whose Moore-Penrose pseudoinverse is read off one Householder R
 (:mod:`~gncoder.pseudoinverse`, :mod:`~gncoder.solver`).  The
 :mod:`~gncoder.diagnostics` module numerically probes the hypotheses behind
 the method: linear independence of the derivative columns, the
@@ -61,9 +61,8 @@ from .pseudoinverse import (
     QRFactors,
     full_rank,
     pinv_apply,
-    pinv_apply_columns,
+    solve_from_r,
     weighted_qr,
-    weighted_qr_stack,
 )
 from .sampling import sample_in_ball, sample_params, unit_direction
 from .solver import (
@@ -128,15 +127,14 @@ __all__ = [
     "parse_activation",
     "parse_operator",
     "pinv_apply",
-    "pinv_apply_columns",
     "radius_check",
     "sample_function",
     "sample_in_ball",
     "sample_params",
     "second_derivative_bilinear",
     "solve",
+    "solve_from_r",
     "tikhonov_value_grad",
     "unit_direction",
     "weighted_qr",
-    "weighted_qr_stack",
 ]

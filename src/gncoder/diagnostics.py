@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import groupby, islice
 
 import numpy as np
 
@@ -25,15 +25,7 @@ from .network import (Params, _check_dims, _check_jacobian_bytes, _flat_stack,
                       directional_derivatives, eval_psis, jacobian_rows,
                       second_derivative_bilinear)
 from .operators import LinearOperator
-from .pseudoinverse import (
-    DEFAULT_RANK_TOL,
-    _solve_upper,
-    full_rank,
-    householder_r,
-    pinv_apply_columns,
-    weighted_qr,
-    weighted_qr_stack,
-)
+from .pseudoinverse import DEFAULT_RANK_TOL, householder_r, solve_from_r
 from .sampling import DEFAULT_ALPHA_BAND, DEFAULT_BOX, sample_params
 
 @dataclass(frozen=True)
@@ -282,29 +274,35 @@ def cone_check(
     ``p2s`` is a ``(rows, n*)`` stack of flattened points with the unit
     count and input dimension of ``p1``; a stack of another width raises
     :class:`ShapeError` naming both widths, before any Jacobian is built.
-    The Jacobian at ``p1`` is built, mapped and factored once for all of
-    them.  The Jacobians at ``p2s`` are built as rows in chunks that fit in
-    :data:`~gncoder.network.CHUNK_BYTES`
-    (:func:`~gncoder.network.jacobian_rows`), and each one's transition
-    matrix comes from one :func:`~gncoder.pseudoinverse.pinv_apply_columns`
-    call.  Requires full column rank at ``p1``, else raises
-    :class:`RankDeficiencyError`; a row's overflowing distance from ``p1``
-    raises ``FloatingPointError``.
+    The Jacobian rows at ``p1`` are built and mapped once; those at
+    ``p2s`` in chunks that fit in :data:`~gncoder.network.CHUNK_BYTES`
+    (:func:`~gncoder.network.jacobian_rows`).  Each row's transition
+    matrix is read off the R of its own ``√W·[J(p1) | J(p2)]``
+    (:func:`~gncoder.pseudoinverse.solve_from_r`), with one batched R-only
+    QR and one gate a chunk, so no bit depends on the chunk size.  A
+    derivative at ``p1`` short of full column rank raises
+    :class:`RankDeficiencyError` (an empty ``p2s`` gives no reports and no
+    gate); a row's overflowing distance from ``p1``, ``FloatingPointError``.
     """
     units, dim = p1.units, p1.input_dim
     p2s = _flat_stack(p2s, units, dim, "p2s").copy()  # the reports keep rows
     flat1 = p1.flatten()
+    n_star = p1.n_star
     rows1 = jacobian_rows(flat1[None], units, dim, activation, grid)[0]
-    factors = weighted_qr(rows1.T, grid, rank_tol)
-    full_rank(factors.r_matrix, rank_tol, "derivative at p1")
     fj1 = forward.apply_rows(rows1)
     w_out = forward.out_grid.weights
-    n_star = p1.n_star
     reports = []
-    for chunk in _chunks(p2s, lambda _: 8 * grid.node_count * n_star):
-        for p2, rows2 in zip(chunk, jacobian_rows(chunk, units, dim, activation,
-                                                  grid)):
-            transition = pinv_apply_columns(factors, rows2.T)
+    # a point's rows, its pair √W·[J(p1) | J(p2)] and LAPACK's copy of that
+    for chunk in _chunks(p2s, lambda _: 40 * grid.node_count * n_star):
+        rows2s = jacobian_rows(chunk, units, dim, activation, grid)
+        pairs = np.empty((len(chunk), 2 * n_star, grid.node_count))
+        pairs[:, :n_star] = rows1
+        pairs[:, n_star:] = rows2s
+        pairs *= grid.sqrt_weights
+        transitions = solve_from_r(
+            np.linalg.qr(pairs.transpose(0, 2, 1), mode="r"), n_star,
+            rank_tol, "derivative at p1")
+        for p2, rows2, transition in zip(chunk, rows2s, transitions):
             dev = float(np.linalg.norm(transition - np.eye(n_star), 2))
 
             fj2 = forward.apply_rows(rows2)
@@ -363,20 +361,20 @@ def mysovskii_check(
     ``p`` and ``q`` are flattened points of ``units`` units in dimension
     ``dim``; a row of another shape raises :class:`ShapeError` naming both
     shapes, before any Jacobian is built.
-    The Jacobians at every ``p`` are built as rows in one vectorized pass
-    (:func:`~gncoder.network.jacobian_rows`), mapped through ``forward`` in
-    one ``apply_rows`` call and factored in one batched QR
-    (:func:`~gncoder.pseudoinverse.weighted_qr_stack`), then gated in probe
-    order: the first probe whose derivative at ``p`` lacks full column rank
-    raises :class:`RankDeficiencyError`.  The derivatives along ``d = p -
-    q`` at every ``q`` and every segment point ``q + s d`` with ``s > 0``
-    and ``d != 0`` come from one
-    :func:`~gncoder.network.directional_derivatives` pass; each difference
-    is mapped alone, and all are projected with one stacked ``Q̃ᵀ`` product
-    and one stacked triangular solve; an overflowing ``‖p - q‖²``, or one
-    that underflows to 0 for ``p != q``, raises ``FloatingPointError``.
-    Memory grows with the number of probes: :func:`mysovskii_reports` takes
-    any number in bounded memory.
+    The Jacobian rows at every ``p`` are built in one pass
+    (:func:`~gncoder.network.jacobian_rows`) and mapped in one
+    ``apply_rows`` call; the derivatives along ``d = p - q`` at every ``q``
+    and every segment point ``q + s d`` with ``s > 0`` and ``d != 0`` come
+    from one :func:`~gncoder.network.directional_derivatives` pass, and
+    each difference is mapped alone.  Each probe's left-hand sides are read
+    off the R of its ``√W·[F·J(p) | F(diff_s) …]``, a zero column where
+    ``s = 0`` or ``p = q`` (:func:`~gncoder.pseudoinverse.solve_from_r`),
+    consecutive probes of one width in one batched R-only QR, gated in
+    probe order: the first probe whose derivative at ``p`` lacks full
+    column rank raises :class:`RankDeficiencyError`.  An overflowing ``‖p
+    - q‖²``, or one that underflows to 0 for ``p != q``, raises
+    ``FloatingPointError``.  Memory grows with the number of probes:
+    :func:`mysovskii_reports` takes any number in bounded memory.
     """
     probes = list(probes)
     n_star = units * (dim + 2)
@@ -394,8 +392,6 @@ def mysovskii_check(
     points = np.array([p for p, _, _ in probes], dtype=float)
     mapped = forward.apply_rows(jacobian_rows(points, units, dim, activation,
                                               grid))
-    q, r = weighted_qr_stack(mapped.transpose(0, 2, 1), forward.out_grid)
-    full_rank(r, rank_tol, "derivative at p")
 
     bases = np.array([q for _, q, _ in probes], dtype=float)
     steps = points - bases
@@ -413,29 +409,35 @@ def mysovskii_check(
         np.concatenate([bases, bases[owners]
                         + np.array(scales)[:, None] * steps[owners]]),
         np.concatenate([steps, steps[owners]]), units, dim, activation, grid)
-    # one image per difference: the 1-D Gaussian's product over a stack of
-    # rows rounds by the stack's height, which the chunk size sets
-    images = np.empty((len(owners), forward.out_grid.node_count))
-    for image, diff in zip(images, derivs[len(probes):] - derivs[owners]):
-        forward.apply_rows(diff, image)
-    images *= forward.out_grid.sqrt_weights
-    # each segment point against its probe's factors: R c = Q̃ᵀ√W F(diff)
-    solved = _solve_upper(r[owners], q[owners].transpose(0, 2, 1)
-                          @ images[:, :, None])
-    lhs_live = iter(np.linalg.norm(solved[:, :, 0], axis=1).tolist())
+    diffs = iter(derivs[len(probes):] - derivs[owners])
+    lhs_rows = []
+    start = 0
+    for width, run in groupby(len(s_values) for _, _, s_values in probes):
+        stop = start + len(list(run))
+        image = np.zeros((stop - start, n_star + width,
+                          forward.out_grid.node_count))
+        image[:, :n_star] = mapped[start:stop]
+        for columns, (_, _, s_values), dist_sq in zip(
+                image[:, n_star:], probes[start:stop], dists_sq[start:stop]):
+            for column, s in zip(columns, s_values):
+                if dist_sq != 0.0 and s != 0.0:
+                    # one image per difference: the 1-D Gaussian's product
+                    # over a stack of rows rounds by the stack's height
+                    forward.apply_rows(next(diffs), column)
+        image *= forward.out_grid.sqrt_weights
+        solved = solve_from_r(np.linalg.qr(image.transpose(0, 2, 1), mode="r"),
+                              n_star, rank_tol, "derivative at p")
+        lhs_rows += np.linalg.norm(solved, axis=1).tolist()
+        start = stop
 
     reports = []
-    for (_, _, s_values), dist_sq in zip(probes, dists_sq):
+    for (_, _, s_values), dist_sq, norms in zip(probes, dists_sq, lhs_rows):
         lhs_values = []
         ratios = []
-        for s in s_values:
-            if dist_sq == 0.0 or s == 0.0:
-                lhs_values.append(0.0)
-                ratios.append(0.0)
-                continue
-            lhs = next(lhs_live)
-            lhs_values.append(lhs)
-            ratios.append(lhs / (s * dist_sq))
+        for s, lhs in zip(s_values, norms):
+            live = dist_sq != 0.0 and s != 0.0
+            lhs_values.append(lhs if live else 0.0)
+            ratios.append(lhs / (s * dist_sq) if live else 0.0)
         reports.append(
             MysovskiiReport(tuple(s_values), tuple(lhs_values), tuple(ratios)))
     return reports
@@ -455,21 +457,22 @@ def mysovskii_reports(
     yields the reports in order.
 
     ``probes`` is drawn from a chunk at a time, so a lazy iterable keeps the
-    memory flat in the probe count.  A chunk holds, per probe, the Jacobian,
-    its image, the weighted copy that the QR factors and its ``Q̃``, about
-    ``8 n* (node_count + 3 out_nodes)`` bytes, a copy of ``Q̃`` for each of
-    its ``k`` segment points, ``8 k n* out_nodes`` bytes, and the
+    memory flat in the probe count.  A chunk holds, per probe of ``k``
+    segment points, the Jacobian and its image, ``8 n* (node_count +
+    out_nodes)`` bytes, the augmented image that the QR factors and
+    LAPACK's F-ordered copy of it, ``16 (n* + k) out_nodes`` bytes, and the
     directional-derivative pass at ``q`` and at those points, about ``8 (k
-    + 1) node_count (3 N + 2)`` bytes; that is one probe per chunk on a 256
-    x 256 grid.
+    + 1) node_count (3 N + 2)`` bytes.  On a 256 x 256 grid at N = 2 and
+    ``k = 1`` that is about 26 MB, so one probe per chunk.
     """
     out_nodes = forward.out_grid.node_count
+    n_star = units * (dim + 2)
 
     def probe_bytes(probe):
         k = len(probe[2])
         tail = (k + 1) * grid.node_count * (3 * units + 2)
-        return 8 * (units * (dim + 2) * (grid.node_count + (3 + k) * out_nodes)
-                    + tail)
+        return 8 * (n_star * (grid.node_count + out_nodes)
+                    + 2 * (n_star + k) * out_nodes + tail)
 
     for chunk in _chunks(probes, probe_bytes):
         yield from mysovskii_check(chunk, units, dim, activation, grid, forward,

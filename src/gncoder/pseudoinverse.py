@@ -1,18 +1,19 @@
-"""Moore-Penrose machinery over a matrix of function-valued columns.
+"""Weighted least squares over a matrix of function-valued columns.
 
-The engine is LAPACK's Householder QR (``np.linalg.qr``) of a ``(node_count,
-m)`` matrix ``A`` whose columns are nodal values on one grid, scaled by the
-square roots of the quadrature weights: ``√W·A = Q̃R``, so that ``Q̃`` is
-orthonormal and ``R`` keeps the weighted column norms.  A stack of such
-matrices is factored in one batched call.  Column ``k`` counts as dependent
-when ``|R_kk| < rank_tol · max_j ‖√W a_j‖`` (:func:`column_ranks`).  From
-factors that :func:`full_rank` passes we get the Moore-Penrose pseudoinverse
-applied to a grid function, or to every column of a matrix of nodal values,
-as the triangular solve ``R c = Q̃ᵀ√W x``.
-
-The Gauss-Newton step and the independence trials form R alone, in place,
-with LAPACK's ``dgeqrf`` on the caller's buffer (:func:`householder_r`),
-the routine that ``np.linalg.qr`` runs on two copies of it.
+Every least-squares solve reads its answer off one R, that of LAPACK's
+Householder QR of ``√W·[A | X]``, whose columns are nodal values on one
+grid scaled by the square roots of the quadrature weights.  R's leading
+block ``R₁₁`` is the R of ``√W·A`` and its top-right block is ``Q̃ᵀ√W X``,
+so the pseudoinverse of ``A`` applied to ``X`` is one triangular solve
+(:func:`solve_from_r`; Björck, *Numerical Methods for Least Squares
+Problems*, SIAM 1996, §2.4) and ``Q̃`` is never formed.  Column ``k`` of
+``A`` is dependent when ``|R_kk| < rank_tol · max_j ‖√W a_j‖``
+(:func:`column_ranks`), and :func:`full_rank` is the one gate.  The
+Gauss-Newton step and the independence trials form R in place
+(:func:`householder_r`); the probes factor stacks with one batched
+``np.linalg.qr(..., mode="r")``.  :func:`weighted_qr`, :class:`QRFactors`
+and :func:`pinv_apply` form and apply ``Q̃``: no library path calls them,
+and they stay as the tests' reference, which the benchmark's tracer names.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from numpy.linalg import lapack_lite
 
-from .exceptions import GridMismatchError, RankDeficiencyError
+from .exceptions import GridMismatchError, NumericError, RankDeficiencyError
 from .grids import Grid, GridFunction
 
 DEFAULT_RANK_TOL = 1e-10
@@ -33,7 +34,8 @@ DEFAULT_RANK_TOL = 1e-10
 class QRFactors:
     """Householder QR ``√W·A = Q̃R`` of a column matrix ``A`` on one grid:
     ``q_matrix`` holds ``Q̃``, ``r_matrix`` the upper-triangular ``R``, one
-    column per column of ``A``, and ``rank`` is :func:`column_ranks` of R."""
+    column per column of ``A``, and ``rank`` is :func:`column_ranks` of R.
+    A test reference only, as is :func:`weighted_qr` (module docstring)."""
 
     grid: Grid
     q_matrix: np.ndarray  # (node_count, min(node_count, n))
@@ -54,7 +56,8 @@ def column_ranks(r: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL):
     or of each R of a ``(..., m, n)`` stack as an integer array.  Column
     ``k`` is dependent when ``|R_kk|`` is below ``rank_tol`` (positive, else
     ``ValueError``) times R's largest column norm, that of ``√W·A`` for the R
-    of ``√W·A``.  A zero R has rank 0; a NaN in R reads as full rank."""
+    of ``√W·A``.  A zero R has rank 0; a NaN in R reads as full rank, so
+    :func:`solve_from_r` refuses a non-finite R before it gates."""
     if not rank_tol > 0:
         raise ValueError(f"rank_tol must be positive, got {rank_tol}")
     # ufunc reductions: np.sum and np.max cost more than the rule on a 6x6 R
@@ -129,29 +132,17 @@ def weighted_qr(
     matrix: np.ndarray, grid: Grid, rank_tol: float = DEFAULT_RANK_TOL,
 ) -> QRFactors:
     """Householder QR of the columns of ``matrix`` in the weighted inner
-    product: the one-matrix case of :func:`weighted_qr_stack`.
+    product, ``Q̃`` formed: one ``np.linalg.qr`` of ``√W·matrix``.
     :class:`GridMismatchError` unless ``matrix`` has one row per node of
-    ``grid``, ``ValueError`` unless ``rank_tol`` is positive."""
+    ``grid``, ``ValueError`` unless ``rank_tol`` is positive and ``matrix``
+    has a column.  No library path calls it (module docstring)."""
     _check_rows(matrix, grid)
     if not rank_tol > 0:
         raise ValueError(f"rank_tol must be positive, got {rank_tol}")
-    q, r = weighted_qr_stack(matrix[None], grid)
-    return QRFactors(grid, q[0], r[0], rank_tol)
-
-
-def weighted_qr_stack(matrices: np.ndarray,
-                      grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """The stacked ``(q, r)`` of one batched ``np.linalg.qr`` of
-    ``√W·matrices``, a ``(count, node_count, m)`` stack: ``q[b]`` and
-    ``r[b]`` are the ``Q̃`` and ``R`` of member ``b``."""
-    if matrices.ndim != 3 or matrices.shape[1] != grid.node_count:
-        raise GridMismatchError(
-            f"expected a stack of matrices with {grid.node_count} rows, got "
-            f"shape {matrices.shape}"
-        )
-    if matrices.shape[2] == 0:
+    if matrix.shape[1] == 0:
         raise ValueError("need at least one column")
-    return np.linalg.qr(matrices * grid.sqrt_weights[:, None])
+    q, r = np.linalg.qr(matrix * grid.sqrt_weights[:, None])
+    return QRFactors(grid, q, r, rank_tol)
 
 
 def full_rank(r: np.ndarray, rank_tol: float, what: str) -> np.ndarray:
@@ -169,29 +160,34 @@ def full_rank(r: np.ndarray, rank_tol: float, what: str) -> np.ndarray:
     return r
 
 
-def pinv_apply(factors: QRFactors, x: GridFunction) -> np.ndarray:
-    """Apply the Moore-Penrose pseudoinverse of the column family to ``x``.
+def solve_from_r(r: np.ndarray, n: int, rank_tol: float,
+                 what: str) -> np.ndarray:
+    """The least-squares solution read off ``r``, the R of ``√W·[A | X]``
+    for an ``n``-column ``A``, or each R of a ``(..., rows, n + k)`` stack:
+    the ``(..., n, k)`` solution ``C`` of ``R₁₁ C = R₁₂``, ``R₁₁ = r[...,
+    :n, :n]`` and ``R₁₂ = r[..., :n, n:]``, which is the pseudoinverse of
+    ``A`` applied to ``X``.  :class:`NumericError` naming ``what`` if ``r``
+    holds an infinity or a NaN; :class:`RankDeficiencyError` from
+    :func:`full_rank` on ``R₁₁``, at the first deficient R of a stack.
+    The solve is :func:`_solve_upper`'s, its finite checks taken on R."""
+    if not np.isfinite(r).all():
+        raise NumericError(f"{what}: the augmented R is not finite")
+    return np.linalg.solve(full_rank(r[..., :n, :n], rank_tol, what),
+                           r[..., :n, n:])
 
-    Returns the coefficient vector ``c`` (length ``column_count``) of the
-    weighted projection of ``x`` in the original columns: the one-column
-    case of :func:`pinv_apply_columns`.
-    """
+
+def pinv_apply(factors: QRFactors, x: GridFunction) -> np.ndarray:
+    """Apply the Moore-Penrose pseudoinverse of the column family to ``x``:
+    the coefficient vector ``c`` (length ``column_count``) of the weighted
+    projection of ``x`` in the original columns, solved from ``R c =
+    Q̃ᵀ√W x``.  :class:`GridMismatchError` if ``x`` lives on another grid,
+    :class:`RankDeficiencyError` if the factors fall short of full column
+    rank, ``ValueError`` if ``x`` or R holds an infinity or a NaN.  The
+    Q-forming reference of :func:`solve_from_r`; no library path calls it."""
     if x.grid != factors.grid:
         raise GridMismatchError("input lives on a different grid than the factors")
-    return pinv_apply_columns(factors, x.values[:, None])[:, 0]
-
-
-def pinv_apply_columns(factors: QRFactors, matrix: np.ndarray) -> np.ndarray:
-    """:func:`pinv_apply` of every column of a ``(node_count, m)`` array of
-    nodal values on the factors' grid: the ``(column_count, m)`` solution of
-    ``R C = Q̃ᵀ√W·matrix``, one matrix product and one triangular solve.
-
-    Raises :class:`RankDeficiencyError` if the factors fall short of full
-    column rank, and ``ValueError`` if ``matrix`` holds an infinity or a NaN.
-    """
-    _check_rows(matrix, factors.grid)
     full_rank(factors.r_matrix, factors.rank_tol, "the factored matrix")
-    weighted = factors.grid.sqrt_weights[:, None] * matrix
+    weighted = factors.grid.sqrt_weights * x.values
     return _solve_upper(factors.r_matrix, factors.q_matrix.T @ weighted)
 
 

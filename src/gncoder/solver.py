@@ -43,7 +43,7 @@ from .network import (DEFAULT_PARAM_BOX, ConvergenceConstants, Params,
                       _check_jacobian_bytes, _jacobian_matrices, eval_psi,
                       jacobian_rows)
 from .operators import LinearOperator
-from .pseudoinverse import _solve_upper, full_rank, held, householder_r
+from .pseudoinverse import held, householder_r, solve_from_r
 
 MODE_GAUSS_NEWTON = "gauss_newton"
 MODE_GRADIENT_DESCENT = "gradient_descent"
@@ -181,11 +181,12 @@ def gauss_newton_step(
     ``J_k`` (:func:`~gncoder.network.jacobian_rows`) and ``r``:
     ``√W·[J_k | r]`` itself, or under the 2-D Gaussian its ``k²``-row
     image in the operator's truncated eigenbasis, whose least-squares
-    solution is the same up to rounding.  The top of R's last column is
-    ``Q̃ᵀ√W r``, so the update is one triangular solve against R's leading
-    block, which :func:`~gncoder.pseudoinverse.full_rank` gates: a Jacobian
-    short of full column rank under ``cfg.rank_tol`` raises
-    :class:`RankDeficiencyError`, a non-finite update :class:`NumericError`.
+    solution is the same up to rounding.  The update is read off that R
+    (:func:`~gncoder.pseudoinverse.solve_from_r`): the top of its last
+    column is ``Q̃ᵀ√W r``, solved against its gated leading block.  A
+    Jacobian short of full column rank under ``cfg.rank_tol`` raises
+    :class:`RankDeficiencyError`; a non-finite R, as from a NaN in the
+    residual, or a non-finite update raises :class:`NumericError`.
     Given a step workspace ``work`` (:func:`~gncoder.pseudoinverse.held`),
     the rows, the image and LAPACK's arrays reuse its arrays; a step at
     ``work["at"]``, the point whose rows :func:`solve` has just built into
@@ -203,8 +204,7 @@ def gauss_newton_step(
     # matrix that LAPACK factors where it lies
     image = cfg.forward.step_image(rows, residual.values, work)
     r = householder_r(image, work)
-    delta = _solve_upper(full_rank(r[:n, :n], cfg.rank_tol, "Jacobian"),
-                         r[:n, n])
+    delta = solve_from_r(r, n, cfg.rank_tol, "Jacobian")[:, 0]
     new_flat = flat - delta
     if not np.all(np.isfinite(new_flat)):
         raise NumericError("Gauss-Newton update produced non-finite parameters")

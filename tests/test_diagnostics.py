@@ -40,8 +40,9 @@ from gncoder.operators import (
     make_integration,
     parse_operator,
 )
+from gncoder import pseudoinverse
 from gncoder.pseudoinverse import (full_rank, householder_r, pinv_apply,
-                                   pinv_apply_columns, weighted_qr)
+                                   solve_from_r, weighted_qr)
 from gncoder.sampling import sample_params, unit_direction
 from node_major import node_major_image
 
@@ -423,18 +424,19 @@ def node_major_cone(p1, p2s, activation, grid, forward, rank_tol=1e-10):
     """``cone_check`` on node-major Jacobians, the C-ordered
     :func:`jacobian` at each point and its images by
     :func:`node_major_image`, with whole-array sums over F-ordered images,
-    as the cone ran before it took rows: its oracle, as ``(r_matrix, dev,
-    decomposition_residual, ratio)`` per point."""
+    as the cone ran before it took rows, each transition solved from the
+    R-only QR of the node-major ``√W·[jac1 | jac2]``: its oracle, as
+    ``(r_matrix, dev, decomposition_residual, ratio)`` per point."""
     jac1 = jacobian(p1, activation, grid)
-    factors = weighted_qr(jac1, grid, rank_tol)
-    full_rank(factors.r_matrix, rank_tol, "derivative at p1")
     fj1 = node_major_image(forward, jac1)
     w_out = forward.out_grid.weights[:, None]
+    root = np.sqrt(grid.weights)[:, None]
     out = []
     for p2 in p2s:
         jac2 = jacobian(Params.from_flat(p2, p1.units, p1.input_dim),
                         activation, grid)
-        transition = pinv_apply_columns(factors, jac2)
+        r = np.linalg.qr(root * np.hstack([jac1, jac2]), mode="r")
+        transition = solve_from_r(r, p1.n_star, rank_tol, "derivative at p1")
         dev = float(np.linalg.norm(transition - np.eye(p1.n_star), 2))
         fj2 = node_major_image(forward, jac2)
         defect = fj2 - fj1 @ transition
@@ -511,9 +513,9 @@ class TestConeTail:
                                alpha_band=1.0)
             p2s = np.array([p1.flatten() + t * unit_direction(rng, p1.n_star)
                             for t in (0.5, 0.1, 1e-2, 1e-3, 0.0)])
-            # chunks of two Jacobians: 2, 2 and 1
+            # chunks of two points: 2, 2 and 1
             monkeypatch.setattr(network, "CHUNK_BYTES",
-                                2 * 8 * grid.node_count * p1.n_star)
+                                2 * 40 * grid.node_count * p1.n_star)
             try:
                 expected = node_major_cone(p1, p2s, activation, grid, forward)
             except RankDeficiencyError as err:
@@ -533,23 +535,26 @@ class TestConeTail:
             compared += 1
         assert (compared > 0) == (activation.kind != "relu")
 
-    def test_base_point_is_factored_from_a_rows_view(self, monkeypatch):
+    @pytest.mark.parametrize("per_chunk, gates", [(1, 5), (2, 3), (5, 1)])
+    def test_the_gate_runs_once_a_chunk(self, monkeypatch, per_chunk, gates):
         grid = make_grid(1, 64)
-        p1, p2s = tail_points(grid, 0, 2)
+        p1, p2s = tail_points(grid, 0, 5)
+        monkeypatch.setattr(network, "CHUNK_BYTES",
+                            per_chunk * 40 * grid.node_count * p1.n_star)
         seen = []
-        qr = diagnostics.weighted_qr
+        gate = pseudoinverse.full_rank
 
-        def spy_qr(matrix, *args):
-            seen.append(matrix)
-            return qr(matrix, *args)
+        def spy(r, *args):
+            seen.append(r.shape)
+            return gate(r, *args)
 
-        monkeypatch.setattr(diagnostics, "weighted_qr", spy_qr)
-        cone_check(p1, [p.flatten() for p in p2s], SIGMOID, grid,
-                   make_integration(grid))
-        matrix, = seen
-        # the transposed view of C-ordered rows, with no transposing copy
-        assert matrix.shape == (grid.node_count, p1.n_star)
-        assert matrix.T.flags.c_contiguous and not matrix.flags.owndata
+        monkeypatch.setattr(pseudoinverse, "full_rank", spy)
+        reports = cone_check(p1, [p.flatten() for p in p2s], SIGMOID, grid,
+                             make_integration(grid))
+        assert len(reports) == 5 and len(seen) == gates
+        # each gate takes the chunk's stack of leading n* x n* blocks
+        assert sum(shape[0] for shape in seen) == 5
+        assert {shape[1:] for shape in seen} == {(p1.n_star, p1.n_star)}
 
     def test_mismatched_point_is_a_shape_error_before_any_jacobian(
         self, monkeypatch

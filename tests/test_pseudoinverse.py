@@ -10,7 +10,8 @@ import gncoder
 from gncoder import pseudoinverse
 from gncoder.activations import Activation
 from gncoder.diagnostics import cone_check, merge_duplicate, mysovskii_check
-from gncoder.exceptions import GridMismatchError, RankDeficiencyError
+from gncoder.exceptions import (GridMismatchError, NumericError,
+                                RankDeficiencyError)
 from gncoder.grids import GridFunction, constant, inner_product, make_grid, norm
 from gncoder.network import (ConvergenceConstants, Params, eval_psi, jacobian,
                              jacobian_rows)
@@ -21,9 +22,8 @@ from gncoder.pseudoinverse import (
     full_rank,
     householder_r,
     pinv_apply,
-    pinv_apply_columns,
+    solve_from_r,
     weighted_qr,
-    weighted_qr_stack,
 )
 from gncoder.solver import SolveConfig, gauss_newton_step
 from moore_penrose import mp_residuals, project
@@ -128,6 +128,21 @@ class TestWeightedQR:
     def test_row_count_mismatch_rejected(self):
         with pytest.raises(GridMismatchError):
             weighted_qr(stack([constant(make_grid(1, 32), 1.0)]), GRID)
+        with pytest.raises(GridMismatchError):
+            weighted_qr(np.ones((2, GRID.node_count, 3)), GRID)
+
+    def test_no_column_is_refused(self):
+        with pytest.raises(ValueError, match="^need at least one column$"):
+            weighted_qr(np.ones((GRID.node_count, 0)), GRID)
+
+    @pytest.mark.parametrize("grid", [make_grid(1, 64), make_grid(2, 256)])
+    def test_is_one_numpy_qr_of_the_weighted_matrix(self, grid):
+        matrix = np.asfortranarray(oracle_matrix("duplicate", grid, 6, 1))
+        f = weighted_qr(matrix, grid)
+        q, r = np.linalg.qr(np.sqrt(grid.weights)[:, None] * matrix)
+        assert f.q_matrix.shape == (grid.node_count, 6)
+        assert f.q_matrix.tobytes() == q.tobytes()
+        assert f.r_matrix.tobytes() == r.tobytes()
 
 
 def r_rank(r, rank_tol=1e-10):
@@ -358,22 +373,43 @@ def lstsq_oracle(matrix, grid, x):
                            rcond=None)[0]
 
 
+def weighted_r(matrices, grid):
+    """The R-only ``np.linalg.qr`` of ``√W·matrices``, one matrix or each
+    member of a stack."""
+    return np.linalg.qr(matrices * np.sqrt(grid.weights)[:, None], mode="r")
+
+
+def augmented_r(matrix, grid, x):
+    """:func:`weighted_r` of ``[matrix | x]``, or of each member of stacks
+    of them."""
+    return weighted_r(np.concatenate([matrix, x], axis=-1), grid)
+
+
 def check_against_oracles(f, matrix, grid, kind):
     """``f`` factors ``matrix`` of ``kind``: its rank, its reconstruction and,
-    at full rank, its pseudoinverse against ``np.linalg.lstsq`` and the four
-    Moore-Penrose identities, to 1e-10 relative."""
+    at full rank, its pseudoinverse, by ``pinv_apply`` and by
+    :func:`solve_from_r` on the augmented R, against ``np.linalg.lstsq`` and
+    the four Moore-Penrose identities, to 1e-10 relative."""
     n = matrix.shape[1]
     assert f.rank == KIND_RANK[kind](n) and f.column_count == n
     weighted = np.sqrt(grid.weights)[:, None] * matrix
     scale = max(np.linalg.norm(weighted, axis=0).max(), 1e-300)
     assert np.abs(f.q_matrix @ f.r_matrix - weighted).max() <= 1e-12 * scale
+    x = np.random.default_rng(n).standard_normal((grid.node_count, 3))
+    r = augmented_r(matrix, grid, x)
+    assert column_ranks(r[:n, :n]) == f.rank
     if f.rank < n:
         with pytest.raises(RankDeficiencyError):
-            pinv_apply_columns(f, matrix)
+            pinv_apply(f, GridFunction(grid, x[:, 0]))
+        with pytest.raises(RankDeficiencyError):
+            solve_from_r(r, n, 1e-10, "matrix")
         return
-    x = np.random.default_rng(n).standard_normal((grid.node_count, 3))
-    got, expected = pinv_apply_columns(f, x), lstsq_oracle(matrix, grid, x)
-    assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
+    expected = lstsq_oracle(matrix, grid, x)
+    for got in (np.column_stack([pinv_apply(f, GridFunction(grid, column))
+                                 for column in x.T]),
+                solve_from_r(r, n, 1e-10, "matrix")):
+        assert np.linalg.norm(got - expected) <= (
+            1e-10 * np.linalg.norm(expected))
     if grid.node_count <= 4096:
         assert mp_residuals(matrix, f).max() < 1e-10
 
@@ -417,72 +453,94 @@ STACK_CASES = [
 ]
 
 
-def stack_factors(matrices, grid):
-    """The members of a stacked factorization as :class:`QRFactors`, for
-    the oracles."""
-    q, r = weighted_qr_stack(matrices, grid)
-    assert q.shape == (len(matrices), grid.node_count, r.shape[1])
-    return [QRFactors(grid, qb, rb) for qb, rb in zip(q, r)]
-
-
-class TestWeightedQRStack:
-    """Every member of a batched factorization against the oracles."""
+class TestSolveFromR:
+    """The one least-squares read-off, on one augmented R or a stack."""
 
     @pytest.mark.parametrize("case", range(len(STACK_CASES)))
     def test_stacks_of_one_three_and_twenty(self, case):
+        # each member as the oracles have it, and as it is alone, bitwise:
+        # a batched QR and solve take one member at a time
         grid, ncols, kinds, layout = STACK_CASES[case]
         for count in (1, 3, 20):
             members = [oracle_matrix(kinds[b % len(kinds)], grid, ncols,
                                      100 * case + b) for b in range(count)]
-            matrices = np.stack(members)
+            xs = np.random.default_rng(case).standard_normal(
+                (count, grid.node_count, 2))
+            r = augmented_r(np.stack(members), grid, xs)
             if layout == "F":
-                matrices = np.asfortranarray(matrices)
-            before = matrices.copy()
-            factors = stack_factors(matrices, grid)
-            assert len(factors) == count
-            for b, f in enumerate(factors):
-                check_against_oracles(f, members[b], grid,
-                                      kinds[b % len(kinds)])
-            assert matrices.tobytes() == before.tobytes()
+                r = np.asfortranarray(r)
+            before = r.copy()
+            ranks = [KIND_RANK[kinds[b % len(kinds)]](ncols)
+                     for b in range(count)]
+            assert column_ranks(r[:, :ncols, :ncols]).tolist() == ranks
+            if min(ranks) < ncols:
+                first = next(b for b, rank in enumerate(ranks) if rank < ncols)
+                with pytest.raises(RankDeficiencyError,
+                                   match=f"^A has rank {ranks[first]} < "
+                                         f"{ncols}$"):
+                    solve_from_r(r, ncols, 1e-10, "A")
+                continue
+            solved = solve_from_r(r, ncols, 1e-10, "A")
+            assert solved.shape == (count, ncols, 2)
+            for b, member in enumerate(members):
+                expected = lstsq_oracle(member, grid, xs[b])
+                assert np.linalg.norm(solved[b] - expected) <= (
+                    1e-10 * np.linalg.norm(expected))
+                alone = solve_from_r(r[b], ncols, 1e-10, "A")
+                assert alone.tobytes() == solved[b].tobytes()
+            assert r.tobytes() == before.tobytes()
 
-    def test_a_non_finite_member_leaves_the_others_alone(self):
+    def test_is_the_triangular_solve_against_the_top_right_block(self):
+        rng = np.random.default_rng(71)
+        r = np.triu(rng.standard_normal((9, 9)) + 3.0 * np.eye(9))
+        for n in (1, 4, 8):
+            solved = solve_from_r(r, n, 1e-10, "A")
+            assert solved.shape == (n, 9 - n)
+            assert solved.tobytes() == pseudoinverse._solve_upper(
+                r[:n, :n], r[:n, n:]).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (1, 3), (3, 3)])
+    def test_a_non_finite_r_is_a_numeric_error(self, bad, where):
+        # full_rank reads a NaN as full rank, and the solve would raise
+        # ValueError, which the CLI reports as a bad configuration
+        r = upper_factors(4, np.random.default_rng(7)).r_matrix
+        r[where] = bad
+        with pytest.raises(NumericError,
+                           match="^derivative at p: the augmented R is not "
+                                 "finite$"):
+            solve_from_r(r, 3, 1e-10, "derivative at p")
+
+    def test_a_non_finite_member_of_a_stack_is_a_numeric_error(self):
         grid = make_grid(1, 64)
-        members = [oracle_matrix("plain", grid, 5, seed) for seed in range(3)]
-        members[1][7, 2] = np.nan
-        factors = stack_factors(np.stack(members), grid)
-        for b in (0, 2):
-            check_against_oracles(factors[b], members[b], grid, "plain")
-        with pytest.raises(ValueError, match="^array must not contain"):
-            pinv_apply_columns(factors[1], members[1])
+        members = np.stack([oracle_matrix("plain", grid, 5, seed)
+                            for seed in range(3)])
+        xs = np.ones((3, grid.node_count, 1))
+        r = augmented_r(members, grid, xs)
+        ahead = solve_from_r(r[:1], 5, 1e-10, "A")
+        r[1, 2, 4] = np.nan
+        with pytest.raises(NumericError, match="^A: the augmented R is not"):
+            solve_from_r(r, 5, 1e-10, "A")
+        # the members around it still solve, to the same bits
+        assert solve_from_r(r[:1], 5, 1e-10, "A").tobytes() == ahead.tobytes()
+        solve_from_r(r[2], 5, 1e-10, "A")
 
-    def test_tall_matrix_alone(self):
-        grid = make_grid(2, 256)
-        matrix = oracle_matrix("plain", grid, 12, 0)
-        f, = stack_factors(matrix[None], grid)
-        check_against_oracles(f, matrix, grid, "plain")
-        assert f.q_matrix.shape == (grid.node_count, 12)
-        assert f.r_matrix.shape == (12, 12)
-
-    def test_weighted_qr_is_the_stack_of_one(self):
-        grid = make_grid(1, 64)
-        matrix = np.asfortranarray(oracle_matrix("duplicate", grid, 6, 1))
-        f = weighted_qr(matrix, grid)
-        g, = stack_factors(matrix[None], grid)
-        assert f.rank == g.rank
-        assert f.q_matrix.tobytes() == g.q_matrix.tobytes()
-        assert f.r_matrix.tobytes() == g.r_matrix.tobytes()
-
-    def test_rejects_a_matrix_for_a_stack(self):
-        with pytest.raises(GridMismatchError):
-            weighted_qr_stack(np.ones((64, 3)), GRID)
-        with pytest.raises(ValueError, match="^need at least one column$"):
-            weighted_qr_stack(np.ones((2, 64, 0)), GRID)
+    def test_a_nan_residual_fails_the_step_as_a_numeric_error(self):
+        p = Params([1.5, -1.0], [[2.0], [-1.5]], [0.2, 0.8])
+        forward = make_integration(GRID)
+        residual = forward.apply(eval_psi(p, Activation.sigmoid(1.0), GRID))
+        values = residual.values.copy()
+        values[5] = np.nan
+        cfg = SolveConfig(Activation.sigmoid(1.0), GRID, forward, p,
+                          constant(GRID, 0.0))
+        with pytest.raises(NumericError,
+                           match="^Jacobian: the augmented R is not finite$"):
+            gauss_newton_step(p, cfg, GridFunction(GRID, values))
 
 
 class TestTransposedRowsView:
-    """A transposed view of C-ordered node-minor rows, as
-    ``mysovskii_check`` and the cone pass them, factors as the C-ordered
-    matrices do."""
+    """A transposed view of C-ordered node-minor rows factors as the
+    C-ordered matrix does."""
 
     @pytest.mark.parametrize("kinds", [("plain",), ("plain", "plain", "plain"),
                                        ("plain", "duplicate", "zero")])
@@ -492,16 +550,14 @@ class TestTransposedRowsView:
         matrices = np.stack([oracle_matrix(kind, grid, 6, nodes + b)
                              for b, kind in enumerate(kinds)])
         rows = np.ascontiguousarray(matrices.transpose(0, 2, 1))
-        from_view = stack_factors(rows.transpose(0, 2, 1), grid)
-        alone = [weighted_qr(r.T, grid) for r in rows]
         for b, kind in enumerate(kinds):
-            for f in (from_view[b], alone[b]):
-                check_against_oracles(f, matrices[b], grid, kind)
+            check_against_oracles(weighted_qr(rows[b].T, grid), matrices[b],
+                                  grid, kind)
 
 
 class TestGatedStack:
-    """:func:`full_rank` takes a stack's R in order, as ``mysovskii_check``
-    gates its probes."""
+    """:func:`full_rank` takes a stack's R in order, as the probes gate
+    theirs."""
 
     def test_raises_at_the_first_deficient_matrix_in_stack_order(self):
         rng = np.random.default_rng(53)
@@ -510,12 +566,9 @@ class TestGatedStack:
         deficient = stack(base + [base[0] + base[1]])
         zero = np.zeros((GRID.node_count, 3))
         matrices = np.stack(full[:2] + [deficient] + full[2:] + [zero])
-        q, r = weighted_qr_stack(matrices, GRID)
+        r = weighted_r(matrices, GRID)
         ahead = r[:2]
         assert full_rank(ahead, 1e-10, "derivative at p") is ahead
-        for b, matrix in enumerate(full[:2]):
-            check_against_oracles(QRFactors(GRID, q[b], r[b]), matrix, GRID,
-                                  "plain")
         for order, (rank, deficit) in ((slice(None), (2, 1)),
                                        (slice(None, None, -1), (0, 3))):
             with pytest.raises(RankDeficiencyError) as err:
@@ -526,7 +579,7 @@ class TestGatedStack:
     def test_a_zero_member_has_rank_0_when_it_is_reached(self):
         matrices = np.stack([oracle_matrix(kind, GRID, 4, seed) for seed, kind
                              in enumerate(("plain", "zero", "plain"))])
-        _, r = weighted_qr_stack(matrices, GRID)
+        r = weighted_r(matrices, GRID)
         first = r[0]
         assert full_rank(first, 1e-10, "derivative at p") is first
         with pytest.raises(RankDeficiencyError,
@@ -542,11 +595,11 @@ class TestGatedStack:
         # member's third column
         members[1][:, 4] = 0.5 * members[1][:, 0] + 0.25 * members[1][:, 3]
         members[2][:, 0] = 0.0
-        _, r = weighted_qr_stack(np.stack(members), grid)
+        r = weighted_r(np.stack(members), grid)
         assert column_ranks(r).tolist() == [5, 4, 4, 5]
         for m in members:
             m[:, 2] = 2.0 * m[:, 3]
-        _, r = weighted_qr_stack(np.stack(members), grid)
+        r = weighted_r(np.stack(members), grid)
         assert column_ranks(r).tolist() == [4, 3, 3, 4]
 
 
@@ -619,100 +672,6 @@ class TestTriangularSolve:
             pseudoinverse._solve_upper(r, np.ones(4))
 
 
-def column_by_column(factors, matrix):
-    """``pinv_apply`` of each column in turn; an error comes back as
-    ``(type, message)``."""
-    out = np.empty((factors.column_count, matrix.shape[1]))
-    try:
-        for j in range(matrix.shape[1]):
-            out[:, j] = pinv_apply(factors, GridFunction(factors.grid, matrix[:, j]))
-    except (ValueError, np.linalg.LinAlgError, RankDeficiencyError) as err:
-        return type(err), str(err)
-    return out
-
-
-def columns_outcome(factors, matrix):
-    try:
-        return pinv_apply_columns(factors, matrix)
-    except (ValueError, np.linalg.LinAlgError, RankDeficiencyError) as err:
-        return type(err), str(err)
-
-
-class TestPinvApplyColumns:
-    """``pinv_apply_columns`` is ``pinv_apply`` of each column."""
-
-    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
-    @pytest.mark.parametrize("n", [1, 3, 6, 12])
-    def test_equals_pinv_apply_of_each_column(self, n, layout):
-        rng = np.random.default_rng(200 + n)
-        cols = random_columns(n, rng)
-        f = weighted_qr(stack(cols), GRID)
-        for m in (1, n, 2 * n + 1):
-            matrix = rng.standard_normal((GRID.node_count, 2 * m))
-            matrix = {"C": np.ascontiguousarray(matrix[:, :m]),
-                      "F": np.asfortranarray(matrix[:, :m]),
-                      "strided": matrix[:, ::2]}[layout]
-            out = pinv_apply_columns(f, matrix)
-            assert out.shape == (n, m)
-            for j in range(m):
-                one = pinv_apply(f, GridFunction(GRID, matrix[:, j]))
-                assert np.linalg.norm(out[:, j] - one) <= 1e-12 * np.linalg.norm(one)
-            expected = lstsq_oracle(stack(cols), GRID, matrix)
-            assert np.linalg.norm(out - expected) <= 1e-10 * np.linalg.norm(expected)
-
-    @pytest.mark.parametrize("rank", [2, 0])
-    def test_deficient_factors_are_refused(self, rank):
-        base = random_columns(2, np.random.default_rng(31))
-        matrix = stack(base + [base[0] - base[1]]) if rank else np.zeros(
-            (GRID.node_count, 3))
-        f = weighted_qr(matrix, GRID)
-        x = GridFunction(GRID, np.ones(GRID.node_count))
-        for call in (lambda: pinv_apply(f, x),
-                     lambda: pinv_apply_columns(f, np.ones((GRID.node_count, 2)))):
-            with pytest.raises(RankDeficiencyError,
-                               match=f"^the factored matrix has rank {rank} < 3$"):
-                call()
-
-    @pytest.mark.parametrize("bad_column", [None, 0, 2])
-    @pytest.mark.parametrize("defect", ["none", "non-finite r", "zero diagonal"])
-    def test_errors_are_those_of_the_column_loop(self, defect, bad_column):
-        f = upper_factors(4, np.random.default_rng(11))
-        r = f.r_matrix.copy()
-        if defect == "non-finite r":
-            r[1, 3] = np.inf
-        elif defect == "zero diagonal":
-            r[2, 2] = 0.0
-        f = QRFactors(GRID, f.q_matrix, r)
-        matrix = np.ones((GRID.node_count, 4))
-        if bad_column is not None:
-            matrix[9, bad_column] = np.nan
-        outcome = columns_outcome(f, matrix)
-        expected = column_by_column(f, matrix)
-        if isinstance(expected, tuple):
-            assert outcome == expected
-        else:
-            assert np.linalg.norm(outcome - expected) <= (
-                1e-12 * np.linalg.norm(expected))
-
-    def test_no_column_gives_an_empty_result(self):
-        f = upper_factors(4, np.random.default_rng(11))
-        assert pinv_apply_columns(f, np.ones((GRID.node_count, 0))).shape == (4, 0)
-
-    def test_wrong_row_count_is_a_grid_mismatch(self):
-        f = upper_factors(2, np.random.default_rng(3))
-        for bad in (np.ones((GRID.node_count + 1, 2)), np.ones(GRID.node_count)):
-            with pytest.raises(GridMismatchError):
-                pinv_apply_columns(f, bad)
-
-    def test_input_is_not_written(self):
-        rng = np.random.default_rng(5)
-        f = weighted_qr(stack(random_columns(3, rng)), GRID)
-        matrix = rng.standard_normal((GRID.node_count, 3))
-        before = matrix.copy()
-        pinv_apply_columns(f, matrix)
-        assert np.array_equal(matrix, before)
-
-
 class TestProject:
     def test_fixes_vectors_in_span(self):
         rng = np.random.default_rng(13)
@@ -750,6 +709,30 @@ class TestProject:
 
 
 class TestPinvApply:
+    @pytest.mark.parametrize("rank", [2, 0])
+    def test_deficient_factors_are_refused(self, rank):
+        base = random_columns(2, np.random.default_rng(31))
+        matrix = stack(base + [base[0] - base[1]]) if rank else np.zeros(
+            (GRID.node_count, 3))
+        f = weighted_qr(matrix, GRID)
+        with pytest.raises(RankDeficiencyError,
+                           match=f"^the factored matrix has rank {rank} < 3$"):
+            pinv_apply(f, GridFunction(GRID, np.ones(GRID.node_count)))
+
+    def test_another_grid_is_a_grid_mismatch(self):
+        f = upper_factors(2, np.random.default_rng(3))
+        grid = make_grid(1, GRID.node_count + 1)
+        with pytest.raises(GridMismatchError):
+            pinv_apply(f, GridFunction(grid, np.ones(grid.node_count)))
+
+    def test_input_is_not_written(self):
+        rng = np.random.default_rng(5)
+        f = weighted_qr(stack(random_columns(3, rng)), GRID)
+        values = rng.standard_normal(GRID.node_count)
+        before = values.copy()
+        pinv_apply(f, GridFunction(GRID, values))
+        assert np.array_equal(values, before)
+
     def test_recovers_unit_coefficients(self):
         rng = np.random.default_rng(23)
         cols = random_columns(5, rng)
@@ -880,9 +863,8 @@ def test_mysovskii_check_builds_no_factor_record(monkeypatch):
     reports = mysovskii_check(probes, p.units, p.input_dim, activation, GRID,
                               forward)
     assert len(reports) == 3 and built == []
-    # the spy sees the cone's one weighted_qr
-    cone_check(p, [flat + 1e-3], activation, GRID, forward)
-    assert len(built) == 1
+    cone_check(p, [flat + 1e-3, flat - 1e-3], activation, GRID, forward)
+    assert built == []
 
 
 def rank_error_sites(node, where):
@@ -900,13 +882,39 @@ def rank_error_sites(node, where):
         yield from rank_error_sites(child, where)
 
 
-def test_full_rank_is_the_only_place_that_decides_full_rank():
+def package_sites(sites_of):
+    """``sites_of(tree, module)`` over every module of the package."""
     package = Path(gncoder.__file__).parent
-    sites = [site for path in sorted(package.rglob("*.py"))
-             for site in rank_error_sites(
-                 ast.parse(path.read_text()),
-                 ".".join(path.relative_to(package).with_suffix("").parts))]
-    assert sites == ["pseudoinverse.full_rank"]
+    return [site for path in sorted(package.rglob("*.py"))
+            for site in sites_of(
+                ast.parse(path.read_text()),
+                ".".join(path.relative_to(package).with_suffix("").parts))]
+
+
+def test_full_rank_is_the_only_place_that_decides_full_rank():
+    assert package_sites(rank_error_sites) == ["pseudoinverse.full_rank"]
+
+
+def q_forming_sites(tree, module):
+    """The module of each call that forms or applies ``Q̃``: a
+    ``np.linalg.qr`` without ``mode="r"``, or a call of ``weighted_qr`` or
+    ``pinv_apply`` outside :mod:`gncoder.pseudoinverse`."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr",
+                                                        None)
+        r_only = any(k.arg == "mode" and getattr(k.value, "value", None) == "r"
+                     for k in node.keywords)
+        if (name == "qr" and not r_only) or (
+                name in ("weighted_qr", "pinv_apply")
+                and module != "pseudoinverse"):
+            yield module
+
+
+def test_only_the_reference_forms_q():
+    # weighted_qr's own np.linalg.qr is the one call that forms Q̃
+    assert package_sites(q_forming_sites) == ["pseudoinverse"]
 
 
 class TestMPResiduals:
