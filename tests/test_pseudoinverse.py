@@ -490,6 +490,31 @@ class TestSolveFromR:
                 assert alone.tobytes() == solved[b].tobytes()
             assert r.tobytes() == before.tobytes()
 
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("n", [1, 3, 6, 12])
+    def test_equals_pinv_apply_of_each_column(self, n, layout):
+        # the read-off against the Q-forming reference, column by column,
+        # on an R in each layout a caller may hand it
+        rng = np.random.default_rng(200 + n)
+        cols = random_columns(n, rng)
+        f = weighted_qr(stack(cols), GRID)
+        for m in (1, n, 2 * n + 1):
+            x = rng.standard_normal((GRID.node_count, m))
+            r = augmented_r(stack(cols), GRID, x)
+            wide = np.zeros((r.shape[0], 2 * r.shape[1]))
+            wide[:, ::2] = r
+            r = {"C": np.ascontiguousarray(r), "F": np.asfortranarray(r),
+                 "strided": wide[:, ::2]}[layout]
+            out = solve_from_r(r, n, 1e-10, "A")
+            assert out.shape == (n, m)
+            for j in range(m):
+                one = pinv_apply(f, GridFunction(GRID, x[:, j]))
+                assert np.linalg.norm(out[:, j] - one) <= (
+                    1e-12 * np.linalg.norm(one))
+            expected = lstsq_oracle(stack(cols), GRID, x)
+            assert np.linalg.norm(out - expected) <= (
+                1e-10 * np.linalg.norm(expected))
+
     def test_is_the_triangular_solve_against_the_top_right_block(self):
         rng = np.random.default_rng(71)
         r = np.triu(rng.standard_normal((9, 9)) + 3.0 * np.eye(9))
